@@ -10,14 +10,13 @@
 // tiered functions away — the skewed-load story the placement estimate
 // alone cannot solve.
 //
-// Every seed runs a full variant matrix: worker threads {1, 4, T} (T = 8,
-// or --threads=N) crossed with host-parallel epochs on/off, with faults
-// off and again with a brownout + migration-abort fault plan armed (when
-// the build carries -DTOSS_FAULTS=ON). The 1-thread host-serial run is the
-// reference; every other variant's cluster ledger (migrations, per-host
-// arbiter events, shed events, per-function stats) must match it
-// bit-for-bit. Wall times of the host-parallel fault-free runs become the
-// scaling curve in the JSON artifact.
+// Every seed runs at worker threads {1, 4, T} (T = 8, or --threads=N),
+// with faults off and again with a brownout + migration-abort fault plan
+// armed (when the build carries -DTOSS_FAULTS=ON). The 1-thread run is the
+// reference; every other thread count's cluster ledger (migrations,
+// per-host arbiter events, shed events, per-function stats) must match it
+// bit-for-bit. Wall times of the fault-free runs become the scaling curve
+// in the JSON artifact.
 //
 // Results land in cluster_scale.json under the bench artifact directory
 // (--out-dir=PATH, default <build>/bench_artifacts). The process exits
@@ -33,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -100,15 +100,13 @@ FaultPlan scale_fault_plan(u64 seed) {
 
 std::unique_ptr<ClusterEngine> make_cluster(const SystemConfig& cfg,
                                             u64 budget, u64 seed,
-                                            bool with_faults,
-                                            bool parallel_hosts) {
+                                            bool with_faults) {
   ClusterOptions opts;
   opts.hosts = kHosts;
   opts.migrate_after_pinned_epochs = kPinnedEpochs;
   opts.host_options.chunk = 2;
   opts.host_options.arbiter.enabled = true;
   opts.host_options.arbiter.fast_budget_bytes = budget;
-  opts.parallel_hosts = parallel_hosts;
   if (with_faults)
     opts.cluster_fault_plan = scale_fault_plan(mix_seed(seed, "scale-faults"));
   auto cluster = std::make_unique<ClusterEngine>(opts, cfg);
@@ -142,11 +140,11 @@ struct SeedRow {
   bool faults = false;
   u64 invocations = 0, shed = 0, migrations = 0, epochs = 0;
   bool ledgers_match = false;
-  double wall_ms = 0;  ///< the T-thread host-parallel run
+  double wall_ms = 0;  ///< the T-thread run
 };
 
-/// One point on the scaling curve: mean wall time of the host-parallel
-/// fault-free runs at `threads` workers over all seeds.
+/// One point on the scaling curve: mean wall time of the fault-free runs
+/// at `threads` workers over all seeds.
 struct ScalePoint {
   int threads = 1;
   double wall_ms_sum = 0;
@@ -170,7 +168,7 @@ void write_json(const std::string& path, u64 budget,
                "\"hardware_threads\":%d,\"faults_enabled\":%s,\"seeds\":[",
                kHosts, kLanes + 1, kRequestsPerLane, kHogRequests,
                kPinnedEpochs, static_cast<unsigned long long>(budget),
-               ThreadPool::hardware_threads(),
+               hardware_threads(),
                fault_injection_enabled() ? "true" : "false");
   for (size_t i = 0; i < rows.size(); ++i) {
     const SeedRow& r = rows[i];
@@ -232,10 +230,10 @@ int main(int argc, char** argv) {
               "(hardware: %d)\n",
               kHosts, kLanes + 1,
               static_cast<double>(budget) / static_cast<double>(kMiB),
-              max_threads, ThreadPool::hardware_threads());
+              max_threads, hardware_threads());
 
-  // The sweep axis: worker thread counts, host-parallel on. {1, 4, T}
-  // deduplicated and sorted.
+  // The sweep axis: worker thread counts {1, 4, T}, deduplicated and
+  // sorted; 1 is the reference.
   std::vector<int> thread_axis = {1, 4, max_threads};
   std::sort(thread_axis.begin(), thread_axis.end());
   thread_axis.erase(std::unique(thread_axis.begin(), thread_axis.end()),
@@ -248,8 +246,6 @@ int main(int argc, char** argv) {
   std::vector<MigrationEvent> sample_migrations;
   bool placement_ok = true, goodput_ok = true, migrated = false;
   bool ledgers_ok = true;
-  double serial_ms_sum = 0;
-  size_t serial_runs = 0;
 
   for (const bool faults : {false, true}) {
     if (faults && !fault_injection_enabled()) {
@@ -258,63 +254,53 @@ int main(int argc, char** argv) {
       continue;
     }
     for (const u64 seed : kSeeds) {
-      // Reference: 1 worker thread, hosts stepped serially.
-      auto ref_cluster = make_cluster(cfg, budget, seed, faults,
-                                      /*parallel_hosts=*/false);
-      if (!faults)
-        for (size_t h = 0; h < kHosts; ++h)
-          placement_ok = placement_ok &&
-                         ref_cluster->predicted_load()[h] <=
-                             ref_cluster->host_fast_budget_bytes(h);
-      const ClusterReport reference = ref_cluster->run(1).value();
-      if (!faults) {
-        serial_ms_sum += reference.wall_ns / 1e6;
-        ++serial_runs;
-      }
-
-      // Variants: every thread count x host-parallel on/off (minus the
-      // reference itself). Each must reproduce the reference ledger.
+      // Every thread count runs the same cluster; the first (1 worker) is
+      // the reference each later ledger must reproduce.
       SeedRow row;
       row.seed = seed;
       row.faults = faults;
       row.ledgers_match = true;
+      std::optional<ClusterReport> reference;
       for (const int threads : thread_axis) {
-        for (const bool parallel_hosts : {false, true}) {
-          if (threads == 1 && !parallel_hosts) continue;  // the reference
-          auto cluster =
-              make_cluster(cfg, budget, seed, faults, parallel_hosts);
-          const ClusterReport report = cluster->run(threads).value();
-          const bool match = bench::cluster_ledgers_equal(reference, report);
-          row.ledgers_match = row.ledgers_match && match;
-          if (!match)
-            std::printf("DIVERGED: seed %llu faults=%d threads=%d "
-                        "parallel_hosts=%d\n",
-                        static_cast<unsigned long long>(seed), faults ? 1 : 0,
-                        threads, parallel_hosts ? 1 : 0);
-          if (parallel_hosts && !faults) {
-            ScalePoint& point =
-                *std::find_if(curve.begin(), curve.end(),
-                              [&](const ScalePoint& p) {
-                                return p.threads == threads;
-                              });
-            point.wall_ms_sum += report.wall_ns / 1e6;
-            ++point.runs;
-          }
-          if (threads == max_threads && parallel_hosts) {
-            row.invocations = report.total_invocations();
-            row.shed = report.total_shed();
-            row.migrations = report.migrations.size();
-            row.epochs = report.epochs;
-            row.wall_ms = report.wall_ns / 1e6;
-            if (!faults) {
-              goodput_ok = goodput_ok && row.shed == 0 &&
-                           row.invocations == kExpected;
-              if (!report.migrations.empty()) migrated = true;
-              if (sample_migrations.empty())
-                sample_migrations = report.migrations;
-            }
+        auto cluster = make_cluster(cfg, budget, seed, faults);
+        if (!faults && !reference)
+          for (size_t h = 0; h < kHosts; ++h)
+            placement_ok = placement_ok && cluster->predicted_load()[h] <=
+                                               cluster->host_fast_budget_bytes(h);
+        ClusterReport report = cluster->run(threads).value();
+        if (!faults) {
+          ScalePoint& point =
+              *std::find_if(curve.begin(), curve.end(),
+                            [&](const ScalePoint& p) {
+                              return p.threads == threads;
+                            });
+          point.wall_ms_sum += report.wall_ns / 1e6;
+          ++point.runs;
+        }
+        if (threads == max_threads) {
+          row.invocations = report.total_invocations();
+          row.shed = report.total_shed();
+          row.migrations = report.migrations.size();
+          row.epochs = report.epochs;
+          row.wall_ms = report.wall_ns / 1e6;
+          if (!faults) {
+            goodput_ok = goodput_ok && row.shed == 0 &&
+                         row.invocations == kExpected;
+            if (!report.migrations.empty()) migrated = true;
+            if (sample_migrations.empty())
+              sample_migrations = report.migrations;
           }
         }
+        if (!reference) {
+          reference = std::move(report);
+          continue;
+        }
+        const bool match = bench::cluster_ledgers_equal(*reference, report);
+        row.ledgers_match = row.ledgers_match && match;
+        if (!match)
+          std::printf("DIVERGED: seed %llu faults=%d threads=%d\n",
+                      static_cast<unsigned long long>(seed), faults ? 1 : 0,
+                      threads);
       }
       ledgers_ok = ledgers_ok && row.ledgers_match;
       rows.push_back(row);
@@ -330,7 +316,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double serial_ms = serial_runs ? serial_ms_sum / serial_runs : 0;
+  const double serial_ms = curve.front().mean_ms();
   double speedup_at_max = 0;
   for (const ScalePoint& p : curve) {
     const double mean = p.mean_ms();
@@ -357,13 +343,13 @@ int main(int argc, char** argv) {
   }
   if (!ledgers_ok) {
     std::printf("FAIL: a cluster ledger diverged from the 1-thread "
-                "host-serial reference\n");
+                "reference\n");
     return 1;
   }
   // Speedup floor, scaled to what the machine can deliver: a runner with
   // fewer hardware threads than the sweep top cannot exhibit the full
   // parallel speedup no matter how good the executor is.
-  const int hw = ThreadPool::hardware_threads();
+  const int hw = hardware_threads();
   double floor = 0;
   if (hw >= 8 && max_threads >= 8)
     floor = 3.0;

@@ -7,7 +7,7 @@
 // lifecycle. The sweep runs the fleet at 1/2/4/8 worker threads (the top
 // overridable with --engine_threads=N) and, with --hosts=N, spreads the
 // same fleet over N simulated hosts behind the ClusterEngine so the
-// host-parallel epoch path is on the measured spine too. Every point must
+// multi-host epoch loop is on the measured spine too. Every point must
 // reproduce the 1-thread run's per-function statistics (or, on the cluster
 // axis, the full cluster ledger) bit-for-bit — lanes share no mutable
 // state — so the only thing allowed to change is the wall clock.
@@ -71,7 +71,7 @@ std::unique_ptr<PlatformEngine> build_fleet() {
 }
 
 /// The --hosts=N axis: the same 64 lanes spread over N simulated hosts, so
-/// the sweep also measures the cluster's host-parallel epoch path. The
+/// the sweep also measures the cluster's multi-host epochs. The
 /// arbiter budget is effectively unbounded — this bench measures the
 /// executor, not admission control.
 std::unique_ptr<ClusterEngine> build_cluster_fleet(size_t hosts) {
@@ -143,7 +143,7 @@ void write_scaling_json(const std::string& path, size_t hosts,
                "\"hardware_threads\":%d,\"speedup_at_max\":%.2f,"
                "\"points\":[",
                kFleetSize, kRequestsPerFunction, hosts,
-               ThreadPool::hardware_threads(), speedup_at_max);
+               hardware_threads(), speedup_at_max);
   for (size_t i = 0; i < points.size(); ++i) {
     const ScalePoint& p = points[i];
     std::fprintf(out,
@@ -163,7 +163,7 @@ int run_sweep(int max_threads, size_t hosts, const std::string& metrics_path,
   std::printf("fleet: %zu functions x %zu requests, hosts: %zu, "
               "host threads: %d\n",
               kFleetSize, kRequestsPerFunction, hosts,
-              ThreadPool::hardware_threads());
+              hardware_threads());
 
   std::vector<int> axis = {1, 2, 4, 8, max_threads};
   std::sort(axis.begin(), axis.end());
@@ -256,7 +256,7 @@ int run_sweep(int max_threads, size_t hosts, const std::string& metrics_path,
     return 1;
   }
   // Hardware-adaptive speedup floor (same scheme as cluster_scale).
-  const int hw = ThreadPool::hardware_threads();
+  const int hw = hardware_threads();
   const int top = points.back().threads;
   double floor = 0;
   if (hw >= 8 && top >= 8)

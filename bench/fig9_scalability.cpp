@@ -40,7 +40,7 @@ Nanos contended_mean(const SimEnv& env, const ExecutionResult& solo, int k) {
 }
 
 /// Per-function fig9 rows, computed independently so the fleet fans out
-/// over a worker pool. Each task runs on its own SimEnv (own snapshot
+/// over a LaneExecutor. Each index runs on its own SimEnv (own snapshot
 /// store + page cache), which is exactly the isolation PlatformEngine
 /// lanes use — results are identical to the serial sweep.
 struct FunctionRows {
@@ -94,9 +94,9 @@ void print_fig9(const SystemConfig& cfg) {
   std::printf("ladder: %s\n", ladder_label(cfg).c_str());
   const size_t num_models = FunctionRegistry::table1().models().size();
   std::vector<FunctionRows> per_function(num_models);
-  ThreadPool pool(ThreadPool::hardware_threads());
-  parallel_for(&pool, num_models,
-               [&](size_t i) { per_function[i] = fig9_rows_for(cfg, i); });
+  LaneExecutor executor(hardware_threads());
+  executor.run_epoch(num_models,
+                     [&](size_t i) { per_function[i] = fig9_rows_for(cfg, i); });
 
   AsciiTable t({"function", "system", "K=1", "K=5", "K=10", "K=20"});
   OnlineStats toss20, reapw20;

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <numeric>
 
-#include "util/thread_pool.hpp"
-
 namespace toss {
 
 Nanos BinProfiler::warm_exec_ns(const Invocation& inv,
@@ -16,8 +14,7 @@ Nanos BinProfiler::warm_exec_ns(const Invocation& inv,
 BinProfile BinProfiler::profile(const std::vector<Bin>& bins,
                                 const RegionList& zero_regions,
                                 u64 guest_pages,
-                                const Invocation& representative,
-                                ThreadPool* pool) const {
+                                const Invocation& representative) const {
   const size_t ranks = cfg_->tier_count();
   BinProfile out;
   out.base_placement = PagePlacement(guest_pages, tier_index(0));
@@ -41,11 +38,8 @@ BinProfile BinProfiler::profile(const std::vector<Bin>& bins,
 
   // Materialize the placement of every descent prefix. Pass p (p = 1 ..
   // ranks-1) pushes each bin from rank p-1 to rank p, coldest first; the
-  // placements build on each other and are cheap; the expensive part —
-  // replaying the representative trace under each configuration — is
-  // independent per prefix, so it can fan out over the pool. Each result
-  // lands at its own index, keeping the profile bit-identical to the
-  // serial sweep.
+  // placements build on each other and are cheap; the expensive part is
+  // replaying the representative trace under each configuration.
   std::vector<PagePlacement> prefix_placements;
   const size_t passes = ranks > 0 ? ranks - 1 : 0;
   prefix_placements.reserve(order.size() * passes);
@@ -60,9 +54,8 @@ BinProfile BinProfiler::profile(const std::vector<Bin>& bins,
     }
   }
   std::vector<Nanos> prefix_exec(prefix_placements.size(), 0);
-  parallel_for(pool, prefix_placements.size(), [&](size_t k) {
+  for (size_t k = 0; k < prefix_placements.size(); ++k)
     prefix_exec[k] = warm_exec_ns(representative, prefix_placements[k]);
-  });
 
   for (size_t k = 0; k < prefix_placements.size(); ++k) {
     const size_t pass = order.empty() ? 1 : k / order.size() + 1;

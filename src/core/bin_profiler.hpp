@@ -47,8 +47,6 @@ struct BinProfile {
   }
 };
 
-class ThreadPool;
-
 class BinProfiler {
  public:
   explicit BinProfiler(const SystemConfig& cfg) : cfg_(&cfg), model_(cfg) {}
@@ -57,13 +55,10 @@ class BinProfiler {
   /// already restored; only access-time differences matter, which is what
   /// the configuration comparison isolates).
   ///
-  /// Each step of the sweep measures one descent *prefix*; the prefixes are
-  /// independent measurements, so a non-null `pool` fans them out across
-  /// workers. Serial and parallel sweeps produce bit-identical profiles.
+  /// Each step of the sweep measures one descent *prefix*.
   BinProfile profile(const std::vector<Bin>& bins,
                      const RegionList& zero_regions, u64 guest_pages,
-                     const Invocation& representative,
-                     ThreadPool* pool = nullptr) const;
+                     const Invocation& representative) const;
 
   /// Warm execution time of an invocation under a placement.
   Nanos warm_exec_ns(const Invocation& inv,

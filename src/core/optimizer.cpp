@@ -33,8 +33,8 @@ TieringDecision choose_placement(const SystemConfig& cfg,
   const std::vector<double> ratios = cfg.rank_cost_ratios();
   BinProfiler profiler(cfg);
   TieringDecision d;
-  d.profile = profiler.profile(bins, zero_regions, guest_pages,
-                               representative, options.profile_pool);
+  d.profile =
+      profiler.profile(bins, zero_regions, guest_pages, representative);
   d.offloaded.assign(bins.size(), false);
   d.bin_rank.assign(bins.size(), 0);
 

@@ -15,8 +15,6 @@
 
 namespace toss {
 
-class ThreadPool;
-
 struct TieringOptions {
   int bin_count = 10;                         ///< paper: N = 10
   std::optional<double> slowdown_threshold;   ///< e.g. 0.10 for <= 10%
@@ -28,10 +26,6 @@ struct TieringOptions {
   /// TieringDecision::derived_threshold). An explicit slowdown_threshold
   /// always wins.
   std::optional<double> slo_slowdown;
-  /// Optional pool for the bin-profiling sweep; nullptr = serial. The
-  /// measured configurations are independent, so the decision is
-  /// bit-identical with or without a pool.
-  ThreadPool* profile_pool = nullptr;
   /// Hard cap on the fastest-tier bytes the placement may keep resident.
   /// The fleet arbiter re-enters Step IV with this bound to demote a
   /// function under DRAM pressure: the coldest-first sweep keeps pushing

@@ -4,7 +4,6 @@
 
 #include "util/contracts.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace toss {
 
@@ -260,13 +259,6 @@ TieringDecision TossFunction::analyze_now(const RetierBound& bound) const {
   topt.max_fast_bytes = bound.max_fast_bytes;
   topt.min_tier_rank = bound.min_tier_rank;
   topt.min_descent_prefix = bound.min_descent_prefix;
-  // Analysis happens once per (re)profiling cycle, so a transient pool for
-  // the bin sweep is cheap relative to the sweep itself.
-  std::unique_ptr<ThreadPool> pool;
-  if (options_.analysis_threads > 1) {
-    pool = std::make_unique<ThreadPool>(options_.analysis_threads);
-    topt.profile_pool = pool.get();
-  }
   return analyze_pattern(*cfg_, unified_->counts(), representative, topt);
 }
 

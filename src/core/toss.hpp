@@ -49,10 +49,6 @@ struct TossOptions {
   /// The evaluation methodology drops the host page cache between
   /// invocations; disable for keep-warm studies.
   bool drop_caches_between_invocations = true;
-  /// Worker threads for the Step III bin-profiling sweep (each offload
-  /// configuration is measured independently). 1 = fully serial; results
-  /// are identical either way.
-  int analysis_threads = 1;
   /// Recovery ladder: bounded retry (with simulated, jittered backoff) for
   /// transient faults on restore, execution and snapshot persistence. With
   /// no faults injected the policy is never consulted.

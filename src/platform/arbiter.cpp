@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/contracts.hpp"
+
 namespace toss {
 
 const char* arbiter_action_name(ArbiterAction action) {
@@ -118,8 +120,17 @@ void FastTierArbiter::tick(u64 epoch, const std::vector<LaneDemand>& lanes,
     for (size_t k = 0; k < lanes.size(); ++k) {
       const LaneDemand& d = lanes[k];
       if (!d.active || !d.demotable || stuck[k]) continue;
-      if (qos_mode_ ? used[k] >= d.curve.size() : rung_[d.lane] >= max_rung_)
+      if (qos_mode_) {
+        if (used[k] >= d.curve.size()) continue;
+        // Curve steps go only on a depth made of curve steps. A lane
+        // demoted on the fixed ladder before the latch climbs back on that
+        // ladder first: curve steps on top of fixed rungs would leave a
+        // depth neither promotion path can replay.
+        if (descent_[d.lane].size() != static_cast<size_t>(rung_[d.lane]))
+          continue;
+      } else if (rung_[d.lane] >= max_rung_) {
         continue;
+      }
       if (best == lanes.size()) {
         best = k;
         continue;
@@ -225,8 +236,10 @@ void FastTierArbiter::tick(u64 epoch, const std::vector<LaneDemand>& lanes,
       }
     if (k == lanes.size() || !lanes[k].active || !lanes[k].demotable ||
         rung_[lane] == 0) {
-      demote_stack_.pop_back();  // stale: lane finished or left kTiered
-      descent_[lane].clear();
+      // Stale: the lane finished or left kTiered. It keeps its rung, so it
+      // keeps the descent that rung indexes: a later re-demotion pushes
+      // onto it and promotion still replays it.
+      demote_stack_.pop_back();
       continue;
     }
     const int target = rung_[lane] - 1;
@@ -238,6 +251,11 @@ void FastTierArbiter::tick(u64 epoch, const std::vector<LaneDemand>& lanes,
     // the classic path, which is exactly how they were built.
     const bool curve_walk =
         qos_mode_ && descent_[lane].size() == static_cast<size_t>(rung_[lane]);
+    // Only the fixed ladder indexes bytes_at_rung_. A curve walk may run
+    // deeper than max_rung_; the victim filter keeps it off fixed rungs,
+    // so a mismatched depth never passes the fixed ladder.
+    TOSS_ASSERT(curve_walk || target < max_rung_,
+                "classic promotion past the fixed ladder");
     const u64 target_bytes =
         curve_walk ? (target == 0
                           ? bytes_at_rung_[lane][0]

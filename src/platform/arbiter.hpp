@@ -205,6 +205,8 @@ class FastTierArbiter {
   /// QoS mode: applied curve steps per engine lane index, in descent order
   /// — entry d-1 is the (prefix, resident fast bytes) the lane landed on
   /// at depth d. Promotions pop this stack; rung_ doubles as the depth.
+  /// In QoS mode either descent_[l].size() == rung_[l], or descent_[l] is
+  /// empty and rung_[l] <= max_rung_ (fixed rungs from before the latch).
   std::vector<std::vector<CurveStep>> descent_;
 
   bool admission_closed_ = false;

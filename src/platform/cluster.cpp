@@ -6,7 +6,6 @@
 
 #include "core/optimizer.hpp"
 #include "trace/pattern.hpp"
-#include "util/thread_pool.hpp"
 #include "workloads/function_model.hpp"
 
 namespace toss {
@@ -546,75 +545,31 @@ void ClusterEngine::fail_over(size_t dead_host) {
 }
 
 Result<ClusterReport> ClusterEngine::run(int threads) {
-  if (threads <= 0) threads = ThreadPool::hardware_threads();
-  std::unique_ptr<LaneExecutor> executor;
-  if (threads > 1 && function_count() > 1)
-    executor = std::make_unique<LaneExecutor>(threads);
+  if (threads <= 0) threads = hardware_threads();
+  // An epoch runs at most one index per lane, so participants beyond the
+  // lane count could only idle.
+  LaneExecutor executor(static_cast<int>(
+      std::min(static_cast<size_t>(threads), function_count())));
+  // Alive hosts with pending work, in host index order.
+  const auto live_hosts = [this] {
+    std::vector<Host*> live;
+    for (size_t i = 0; i < hosts_.size(); ++i)
+      if (!health_[i].dead && !hosts_[i]->idle())
+        live.push_back(hosts_[i].get());
+    return live;
+  };
 
   // Real elapsed time is a measurement channel (ClusterReport::wall_ns),
   // not simulated state; the ledger-equality harness strips it.
   const auto t0 = std::chrono::steady_clock::now();  // toss-lint: allow(det-wallclock)
-  for (;;) {
-    bool any_active = false;
-    for (size_t i = 0; i < hosts_.size(); ++i)
-      if (!health_[i].dead && !hosts_[i]->idle()) {
-        any_active = true;
-        break;
-      }
-    if (!any_active) break;
+  while (!live_hosts().empty()) {
     // Failure-domain barrier first: crashes and brownouts land at the
-    // epoch boundary, before any host steps, in host index order.
+    // epoch boundary, before any host steps, in host index order. A crash
+    // can move work between hosts, so the stepped set is taken after it.
     inject_failure_domains();
-    if (executor != nullptr && options_.parallel_hosts) {
-      // Host-parallel epoch: plan every host serially (host-index order),
-      // flatten all hosts' planned lanes into ONE executor round — hosts
-      // share no mutable state mid-epoch, and each lane chunk touches only
-      // lane-local state — then run each host's serial barrier in
-      // host-index order. No nested parallelism: the hosts' own executors
-      // are bypassed, the cluster drives their phases directly.
-      struct PlannedHost {
-        size_t host = 0;
-        EpochPlan plan;
-        size_t first_task = 0;  ///< offset into the flattened index space
-      };
-      std::vector<PlannedHost> planned;
-      planned.reserve(hosts_.size());
-      size_t total_tasks = 0;
-      for (size_t i = 0; i < hosts_.size(); ++i) {
-        if (health_[i].dead || hosts_[i]->idle()) continue;
-        Result<EpochPlan> plan = hosts_[i]->plan_epoch();
-        if (!plan.ok()) return {plan.code(), plan.message()};
-        if (plan->empty()) continue;
-        const size_t first = total_tasks;
-        total_tasks += plan->active.size();
-        planned.push_back(PlannedHost{i, std::move(*plan), first});
-      }
-      executor->run_epoch(total_tasks, [&](size_t task) {
-        // Map the flat index back to (host, lane): plans are offset-sorted,
-        // so the owner is the last plan starting at or before `task`.
-        size_t lo = 0;
-        size_t hi = planned.size();
-        while (hi - lo > 1) {
-          const size_t mid = lo + (hi - lo) / 2;
-          if (planned[mid].first_task <= task) lo = mid;
-          else hi = mid;
-        }
-        const PlannedHost& ph = planned[lo];
-        hosts_[ph.host]->run_planned_lane(ph.plan, task - ph.first_task);
-      });
-      for (const PlannedHost& ph : planned) {
-        if (Result<void> finished = hosts_[ph.host]->finish_epoch();
-            !finished.ok())
-          return {finished.code(), finished.message()};
-      }
-    } else {
-      for (size_t i = 0; i < hosts_.size(); ++i) {
-        if (health_[i].dead || hosts_[i]->idle()) continue;
-        if (Result<void> stepped = hosts_[i]->step_epoch(executor.get());
-            !stepped.ok())
-          return {stepped.code(), stepped.message()};
-      }
-    }
+    if (Result<void> stepped = Host::step_epoch(live_hosts(), executor);
+        !stepped.ok())
+      return {stepped.code(), stepped.message()};
     maybe_migrate();
     ++epochs_;
   }

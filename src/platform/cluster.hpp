@@ -33,11 +33,14 @@
 //   a per-host CircuitBreaker quarantines browned-out hosts from placement
 //   and migration while their fast-tier budget is withdrawn.
 //
-// Determinism: run() steps hosts one epoch at a time in host index order,
-// and migration, failover and health governance are decided between epochs
-// at the serial barrier from simulated state only, so the full cluster
-// ledger (shed + arbiter + migration + failover + health) is bit-identical
-// for any worker thread count at a fixed seed.
+// Determinism: each epoch of run() is the single-host drain's loop over
+// every live host (Host::step_epoch in platform/host.hpp) — plan every
+// host in host index order, run all their lanes in one executor round,
+// finish every host in host index order — and migration, failover and
+// health governance are decided between epochs at the serial barrier from
+// simulated state only, so the full cluster ledger (shed + arbiter +
+// migration + failover + health) is bit-identical for any worker thread
+// count at a fixed seed.
 #pragma once
 
 #include <memory>
@@ -74,14 +77,6 @@ struct ClusterOptions {
   /// Per-host health breaker: consecutive browned-out epochs open it
   /// (quarantine), a clean cooldown closes it (readmission).
   CircuitBreakerOptions health_breaker;
-  /// Step all hosts of an epoch concurrently on the shared executor: hosts
-  /// share no mutable state mid-epoch, so every alive host's lanes are
-  /// flattened into one work-stealing round and joined at the cluster
-  /// barrier; planning, barriers, faults, migration, failover and health
-  /// stay serial in host-index order, so ledgers are bit-identical with
-  /// this on or off (DESIGN.md §15). Off = step hosts one at a time
-  /// (lanes of one host still run in parallel).
-  bool parallel_hosts = true;
 };
 
 /// How a migration transaction ended.

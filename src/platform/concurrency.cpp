@@ -79,6 +79,10 @@ namespace {
 constexpr int kIdleSpins = 4096;
 }  // namespace
 
+int hardware_threads() {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
 LaneExecutor::LaneExecutor(int threads) {
   const size_t workers =
       threads > 1 ? static_cast<size_t>(threads - 1) : size_t{0};
@@ -156,7 +160,7 @@ void LaneExecutor::work(size_t self) {
       try {
         (*fn)(index);
         // Not swallowed: captured whole and rethrown from run_epoch's
-        // join, mirroring parallel_for's contract.
+        // join.
       } catch (...) {  // toss-lint: allow(swallowed-error)
         record_error();
       }

@@ -1,4 +1,12 @@
-// Concurrency contention model (Fig 9).
+// The platform's one execution substrate and the Fig-9 contention model.
+//
+// LaneExecutor is the only place in src/ that creates threads (toss_lint's
+// thread-spawn rule): every drain — PlatformEngine's and ClusterEngine's —
+// runs its lane chunks on it, one executor round per epoch, with every
+// cross-lane decision at the serial barrier between rounds (DESIGN.md
+// §15). RankedMutex is the rank-checked mutex its queues use.
+//
+// Contention model (Fig 9).
 //
 // The paper runs up to 20 concurrent invocations on a 20-core host, so CPU
 // time does not contend — shared memory tiers and the snapshot disk do.
@@ -38,16 +46,14 @@ namespace toss {
 // bookkeeping.
 // ---------------------------------------------------------------------------
 
-/// Global lock ordering, lowest acquired first. A thread holding
-/// kEngineScheduler may take kMetricsRegistry, never the reverse. The
-/// LaneExecutor's locks rank below everything: a deque or park lock is
-/// held only around its own queue operation — never across a lane task —
-/// so a worker inside a task may take any platform lock, while code
-/// holding a platform lock can never re-enter the executor.
+/// Global lock ordering, lowest acquired first. The LaneExecutor's locks
+/// rank below everything: a deque or park lock is held only around its own
+/// queue operation — never across a lane task — so a worker inside a task
+/// may take any platform lock, while code holding a platform lock can
+/// never re-enter the executor.
 enum class LockRank : int {
   kLaneExecutorQueue = 4,  ///< LaneExecutor per-worker deque mutexes
   kLaneExecutorPark = 6,   ///< LaneExecutor idle-park mutex
-  kEngineScheduler = 10,   ///< PlatformEngine ready-queue mutex
   /// Historical top rank. The registry's series map moved to the
   /// optimistic version-stamped latch (util/optimistic.hpp), which the
   /// detector does not track; the rank remains as the ceiling any future
@@ -117,8 +123,13 @@ std::optional<std::string> lock_rank_violation(const RankedMutex& m);
 // must touch only state owned by index k (lane-local state in the
 // engine), and every cross-index decision stays at the serial barrier.
 // The first exception thrown by any index is rethrown to the caller after
-// the epoch joins.
+// the epoch joins. A LaneExecutor(1) spawns no worker and runs every epoch
+// inline on the caller, so the serial reference path is the same code.
 // ---------------------------------------------------------------------------
+
+/// std::thread::hardware_concurrency with a floor of 1: what a drain uses
+/// when asked for threads <= 0.
+int hardware_threads();
 
 class LaneExecutor {
  public:

@@ -4,38 +4,38 @@
 // calling thread. The engine scales that out: every registered function
 // becomes a *lane* — an isolated single-function host (own SnapshotStore,
 // own page cache, own policy state machine) plus its request stream — and
-// a sharded scheduler drains all lanes over a worker pool.
+// an epoch-barrier scheduler drains all lanes over a work-stealing
+// LaneExecutor.
 //
-// Since the Host extraction (platform/host.hpp, platform-internal) the
-// engine is a thin façade over one Host. All the guarantees live there:
-//   - Per-function serialization. A lane is owned by at most one worker at
-//     a time, so a TossFunction state machine is never re-entered
-//     concurrently; violations are counted and reported (always 0).
+// The engine is a thin façade over one Host (platform/host.hpp,
+// platform-internal), and its drain is the same loop a ClusterEngine runs
+// over many hosts (Host::step_epoch, DESIGN.md §9 and §15). Each epoch
+// serves one chunk of up to EngineOptions::chunk requests per active lane in
+// parallel, then a serial barrier applies every cross-lane decision (the
+// global queue bound, the fast-tier arbiter) in lane registration order.
+// The guarantees:
+//   - Per-function serialization. An epoch hands each lane to one worker,
+//     so a TossFunction state machine is never re-entered concurrently;
+//     violations are counted and reported (always 0).
 //   - Determinism. Lanes share no mutable state — snapshot file ids, the
-//     host page cache and RNG streams are all lane-local — so per-function
-//     results are bit-for-bit identical for any thread count, including
-//     the serial reference path (threads = 1). Only wall-clock time and
-//     the interleaving of metric updates vary.
+//     host page cache and RNG streams are all lane-local — and cross-lane
+//     decisions happen only at the barrier, so every outcome and ledger is
+//     bit-for-bit identical for any thread count, threads = 1 included.
+//     Only wall-clock time and the interleaving of metric updates vary.
+//   - Exactly-once accounting. Requests flow through a per-lane
+//     simulated-time queue: arrivals are admitted when the lane's
+//     simulated clock reaches Request::arrival_ns, and each one is served
+//     or shed exactly once (offered == completed + shed).
 //   - Observability. Every invocation lands in a MetricsRegistry
 //     (lock-free counters + latency histograms per function/phase) that is
 //     snapshotted into the final report for the benches to serialize.
 //
-// Scheduling is chunked round-robin work sharing: workers pop a lane,
-// process up to `chunk` requests, and requeue it while requests remain.
-// Small chunks interleave lanes aggressively (fairness / tail latency);
-// `chunk` >= stream length degenerates to one task per function.
-//
-// Overload protection (DESIGN.md §9). When any overload knob is set
-// (bounded queues, deadlines, watchdog, or the fast-tier arbiter), the
-// drain switches to an epoch-barrier scheduler: each epoch processes one
-// chunk per active lane in parallel (lanes stay isolated), then a serial
-// barrier enforces the global queue bound and ticks the arbiter in lane
-// registration order. Requests flow through a per-lane simulated-time
-// queue — arrivals are admitted when the lane's simulated clock reaches
-// Request::arrival_ns, bounded queues shed deterministically under the
-// configured DropPolicy, and work whose deadline already passed is shed
-// before wasting a restore. Every shed is typed (ErrorCode::kOverloaded)
-// and ledgered; the ledgers are bit-identical for any thread count.
+// Overload protection (DESIGN.md §9) is a set of knobs on that one path,
+// all unbounded by default: bounded queues shed deterministically under
+// the configured DropPolicy, work whose deadline already passed is shed
+// before wasting a restore, the watchdog trips slow lanes' breakers, and
+// the arbiter defends the fast-tier budget. Every shed is typed
+// (ErrorCode::kOverloaded) and ledgered.
 //
 // Two drain models:
 //   - run(): the original single-shot drain. A second run() (or an add()
@@ -45,11 +45,11 @@
 //     entry validated against its lane's existing arrival tail), serves
 //     everything pending, and returns a *cumulative* report. Lane state —
 //     simulated clocks, arbiter rungs, keep-alive pool, all ledgers —
-//     persists between drains, and because lane-local decisions depend
-//     only on the simulated clock, N successive drains are bit-identical
-//     to one run() over the concatenated streams (for lane-local overload
-//     knobs; the cross-lane global bound and arbiter ladder see epoch
-//     boundaries, which batching shifts).
+//     persists between drains. Batches that are separated in simulated
+//     time (each one arrives after the lane served the previous one) give
+//     the same report as one run() over the concatenated streams, for the
+//     lane-local knobs; the cross-lane global bound and arbiter ladder see
+//     epoch boundaries, which batching shifts (DESIGN.md §10).
 #pragma once
 
 #include <string>

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "util/contracts.hpp"
-#include "util/thread_pool.hpp"
 
 namespace toss {
 
@@ -153,126 +152,15 @@ size_t Host::function_count() const {
 }
 
 bool Host::idle() const {
-  for (const auto& lane : lanes_) {
-    if (lane == nullptr) continue;
-    if (options_.overload_protection() ? !lane->drained()
-                                       : lane->next < lane->requests.size())
-      return false;
-  }
+  for (const auto& lane : lanes_)
+    if (lane != nullptr && !lane->drained()) return false;
   return true;
 }
 
-void Host::record_error(ErrorCode code, std::string message) {
-  std::lock_guard<RankedMutex> lock(mu_);
-  if (!failed_) {
-    failed_ = true;
-    error_code_ = code;
-    error_message_ = std::move(message);
-  }
-  abort_ = true;
-  ready_cv_.notify_all();
-}
-
 // ---------------------------------------------------------------------------
-// Legacy chunked round-robin scheduler (no overload knobs set).
-
-void Host::process_chunk(HostLane& lane) {
-  // Serialization guard: the scheduler hands a lane to one worker at a
-  // time; a violation here means the queue invariant broke. Release builds
-  // count it (EngineReport::serialization_violations, asserted 0 by
-  // tests); checked builds abort on the spot, before the re-entered
-  // TossFunction state machine can corrupt anything.
-  const int prior = lane.in_flight.fetch_add(1, std::memory_order_acq_rel);
-  TOSS_ASSERT(prior == 0, "lane re-entered concurrently");
-  if (prior != 0)
-    serialization_violations_.fetch_add(1, std::memory_order_relaxed);
-
-  const size_t end = std::min(lane.requests.size(),
-                              lane.next + static_cast<size_t>(options_.chunk));
-  for (; lane.next < end; ++lane.next) {
-    const Request& r = lane.requests[lane.next];
-    Result<InvocationOutcome> out = lane.host->invoke(lane.name, r.input, r.seed);
-    if (!out.ok()) {  // inputs are pre-validated; this is a belt-and-braces path
-      record_error(out.code(), out.message());
-      lane.next = lane.requests.size();
-      break;
-    }
-    const InvocationOutcome& o = *out;
-    lane.series->record(o.toss_phase, o.cold_boot, o.result.total_ns(),
-                        o.result.setup.setup_ns, o.result.exec.exec_ns,
-                        o.charge, o.recovery);
-    if (options_.keep_outcomes) lane.outcomes.push_back(o);
-  }
-
-  lane.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void Host::scheduler_loop() {
-  for (;;) {
-    size_t idx;
-    {
-      std::unique_lock<RankedMutex> lock(mu_);
-      ++waiting_workers_;
-      ready_cv_.wait(lock, [this] {
-        return abort_ || !ready_.empty() || unfinished_ == 0;
-      });
-      --waiting_workers_;
-      if (abort_ || (ready_.empty() && unfinished_ == 0)) return;
-      if (ready_.empty()) continue;  // spurious wake while others finish
-      idx = ready_.front();
-      ready_.pop_front();
-    }
-
-    HostLane& lane = *lanes_[idx];
-    process_chunk(lane);
-
-    {
-      std::lock_guard<RankedMutex> lock(mu_);
-      // Notify only when a worker is actually parked: a busy worker
-      // re-checks ready_ under mu_ before it can sleep, so the skipped
-      // notify is never lost — it just skips the futex syscall. This is
-      // the per-epoch wakeup-convoy fix for the legacy path.
-      if (lane.next < lane.requests.size()) {
-        ready_.push_back(idx);
-        if (waiting_workers_ > 0) ready_cv_.notify_one();
-      } else if (--unfinished_ == 0) {
-        if (waiting_workers_ > 0) ready_cv_.notify_all();
-      }
-    }
-  }
-}
-
-void Host::drain_legacy(int threads) {
-  size_t pending = 0;
-  {
-    std::lock_guard<RankedMutex> lock(mu_);
-    ready_.clear();
-    unfinished_ = 0;
-    abort_ = failed_;  // a prior drain's sticky failure still aborts
-    for (size_t i = 0; i < lanes_.size(); ++i) {
-      if (lanes_[i] == nullptr) continue;
-      if (lanes_[i]->next >= lanes_[i]->requests.size()) continue;
-      ready_.push_back(i);
-      ++unfinished_;
-    }
-    pending = unfinished_;
-  }
-
-  if (threads == 1 || pending <= 1) {
-    // Serial reference path: same scheduler, caller's thread.
-    scheduler_loop();
-  } else {
-    ThreadPool pool(threads);
-    for (int t = 0; t < threads; ++t)
-      pool.submit([this] { scheduler_loop(); });
-    pool.wait_idle();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Epoch-barrier overload scheduler (DESIGN.md §9).
+// Epoch-barrier scheduler (DESIGN.md §9).
 //
-// Each epoch runs one chunk per active lane over the worker pool — lanes
+// Each epoch runs one chunk per active lane over the executor — lanes
 // touch only lane-local state, so the parallel phase is trivially
 // deterministic — then a serial barrier applies every cross-lane decision
 // (global queue bound, arbiter ladder) in lane slot order. The resulting
@@ -316,7 +204,12 @@ void Host::admit_arrivals(HostLane& lane, bool admission_closed) {
   }
 }
 
-void Host::process_chunk_overload(HostLane& lane, bool admission_closed) {
+void Host::process_chunk(HostLane& lane, bool admission_closed) {
+  // Serialization guard: an epoch hands each lane to one executor index; a
+  // violation here means the plan listed a lane twice. Release builds
+  // count it (EngineReport::serialization_violations, asserted 0 by
+  // tests); checked builds abort on the spot, before the re-entered
+  // TossFunction state machine can corrupt anything.
   const int prior = lane.in_flight.fetch_add(1, std::memory_order_acq_rel);
   TOSS_ASSERT(prior == 0, "lane re-entered concurrently");
   if (prior != 0)
@@ -333,9 +226,10 @@ void Host::process_chunk_overload(HostLane& lane, bool admission_closed) {
           std::max(lane.sim_now, lane.requests[lane.arrived].arrival_ns);
       continue;
     }
-    // Pop order: FIFO on the legacy path; earliest-deadline-first once QoS
-    // classes are engaged (zero deadlines sort last, ties keep the lowest
-    // queue position), so SLO-bearing work is served before best-effort.
+    // Pop order: FIFO on an unclassed host; earliest-deadline-first once
+    // QoS classes are engaged (zero deadlines sort last, ties keep the
+    // lowest queue position), so SLO-bearing work is served before
+    // best-effort.
     size_t pos = 0;
     if (qos_engaged_ && lane.queue.size() > 1) {
       Nanos best_deadline = std::numeric_limits<Nanos>::max();
@@ -361,7 +255,7 @@ void Host::process_chunk_overload(HostLane& lane, bool admission_closed) {
     Result<InvocationOutcome> out =
         lane.host->invoke(lane.name, r.input, r.seed);
     if (!out.ok()) {  // inputs are pre-validated; belt-and-braces path
-      record_error(out.code(), out.message());
+      lane.status = {out.code(), out.message()};
       lane.arrived = lane.requests.size();
       lane.queue.clear();
       break;
@@ -517,8 +411,8 @@ void Host::arbiter_tick(FastTierArbiter& arbiter, u64 epoch) {
   arbiter.tick(epoch, demands, apply);
 }
 
-Result<EpochPlan> Host::plan_epoch() {
-  if (failed_) return {error_code_, error_message_};
+Result<Host::EpochPlan> Host::plan_epoch() {
+  if (!status_.ok()) return {status_.code(), status_.message()};
   EpochPlan plan;
   plan.active.reserve(lanes_.size());
   for (size_t i = 0; i < lanes_.size(); ++i)
@@ -539,13 +433,20 @@ Result<EpochPlan> Host::plan_epoch() {
 }
 
 void Host::run_planned_lane(const EpochPlan& plan, size_t k) {
-  process_chunk_overload(*lanes_[plan.active[k]], plan.closed[k] != 0);
+  process_chunk(*lanes_[plan.active[k]], plan.closed[k] != 0);
 }
 
 Result<void> Host::finish_epoch() {
-  // The executor joined before this runs, so reading the failure flag and
-  // applying the cross-lane barrier decisions cannot race with workers.
-  if (failed_) return {error_code_, error_message_};
+  // The executor joined before this runs, so reading the lanes' failures
+  // and applying the cross-lane barrier decisions cannot race with
+  // workers. Slot order makes the reported failure independent of which
+  // worker hit its error first.
+  for (const auto& lane : lanes_) {
+    if (lane == nullptr || lane->status.ok()) continue;
+    status_ = lane->status;
+    break;
+  }
+  if (!status_.ok()) return status_;
   enforce_global_queue_bound();
   if (options_.arbiter.enabled) {
     FastTierArbiter& arbiter = *ensure_arbiter();
@@ -556,41 +457,61 @@ Result<void> Host::finish_epoch() {
   return {};
 }
 
-Result<void> Host::step_epoch(LaneExecutor* executor) {
-  Result<EpochPlan> plan = plan_epoch();
-  if (!plan.ok()) return {plan.code(), plan.message()};
-  if (plan->empty()) return {};
-  if (executor != nullptr) {
-    executor->run_epoch(plan->active.size(),
-                        [&](size_t k) { run_planned_lane(*plan, k); });
-  } else {
-    for (size_t k = 0; k < plan->active.size(); ++k) run_planned_lane(*plan, k);
+Result<void> Host::step_epoch(const std::vector<Host*>& hosts,
+                              LaneExecutor& executor) {
+  // Plan serially in list order. Each plan's lanes take a contiguous range
+  // of one flat index space, so a single executor round covers every host.
+  struct Planned {
+    Host* host = nullptr;
+    EpochPlan plan;
+    size_t first = 0;  ///< flat index of the plan's first lane
+  };
+  std::vector<Planned> planned;
+  planned.reserve(hosts.size());
+  size_t tasks = 0;
+  for (Host* host : hosts) {
+    Result<EpochPlan> plan = host->plan_epoch();
+    if (!plan.ok()) return {plan.code(), plan.message()};
+    if (plan->empty()) continue;
+    planned.push_back(Planned{host, std::move(plan).value(), tasks});
+    tasks += planned.back().plan.active.size();
   }
-  return finish_epoch();
+  executor.run_epoch(tasks, [&](size_t task) {
+    // The owner of a flat index is the last plan starting at or before it.
+    const auto owner = std::prev(std::upper_bound(
+        planned.begin(), planned.end(), task,
+        [](size_t t, const Planned& p) { return t < p.first; }));
+    owner->host->run_planned_lane(owner->plan, task - owner->first);
+  });
+  Result<void> status;
+  for (const Planned& p : planned) {
+    Result<void> finished = p.host->finish_epoch();
+    if (status.ok() && !finished.ok()) status = std::move(finished);
+  }
+  return status;
 }
 
 Result<EngineReport> Host::drain(int threads) {
-  if (failed_) return {error_code_, error_message_};
-  if (threads <= 0) threads = ThreadPool::hardware_threads();
+  if (!status_.ok()) return {status_.code(), status_.message()};
+  if (threads <= 0) threads = hardware_threads();
 
   // Real elapsed time is a measurement channel (EngineReport::wall_ns),
   // not simulated state; the ledger-equality harness strips it.
   const auto t0 = std::chrono::steady_clock::now();  // toss-lint: allow(det-wallclock)
-  if (options_.overload_protection()) {
-    std::unique_ptr<LaneExecutor> executor;
-    if (threads > 1 && function_count() > 1)
-      executor = std::make_unique<LaneExecutor>(threads);
-    while (!idle()) {
-      if (!step_epoch(executor.get()).ok()) break;
-    }
-  } else {
-    drain_legacy(threads);
+  Result<void> stepped;
+  {
+    // An epoch runs at most one index per lane, so participants beyond
+    // the lane count could only idle.
+    LaneExecutor executor(static_cast<int>(
+        std::min(static_cast<size_t>(threads), function_count())));
+    const std::vector<Host*> self{this};
+    while (stepped.ok() && !idle()) stepped = step_epoch(self, executor);
   }
   const auto t1 = std::chrono::steady_clock::now();  // toss-lint: allow(det-wallclock)
   wall_ns_ += static_cast<Nanos>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
 
-  if (failed_) return {error_code_, error_message_};
+  if (!stepped.ok()) return {stepped.code(), stepped.message()};
   return report(threads);
 }
 

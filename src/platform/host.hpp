@@ -1,29 +1,30 @@
-// Host: one simulated serverless host — the lane fleet, both schedulers
-// (legacy chunked round-robin and the epoch-barrier overload path), the
-// bounded admission queues and the per-host fast-tier arbiter, extracted
-// from PlatformEngine so a ClusterEngine (platform/cluster.hpp) can compose
-// many hosts. PlatformEngine (platform/engine.hpp) remains the thin
-// single-host façade clients use.
+// Host: one simulated serverless host — the lane fleet, the epoch-barrier
+// scheduler, the bounded admission queues and the per-host fast-tier
+// arbiter, extracted from PlatformEngine so a ClusterEngine
+// (platform/cluster.hpp) can compose many hosts. PlatformEngine
+// (platform/engine.hpp) remains the thin single-host façade clients use.
 //
 // This header is platform-internal: nothing outside src/platform/ may
 // include it directly (toss_lint's host-internal rule). Clients reach the
 // shared types below through "platform/engine.hpp" or
 // "platform/cluster.hpp".
 //
-// What changed relative to the single-shot engine:
+// Every drain runs one loop, Host::step_epoch() over a list of hosts
+// (DESIGN.md §9, §15): plan each host serially in list order, one
+// LaneExecutor round over every planned lane, then each host's barrier
+// serially in list order. PlatformEngine runs it over its one host;
+// ClusterEngine over every live host, with its own failure, migration and
+// health decisions between epochs.
+//
 //   - Drains are reusable. drain(threads) serves everything pending and
 //     returns a *cumulative* report; enqueue() appends another request
 //     batch to a retained lane (validated against the lane's existing
 //     arrival tail) and the next drain continues from the retained lane
 //     state — simulated clocks, arbiter rungs and every ledger persist
 //     across drains.
-//   - The arbiter and the epoch counter are host state, not run() locals,
-//     so the graceful-degradation ladder keeps its rungs, its demotion
-//     stack and its warm pool between drains.
-//   - step_epoch() exposes one epoch of the overload scheduler so the
-//     cluster can interleave epochs across hosts deterministically (hosts
-//     stepped in index order, migrations decided at the serial
-//     cluster barrier).
+//   - The arbiter and the epoch counter are host state, so the
+//     graceful-degradation ladder keeps its rungs, its demotion stack and
+//     its warm pool between drains.
 //   - Lanes can be extracted and adopted whole (cross-host migration).
 //     Extraction leaves a null tombstone so lane indices — which key the
 //     arbiter's rung bookkeeping — stay stable; adoption re-binds the
@@ -32,10 +33,8 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -96,9 +95,10 @@ struct OverloadStats {
 };
 
 struct EngineOptions {
-  /// Worker threads for run()/drain(); 0 = ThreadPool::hardware_threads().
+  /// Worker threads for run()/drain(); 0 = hardware_threads().
   int threads = 0;
-  /// Requests a worker processes per lane ownership (>= 1).
+  /// Requests a lane serves per epoch (>= 1): the unit of work one
+  /// executor index runs between two barriers.
   int chunk = 8;
   /// Keep every InvocationOutcome in the report (in request order).
   bool keep_outcomes = true;
@@ -108,8 +108,8 @@ struct EngineOptions {
   /// sets -DTOSS_FAULTS=ON.
   FaultPlan fault_plan;
 
-  // ---- Overload protection (any non-default knob engages the
-  // epoch-barrier scheduler; all defaults = legacy unbounded behavior) ----
+  // ---- Overload protection (DESIGN.md §9). All defaults = unbounded:
+  // every arrival is admitted and served, and nothing is shed. ----
 
   /// Bound on each lane's admitted-but-unserved queue; 0 = unbounded.
   size_t max_lane_queue = 0;
@@ -126,11 +126,6 @@ struct EngineOptions {
   ArbiterOptions arbiter;
   /// Keep per-lane ShedEvent ledgers in the report.
   bool keep_shed_events = true;
-
-  bool overload_protection() const {
-    return max_lane_queue > 0 || max_global_queue > 0 || enforce_deadlines ||
-           watchdog_chunk_budget_ns > 0 || arbiter.enabled;
-  }
 };
 
 struct FunctionReport {
@@ -140,10 +135,10 @@ struct FunctionReport {
   TossPhase final_phase = TossPhase::kInitial;  ///< kToss lanes only
   /// Request-order outcomes; empty unless EngineOptions::keep_outcomes.
   std::vector<InvocationOutcome> outcomes;
-  /// Admission/shedding ledger; all-zero under the legacy scheduler.
+  /// Admission/shedding ledger. With every knob at its default it only
+  /// conserves: offered == admitted == completed, nothing shed.
   OverloadStats overload;
-  /// Shed decisions in decision order; empty unless keep_shed_events and
-  /// the overload scheduler ran.
+  /// Shed decisions in decision order; empty unless keep_shed_events.
   std::vector<ShedEvent> shed_events;
 };
 
@@ -161,18 +156,6 @@ struct EngineReport {
   u64 total_invocations() const;
   u64 total_shed() const;
   const FunctionReport* find(const std::string& name) const;
-};
-
-/// One epoch's parallel phase, computed at the serial plan step: which lane
-/// slots run a chunk and the admission-gate snapshot each one sees. The
-/// split exists so a ClusterEngine can plan every host serially, flatten
-/// all hosts' (plan, k) pairs into ONE LaneExecutor round — no nested
-/// parallelism — and then run each host's serial barrier in host-index
-/// order (DESIGN.md §15).
-struct EpochPlan {
-  std::vector<size_t> active;  ///< lane slot indices with work this epoch
-  std::vector<char> closed;    ///< per-active-lane admission-gate snapshot
-  bool empty() const { return active.empty(); }
 };
 
 /// One request batch for a retained lane, for PlatformEngine::drain /
@@ -195,12 +178,13 @@ struct HostLane {
   /// no cross-lane state can make results depend on scheduling.
   std::unique_ptr<ServerlessPlatform> host;
   std::vector<Request> requests;
-  size_t next = 0;
   std::vector<InvocationOutcome> outcomes;
   FunctionSeries* series = nullptr;
   std::atomic<int> in_flight{0};
+  /// First invocation failure, recorded lane-locally by the worker that
+  /// hit it; the next barrier reports the first failed lane in slot order.
+  Result<void> status;
 
-  // Overload-scheduler state (untouched on the legacy path).
   std::deque<size_t> queue;  ///< admitted, unserved request indices
   size_t arrived = 0;        ///< requests[0..arrived) reached admission
   Nanos sim_now = 0;         ///< lane-local simulated clock
@@ -210,7 +194,7 @@ struct HostLane {
   bool finish_reported = false;  ///< keep-alive insert happened
   int rung = 0;                  ///< arbiter demotion rung
   /// Service class + effective SLO slowdown target (DESIGN.md §14); the
-  /// default (kNone) leaves every scheduler decision on the legacy path.
+  /// default (kNone) leaves every scheduler decision class-blind.
   QosSpec qos;
   /// Inter-arrival predictor fed by admitted arrivals; the arbiter tick
   /// turns its prediction into a warm-demand hint (prewarm handshake).
@@ -259,26 +243,16 @@ class Host {
   /// on every later drain.
   Result<EngineReport> drain(int threads);
 
-  /// One epoch of the overload scheduler: a parallel chunk per active lane
-  /// (inline when executor is null), then the serial barrier (global queue
-  /// bound, arbiter tick). No-op when idle. Composes the three phases
-  /// below; the cluster calls the phases directly so it can run many
-  /// hosts' lanes in one executor round.
-  Result<void> step_epoch(LaneExecutor* executor);
+  /// One epoch over `hosts` (DESIGN.md §15): plan each host serially in
+  /// list order, one executor round over every planned lane of every host,
+  /// then each host's serial barrier, in list order. Idle hosts sit the
+  /// epoch out. Returns the first failure in list order; a planning
+  /// failure runs nothing, and every host that ran lanes still finishes
+  /// its epoch. A sticky host failure surfaces here on every later call.
+  static Result<void> step_epoch(const std::vector<Host*>& hosts,
+                                 LaneExecutor& executor);
 
-  /// Serial plan phase: the active-lane set and the admission-gate
-  /// snapshot every lane of this epoch will see. Empty plan when idle.
-  /// Sticky lane failures surface here (and on every later call).
-  Result<EpochPlan> plan_epoch();
-  /// Parallel phase, safe to run concurrently across k (and across hosts):
-  /// one chunk of the k-th planned lane, touching lane-local state only.
-  void run_planned_lane(const EpochPlan& plan, size_t k);
-  /// Serial barrier phase: cross-lane decisions (global queue bound,
-  /// arbiter ladder) in lane slot order, then the epoch counter. Must be
-  /// called exactly once after the parallel phase of a non-empty plan.
-  Result<void> finish_epoch();
-
-  /// Epochs the overload scheduler has completed since construction.
+  /// Epochs this host has completed since construction.
   u64 epochs() const { return epoch_; }
 
   // ---- Cluster hooks (placement / migration) ----
@@ -368,15 +342,31 @@ class Host {
   const HostLane* find_lane(const std::string& name) const;
   Result<void> validate_requests(const std::string& name,
                                  const std::vector<Request>& requests) const;
-  void record_error(ErrorCode code, std::string message);
 
-  // Legacy chunked round-robin scheduler.
-  void process_chunk(HostLane& lane);
-  void scheduler_loop();
-  void drain_legacy(int threads);
+  // Epoch-barrier scheduler (DESIGN.md §9), driven only by step_epoch().
 
-  // Epoch-barrier overload scheduler (DESIGN.md §9).
-  void process_chunk_overload(HostLane& lane, bool admission_closed);
+  /// One epoch's parallel phase, computed at the serial plan step: which
+  /// lane slots run a chunk and the admission-gate snapshot each one sees.
+  /// The split lets step_epoch() plan every host serially, flatten all
+  /// hosts' (plan, k) pairs into ONE LaneExecutor round — no nested
+  /// parallelism — and then run each host's serial barrier in order.
+  struct EpochPlan {
+    std::vector<size_t> active;  ///< lane slot indices with work this epoch
+    std::vector<char> closed;    ///< per-active-lane admission-gate snapshot
+    bool empty() const { return active.empty(); }
+  };
+  /// Serial plan phase: the active-lane set and the admission-gate
+  /// snapshot every lane of this epoch will see. Empty plan when idle.
+  Result<EpochPlan> plan_epoch();
+  /// Parallel phase, safe to run concurrently across k (and across hosts):
+  /// one chunk of the k-th planned lane, touching lane-local state only.
+  void run_planned_lane(const EpochPlan& plan, size_t k);
+  /// Serial barrier phase: report the first failed lane in slot order (the
+  /// failure becomes sticky), else the cross-lane decisions (global queue
+  /// bound, arbiter ladder) in lane slot order, then the epoch counter.
+  /// Called exactly once after the parallel phase of a non-empty plan.
+  Result<void> finish_epoch();
+  void process_chunk(HostLane& lane, bool admission_closed);
   void admit_arrivals(HostLane& lane, bool admission_closed);
   void shed(HostLane& lane, size_t request_index, ShedCause cause);
   void enforce_global_queue_bound();
@@ -397,25 +387,9 @@ class Host {
   int closed_streak_ = 0;
   bool qos_engaged_ = false;  ///< any lane carries a QoS class
   Nanos wall_ns_ = 0;  ///< real time spent draining, summed
-
-  // Scheduler state (valid during a drain). The mutex is rank-checked: a
-  // worker holding it may still create metric series (the registry's
-  // optimistic latch sits above kEngineScheduler in the ordering), but
-  // the registry must never call back into the host.
-  RankedMutex mu_{LockRank::kEngineScheduler, "Host::mu_"};
-  std::condition_variable_any ready_cv_;
-  std::deque<size_t> ready_;
-  /// Workers blocked in ready_cv_.wait (guarded by mu_): notifies are
-  /// skipped when nobody is parked, since a busy worker re-checks the
-  /// queue under mu_ before it can sleep — this removes the O(workers)
-  /// notify convoy the legacy scheduler paid per requeue.
-  int waiting_workers_ = 0;
-  size_t unfinished_ = 0;
-  bool abort_ = false;
   std::atomic<u64> serialization_violations_{0};
-  ErrorCode error_code_ = ErrorCode::kInvalidRequest;
-  std::string error_message_;
-  bool failed_ = false;
+  /// Sticky host failure: the first failed lane a barrier reported.
+  Result<void> status_;
 };
 
 }  // namespace toss

@@ -93,9 +93,6 @@ Result<void> FunctionRegistration::validate() const {
     if (o.reprofile_budget < 0)
       return {ErrorCode::kInvalidOptions,
               spec_.name + ": reprofile_budget must be >= 0"};
-    if (o.analysis_threads < 1)
-      return {ErrorCode::kInvalidOptions,
-              spec_.name + ": analysis_threads must be >= 1"};
   }
   return {};
 }

@@ -13,7 +13,7 @@
 //   InvocationOutcome / FunctionStats / Result / Error       call results
 //   MetricsRegistry / MetricsSnapshot                        observability
 //   RequestGenerator / FunctionRegistry / workloads::*       workloads
-//   ThreadPool / OnlineStats / AsciiTable / Rng              utilities
+//   LaneExecutor / OnlineStats / AsciiTable / Rng            utilities
 //
 // plus the analysis entry points the explorer tools drive directly
 // (analyze_pattern, choose_placement, regionize_and_merge, DamonMonitor,
@@ -52,5 +52,4 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"

@@ -87,10 +87,8 @@ u64 region_checksum(const std::vector<u32>& file, u64 file_page,
 
 namespace {
 // Version 3 is tier-indexed: a ladder-depth word follows guest_pages and
-// entry tier tags may name any rank below it. Version 2 (the two-tier
-// format with per-region checksums) is still accepted on read.
+// entry tier tags may name any rank below it.
 constexpr u64 kMagicV3 = 0x544f53534c415933ULL;  // "TOSSLAY3"
-constexpr u64 kMagicV2 = 0x544f53534c415932ULL;  // "TOSSLAY2"
 
 void put_u64(std::vector<u8>& out, u64 v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
@@ -125,15 +123,12 @@ std::vector<u8> MemoryLayoutFile::serialize() const {
 std::optional<MemoryLayoutFile> MemoryLayoutFile::deserialize(
     const std::vector<u8>& bytes) {
   size_t pos = 0;
-  u64 magic = 0, guest_pages = 0, tier_count = 2, count = 0;
-  if (!get_u64(bytes, pos, magic)) return std::nullopt;
-  if (magic != kMagicV3 && magic != kMagicV2) return std::nullopt;
+  u64 magic = 0, guest_pages = 0, tier_count = 0, count = 0;
+  if (!get_u64(bytes, pos, magic) || magic != kMagicV3) return std::nullopt;
   if (!get_u64(bytes, pos, guest_pages)) return std::nullopt;
-  if (magic == kMagicV3) {
-    if (!get_u64(bytes, pos, tier_count) || tier_count < 1 ||
-        tier_count > kMaxTiers)
-      return std::nullopt;
-  }
+  if (!get_u64(bytes, pos, tier_count) || tier_count < 1 ||
+      tier_count > kMaxTiers)
+    return std::nullopt;
   if (!get_u64(bytes, pos, count)) return std::nullopt;
   std::vector<LayoutEntry> entries;
   entries.reserve(count);

@@ -7,7 +7,8 @@
 //
 // Since the tier-ladder redesign the layout is tier-indexed: entries carry
 // a ladder rank and the file records how deep the ladder was at tiering
-// time (format v3, "TOSSLAY3"). The two-tier v2 format is still readable.
+// time (format v3, "TOSSLAY3"). Snapshots never leave the process, so only
+// the current format is read back.
 #pragma once
 
 #include <optional>

@@ -59,10 +59,8 @@ TieredSnapshot::Location TieredSnapshot::locate(u64 guest_page) const {
 }
 
 namespace {
-// Version 2 stores a ladder of tier files; version 1 is the fixed
-// fast/slow pair and is still accepted on read.
+// Version 2 stores a ladder of tier files.
 constexpr u64 kMagicV2 = 0x544f535354495232ULL;  // "TOSSTIR2"
-constexpr u64 kMagicV1 = 0x544f535354495231ULL;  // "TOSSTIR1"
 
 void put_u64(std::vector<u8>& out, u64 v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
@@ -128,14 +126,10 @@ std::optional<TieredSnapshot> TieredSnapshot::deserialize(
   size_t pos = 0;
   u64 magic = 0;
   TieredSnapshot snap;
-  if (!get_u64(bytes, pos, magic)) return std::nullopt;
-  u64 ranks = 2;
-  if (magic == kMagicV2) {
-    if (!get_u64(bytes, pos, ranks) || ranks < 1 || ranks > kMaxTiers)
-      return std::nullopt;
-  } else if (magic != kMagicV1) {
+  if (!get_u64(bytes, pos, magic) || magic != kMagicV2) return std::nullopt;
+  u64 ranks = 0;
+  if (!get_u64(bytes, pos, ranks) || ranks < 1 || ranks > kMaxTiers)
     return std::nullopt;
-  }
   snap.file_ids_.resize(ranks);
   for (u64 r = 0; r < ranks; ++r)
     if (!get_u64(bytes, pos, snap.file_ids_[r])) return std::nullopt;

@@ -79,9 +79,8 @@ class TieredSnapshot {
   void truncate_fast_file();              ///< drop the fast file's last page
 
   /// Full binary serialization of the tiered artifact (vm state + layout
-  /// file + all tier files), as it would be stored on disk/PMem. Writes the
-  /// ladder-aware "TOSSTIR2" format; the two-tier "TOSSTIR1" format is
-  /// still accepted on read.
+  /// file + all tier files), as it would be stored on disk/PMem, in the
+  /// ladder-aware "TOSSTIR2" format (the only one read back).
   std::vector<u8> serialize() const;
   static std::optional<TieredSnapshot> deserialize(
       const std::vector<u8>& bytes);

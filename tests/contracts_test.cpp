@@ -164,7 +164,7 @@ TEST(ValidateBins, RejectsDuplicatedMass) {
 // ---------------------------------------------------------------------------
 
 TEST(LockRank, InOrderAcquisitionIsClean) {
-  RankedMutex low(LockRank::kEngineScheduler, "low");
+  RankedMutex low(LockRank::kLaneExecutorPark, "low");
   RankedMutex high(LockRank::kMetricsRegistry, "high");
   std::lock_guard<RankedMutex> l1(low);
   EXPECT_EQ(detail::lock_rank_violation(high), std::nullopt);
@@ -172,19 +172,19 @@ TEST(LockRank, InOrderAcquisitionIsClean) {
 
 TEST(LockRank, ViolationDiagnosticNamesBothLocks) {
 #ifdef TOSS_CHECKED
-  RankedMutex low(LockRank::kEngineScheduler, "engine-lock");
+  RankedMutex low(LockRank::kLaneExecutorPark, "park-lock");
   RankedMutex high(LockRank::kMetricsRegistry, "metrics-lock");
   std::lock_guard<RankedMutex> l1(high);
   const auto err = detail::lock_rank_violation(low);
   ASSERT_TRUE(err.has_value());
-  EXPECT_NE(err->find("engine-lock"), std::string::npos) << *err;
+  EXPECT_NE(err->find("park-lock"), std::string::npos) << *err;
   EXPECT_NE(err->find("metrics-lock"), std::string::npos) << *err;
   // Same-rank acquisition (potential ABBA) is also a violation.
   RankedMutex peer(LockRank::kMetricsRegistry, "peer");
   EXPECT_TRUE(detail::lock_rank_violation(peer).has_value());
 #else
   // Unchecked builds do no tracking: violations are never observed.
-  RankedMutex low(LockRank::kEngineScheduler, "engine-lock");
+  RankedMutex low(LockRank::kLaneExecutorPark, "park-lock");
   RankedMutex high(LockRank::kMetricsRegistry, "metrics-lock");
   std::lock_guard<RankedMutex> l1(high);
   EXPECT_EQ(detail::lock_rank_violation(low), std::nullopt);
@@ -227,7 +227,7 @@ TEST(ContractsDeathTest, ValidateAbortsOnUnconservedBins) {
 TEST(ContractsDeathTest, LockRankViolationAborts) {
   EXPECT_DEATH(
       {
-        RankedMutex low(LockRank::kEngineScheduler, "engine-lock");
+        RankedMutex low(LockRank::kLaneExecutorPark, "park-lock");
         RankedMutex high(LockRank::kMetricsRegistry, "metrics-lock");
         std::lock_guard<RankedMutex> l1(high);
         // Deliberate inversion: the static lock-rank pass flags exactly

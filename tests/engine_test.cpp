@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "platform/engine.hpp"
-#include "util/thread_pool.hpp"
 #include "workloads/functions.hpp"
 
 namespace toss {
@@ -116,72 +115,24 @@ void expect_same_report(const FunctionReport& a, const FunctionReport& b) {
   }
 }
 
-TEST(Engine, SuccessiveDrainsEqualOneConcatenatedRun) {
-  // Reusable-engine contract: add() half of every stream, drain(), feed the
-  // other half through drain(batch) — the cumulative report must be
-  // bit-identical to one run() over the concatenated streams.
+TEST(Engine, TimeSeparatedDrainsEqualOneConcatenatedRun) {
+  // Reusable-engine contract: drain() one burst per lane, feed the next
+  // burst through drain(batch) — the cumulative report must be
+  // bit-identical to one run() over the concatenated streams. It holds
+  // when the batches are separated in simulated time, as here: two bursts
+  // with an idle gap much longer than a burst's drain time. Checked
+  // knob-free (nothing sheds) and with the lane-local knobs (bounded lane
+  // queue + deadlines), where a us-scale arrival gap against ms-scale
+  // service sheds heavily within each burst. Lanes cycle make_fleet's
+  // policy mix, so TOSS, REAP and vanilla lanes all cross the split.
   constexpr size_t kFunctions = 6;
-  constexpr size_t kRequests = 32;
-
-  auto whole = make_fleet(kFunctions, kRequests);
-  const EngineReport one = whole->run(4).value();
-
-  // Same fleet recipe as make_fleet, but each stream split at the midpoint.
-  EngineOptions opts;
-  auto split = std::make_unique<PlatformEngine>(SystemConfig::paper_default(),
-                                                PricingPlan{}, opts);
-  const std::vector<FunctionSpec> base = workloads::all_functions();
+  constexpr size_t kBurst = 40;
   const PolicyKind kinds[] = {PolicyKind::kToss, PolicyKind::kToss,
                               PolicyKind::kReap, PolicyKind::kVanilla};
-  RequestBatch second_half;
-  for (size_t i = 0; i < kFunctions; ++i) {
-    FunctionSpec spec = base[i % base.size()];
-    spec.name += "#" + std::to_string(i);
-    auto stream =
-        RequestGenerator::round_robin(kRequests, mix_seed(123, spec.name));
-    const std::string name = spec.name;
-    second_half.push_back(LaneBatch{
-        name, {stream.begin() + kRequests / 2, stream.end()}});
-    stream.resize(kRequests / 2);
-    ASSERT_TRUE(split
-                    ->add(FunctionRegistration(std::move(spec))
-                              .policy(kinds[i % 4])
-                              .toss(fast_toss())
-                              .seed(10 + i),
-                          std::move(stream))
-                    .ok());
-  }
-
-  const EngineReport first = split->drain({}, 4).value();
-  for (const FunctionReport& f : first.functions)
-    EXPECT_EQ(f.stats.invocations, kRequests / 2) << f.name;
-  const EngineReport rest = split->drain(second_half, 4).value();
-
-  ASSERT_EQ(rest.functions.size(), one.functions.size());
-  for (size_t i = 0; i < one.functions.size(); ++i)
-    expect_same_report(one.functions[i], rest.functions[i]);
-
-  // The two models are mutually exclusive on one engine instance.
-  EXPECT_EQ(split->run(1).code(), ErrorCode::kEngineBusy);
-  EXPECT_EQ(whole->drain({}).code(), ErrorCode::kEngineBusy);
-  // Unknown lane and time-travel batches are rejected, not absorbed.
-  EXPECT_EQ(split->drain({LaneBatch{"ghost", {}}}).code(),
-            ErrorCode::kUnknownFunction);
-}
-
-TEST(Engine, DrainSplitIsExactOnOverloadPathForLaneLocalKnobs) {
-  // Same contract on the admission-controlled path, restricted to the
-  // lane-local knobs (bounded lane queue + deadlines) for which the split
-  // is exact. The stream is two bursts separated by an idle gap much
-  // longer than a burst's drain time, so the batch boundary is naturally
-  // time-separated; within each burst a us-scale arrival gap against
-  // ms-scale service sheds heavily.
-  constexpr size_t kFunctions = 3;
-  constexpr size_t kBurst = 40;
-  EngineOptions opts;
-  opts.max_lane_queue = 4;
-  opts.enforce_deadlines = true;
-  opts.chunk = 3;
+  EngineOptions lane_local;
+  lane_local.max_lane_queue = 4;
+  lane_local.enforce_deadlines = true;
+  lane_local.chunk = 3;
 
   const auto burst = [](const std::string& name, u64 salt, Nanos t0) {
     auto reqs = RequestGenerator::open_loop(
@@ -194,52 +145,69 @@ TEST(Engine, DrainSplitIsExactOnOverloadPathForLaneLocalKnobs) {
     return reqs;
   };
 
-  const auto build = [&](bool with_second_burst) {
-    auto engine = std::make_unique<PlatformEngine>(
-        SystemConfig::paper_default(), PricingPlan{}, opts);
-    const std::vector<FunctionSpec> base = workloads::all_functions();
-    for (size_t i = 0; i < kFunctions; ++i) {
-      FunctionSpec spec = base[i % base.size()];
-      spec.name += "#" + std::to_string(i);
-      auto stream = burst(spec.name, 1, 0);
-      if (with_second_burst) {
-        const auto tail = burst(spec.name, 2, sec(30));
-        stream.insert(stream.end(), tail.begin(), tail.end());
+  for (const EngineOptions& opts : {EngineOptions{}, lane_local}) {
+    const auto build = [&](bool with_second_burst) {
+      auto engine = std::make_unique<PlatformEngine>(
+          SystemConfig::paper_default(), PricingPlan{}, opts);
+      const std::vector<FunctionSpec> base = workloads::all_functions();
+      for (size_t i = 0; i < kFunctions; ++i) {
+        FunctionSpec spec = base[i % base.size()];
+        spec.name += "#" + std::to_string(i);
+        auto stream = burst(spec.name, 1, 0);
+        if (with_second_burst) {
+          const auto tail = burst(spec.name, 2, sec(30));
+          stream.insert(stream.end(), tail.begin(), tail.end());
+        }
+        EXPECT_TRUE(engine
+                        ->add(FunctionRegistration(std::move(spec))
+                                  .policy(kinds[i % 4])
+                                  .toss(fast_toss())
+                                  .seed(10 + i),
+                              std::move(stream))
+                        .ok());
       }
-      EXPECT_TRUE(engine
-                      ->add(FunctionRegistration(std::move(spec))
-                                .policy(PolicyKind::kToss)
-                                .toss(fast_toss())
-                                .seed(10 + i),
-                            std::move(stream))
-                      .ok());
+      return engine;
+    };
+
+    auto whole = build(true);
+    const EngineReport one = whole->run(4).value();
+
+    auto split = build(false);
+    const EngineReport first = split->drain({}, 4).value();
+    RequestBatch batch;
+    for (const FunctionReport& f : first.functions) {
+      // Knob-free, the first drain serves exactly the first burst.
+      if (opts.max_lane_queue == 0) {
+        EXPECT_EQ(f.stats.invocations, kBurst) << f.name;
+      }
+      batch.push_back(LaneBatch{f.name, burst(f.name, 2, sec(30))});
     }
-    return engine;
-  };
+    const EngineReport rest = split->drain(batch, 1).value();
 
-  auto whole = build(true);
-  const EngineReport one = whole->run(2).value();
+    ASSERT_EQ(rest.functions.size(), one.functions.size());
+    u64 shed = 0;
+    for (size_t i = 0; i < one.functions.size(); ++i) {
+      expect_same_report(one.functions[i], rest.functions[i]);
+      shed += one.functions[i].overload.total_shed();
+    }
+    if (opts.max_lane_queue == 0)
+      EXPECT_EQ(shed, 0u);  // knob-free: every request is served
+    else
+      EXPECT_GT(shed, 0u);  // the bursts really did overload the queues
 
-  auto split = build(false);
-  const EngineReport first = split->drain({}, 2).value();
-  RequestBatch batch;
-  for (const FunctionReport& f : first.functions)
-    batch.push_back(LaneBatch{f.name, burst(f.name, 2, sec(30))});
-  const EngineReport rest = split->drain(batch, 1).value();
-
-  ASSERT_EQ(rest.functions.size(), one.functions.size());
-  u64 shed = 0;
-  for (size_t i = 0; i < one.functions.size(); ++i) {
-    expect_same_report(one.functions[i], rest.functions[i]);
-    shed += one.functions[i].overload.total_shed();
+    // The two models are mutually exclusive on one engine instance.
+    EXPECT_EQ(split->run(1).code(), ErrorCode::kEngineBusy);
+    EXPECT_EQ(whole->drain({}).code(), ErrorCode::kEngineBusy);
+    // Unknown lanes are rejected, not absorbed.
+    EXPECT_EQ(split->drain({LaneBatch{"ghost", {}}}).code(),
+              ErrorCode::kUnknownFunction);
   }
-  EXPECT_GT(shed, 0u);  // the bursts really did overload the queues
 }
 
 TEST(Engine, SerializationHoldsUnderContention) {
-  // chunk=1 maximizes lane handoffs between workers: every request is a
-  // separate ownership window, so any queue bug would show up as a
-  // violation (and as a TSan report under TOSS_SANITIZE=thread).
+  // chunk=1 maximizes lane handoffs between workers: every request is its
+  // own epoch index, so a lane handed to two workers at once would show
+  // up as a violation (and as a TSan report under TOSS_SANITIZE=thread).
   EngineOptions opts;
   opts.chunk = 1;
   opts.keep_outcomes = false;
@@ -321,53 +289,6 @@ TEST(Engine, TossLanesReachTieredPhase) {
   EXPECT_EQ(report.functions[1].final_phase, TossPhase::kTiered);
   EXPECT_NE(engine->toss_state(report.functions[0].name), nullptr);
   EXPECT_EQ(engine->toss_state("no-such-lane"), nullptr);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversAllIndicesAndPropagatesErrors) {
-  ThreadPool pool(4);
-  std::vector<int> hits(1000, 0);
-  parallel_for(&pool, hits.size(), [&](size_t i) { hits[i]++; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-
-  EXPECT_THROW(
-      parallel_for(&pool, 100,
-                   [&](size_t i) {
-                     if (i == 57) throw std::runtime_error("boom");
-                   }),
-      std::runtime_error);
-}
-
-TEST(TossOptionsTest, ParallelAnalysisMatchesSerial) {
-  // Same function, same stream; the only difference is the Step III bin
-  // sweep running on a pool. The tiering decision must be bit-identical.
-  auto run_with_threads = [](int analysis_threads) {
-    ServerlessPlatform platform;
-    TossOptions opt = fast_toss();
-    opt.analysis_threads = analysis_threads;
-    platform
-        .register_function(FunctionRegistration(workloads::image_processing())
-                               .policy(PolicyKind::kToss)
-                               .toss(opt))
-        .value();
-    platform
-        .run("image_processing", RequestGenerator::round_robin(40, 99))
-        .value();
-    const TossFunction* state = platform.toss_state("image_processing");
-    EXPECT_EQ(state->phase(), TossPhase::kTiered);
-    return *state->decision();
-  };
-  const TieringDecision serial = run_with_threads(1);
-  const TieringDecision parallel = run_with_threads(4);
-  EXPECT_EQ(serial.slow_fraction, parallel.slow_fraction);
-  EXPECT_EQ(serial.expected_slowdown, parallel.expected_slowdown);
-  EXPECT_EQ(serial.normalized_cost, parallel.normalized_cost);
-  ASSERT_EQ(serial.profile.steps.size(), parallel.profile.steps.size());
-  for (size_t i = 0; i < serial.profile.steps.size(); ++i) {
-    EXPECT_EQ(serial.profile.steps[i].marginal_slowdown,
-              parallel.profile.steps[i].marginal_slowdown);
-    EXPECT_EQ(serial.profile.steps[i].cumulative_cost,
-              parallel.profile.steps[i].cumulative_cost);
-  }
 }
 
 }  // namespace

@@ -720,15 +720,38 @@ TEST(Overload, AddValidatesArrivalStreams) {
   EXPECT_EQ(neg.code(), ErrorCode::kInvalidRequest);
 }
 
-TEST(Overload, LegacySchedulerPathIsUntouchedByDefault) {
-  EngineOptions opts;
-  EXPECT_FALSE(opts.overload_protection());
-  auto engine = single_lane(opts, RequestGenerator::round_robin(20, 2));
-  const EngineReport report = engine->run(2).value();
-  const FunctionReport& f = report.functions[0];
-  EXPECT_EQ(f.stats.invocations, 20u);
-  EXPECT_EQ(f.overload, OverloadStats{});
-  EXPECT_TRUE(f.shed_events.empty());
+TEST(Overload, KnobFreeEngineConservesEveryRequest) {
+  // Every knob at its default: the one scheduler still keeps its admission
+  // ledger, and all it does is conserve — each request sent is offered,
+  // admitted and served exactly once, even with open-loop arrivals queuing
+  // behind ms-scale service, and nothing is shed.
+  constexpr size_t kLanes = 3;
+  constexpr size_t kRequests = 20;
+  PlatformEngine engine;
+  const std::vector<FunctionSpec> base = workloads::all_functions();
+  for (size_t i = 0; i < kLanes; ++i) {
+    auto stream = RequestGenerator::open_loop(
+        RequestGenerator::round_robin(kRequests, 70 + i), us(100), ms(5),
+        70 + i);
+    ASSERT_TRUE(engine
+                    .add(FunctionRegistration(base[i])
+                             .policy(PolicyKind::kToss)
+                             .toss(fast_toss())
+                             .seed(42 + i),
+                         std::move(stream))
+                    .ok());
+  }
+  const EngineReport report = engine.run(2).value();
+  ASSERT_EQ(report.functions.size(), kLanes);
+  for (const FunctionReport& f : report.functions) {
+    EXPECT_EQ(f.overload.offered, kRequests) << f.name;
+    EXPECT_EQ(f.overload.admitted, kRequests) << f.name;
+    EXPECT_EQ(f.overload.completed, kRequests) << f.name;
+    EXPECT_EQ(f.stats.invocations, kRequests) << f.name;
+    EXPECT_EQ(f.overload.total_shed(), 0u) << f.name;
+    EXPECT_TRUE(f.shed_events.empty()) << f.name;
+    EXPECT_GT(f.overload.queue_peak, 1u) << f.name;  // requests did queue
+  }
   EXPECT_TRUE(report.arbiter.events.empty());
 }
 

@@ -393,6 +393,145 @@ TEST(QosArbiter, PromotionReplaysTheDescentLifo) {
   EXPECT_EQ(r.promotions, 1u);
 }
 
+TEST(QosArbiter, IdledLaneKeepsItsDescentThroughStaleStackPops) {
+  // Demote three curve steps, promote one, then idle the lane while its
+  // entries top the demote stack: the stale entries pop, but the lane
+  // keeps its depth, so it must keep the descent that depth indexes.
+  // Re-demoted past the two-tier ladder's fixed depth and promoted again,
+  // it must replay its curve. The fixed-ladder fallback would read past
+  // the per-rung bookkeeping and ask Step IV for a tier floor below the
+  // deepest tier.
+  FastTierArbiter arb(qos_arbiter_options(), /*fast_budget_bytes=*/50,
+                      /*tier_count=*/2);
+  ASSERT_EQ(arb.max_rung(), 2);
+  const std::string bronze = "bronze_fn", pinned = "pinned";
+  const std::vector<CurveStep> curve = {
+      {1, 45}, {2, 35}, {3, 15}, {4, 10}, {5, 5}};
+  std::vector<RetierBound> bounds;
+  const FastTierArbiter::ApplyRung apply =
+      [&](size_t, int, const RetierBound& bound) -> std::optional<u64> {
+    bounds.push_back(bound);
+    for (const CurveStep& step : curve)
+      if (bound.min_descent_prefix == step.prefix) return step.fast_bytes;
+    return std::nullopt;
+  };
+  // One tick: the bronze lane at `depth` of its curve (its remaining curve
+  // is everything below), beside a non-demotable lane setting the pressure.
+  const auto tick = [&](u64 epoch, u64 bronze_fast, size_t depth,
+                        bool active, u64 pinned_fast) {
+    FastTierArbiter::LaneDemand lane =
+        demand(0, bronze, bronze_fast, QosClass::kBronze,
+               std::vector<CurveStep>(curve.begin() + depth, curve.end()));
+    lane.active = active;
+    arb.tick(epoch,
+             {lane, demand(1, pinned, pinned_fast, QosClass::kNone, {},
+                           /*demotable=*/false)},
+             apply);
+  };
+
+  tick(0, 60, 0, true, 30);  // 90 > 50: down 60 -> 45 -> 35 -> 15
+  EXPECT_EQ(arb.rung(0), 3);
+  tick(1, 15, 3, true, 10);  // 25 fits: back up to 35
+  EXPECT_EQ(arb.rung(0), 2);
+  tick(2, 35, 2, false, 10);  // idle: both remaining entries go stale
+  EXPECT_EQ(arb.rung(0), 2);
+  tick(3, 35, 2, true, 40);  // 75 > 50: down 35 -> 15 -> 10, past rung 2
+  EXPECT_EQ(arb.rung(0), 4);
+  tick(4, 10, 4, true, 10);  // 20 fits: back up one curve step
+  EXPECT_EQ(arb.rung(0), 3);
+
+  // Every re-tier, the last promotion included, is a curve prefix inside
+  // the ladder.
+  ASSERT_EQ(bounds.size(), 7u);
+  for (const RetierBound& bound : bounds) {
+    EXPECT_TRUE(bound.min_descent_prefix.has_value());
+    EXPECT_FALSE(bound.max_fast_bytes.has_value());
+    EXPECT_LT(bound.min_tier_rank, 2u);
+  }
+  EXPECT_EQ(bounds.back().min_descent_prefix, std::optional<size_t>{3});
+  EXPECT_EQ(arb.resident_fast_bytes(), 25u);
+}
+
+TEST(QosArbiter, FixedRungsFromBeforeTheLatchClimbBackOnTheLadder) {
+  // An unclassed lane demoted on the fixed ladder keeps that rung when a
+  // classed lane later latches QoS mode (a migrated or failed-over lane
+  // can bring the first class to a host). Curve steps on top of the fixed
+  // rung would leave a depth only the fixed-ladder fallback can promote,
+  // and that fallback would run past the ladder: past the per-rung
+  // bookkeeping, and a tier floor below the deepest tier. So the lane
+  // climbs back on the fixed ladder first; from depth 0 it walks its
+  // curve like any lane.
+  FastTierArbiter arb(qos_arbiter_options(), /*fast_budget_bytes=*/100,
+                      /*tier_count=*/2);
+  const std::string fn = "fn", pinned = "pinned", gold = "gold_fn";
+  // Step IV's answer per bound: curve prefixes land on their footprint,
+  // the rung-1 cap on the cap, a tier floor fully slow, and the trivial
+  // bound on the unconstrained 80 bytes.
+  const std::vector<CurveStep> curve = {{1, 60}, {2, 30}, {3, 20}, {4, 10}};
+  std::vector<RetierBound> bounds;
+  const FastTierArbiter::ApplyRung apply =
+      [&](size_t, int, const RetierBound& bound) -> std::optional<u64> {
+    bounds.push_back(bound);
+    if (bound.min_descent_prefix) {
+      for (const CurveStep& step : curve)
+        if (step.prefix == *bound.min_descent_prefix) return step.fast_bytes;
+      return std::nullopt;
+    }
+    if (bound.max_fast_bytes) return *bound.max_fast_bytes;
+    return bound.min_tier_rank > 0 ? 0 : 80;
+  };
+  // One tick: `fn` at `fn_fast` with the curve points below it, a pinned
+  // unclassed lane setting the pressure, and (once `classed`) a pinned
+  // gold lane that latches QoS mode.
+  const auto tick = [&](u64 epoch, u64 fn_fast, u64 pinned_fast,
+                        bool classed) {
+    std::vector<CurveStep> below;
+    for (const CurveStep& step : curve)
+      if (step.fast_bytes < fn_fast) below.push_back(step);
+    std::vector<FastTierArbiter::LaneDemand> lanes = {
+        demand(0, fn, fn_fast, QosClass::kNone, below),
+        demand(1, pinned, pinned_fast, QosClass::kNone, {},
+               /*demotable=*/false)};
+    if (classed)
+      lanes.push_back(demand(2, gold, 5, QosClass::kGold, {},
+                             /*demotable=*/false));
+    arb.tick(epoch, lanes, apply);
+  };
+
+  tick(0, 80, 40, false);  // 120 > 100: fixed rung 1 caps fn at 40
+  ASSERT_EQ(bounds.size(), 1u);
+  EXPECT_EQ(bounds[0].max_fast_bytes, std::optional<u64>{40});
+  EXPECT_EQ(arb.rung(0), 1);
+
+  tick(1, 40, 80, true);  // 125 > 100, QoS latched: fn holds its rung
+  EXPECT_EQ(bounds.size(), 1u);
+  EXPECT_EQ(arb.rung(0), 1);
+  EXPECT_TRUE(arb.admission_closed(QosClass::kBronze));
+
+  tick(2, 40, 10, true);  // 55 fits: fn climbs the fixed ladder to 0
+  ASSERT_EQ(bounds.size(), 2u);
+  EXPECT_EQ(arb.rung(0), 0);
+  EXPECT_FALSE(bounds[1].max_fast_bytes.has_value());
+  EXPECT_FALSE(bounds[1].min_descent_prefix.has_value());
+  EXPECT_EQ(bounds[1].min_tier_rank, 0u);
+
+  tick(3, 80, 80, true);  // 165 > 100: down 80 -> 60 -> 30 -> 20 -> 10
+  ASSERT_EQ(bounds.size(), 6u);
+  EXPECT_EQ(arb.rung(0), 4);
+  tick(4, 10, 10, true);  // 25 fits: back up one curve step
+  ASSERT_EQ(bounds.size(), 7u);
+  EXPECT_EQ(arb.rung(0), 3);
+  EXPECT_EQ(bounds.back().min_descent_prefix, std::optional<size_t>{3});
+  EXPECT_EQ(arb.resident_fast_bytes(), 35u);
+
+  // No re-tier mixes the two ladders or floors below the deepest tier.
+  for (size_t i = 2; i < bounds.size(); ++i) {
+    EXPECT_TRUE(bounds[i].min_descent_prefix.has_value()) << i;
+    EXPECT_FALSE(bounds[i].max_fast_bytes.has_value()) << i;
+  }
+  for (const RetierBound& bound : bounds) EXPECT_LT(bound.min_tier_rank, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Engine integration: EDF pop order, bronze-before-gold shedding at the
 // global bound, per-class ledgers, and cross-thread determinism.

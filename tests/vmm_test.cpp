@@ -23,31 +23,10 @@ GuestMemory patterned_memory(u64 pages) {
   return mem;
 }
 
-// Little-endian encoders mirroring the on-disk format, used to hand-craft
-// legacy (pre-ladder) byte streams for the backward-compatibility tests.
-void put_u64_le(std::vector<u8>& out, u64 v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-void put_blob_le(std::vector<u8>& out, const std::vector<u8>& blob) {
-  put_u64_le(out, blob.size());
-  out.insert(out.end(), blob.begin(), blob.end());
-}
-
-/// The two-tier "TOSSLAY2" layout encoding: no ladder-depth word.
-std::vector<u8> encode_layout_v2(const MemoryLayoutFile& layout) {
-  std::vector<u8> out;
-  put_u64_le(out, 0x544f53534c415932ULL);  // "TOSSLAY2"
-  put_u64_le(out, layout.guest_pages());
-  put_u64_le(out, layout.entry_count());
-  for (const auto& e : layout.entries()) {
-    put_u64_le(out, tier_rank(e.tier));
-    put_u64_le(out, e.file_page);
-    put_u64_le(out, e.guest_page);
-    put_u64_le(out, e.page_count);
-    put_u64_le(out, e.checksum);
-  }
-  return out;
+/// `bytes` with its leading little-endian magic word replaced.
+std::vector<u8> with_magic(std::vector<u8> bytes, u64 magic) {
+  for (size_t i = 0; i < 8; ++i) bytes[i] = static_cast<u8>(magic >> (8 * i));
+  return bytes;
 }
 
 TEST(VmState, SerializeRoundtrip) {
@@ -123,27 +102,15 @@ TEST(LayoutFile, ThreeTierSerializeRoundtrip) {
   EXPECT_DOUBLE_EQ(back->slow_fraction(), 2.0 / 3.0);
 }
 
-TEST(LayoutFile, ReadsLegacyTwoTierFormat) {
-  // A pre-ladder "TOSSLAY2" stream (no depth word) must deserialize to the
-  // same layout the v3 writer round-trips, with an implied two-rung ladder.
-  MemoryLayoutFile want(6, {{tier_index(0), 0, 0, 2},
-                            {tier_index(1), 0, 2, 3},
-                            {tier_index(0), 2, 5, 1}});
-  const auto back = MemoryLayoutFile::deserialize(encode_layout_v2(want));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->tier_count(), 2u);
-  EXPECT_EQ(*back, want);
-  // Old-vs-new round trip: re-serializing the upgraded layout (now v3)
-  // reads back identically.
-  const auto again = MemoryLayoutFile::deserialize(back->serialize());
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(*again, want);
-}
-
 TEST(LayoutFile, DeserializeRejectsInvalid) {
-  auto bytes = MemoryLayoutFile(4, {{tier_index(0), 0, 0, 4}}).serialize();
+  const auto good = MemoryLayoutFile(4, {{tier_index(0), 0, 0, 4}}).serialize();
+  auto bytes = good;
   bytes[8] ^= 1;  // corrupt guest_pages -> coverage fails
   EXPECT_FALSE(MemoryLayoutFile::deserialize(bytes).has_value());
+  // Snapshots never leave the process, so retired formats are not read.
+  EXPECT_FALSE(MemoryLayoutFile::deserialize(
+                   with_magic(good, 0x544f53534c415932ULL))  // "TOSSLAY2"
+                   .has_value());
 }
 
 class TieredSnapshotTest : public ::testing::Test {
@@ -225,37 +192,6 @@ TEST_F(TieredSnapshotTest, SerializeRoundtrip) {
   EXPECT_EQ(back->materialize(), mem);
 }
 
-TEST_F(TieredSnapshotTest, ReadsLegacyTwoTierArtifact) {
-  // Hand-encode the pre-ladder "TOSSTIR1" stream — magic, two file ids (no
-  // rank-count word), vm-state blob, v2 layout blob, fast then slow version
-  // arrays — and check the reader reconstructs the same artifact the new
-  // builder produces.
-  PagePlacement placement(kPages, tier_index(0));
-  placement.set_range(16, 48, tier_index(1));
-  const TieredSnapshot want =
-      TieredSnapshot::build(snap, placement, {4, 5});
-
-  std::vector<u8> v1;
-  put_u64_le(v1, 0x544f535354495231ULL);  // "TOSSTIR1"
-  put_u64_le(v1, want.file_id(0));
-  put_u64_le(v1, want.file_id(1));
-  put_blob_le(v1, want.vm_state().serialize());
-  put_blob_le(v1, encode_layout_v2(want.layout()));
-  for (size_t r = 0; r < 2; ++r) {
-    put_u64_le(v1, want.tier_pages(r));
-    for (u64 p = 0; p < want.tier_pages(r); ++p) {
-      const u32 v = want.tier_page_version(r, p);
-      for (int b = 0; b < 4; ++b) v1.push_back(static_cast<u8>(v >> (8 * b)));
-    }
-  }
-
-  const auto back = TieredSnapshot::deserialize(v1);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, want);
-  EXPECT_EQ(back->materialize(), mem);
-  EXPECT_EQ(back->verify(), std::nullopt);
-}
-
 TEST_F(TieredSnapshotTest, DeserializeRejectsCorruption) {
   PagePlacement placement(kPages, tier_index(0));
   placement.set_range(0, 64, tier_index(1));
@@ -266,6 +202,9 @@ TEST_F(TieredSnapshotTest, DeserializeRejectsCorruption) {
   auto bad_magic = bytes;
   bad_magic[0] ^= 0xff;
   EXPECT_FALSE(TieredSnapshot::deserialize(bad_magic).has_value());
+  EXPECT_FALSE(TieredSnapshot::deserialize(
+                   with_magic(bytes, 0x544f535354495231ULL))  // "TOSSTIR1"
+                   .has_value());
   auto truncated = bytes;
   truncated.resize(truncated.size() / 2);
   EXPECT_FALSE(TieredSnapshot::deserialize(truncated).has_value());

@@ -18,8 +18,8 @@
 //                    extends this to steady_clock and friends;
 //                    tools/lint/determinism.cpp.)
 //   thread-spawn     std::thread/std::jthread/std::async are banned in
-//                    src/ outside src/util/thread_pool.* and
-//                    src/platform/concurrency.*.
+//                    src/ outside src/platform/concurrency.* (the
+//                    LaneExecutor).
 //   pragma-once      every header in the scanned tree uses `#pragma once`.
 //   swallowed-error  `catch (...)` and empty catch bodies are banned in
 //                    src/ outside src/util/fault.*.
@@ -116,8 +116,7 @@ void run_line_rules(const SourceFile& f, std::vector<Finding>& findings) {
   const bool in_platform = f.under("src/platform/");
   const bool umbrella_only = f.under("examples/") || f.under("bench/");
   const bool rng_exempt = f.stem_is("src/util/rng");
-  const bool thread_exempt = f.stem_is("src/util/thread_pool") ||
-                             f.stem_is("src/platform/concurrency");
+  const bool thread_exempt = f.stem_is("src/platform/concurrency");
   const bool catch_exempt = f.stem_is("src/util/fault");
 
   for (size_t i = 0; i < f.code.size(); ++i) {
@@ -184,8 +183,8 @@ void run_line_rules(const SourceFile& f, std::vector<Finding>& findings) {
       if (hit)
         findings.push_back(
             {f.rel, line_no, "thread-spawn",
-             "thread creation outside util/thread_pool and "
-             "platform/concurrency; submit work to a ThreadPool"});
+             "thread creation outside platform/concurrency; run the work "
+             "on a LaneExecutor"});
     }
 
     if (in_src) {
