@@ -126,6 +126,21 @@ void TossFunction::cold_boot_rung(MicroVm& vm, const Invocation& inv,
   rec.recovery.memory_hash = hash_memory(vm.memory());
 }
 
+void TossFunction::record_oracle(const MicroVm& vm,
+                                 const SingleTierSnapshot& authority,
+                                 RecoveryInfo* recovery) {
+  recovery->expected_hash = authority.content_hash();
+  recovery->memory_hash = hash_memory_against(
+      vm.memory(), authority.page_versions(), authority.content_hash());
+}
+
+void TossFunction::replace_tiered(u64 id) {
+  // The superseded artifact's tier files are dead weight in the lane's
+  // store; quarantined ones stay (erase_tiered leaves them alone).
+  if (tiered_id_ != 0 && tiered_id_ != id) store_->erase_tiered(tiered_id_);
+  tiered_id_ = id;
+}
+
 void TossFunction::quarantine_and_rearm(RecoveryInfo* recovery) {
   if (tiered_id_ != 0) {
     store_->quarantine_tiered(tiered_id_);
@@ -176,15 +191,14 @@ TossInvocationRecord TossFunction::handle_initial(const Invocation& inv) {
     }
   }
 
-  rc.memory_hash = hash_memory(vm.memory());
   if (rec.snapshot_created) {
     // Oracle: the persisted snapshot must round-trip the guest exactly.
-    rc.expected_hash =
-        hash_memory(store_->fetch_single_tier(single_tier_id_).materialize());
+    record_oracle(vm, store_->fetch_single_tier(single_tier_id_), &rc);
     unified_.emplace(model_->guest_pages(), options_.unified_change_epsilon);
     largest_ = Largest{inv.input, inv.seed, rec.result.exec.exec_ns};
     phase_ = TossPhase::kProfiling;
   } else {
+    rc.memory_hash = hash_memory(vm.memory());
     rc.expected_hash = rc.memory_hash;
   }
   return rec;
@@ -223,8 +237,7 @@ TossInvocationRecord TossFunction::handle_profiling(const Invocation& inv) {
   rec.result.exec = exec;
   ++damon_invocations_;
 
-  rc.memory_hash = hash_memory(vm.memory());
-  rc.expected_hash = hash_memory(snap->materialize());
+  record_oracle(vm, *snap, &rc);
 
   if (!largest_ || exec.exec_ns > largest_->exec_ns)
     largest_ = Largest{inv.input, inv.seed, exec.exec_ns};
@@ -298,7 +311,7 @@ bool TossFunction::run_analysis(RecoveryInfo* recovery) {
     }
   }
   if (id == 0) return false;
-  tiered_id_ = id;
+  replace_tiered(id);
   arm_reprofiler();
   phase_ = TossPhase::kTiered;
   return true;
@@ -325,7 +338,7 @@ bool TossFunction::retier(RetierBound bound) {
     }
   }
   if (id == 0) return false;  // keep serving the current artifact
-  tiered_id_ = id;
+  replace_tiered(id);
   decision_ = std::move(d);
   bound_ = bound;
   arm_reprofiler();
@@ -362,14 +375,15 @@ TossInvocationRecord TossFunction::handle_tiered(const Invocation& inv) {
     const AttemptStatus status = restore_execute_with_retry(
         vm, policy.plan_restore(), inv, &rec.result, &rc);
     if (status == AttemptStatus::kOk) {
-      rc.memory_hash = hash_memory(vm.memory());
       // The retained Step-I snapshot is the authority the tiered restore
       // must reproduce bit-exactly.
       if (const SingleTierSnapshot* authority =
-              store_->get_single_tier(single_tier_id_))
-        rc.expected_hash = hash_memory(authority->materialize());
-      else
+              store_->get_single_tier(single_tier_id_)) {
+        record_oracle(vm, *authority, &rc);
+      } else {
+        rc.memory_hash = hash_memory(vm.memory());
         rc.expected_hash = rc.memory_hash;
+      }
       // While the arbiter holds a non-trivial bound, the extra slowdown is
       // intentional degradation, not access-pattern drift — re-profiling
       // would bounce the lane back to kProfiling (whose demand is the whole
@@ -398,9 +412,7 @@ TossInvocationRecord TossFunction::handle_tiered(const Invocation& inv) {
     VanillaPolicy vanilla(*store_, single_tier_id_);
     if (restore_execute_with_retry(vm, vanilla.plan_restore(), inv,
                                    &rec.result, &rc) == AttemptStatus::kOk) {
-      rc.memory_hash = hash_memory(vm.memory());
-      rc.expected_hash = hash_memory(
-          store_->fetch_single_tier(single_tier_id_).materialize());
+      record_oracle(vm, store_->fetch_single_tier(single_tier_id_), &rc);
       return rec;
     }
   }

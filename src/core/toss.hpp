@@ -180,6 +180,13 @@ class TossFunction {
   void cold_boot_rung(MicroVm& vm, const Invocation& inv,
                       TossInvocationRecord& rec);
   void quarantine_and_rearm(RecoveryInfo* recovery);
+  /// The page-version oracle against the authoritative snapshot: expected
+  /// is its content hash, observed is compared before it is hashed.
+  void record_oracle(const MicroVm& vm, const SingleTierSnapshot& authority,
+                     RecoveryInfo* recovery);
+  /// Point tiered_id_ at a freshly persisted artifact, erasing the one it
+  /// supersedes.
+  void replace_tiered(u64 id);
 
   const SystemConfig* cfg_;
   SnapshotStore* store_;

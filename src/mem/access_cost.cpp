@@ -1,10 +1,56 @@
 #include "mem/access_cost.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/contracts.hpp"
 
 namespace toss {
+
+namespace {
+
+/// Zipf weights w[i] = 1 / (i+1)^theta and their running sums, for one
+/// theta, grown on demand. A page's weight depends only on theta, and the
+/// normalizer of an n-page burst is the running sum at page n-1 (summed in
+/// page order, exactly as a direct loop would), so the table reproduces
+/// the direct computation bit for bit without a std::pow per page.
+struct ZipfTable {
+  double theta = 0.0;
+  std::vector<double> weight;
+  std::vector<double> running_sum;
+};
+
+/// Distinct thetas kept per thread; the workloads use a handful.
+constexpr size_t kMaxZipfTables = 16;
+
+const ZipfTable& zipf_table(double theta, u64 pages) {
+  // Per thread: lanes run on executor workers, and a private table needs
+  // no lock on the hot path. Contents depend only on theta, never on
+  // which thread grew them, so results stay deterministic.
+  thread_local std::vector<ZipfTable> tables;
+  auto it = std::find_if(tables.begin(), tables.end(),
+                         [&](const ZipfTable& t) { return t.theta == theta; });
+  if (it == tables.end()) {
+    if (tables.size() >= kMaxZipfTables) tables.clear();
+    tables.push_back(ZipfTable{theta, {}, {}});
+    it = tables.end() - 1;
+  }
+  ZipfTable& t = *it;
+  if (t.weight.size() < pages) {
+    t.weight.reserve(pages);
+    t.running_sum.reserve(pages);
+    double z = t.running_sum.empty() ? 0.0 : t.running_sum.back();
+    for (u64 i = t.weight.size(); i < pages; ++i) {
+      const double w = 1.0 / std::pow(static_cast<double>(i + 1), theta);
+      z += w;
+      t.weight.push_back(w);
+      t.running_sum.push_back(z);
+    }
+  }
+  return t;
+}
+
+}  // namespace
 
 std::vector<u64> expand_burst_counts(const AccessBurst& burst) {
   TOSS_REQUIRE(burst.page_count > 0);
@@ -20,16 +66,12 @@ std::vector<u64> expand_burst_counts(const AccessBurst& burst) {
   }
   // Zipf weights by page index (page 0 hottest). Normalize to the total
   // access count; rounding drift is folded into page 0.
-  double z = 0.0;
-  std::vector<double> w(burst.page_count);
-  for (u64 i = 0; i < burst.page_count; ++i) {
-    w[i] = 1.0 / std::pow(static_cast<double>(i + 1), burst.zipf_theta);
-    z += w[i];
-  }
+  const ZipfTable& table = zipf_table(burst.zipf_theta, burst.page_count);
+  const double z = table.running_sum[burst.page_count - 1];
   u64 assigned = 0;
   for (u64 i = 0; i < burst.page_count; ++i) {
     counts[i] = static_cast<u64>(
-        static_cast<double>(burst.accesses) * w[i] / z);
+        static_cast<double>(burst.accesses) * table.weight[i] / z);
     assigned += counts[i];
   }
   counts[0] += burst.accesses - assigned;
@@ -67,13 +109,18 @@ BurstCost AccessCostModel::burst_cost(const AccessBurst& b,
   TOSS_REQUIRE(counts.size() == b.page_count);
   TOSS_REQUIRE(b.page_end() <= placement.num_pages());
   const size_t ranks = cfg_->tier_count();
-  std::array<u64, kMaxTiers> accesses{};
+  RankAccesses accesses{};
   for (u64 i = 0; i < b.page_count; ++i) {
     const size_t rank = placement.rank_of(b.page_begin + i);
     TOSS_ASSERT(rank < ranks, "placement rank outside the ladder");
     accesses[rank] += counts[i];
   }
+  return cost_of(b, accesses);
+}
 
+BurstCost AccessCostModel::cost_of(const AccessBurst& b,
+                                   const RankAccesses& accesses) const {
+  const size_t ranks = cfg_->tier_count();
   BurstCost cost;
   for (size_t rank = 0; rank < ranks; ++rank) {
     cost.tier_ns[rank] =

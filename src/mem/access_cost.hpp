@@ -64,6 +64,9 @@ struct BurstCost {
   }
 };
 
+/// Accesses of one burst summed per ladder rank.
+using RankAccesses = std::array<u64, kMaxTiers>;
+
 class AccessCostModel {
  public:
   explicit AccessCostModel(const SystemConfig& cfg) : cfg_(&cfg) {
@@ -86,6 +89,11 @@ class AccessCostModel {
   /// Full per-tier time + device-demand breakdown of a burst.
   BurstCost burst_cost(const AccessBurst& b, const std::vector<u64>& counts,
                        const PagePlacement& placement) const;
+
+  /// The same breakdown from the burst's accesses already summed per rank
+  /// (for callers that walk the burst's pages anyway, like
+  /// MicroVm::execute); burst_cost is this over its own page pass.
+  BurstCost cost_of(const AccessBurst& b, const RankAccesses& accesses) const;
 
   /// Total memory time of a whole trace in a single tier.
   Nanos trace_time_uniform(const std::vector<AccessBurst>& trace,

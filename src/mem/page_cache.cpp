@@ -1,30 +1,95 @@
 #include "mem/page_cache.hpp"
 
+#include <algorithm>
+#include <bit>
+
+#include "util/contracts.hpp"
+
 namespace toss {
+
+namespace {
+
+constexpr u64 kWordPages = 64;
+
+/// Calls f(word, mask) for each bitmap word pages [begin, end) touch, with
+/// the mask of the range's pages within that word.
+template <typename F>
+void for_each_word(u64 begin, u64 end, F&& f) {
+  for (u64 p = begin; p < end;) {
+    const u64 word = p / kWordPages;
+    const u64 lo = p % kWordPages;
+    const u64 hi = std::min(end - word * kWordPages, kWordPages);
+    const u64 upper = hi == kWordPages ? ~u64{0} : (u64{1} << hi) - 1;
+    f(word, upper & ~((u64{1} << lo) - 1));
+    p = word * kWordPages + hi;
+  }
+}
+
+}  // namespace
 
 HostPageCache::HostPageCache(u64 readahead_pages)
     : readahead_(readahead_pages == 0 ? 1 : readahead_pages) {}
 
 bool HostPageCache::contains(u64 file_id, u64 page_index) const {
-  return cached_.contains(FilePage{file_id, page_index});
+  if (file_id >= files_.size()) return false;
+  const Bitmap& bits = files_[file_id];
+  const u64 word = page_index / kWordPages;
+  return word < bits.size() &&
+         ((bits[word] >> (page_index % kWordPages)) & 1) != 0;
 }
 
-u64 HostPageCache::fill(u64 file_id, u64 page_index) {
+u64 HostPageCache::count_cached(u64 file_id, u64 page_begin,
+                                u64 page_count) const {
+  if (file_id >= files_.size() || page_count == 0) return 0;
+  const Bitmap& bits = files_[file_id];
+  const u64 end = std::min(page_begin + page_count,
+                           static_cast<u64>(bits.size()) * kWordPages);
+  u64 n = 0;
+  for_each_word(page_begin, end, [&](u64 word, u64 mask) {
+    n += static_cast<u64>(std::popcount(bits[word] & mask));
+  });
+  return n;
+}
+
+HostPageCache::Bitmap& HostPageCache::bitmap_for(u64 file_id, u64 page_end) {
+  TOSS_REQUIRE(file_id < (u64{1} << 24),
+               "file ids are small per-store counters");
+  if (file_id >= files_.size()) files_.resize(file_id + 1);
+  Bitmap& bits = files_[file_id];
+  if (bits.empty()) filled_.push_back(file_id);
+  const u64 words = (page_end + kWordPages - 1) / kWordPages;
+  if (bits.size() < words) bits.resize(words, 0);
+  return bits;
+}
+
+u64 HostPageCache::set_pages(u64 file_id, u64 begin, u64 end) {
+  if (begin >= end) return 0;
+  Bitmap& bits = bitmap_for(file_id, end);
   u64 added = 0;
-  for (u64 p = page_index; p < page_index + readahead_; ++p)
-    if (cached_.insert(FilePage{file_id, p}).second) ++added;
+  for_each_word(begin, end, [&](u64 word, u64 mask) {
+    added += static_cast<u64>(std::popcount(mask & ~bits[word]));
+    bits[word] |= mask;
+  });
+  cached_ += added;
   return added;
 }
 
+u64 HostPageCache::fill(u64 file_id, u64 page_index) {
+  return set_pages(file_id, page_index, page_index + readahead_);
+}
+
 void HostPageCache::fill_one(u64 file_id, u64 page_index) {
-  cached_.insert(FilePage{file_id, page_index});
+  set_pages(file_id, page_index, page_index + 1);
 }
 
 void HostPageCache::fill_range(u64 file_id, u64 page_begin, u64 page_count) {
-  for (u64 p = page_begin; p < page_begin + page_count; ++p)
-    cached_.insert(FilePage{file_id, p});
+  set_pages(file_id, page_begin, page_begin + page_count);
 }
 
-void HostPageCache::drop() { cached_.clear(); }
+void HostPageCache::drop() {
+  for (u64 id : filled_) files_[id].clear();
+  filled_.clear();
+  cached_ = 0;
+}
 
 }  // namespace toss

@@ -4,31 +4,20 @@
 // whether a guest page fault is satisfied from cached file pages (minor-ish
 // cost) or requires a disk read (major fault). The evaluation methodology
 // drops the cache between invocations, which `drop()` implements.
+//
+// Dense representation, in the way vmcache keeps a page-state array: one
+// bitmap per file id (file ids are small per-store counters), grown on
+// demand to the highest page filled. Range fills and eager-load hit counts
+// work a 64-page word at a time, and drop() clears only the files filled
+// since the previous drop, so its cost follows the invocation's page work,
+// not the cache's history.
 #pragma once
 
-#include <unordered_set>
+#include <vector>
 
 #include "mem/tier.hpp"
 
 namespace toss {
-
-/// Identifies a file-backed page: (file id, page index within file).
-struct FilePage {
-  u64 file_id = 0;
-  u64 page_index = 0;
-  bool operator==(const FilePage&) const = default;
-};
-
-struct FilePageHash {
-  size_t operator()(const FilePage& fp) const {
-    // 64-bit mix of the two fields.
-    u64 x = fp.file_id * 0x9e3779b97f4a7c15ULL ^ fp.page_index;
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return static_cast<size_t>(x);
-  }
-};
 
 class HostPageCache {
  public:
@@ -38,6 +27,9 @@ class HostPageCache {
   explicit HostPageCache(u64 readahead_pages = 32);
 
   bool contains(u64 file_id, u64 page_index) const;
+
+  /// Pages of [page_begin, page_begin+page_count) of a file already cached.
+  u64 count_cached(u64 file_id, u64 page_begin, u64 page_count) const;
 
   /// Record that a page was read from disk; readahead neighbors become
   /// cached as well. Returns the number of pages newly cached (used by the
@@ -53,12 +45,22 @@ class HostPageCache {
   /// `echo 3 > /proc/sys/vm/drop_caches` equivalent.
   void drop();
 
-  u64 cached_pages() const { return static_cast<u64>(cached_.size()); }
+  u64 cached_pages() const { return cached_; }
   u64 readahead_pages() const { return readahead_; }
 
  private:
+  using Bitmap = std::vector<u64>;
+
+  /// The file's bitmap, grown to cover pages below `page_end`; a file's
+  /// first fill since the last drop marks it for the next drop.
+  Bitmap& bitmap_for(u64 file_id, u64 page_end);
+  /// Set the bits of pages [begin, end); returns how many were clear.
+  u64 set_pages(u64 file_id, u64 begin, u64 end);
+
   u64 readahead_;
-  std::unordered_set<FilePage, FilePageHash> cached_;
+  u64 cached_ = 0;
+  std::vector<Bitmap> files_;  ///< indexed by file id
+  std::vector<u64> filled_;    ///< file ids filled since the last drop
 };
 
 }  // namespace toss

@@ -1,5 +1,7 @@
 #include "mem/placement.hpp"
 
+#include <algorithm>
+
 #include "util/contracts.hpp"
 
 namespace toss {
@@ -9,8 +11,9 @@ PagePlacement::PagePlacement(u64 num_pages, Tier initial)
 
 void PagePlacement::set_range(u64 page_begin, u64 page_count, Tier t) {
   TOSS_REQUIRE(page_begin + page_count <= num_pages());
-  for (u64 p = page_begin; p < page_begin + page_count; ++p)
-    tiers_[p] = static_cast<u8>(t);
+  const auto first = tiers_.begin() + static_cast<std::ptrdiff_t>(page_begin);
+  std::fill(first, first + static_cast<std::ptrdiff_t>(page_count),
+            static_cast<u8>(t));
 }
 
 void PagePlacement::set_all(Tier t) {

@@ -22,6 +22,10 @@ class GuestMemory {
   u32 version(u64 page) const { return versions_[page]; }
   void set_version(u64 page, u32 v) { versions_[page] = v; }
   void bump_version(u64 page) { ++versions_[page]; }
+  /// Bulk copy: pages [page, page+count) take versions
+  /// [file_page, file_page+count) of a snapshot file's version array.
+  void copy_versions(u64 page, const std::vector<u32>& file, u64 file_page,
+                     u64 count);
 
   const std::vector<u32>& versions() const { return versions_; }
 
@@ -35,5 +39,13 @@ class GuestMemory {
 /// compares against the authoritative snapshot contents to prove that no
 /// recovered invocation ever observed wrong memory.
 u64 hash_memory(const GuestMemory& memory);
+
+/// hash_memory(memory) for a guest checked against an authority whose
+/// contents (`authority`) and hash (`authority_hash`) are known: equal
+/// contents have equal hashes, so the versions are compared first and the
+/// guest is hashed only on a mismatch.
+u64 hash_memory_against(const GuestMemory& memory,
+                        const std::vector<u32>& authority,
+                        u64 authority_hash);
 
 }  // namespace toss

@@ -1,5 +1,7 @@
 #include "vmm/microvm.hpp"
 
+#include <algorithm>
+
 #include "util/contracts.hpp"
 #include "util/error.hpp"
 
@@ -19,7 +21,7 @@ SetupResult MicroVm::boot(u64 guest_bytes, const VmState& state) {
   vm_state_ = state;
   const u64 n = memory_.num_pages();
   placement_ = PagePlacement(n, tier_index(0));
-  backing_.assign(n, PageBacking{});   // anonymous, zero-fill on demand
+  mappings_.clear();  // anonymous, zero-fill on demand
   resident_.assign(n, false);
   written_.assign(n, false);
 
@@ -45,7 +47,7 @@ SetupResult MicroVm::restore(const RestorePlan& plan) {
   const u64 n = plan.guest_pages;
   memory_ = GuestMemory(bytes_for_pages(n));
   placement_ = PagePlacement(n, tier_index(0));
-  backing_.assign(n, PageBacking{});
+  mappings_ = plan.mappings;
   resident_.assign(n, false);
   written_.assign(n, false);
 
@@ -53,16 +55,16 @@ SetupResult MicroVm::restore(const RestorePlan& plan) {
   r.vm_state_ns = cfg_->vmm.vm_state_load_ns;
 
   bool maps_slow_tier = false;
+  u64 mapped_end = 0;
   for (const auto& m : plan.mappings) {
     TOSS_REQUIRE(m.guest_page + m.page_count <= n);
+    TOSS_REQUIRE(m.guest_page >= mapped_end,
+                 "restore mappings must be sorted and disjoint");
+    mapped_end = m.guest_page + m.page_count;
     r.mmap_ns += cfg_->vmm.mmap_region_ns;
     ++r.mappings;
     maps_slow_tier |= tier_rank(m.tier) >= 1;
-    for (u64 i = 0; i < m.page_count; ++i) {
-      const u64 g = m.guest_page + i;
-      placement_.set(g, m.tier);
-      backing_[g] = PageBacking{m.file_id, m.file_page + i, m.dax, true};
-    }
+    placement_.set_range(m.guest_page, m.page_count, m.tier);
   }
   if (faults != nullptr && maps_slow_tier &&
       faults->should_fire(FaultSite::kSlowTierStall))
@@ -73,11 +75,11 @@ SetupResult MicroVm::restore(const RestorePlan& plan) {
   // bandwidth; the cache may already hold some pages.
   HostPageCache& cache = store_->page_cache();
   for (const auto& e : plan.eager) {
-    u64 uncached = 0;
-    for (u64 i = 0; i < e.page_count; ++i) {
-      if (!cache.contains(e.file_id, e.file_page + i)) ++uncached;
-      resident_[e.guest_page + i] = true;
-    }
+    const u64 uncached =
+        e.page_count - cache.count_cached(e.file_id, e.file_page, e.page_count);
+    const auto first =
+        resident_.begin() + static_cast<std::ptrdiff_t>(e.guest_page);
+    std::fill(first, first + static_cast<std::ptrdiff_t>(e.page_count), true);
     cache.fill_range(e.file_id, e.file_page, e.page_count);
     r.eager_load_ns += store_->seq_read_ns(bytes_for_pages(uncached));
     r.eager_load_ns +=
@@ -86,66 +88,66 @@ SetupResult MicroVm::restore(const RestorePlan& plan) {
   }
 
   // Materialize contents for integrity checking: guest memory versions come
-  // from the backing snapshot files. A mapping over a file the store cannot
-  // resolve (deleted, quarantined, or never written) is a hard restore
-  // failure, not a silent zero-fill.
+  // from the backing snapshot files, one bulk copy per mapping. A mapping
+  // over a file the store cannot resolve (deleted, quarantined, or never
+  // written) is a hard restore failure, not a silent zero-fill.
   for (const auto& m : plan.mappings) {
     if (!m.file_id) continue;
+    const std::vector<u32>* file = nullptr;
+    const char* kind = "snapshot";
     if (const SingleTierSnapshot* snap = store_->get_single_tier(m.file_id)) {
-      if (m.file_page + m.page_count > snap->num_pages())
-        throw Error(ErrorCode::kSnapshotCorrupted,
-                    "restore mapping overruns snapshot file " +
-                        std::to_string(m.file_id) + " (" +
-                        std::to_string(m.file_page + m.page_count) + " > " +
-                        std::to_string(snap->num_pages()) + " pages)");
-      for (u64 i = 0; i < m.page_count; ++i)
-        memory_.set_version(m.guest_page + i,
-                            snap->page_version(m.file_page + i));
-      continue;
-    }
-    // Tiered snapshot files resolve by either the fast or the slow file id.
-    const TieredSnapshot* tiered = store_->get_tiered(m.file_id);
-    if (tiered == nullptr)
+      file = &snap->page_versions();
+    } else if (const TieredSnapshot* tiered = store_->get_tiered(m.file_id)) {
+      // Tiered snapshot files resolve by any rank's file id.
+      file = &tiered->tier_file(tier_rank(m.tier));
+      kind = "tier";
+    } else {
       throw Error(ErrorCode::kSnapshotMissing,
                   "restore mapping references missing snapshot file " +
                       std::to_string(m.file_id));
-    const u64 file_pages = tiered->tier_pages(tier_rank(m.tier));
+    }
+    const u64 file_pages = static_cast<u64>(file->size());
     if (m.file_page + m.page_count > file_pages)
       throw Error(ErrorCode::kSnapshotCorrupted,
-                  "restore mapping overruns tier file " +
+                  std::string("restore mapping overruns ") + kind + " file " +
                       std::to_string(m.file_id) + " (" +
                       std::to_string(m.file_page + m.page_count) + " > " +
                       std::to_string(file_pages) + " pages)");
-    for (u64 i = 0; i < m.page_count; ++i) {
-      const u64 fp = m.file_page + i;
-      memory_.set_version(
-          m.guest_page + i,
-          tiered->tier_page_version(tier_rank(m.tier), fp));
-    }
+    memory_.copy_versions(m.guest_page, *file, m.file_page, m.page_count);
   }
 
   r.setup_ns = r.vm_state_ns + r.mmap_ns + r.eager_load_ns;
   return r;
 }
 
-Nanos MicroVm::fault_cost(u64 page, Pattern pattern) {
-  const PageBacking& b = backing_[page];
-  if (!b.file_backed || b.dax) {
+size_t MicroVm::first_mapping_after(u64 page) const {
+  const auto it = std::upper_bound(
+      mappings_.begin(), mappings_.end(), page,
+      [](u64 p, const RestoreMapping& m) {
+        return p < m.guest_page + m.page_count;
+      });
+  return static_cast<size_t>(it - mappings_.begin());
+}
+
+Nanos MicroVm::fault_cost(u64 page, const RestoreMapping* mapping,
+                          Pattern pattern) {
+  if (mapping == nullptr || mapping->dax) {
     // Anonymous zero-fill or DAX device mapping: minor fault only.
     ++pending_.minor_faults;
     return cfg_->vmm.minor_fault_ns;
   }
+  const u64 file_page = mapping->file_page + (page - mapping->guest_page);
   HostPageCache& cache = store_->page_cache();
-  if (cache.contains(b.file_id, b.file_page)) {
+  if (cache.contains(mapping->file_id, file_page)) {
     ++pending_.minor_faults;
     return cfg_->vmm.minor_fault_ns;
   }
   // Major fault: 4 KiB random read from disk. Sequential streams benefit
   // from readahead (neighbors land in the cache); random access does not.
   if (pattern == Pattern::kSequential) {
-    cache.fill(b.file_id, b.file_page);
+    cache.fill(mapping->file_id, file_page);
   } else {
-    cache.fill_one(b.file_id, b.file_page);
+    cache.fill_one(mapping->file_id, file_page);
   }
   ++pending_.major_faults;
   ++pending_.disk_pages;
@@ -167,18 +169,30 @@ ExecutionResult MicroVm::execute(const BurstTrace& trace, Nanos cpu_ns,
   r.profiling_overhead_ns = profiling_overhead_ns;
 
   const u64 n = memory_.num_pages();
+  const size_t ranks = cfg_->tier_count();
   for (size_t bi = 0; bi < trace.bursts().size(); ++bi) {
     const AccessBurst& b = trace.bursts()[bi];
     TOSS_REQUIRE(b.page_end() <= n);
     (void)n;
     const auto& counts = trace.counts_of(bi);
 
-    // First-touch faults, in access order within the burst.
+    // One pass over the burst, in access order: first-touch faults (pages
+    // advance monotonically, so the covering mapping is found by a cursor)
+    // and the per-rank access sums the burst's memory time is built from.
+    size_t cursor = first_mapping_after(b.page_begin);
+    RankAccesses accesses{};
     for (u64 i = 0; i < b.page_count; ++i) {
       if (counts[i] == 0) continue;
       const u64 g = b.page_begin + i;
       if (!resident_[g]) {
-        r.fault_ns += fault_cost(g, b.pattern);
+        while (cursor < mappings_.size() &&
+               mappings_[cursor].guest_page + mappings_[cursor].page_count <= g)
+          ++cursor;
+        const RestoreMapping* mapping =
+            cursor < mappings_.size() && mappings_[cursor].guest_page <= g
+                ? &mappings_[cursor]
+                : nullptr;
+        r.fault_ns += fault_cost(g, mapping, b.pattern);
         resident_[g] = true;
         ++r.touched_pages;
       }
@@ -191,12 +205,14 @@ ExecutionResult MicroVm::execute(const BurstTrace& trace, Nanos cpu_ns,
         written_[g] = true;
         ++r.cow_faults;
       }
-      if (placement_.rank_of(b.page_begin + i) != 0)
-        r.slow_accesses += counts[i];
+      const size_t rank = placement_.rank_of(g);
+      TOSS_ASSERT(rank < ranks, "placement rank outside the ladder");
+      if (rank != 0) r.slow_accesses += counts[i];
       r.total_accesses += counts[i];
+      accesses[rank] += counts[i];
     }
-    const BurstCost bc = cost_model_.burst_cost(b, counts, placement_);
-    for (size_t rank = 0; rank < cfg_->tier_count(); ++rank) {
+    const BurstCost bc = cost_model_.cost_of(b, accesses);
+    for (size_t rank = 0; rank < ranks; ++rank) {
       r.mem_tier_ns[rank] += bc.tier_ns[rank];
       r.tier_read_bytes[rank] += bc.tier_read_bytes[rank];
       r.tier_write_bytes[rank] += bc.tier_write_bytes[rank];

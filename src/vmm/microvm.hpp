@@ -41,6 +41,9 @@ struct EagerLoad {
 struct RestorePlan {
   VmState vm_state;
   u64 guest_pages = 0;
+  /// Sorted by guest page and disjoint (every restore policy emits them
+  /// that way; MicroVm::restore requires it). Guest pages no mapping
+  /// covers are anonymous memory.
   std::vector<RestoreMapping> mappings;
   std::vector<EagerLoad> eager;
 
@@ -93,11 +96,14 @@ class MicroVm {
   SetupResult boot(u64 guest_bytes, const VmState& state);
 
   /// Restore from a plan. Establishes mappings, performs eager loads.
+  /// Host cost follows the plan's mappings and eager loads: the VM keeps
+  /// the mappings, and places and copies contents one mapping at a time.
   SetupResult restore(const RestorePlan& plan);
 
   /// Execute one invocation: `trace` is its memory activity, `cpu_ns` the
   /// pure compute time. `profiling_overhead_ns` is added when DAMON rides
-  /// along. Mutates residency/page-cache state.
+  /// along. Mutates residency/page-cache state. One pass over each burst's
+  /// pages charges first-touch faults and sums the accesses per rank.
   ExecutionResult execute(const BurstTrace& trace, Nanos cpu_ns,
                           Nanos profiling_overhead_ns = 0);
 
@@ -115,14 +121,13 @@ class MicroVm {
   u64 guest_pages() const { return memory_.num_pages(); }
 
  private:
-  struct PageBacking {
-    u64 file_id = 0;
-    u64 file_page = 0;
-    bool dax = false;
-    bool file_backed = false;
-  };
+  /// Index of the first mapping ending after `page` (mappings_.size() if
+  /// none); that mapping covers `page` iff it starts at or before it.
+  size_t first_mapping_after(u64 page) const;
 
-  Nanos fault_cost(u64 page, Pattern pattern);
+  /// First-touch fault on guest page `page`, backed by `mapping` (nullptr
+  /// for anonymous memory).
+  Nanos fault_cost(u64 page, const RestoreMapping* mapping, Pattern pattern);
 
   /// Fault counters for the execute() call in progress.
   ExecutionResult pending_;
@@ -134,7 +139,7 @@ class MicroVm {
   GuestMemory memory_{0};
   VmState vm_state_;
   PagePlacement placement_;
-  std::vector<PageBacking> backing_;
+  std::vector<RestoreMapping> mappings_;  ///< the restore plan's, as given
   std::vector<bool> resident_;
   std::vector<bool> written_;
 };

@@ -6,11 +6,12 @@ SingleTierSnapshot::SingleTierSnapshot(u64 file_id, const GuestMemory& memory,
                                        VmState state)
     : file_id_(file_id),
       page_versions_(memory.versions()),
-      vm_state_(state) {}
+      vm_state_(state),
+      content_hash_(hash_memory(memory)) {}
 
 GuestMemory SingleTierSnapshot::materialize() const {
   GuestMemory mem(memory_bytes());
-  for (u64 p = 0; p < num_pages(); ++p) mem.set_version(p, page_versions_[p]);
+  mem.copy_versions(0, page_versions_, 0, num_pages());
   return mem;
 }
 

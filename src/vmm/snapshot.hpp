@@ -21,6 +21,10 @@ class SingleTierSnapshot {
   const std::vector<u32>& page_versions() const { return page_versions_; }
   const VmState& vm_state() const { return vm_state_; }
 
+  /// hash_memory(materialize()). The snapshot has no mutators, so the
+  /// oracle's authority hash is computed once, at construction.
+  u64 content_hash() const { return content_hash_; }
+
   /// Reconstruct guest memory contents from the snapshot file.
   GuestMemory materialize() const;
 
@@ -28,6 +32,7 @@ class SingleTierSnapshot {
   u64 file_id_ = 0;
   std::vector<u32> page_versions_;
   VmState vm_state_;
+  u64 content_hash_ = hash_memory(GuestMemory(0));
 };
 
 }  // namespace toss

@@ -153,6 +153,17 @@ u64 SnapshotStore::resident_tier_bytes(u64 file_id, size_t rank) const {
   return 0;
 }
 
+bool SnapshotStore::erase_tiered(u64 file_id) {
+  ExclusiveLatchGuard guard(latch_);
+  const u64 fast_id = resolve_tiered(file_id);
+  auto it = tiered_.find(fast_id);
+  if (it == tiered_.end() || quarantined_.count(fast_id) > 0) return false;
+  for (size_t r = 1; r < it->second.tier_count(); ++r)
+    tiered_alias_.erase(it->second.file_id(r));
+  tiered_.erase(it);
+  return true;
+}
+
 void SnapshotStore::quarantine_tiered(u64 file_id) {
   ExclusiveLatchGuard guard(latch_);
   const u64 fast_id = resolve_tiered(file_id);

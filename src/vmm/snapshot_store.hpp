@@ -96,6 +96,12 @@ class SnapshotStore {
   /// Bytes resident in one specific ladder rank (metrics rollups).
   u64 resident_tier_bytes(u64 file_id, size_t rank) const;
 
+  /// Drop a superseded tiered artifact (any alias) and its rank aliases;
+  /// callers erase the artifact a freshly built one replaced. Quarantined
+  /// artifacts stay, so is_quarantined() and quarantine_count() keep
+  /// their history. Returns whether anything was erased.
+  bool erase_tiered(u64 file_id);
+
   /// Mark a tiered artifact unreadable (checksum failure). Idempotent.
   void quarantine_tiered(u64 file_id);
   bool is_quarantined(u64 file_id) const;

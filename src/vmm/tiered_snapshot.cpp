@@ -37,7 +37,10 @@ TieredSnapshot TieredSnapshot::build(const SingleTierSnapshot& snap,
     // Serial copy of the region's contents into the tier file, then seal
     // the region with its content checksum (verified again at restore).
     auto& file = out.tier_versions_[rank];
-    for (u64 p = begin; p < end; ++p) file.push_back(snap.page_version(p));
+    const auto& source = snap.page_versions();
+    file.insert(file.end(),
+                source.begin() + static_cast<std::ptrdiff_t>(begin),
+                source.begin() + static_cast<std::ptrdiff_t>(end));
     entries.back().checksum =
         region_checksum(file, entries.back().file_page, e.page_count);
     begin = end;
@@ -46,6 +49,8 @@ TieredSnapshot TieredSnapshot::build(const SingleTierSnapshot& snap,
   // Step IV seam: the layout a restore will mmap from must tile guest
   // memory exactly; a violation here means corrupted restores later.
   TOSS_VALIDATE(validate_layout(out.layout_));
+  // Every checksum above was computed from the contents held here.
+  out.sealed_ = true;
   return out;
 }
 
@@ -167,6 +172,7 @@ std::optional<std::string> TieredSnapshot::verify() const {
              " pages, layout expects " +
              std::to_string(layout_.pages_in(tier_index(r)));
   }
+  if (sealed_) return std::nullopt;
   const auto& entries = layout_.entries();
   for (size_t i = 0; i < entries.size(); ++i) {
     const LayoutEntry& e = entries[i];
@@ -180,21 +186,24 @@ std::optional<std::string> TieredSnapshot::verify() const {
 }
 
 void TieredSnapshot::corrupt_fast_page(u64 file_page) {
-  if (file_page < tier_versions_.front().size())
+  if (file_page < tier_versions_.front().size()) {
     ++tier_versions_.front()[file_page];
+    sealed_ = false;
+  }
 }
 
 void TieredSnapshot::truncate_fast_file() {
-  if (!tier_versions_.front().empty()) tier_versions_.front().pop_back();
+  if (!tier_versions_.front().empty()) {
+    tier_versions_.front().pop_back();
+    sealed_ = false;
+  }
 }
 
 GuestMemory TieredSnapshot::materialize() const {
   GuestMemory mem(bytes_for_pages(guest_pages()));
-  for (const auto& e : layout_.entries()) {
-    const auto& file = tier_versions_[tier_rank(e.tier)];
-    for (u64 i = 0; i < e.page_count; ++i)
-      mem.set_version(e.guest_page + i, file[e.file_page + i]);
-  }
+  for (const auto& e : layout_.entries())
+    mem.copy_versions(e.guest_page, tier_versions_[tier_rank(e.tier)],
+                      e.file_page, e.page_count);
   return mem;
 }
 

@@ -43,6 +43,10 @@ class TieredSnapshot {
   u32 tier_page_version(size_t rank, u64 file_page) const {
     return tier_versions_[rank][file_page];
   }
+  /// One rank's whole tier file (page versions in file order).
+  const std::vector<u32>& tier_file(size_t rank) const {
+    return tier_versions_[rank];
+  }
 
   /// Convenience rollups: the fastest rank, and everything below it.
   u64 fast_file_id() const { return file_ids_.front(); }
@@ -69,12 +73,19 @@ class TieredSnapshot {
   /// as long as the layout says. Returns std::nullopt when intact, else a
   /// description of the first violation ("entry 2: checksum mismatch ...").
   /// The recovery ladder runs this before every tiered restore; a failure
-  /// quarantines the artifact instead of mapping it.
+  /// quarantines the artifact instead of mapping it. The structural checks
+  /// run on every call; the checksum pass is skipped while sealed().
   std::optional<std::string> verify() const;
+
+  /// A clean checksum verdict, kept until the contents change: build()
+  /// seals the artifact (it computes every checksum from the contents it
+  /// holds), the two damage hooks below unseal it, and a deserialized
+  /// artifact starts unsealed. Not part of equality.
+  bool sealed() const { return sealed_; }
 
   /// Fault/test hooks modelling at-rest damage to the rank-0 file. Checksums
   /// are left stale on purpose, which is exactly what verify() exists to
-  /// catch.
+  /// catch. They are the only mutators of the tier files.
   void corrupt_fast_page(u64 file_page);  ///< flip one page's content
   void truncate_fast_file();              ///< drop the fast file's last page
 
@@ -85,13 +96,20 @@ class TieredSnapshot {
   static std::optional<TieredSnapshot> deserialize(
       const std::vector<u8>& bytes);
 
-  bool operator==(const TieredSnapshot&) const = default;
+  /// Equal artifacts hold equal contents; the seal is a cached verdict
+  /// about them, not content.
+  bool operator==(const TieredSnapshot& other) const {
+    return layout_ == other.layout_ && vm_state_ == other.vm_state_ &&
+           file_ids_ == other.file_ids_ &&
+           tier_versions_ == other.tier_versions_;
+  }
 
  private:
   MemoryLayoutFile layout_;
   VmState vm_state_;
   std::vector<u64> file_ids_;                  ///< one per rank, 0 = fastest
   std::vector<std::vector<u32>> tier_versions_;  ///< page contents per rank
+  bool sealed_ = false;
 };
 
 }  // namespace toss

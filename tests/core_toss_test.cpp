@@ -48,6 +48,37 @@ TEST_F(TossLifecycleTest, PhasesProgressInOrder) {
   EXPECT_EQ(prod.phase, TossPhase::kTiered);
 }
 
+TEST_F(TossLifecycleTest, RetierErasesTheSupersededArtifact) {
+  const FunctionModel& m = *reg.find("json_load_dump");
+  TossFunction toss(cfg, store, m, fast_options());
+  toss.handle(3, 1);
+  for (u64 i = 0; i < 100 && toss.phase() != TossPhase::kTiered; ++i)
+    toss.handle(static_cast<int>(i % kNumInputs), 200 + i);
+  ASSERT_EQ(toss.phase(), TossPhase::kTiered);
+
+  const TieredSnapshot* first = toss.tiered_snapshot();
+  ASSERT_NE(first, nullptr);
+  const u64 first_fast = first->fast_file_id();
+  const u64 first_slow = first->file_id(1);
+  ASSERT_TRUE(toss.retier(bytes_for_pages(first->fast_pages()) / 2));
+  const u64 second_fast = toss.tiered_snapshot()->fast_file_id();
+  ASSERT_TRUE(toss.retier(std::nullopt));
+  const u64 current = toss.tiered_snapshot()->fast_file_id();
+
+  // Each retier replaced a live artifact and erased it, rank aliases too;
+  // none of them counts as quarantined.
+  EXPECT_EQ(store.get_tiered(first_fast), nullptr);
+  EXPECT_EQ(store.get_tiered(first_slow), nullptr);
+  EXPECT_EQ(store.get_tiered(second_fast), nullptr);
+  EXPECT_FALSE(store.is_quarantined(first_fast));
+  EXPECT_EQ(store.quarantine_count(), 0u);
+  EXPECT_TRUE(store.verify_tiered(current).ok());
+  const auto rec = toss.handle(1, 5000);
+  EXPECT_EQ(rec.phase, TossPhase::kTiered);
+  EXPECT_EQ(rec.recovery.fallback, FallbackLevel::kNone);
+  EXPECT_EQ(rec.recovery.memory_hash, rec.recovery.expected_hash);
+}
+
 TEST_F(TossLifecycleTest, TieredSnapshotPreservesMemoryImage) {
   const FunctionModel& m = *reg.find("json_load_dump");
   TossFunction toss(cfg, store, m, fast_options());

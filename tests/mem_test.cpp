@@ -2,11 +2,17 @@
 // the host page cache, plus the per-rank contention pools the ladder feeds.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <set>
+#include <utility>
+
 #include "mem/access_cost.hpp"
 #include "mem/page_cache.hpp"
 #include "mem/placement.hpp"
 #include "mem/tier.hpp"
 #include "platform/concurrency.hpp"
+#include "util/rng.hpp"
 
 namespace toss {
 namespace {
@@ -177,6 +183,56 @@ TEST(ExpandBurst, ZeroAccesses) {
   AccessBurst b{0, 4, 0, Pattern::kRandom, 0.0, 0.5};
   const auto counts = expand_burst_counts(b);
   for (u64 c : counts) EXPECT_EQ(c, 0u);
+}
+
+/// The direct expansion loop expand_burst_counts memoizes: std::pow per
+/// page and the normalizer summed in page order.
+std::vector<u64> direct_burst_counts(const AccessBurst& burst) {
+  std::vector<u64> counts(burst.page_count, 0);
+  if (burst.accesses == 0) return counts;
+  if (burst.zipf_theta <= 1e-9) {
+    const u64 base = burst.accesses / burst.page_count;
+    const u64 rem = burst.accesses % burst.page_count;
+    for (u64 i = 0; i < burst.page_count; ++i)
+      counts[i] = base + (i < rem ? 1 : 0);
+    return counts;
+  }
+  double z = 0.0;
+  std::vector<double> w(burst.page_count);
+  for (u64 i = 0; i < burst.page_count; ++i) {
+    w[i] = 1.0 / std::pow(static_cast<double>(i + 1), burst.zipf_theta);
+    z += w[i];
+  }
+  u64 assigned = 0;
+  for (u64 i = 0; i < burst.page_count; ++i) {
+    counts[i] = static_cast<u64>(
+        static_cast<double>(burst.accesses) * w[i] / z);
+    assigned += counts[i];
+  }
+  counts[0] += burst.accesses - assigned;
+  return counts;
+}
+
+TEST(ExpandBurst, MemoizedZipfMatchesDirectLoopBitForBit) {
+  Rng rng(0x5eed);
+  const double thetas[] = {0.0, 0.1, 0.3, 0.5, 0.6, 0.8, 1.0, 1.3};
+  AccessBurst b{0, 1, 0, Pattern::kRandom, 0.0, 0.0};
+  for (int round = 0; round < 200; ++round) {
+    b.zipf_theta = thetas[rng.next_below(std::size(thetas))];
+    b.page_count = 1 + rng.next_below(round % 4 == 0 ? 20000 : 700);
+    b.accesses = rng.next_below(5'000'000);
+    EXPECT_EQ(expand_burst_counts(b), direct_burst_counts(b))
+        << "theta " << b.zipf_theta << " pages " << b.page_count;
+  }
+  // A shorter burst after a longer one on the same theta reads the grown
+  // table's prefix, including its running sum at the shorter length.
+  for (const u64 pages : {9000u, 17u, 4096u, 1u, 8999u}) {
+    b = AccessBurst{0, pages, 777'777, Pattern::kRandom, 0.0, 0.7};
+    EXPECT_EQ(expand_burst_counts(b), direct_burst_counts(b)) << pages;
+  }
+  // A theta that is not one of the preset values still matches.
+  b = AccessBurst{0, 300, 123'456, Pattern::kSequential, 0.0, 0.4242};
+  EXPECT_EQ(expand_burst_counts(b), direct_burst_counts(b));
 }
 
 class AccessCostTest : public ::testing::Test {
@@ -373,6 +429,82 @@ TEST(PageCache, FillReturnsNewlyCached) {
   HostPageCache cache(4);
   EXPECT_EQ(cache.fill(1, 0), 4u);
   EXPECT_EQ(cache.fill(1, 2), 2u);  // 2,3 already cached
+}
+
+TEST(PageCache, CountCachedIsThePopcountOfARange) {
+  HostPageCache cache(4);
+  cache.fill_range(3, 60, 10);  // straddles the first word boundary
+  cache.fill_one(3, 200);
+  EXPECT_EQ(cache.count_cached(3, 0, 300), 11u);
+  EXPECT_EQ(cache.count_cached(3, 62, 3), 3u);
+  EXPECT_EQ(cache.count_cached(3, 70, 100), 0u);
+  EXPECT_EQ(cache.count_cached(3, 5000, 64), 0u);  // past the bitmap
+  EXPECT_EQ(cache.count_cached(9, 0, 64), 0u);     // unknown file
+}
+
+TEST(PageCache, BitmapAgreesWithASetReference) {
+  // Seeded random operations against a std::set of (file, page): several
+  // file ids, ranges across word boundaries and pages past the last
+  // bitmap word, with drops in between.
+  constexpr u64 kReadahead = 5;
+  HostPageCache cache(kReadahead);
+  std::set<std::pair<u64, u64>> ref;
+  Rng rng(42);
+  const auto page = [&] {
+    return rng.next_below(4) == 0 ? 1000 + rng.next_below(3000)
+                                  : rng.next_below(300);
+  };
+  for (int op = 0; op < 5000; ++op) {
+    const u64 file = 1 + rng.next_below(5);
+    switch (rng.next_below(7)) {
+      case 0: {
+        const u64 p = page();
+        u64 added = 0;
+        for (u64 q = p; q < p + kReadahead; ++q)
+          added += ref.insert({file, q}).second ? 1 : 0;
+        ASSERT_EQ(cache.fill(file, p), added) << "op " << op;
+        break;
+      }
+      case 1: {
+        const u64 p = page();
+        cache.fill_one(file, p);
+        ref.insert({file, p});
+        break;
+      }
+      case 2: {
+        const u64 p = page(), n = rng.next_below(200);
+        cache.fill_range(file, p, n);
+        for (u64 q = p; q < p + n; ++q) ref.insert({file, q});
+        break;
+      }
+      case 3: {
+        const u64 p = page();
+        ASSERT_EQ(cache.contains(file, p), ref.count({file, p}) > 0)
+            << "op " << op;
+        break;
+      }
+      case 4: {
+        const u64 p = page(), n = rng.next_below(300);
+        u64 want = 0;
+        for (u64 q = p; q < p + n; ++q) want += ref.count({file, q});
+        ASSERT_EQ(cache.count_cached(file, p, n), want) << "op " << op;
+        break;
+      }
+      case 5:
+        if (rng.next_below(20) == 0) {
+          cache.drop();
+          ref.clear();
+        }
+        break;
+      default:
+        break;
+    }
+    ASSERT_EQ(cache.cached_pages(), static_cast<u64>(ref.size()))
+        << "op " << op;
+  }
+  for (u64 file = 0; file < 7; ++file)
+    for (u64 p = 0; p < 4100; ++p)
+      ASSERT_EQ(cache.contains(file, p), ref.count({file, p}) > 0);
 }
 
 TEST(PageCache, DropClearsEverything) {

@@ -2,16 +2,26 @@
 // snapshots, the snapshot store and the MicroVm fault/timing behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "baseline/faasnap.hpp"
+#include "baseline/reap.hpp"
+#include "baseline/vanilla.hpp"
+#include "core/tierer.hpp"
+#include "util/rng.hpp"
 #include "vmm/layout.hpp"
 #include "vmm/microvm.hpp"
 #include "vmm/snapshot.hpp"
 #include "vmm/snapshot_store.hpp"
 #include "vmm/tiered_snapshot.hpp"
 #include "vmm/vm_state.hpp"
+#include "workloads/registry.hpp"
 
 namespace toss {
 namespace {
@@ -50,6 +60,37 @@ TEST(SingleTierSnapshot, MaterializeMatchesSource) {
   SingleTierSnapshot snap(1, mem, VmState{});
   EXPECT_EQ(snap.num_pages(), 64u);
   EXPECT_EQ(snap.materialize(), mem);
+}
+
+TEST(Oracle, ContentHashIsTheHashOfTheMaterializedImage) {
+  const SingleTierSnapshot snap(1, patterned_memory(96), VmState{});
+  EXPECT_EQ(snap.content_hash(), hash_memory(snap.materialize()));
+  EXPECT_EQ(SingleTierSnapshot().content_hash(), hash_memory(GuestMemory(0)));
+}
+
+TEST(Oracle, ComparesVersionsFirstAndHashesOnlyAMismatch) {
+  const SingleTierSnapshot authority(1, patterned_memory(96), VmState{});
+  const auto observed_hash = [&](const GuestMemory& guest) {
+    return hash_memory_against(guest, authority.page_versions(),
+                               authority.content_hash());
+  };
+  // A faithful guest reports the authority's hash.
+  const GuestMemory faithful = authority.materialize();
+  EXPECT_EQ(observed_hash(faithful), hash_memory(faithful));
+  // A guest whose versions differ reports its own hash, which the oracle
+  // then sees differ from the expected one.
+  GuestMemory drifted = authority.materialize();
+  drifted.bump_version(17);
+  EXPECT_EQ(observed_hash(drifted), hash_memory(drifted));
+  EXPECT_NE(observed_hash(drifted), authority.content_hash());
+  const GuestMemory shorter = patterned_memory(95);
+  EXPECT_EQ(observed_hash(shorter), hash_memory(shorter));
+  EXPECT_NE(observed_hash(shorter), authority.content_hash());
+  // The two branches are really taken: the supplied hash comes back only
+  // for equal contents.
+  EXPECT_EQ(hash_memory_against(faithful, authority.page_versions(), 42), 42u);
+  EXPECT_EQ(hash_memory_against(drifted, authority.page_versions(), 42),
+            hash_memory(drifted));
 }
 
 TEST(LayoutFile, ValidityRules) {
@@ -210,6 +251,45 @@ TEST_F(TieredSnapshotTest, DeserializeRejectsCorruption) {
   EXPECT_FALSE(TieredSnapshot::deserialize(truncated).has_value());
 }
 
+TEST_F(TieredSnapshotTest, BuildSealsAndEveryMutatorUnseals) {
+  PagePlacement placement(kPages, tier_index(0));
+  placement.set_range(32, 64, tier_index(1));
+  TieredSnapshot tiered = TieredSnapshot::build(snap, placement, {7, 8});
+  EXPECT_TRUE(tiered.sealed());
+  EXPECT_EQ(tiered.verify(), std::nullopt);
+  TieredSnapshot rotted = tiered;
+  rotted.corrupt_fast_page(5);
+  EXPECT_FALSE(rotted.sealed());
+  EXPECT_NE(rotted.verify(), std::nullopt);
+  TieredSnapshot truncated = tiered;
+  truncated.truncate_fast_file();
+  EXPECT_FALSE(truncated.sealed());
+  EXPECT_NE(truncated.verify(), std::nullopt);
+  // Out-of-range damage is a no-op and keeps the seal.
+  tiered.corrupt_fast_page(10'000);
+  EXPECT_TRUE(tiered.sealed());
+}
+
+TEST_F(TieredSnapshotTest, DeserializedArtifactIsCheckedInFull) {
+  PagePlacement placement(kPages, tier_index(0));
+  placement.set_range(32, 64, tier_index(1));
+  const TieredSnapshot tiered = TieredSnapshot::build(snap, placement, {7, 8});
+  const auto clean = TieredSnapshot::deserialize(tiered.serialize());
+  ASSERT_TRUE(clean.has_value());
+  EXPECT_FALSE(clean->sealed());
+  EXPECT_EQ(clean->verify(), std::nullopt);
+  // The last four bytes are the deepest tier file's last page version:
+  // flipping one survives parsing, and only the checksum pass sees it.
+  auto bytes = tiered.serialize();
+  bytes.back() ^= 0x01;
+  const auto flipped = TieredSnapshot::deserialize(bytes);
+  ASSERT_TRUE(flipped.has_value());
+  EXPECT_FALSE(flipped->sealed());
+  const auto violation = flipped->verify();
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_NE(violation->find("checksum mismatch"), std::string::npos);
+}
+
 TEST(SnapshotStore, IdsAndLookup) {
   const SystemConfig cfg = SystemConfig::paper_default();
   SnapshotStore store(cfg);
@@ -344,6 +424,28 @@ TEST_F(MicroVmTest, DaxMappingsMinorFaultOnly) {
   EXPECT_GT(r.slow_accesses, 0u);
 }
 
+TEST_F(MicroVmTest, PagesNoMappingCoversAreAnonymous) {
+  MicroVm vm(cfg, store);
+  vm.boot(bytes_for_pages(128), VmState{});
+  const u64 snap_id = vm.take_snapshot();
+  RestorePlan plan;
+  plan.guest_pages = 128;
+  plan.mappings.push_back(
+      RestoreMapping{0, 32, tier_index(0), snap_id, 0, false});
+  plan.mappings.push_back(
+      RestoreMapping{64, 64, tier_index(0), snap_id, 64, false});
+  store.drop_caches();
+  MicroVm vm2(cfg, store);
+  vm2.restore(plan);
+  // The hole [32, 64) precedes a paged mapping but is not backed by it.
+  const auto hole = vm2.execute(simple_trace(32, 32, Pattern::kRandom), ms(1));
+  EXPECT_EQ(hole.minor_faults, 32u);
+  EXPECT_EQ(hole.major_faults, 0u);
+  const auto mapped =
+      vm2.execute(simple_trace(64, 16, Pattern::kRandom), ms(1));
+  EXPECT_EQ(mapped.major_faults, 16u);
+}
+
 TEST_F(MicroVmTest, SetupTimeScalesWithMappings) {
   MicroVm vm(cfg, store);
   vm.boot(bytes_for_pages(128), VmState{});
@@ -416,6 +518,281 @@ TEST_F(MicroVmTest, RestoreMaterializesTieredContent) {
 }
 
 // ---------------------------------------------------------------------------
+// The interval restore against a per-page reference: one backing entry per
+// guest page, a std::set page cache and a second pass over each burst for
+// its memory time, as MicroVm worked before it kept the plan's mappings.
+// ---------------------------------------------------------------------------
+
+class PerPageVm {
+ public:
+  PerPageVm(const SystemConfig& cfg, const SnapshotStore& store)
+      : cfg_(cfg), store_(store), model_(cfg) {}
+
+  SetupResult restore(const RestorePlan& plan) {
+    const u64 n = plan.guest_pages;
+    memory_ = GuestMemory(bytes_for_pages(n));
+    placement_ = PagePlacement(n, tier_index(0));
+    backing_.assign(n, Backing{});
+    resident_.assign(n, false);
+    written_.assign(n, false);
+    SetupResult r;
+    r.vm_state_ns = cfg_.vmm.vm_state_load_ns;
+    for (const auto& m : plan.mappings) {
+      r.mmap_ns += cfg_.vmm.mmap_region_ns;
+      ++r.mappings;
+      for (u64 i = 0; i < m.page_count; ++i) {
+        placement_.set(m.guest_page + i, m.tier);
+        backing_[m.guest_page + i] =
+            Backing{m.file_id, m.file_page + i, m.dax, true};
+      }
+    }
+    for (const auto& e : plan.eager) {
+      u64 uncached = 0;
+      for (u64 i = 0; i < e.page_count; ++i) {
+        if (cache_.count({e.file_id, e.file_page + i}) == 0) ++uncached;
+        resident_[e.guest_page + i] = true;
+      }
+      for (u64 i = 0; i < e.page_count; ++i)
+        cache_.insert({e.file_id, e.file_page + i});
+      r.eager_load_ns += store_.seq_read_ns(bytes_for_pages(uncached));
+      r.eager_load_ns +=
+          static_cast<double>(e.page_count) * cfg_.vmm.pte_populate_ns;
+      r.eager_pages += e.page_count;
+    }
+    for (const auto& m : plan.mappings) {
+      if (!m.file_id) continue;
+      for (u64 i = 0; i < m.page_count; ++i) {
+        const u64 fp = m.file_page + i;
+        if (const SingleTierSnapshot* s = store_.get_single_tier(m.file_id))
+          memory_.set_version(m.guest_page + i, s->page_version(fp));
+        else
+          memory_.set_version(m.guest_page + i,
+                              store_.get_tiered(m.file_id)->tier_page_version(
+                                  tier_rank(m.tier), fp));
+      }
+    }
+    r.setup_ns = r.vm_state_ns + r.mmap_ns + r.eager_load_ns;
+    return r;
+  }
+
+  ExecutionResult execute(const BurstTrace& trace, Nanos cpu_ns) {
+    ExecutionResult r;
+    r.cpu_ns = cpu_ns;
+    for (size_t bi = 0; bi < trace.size(); ++bi) {
+      const AccessBurst& b = trace.bursts()[bi];
+      const auto& counts = trace.counts_of(bi);
+      for (u64 i = 0; i < b.page_count; ++i) {
+        if (counts[i] == 0) continue;
+        const u64 g = b.page_begin + i;
+        if (!resident_[g]) {
+          r.fault_ns += fault_cost(g, b.pattern, r);
+          resident_[g] = true;
+          ++r.touched_pages;
+        }
+        if (b.write_fraction > 0.0 && !written_[g]) {
+          const TierSpec& spec = cfg_.tier(placement_.tier_of(g));
+          r.fault_ns += cfg_.vmm.minor_fault_ns +
+                        static_cast<double>(kPageSize) /
+                            spec.write_bw_bytes_per_ns;
+          written_[g] = true;
+          ++r.cow_faults;
+        }
+        if (placement_.rank_of(g) != 0) r.slow_accesses += counts[i];
+        r.total_accesses += counts[i];
+      }
+      const BurstCost bc = model_.burst_cost(b, counts, placement_);
+      for (size_t rank = 0; rank < cfg_.tier_count(); ++rank) {
+        r.mem_tier_ns[rank] += bc.tier_ns[rank];
+        r.tier_read_bytes[rank] += bc.tier_read_bytes[rank];
+        r.tier_write_bytes[rank] += bc.tier_write_bytes[rank];
+      }
+      r.mem_ns += bc.total_ns();
+    }
+    r.exec_ns = r.cpu_ns + r.mem_ns + r.fault_ns + r.profiling_overhead_ns;
+    return r;
+  }
+
+  const GuestMemory& memory() const { return memory_; }
+  const PagePlacement& placement() const { return placement_; }
+
+ private:
+  struct Backing {
+    u64 file_id = 0;
+    u64 file_page = 0;
+    bool dax = false;
+    bool file_backed = false;
+  };
+
+  Nanos fault_cost(u64 page, Pattern pattern, ExecutionResult& r) {
+    const Backing& b = backing_[page];
+    if (!b.file_backed || b.dax ||
+        cache_.count({b.file_id, b.file_page}) > 0) {
+      ++r.minor_faults;
+      return cfg_.vmm.minor_fault_ns;
+    }
+    const u64 readahead =
+        pattern == Pattern::kSequential ? store_.page_cache().readahead_pages()
+                                        : 1;
+    for (u64 p = b.file_page; p < b.file_page + readahead; ++p)
+      cache_.insert({b.file_id, p});
+    ++r.major_faults;
+    ++r.disk_pages;
+    r.disk_ns += cfg_.disk.random_read_latency_ns;
+    return cfg_.disk.random_read_latency_ns + cfg_.vmm.major_fault_sw_ns;
+  }
+
+  const SystemConfig& cfg_;
+  const SnapshotStore& store_;
+  AccessCostModel model_;
+  GuestMemory memory_{0};
+  PagePlacement placement_;
+  std::vector<Backing> backing_;
+  std::vector<bool> resident_;
+  std::vector<bool> written_;
+  std::set<std::pair<u64, u64>> cache_;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void expect_same_setup(const SetupResult& got, const SetupResult& want) {
+  EXPECT_TRUE(same_bits(got.setup_ns, want.setup_ns));
+  EXPECT_TRUE(same_bits(got.vm_state_ns, want.vm_state_ns));
+  EXPECT_TRUE(same_bits(got.mmap_ns, want.mmap_ns));
+  EXPECT_TRUE(same_bits(got.eager_load_ns, want.eager_load_ns));
+  EXPECT_EQ(got.mappings, want.mappings);
+  EXPECT_EQ(got.eager_pages, want.eager_pages);
+}
+
+void expect_same_exec(const ExecutionResult& got, const ExecutionResult& want) {
+  EXPECT_TRUE(same_bits(got.exec_ns, want.exec_ns));
+  EXPECT_TRUE(same_bits(got.mem_ns, want.mem_ns));
+  EXPECT_TRUE(same_bits(got.fault_ns, want.fault_ns));
+  EXPECT_TRUE(same_bits(got.disk_ns, want.disk_ns));
+  for (size_t r = 0; r < kMaxTiers; ++r) {
+    EXPECT_TRUE(same_bits(got.mem_tier_ns[r], want.mem_tier_ns[r])) << r;
+    EXPECT_TRUE(same_bits(got.tier_read_bytes[r], want.tier_read_bytes[r]));
+    EXPECT_TRUE(same_bits(got.tier_write_bytes[r], want.tier_write_bytes[r]));
+  }
+  EXPECT_EQ(got.minor_faults, want.minor_faults);
+  EXPECT_EQ(got.major_faults, want.major_faults);
+  EXPECT_EQ(got.cow_faults, want.cow_faults);
+  EXPECT_EQ(got.disk_pages, want.disk_pages);
+  EXPECT_EQ(got.touched_pages, want.touched_pages);
+  EXPECT_EQ(got.slow_accesses, want.slow_accesses);
+  EXPECT_EQ(got.total_accesses, want.total_accesses);
+}
+
+class IntervalRestoreTest : public ::testing::Test {
+ protected:
+  SystemConfig cfg = SystemConfig::paper_default();
+  SnapshotStore store{cfg};
+  FunctionRegistry reg = FunctionRegistry::table1();
+
+  /// Restore `plan` into a MicroVm and the reference from a dropped cache,
+  /// then run `runs` through both; every result must agree bit for bit.
+  /// A second pass restores again over the cache the first one filled.
+  void expect_matches_reference(const RestorePlan& plan,
+                                const std::vector<Invocation>& runs) {
+    store.drop_caches();
+    PerPageVm ref(cfg, store);
+    for (int pass = 0; pass < 2; ++pass) {
+      SCOPED_TRACE(pass);
+      MicroVm vm(cfg, store);
+      expect_same_setup(vm.restore(plan), ref.restore(plan));
+      EXPECT_EQ(vm.memory(), ref.memory());
+      EXPECT_EQ(vm.placement(), ref.placement());
+      for (const Invocation& inv : runs)
+        expect_same_exec(vm.execute(inv.trace, inv.cpu_ns),
+                         ref.execute(inv.trace, inv.cpu_ns));
+    }
+  }
+};
+
+TEST_F(IntervalRestoreTest, EveryPolicyMatchesThePerPageReference) {
+  for (const char* name : {"json_load_dump", "pyaes", "image_processing"}) {
+    SCOPED_TRACE(name);
+    const FunctionModel& m = *reg.find(name);
+    const std::vector<Invocation> runs = {m.invoke(2, 11), m.invoke(3, 12),
+                                          m.invoke(0, 13)};
+    // Step I: a written guest image, snapshotted.
+    MicroVm boot(cfg, store);
+    boot.boot(m.guest_bytes(), VmState{});
+    boot.execute(runs[0].trace, runs[0].cpu_ns);
+    boot.apply_writes(runs[0].trace);
+    const u64 snap_id = boot.take_snapshot();
+    const SingleTierSnapshot& snap = *store.get_single_tier(snap_id);
+    const u64 pages = snap.num_pages();
+
+    expect_matches_reference(VanillaPolicy(store, snap_id).plan_restore(),
+                             runs);
+    expect_matches_reference(
+        VanillaPolicy(store, snap_id, /*eager=*/true).plan_restore(), runs);
+    expect_matches_reference(
+        ReapPolicy(store, snap_id,
+                   ReapPolicy::record_working_set(runs[0].trace, pages))
+            .plan_restore(),
+        runs);
+    const RestorePlan faasnap =
+        FaasnapPolicy(store, snap_id,
+                      FaasnapPolicy::record_working_set(
+                          runs[0].trace, pages,
+                          store.page_cache().readahead_pages()))
+            .plan_restore();
+    EXPECT_GT(faasnap.mapping_count(), 1u);  // gap mappings around the WS
+    EXPECT_GT(faasnap.eager_pages(), 0u);
+    expect_matches_reference(faasnap, runs);
+
+    // TOSS: a striped two-tier placement, restored through the policy (all
+    // DAX) and through a plan whose rank-0 mappings page through the cache.
+    PagePlacement placement(pages, tier_index(0));
+    Rng rng(pages);
+    for (u64 p = 0; p < pages;) {
+      const u64 run = 1 + rng.next_below(512);
+      placement.set_range(p, std::min(run, pages - p),
+                          tier_index(rng.next_below(2)));
+      p += run;
+    }
+    const u64 tiered_id = tier_snapshot(store, snap, placement);
+    const RestorePlan toss = TossPolicy(store, tiered_id).plan_restore();
+    EXPECT_GT(toss.mapping_count(), 2u);
+    expect_matches_reference(toss, runs);
+    RestorePlan paged = toss;
+    for (RestoreMapping& mapping : paged.mappings)
+      mapping.dax = tier_rank(mapping.tier) != 0;
+    expect_matches_reference(paged, runs);
+
+    // Holes no mapping covers are anonymous memory. Adjacent layout
+    // entries alternate ranks, so dropping every third mapping leaves
+    // holes before both paged and DAX mappings.
+    RestorePlan holes = paged;
+    holes.mappings.clear();
+    for (size_t i = 0; i < paged.mappings.size(); ++i)
+      if (i % 3 != 1) holes.mappings.push_back(paged.mappings[i]);
+    expect_matches_reference(holes, runs);
+  }
+}
+
+#ifdef TOSS_CHECKED
+TEST(MicroVmDeathTest, UnsortedOrOverlappingMappingsAreRejected) {
+  const SystemConfig cfg = SystemConfig::paper_default();
+  SnapshotStore store(cfg);
+  const u64 id = store.put_single_tier(patterned_memory(64), VmState{});
+  RestorePlan overlapping;
+  overlapping.guest_pages = 64;
+  overlapping.mappings = {RestoreMapping{0, 40, tier_index(0), id, 0, false},
+                          RestoreMapping{32, 32, tier_index(0), id, 32, false}};
+  RestorePlan unsorted;
+  unsorted.guest_pages = 64;
+  unsorted.mappings = {RestoreMapping{32, 32, tier_index(0), id, 32, false},
+                       RestoreMapping{0, 32, tier_index(0), id, 0, false}};
+  EXPECT_DEATH(MicroVm(cfg, store).restore(overlapping), "sorted and disjoint");
+  EXPECT_DEATH(MicroVm(cfg, store).restore(unsorted), "sorted and disjoint");
+}
+#endif  // TOSS_CHECKED
+
+// ---------------------------------------------------------------------------
 // Failure domains: typed errors, verification, quarantine, atomic puts.
 // Everything except the injected-fault test is valid in every build; the
 // corruption hooks (corrupt_tiered_page / truncate_tiered) work without
@@ -474,11 +851,36 @@ TEST_F(SnapshotFailureTest, VerifyTieredDetectsBitrot) {
 }
 
 TEST_F(SnapshotFailureTest, VerifyTieredDetectsTruncation) {
+  EXPECT_TRUE(store.verify_tiered(fast_id).ok());
   ASSERT_TRUE(store.truncate_tiered(fast_id));
   const auto broken = store.verify_tiered(fast_id);
   ASSERT_FALSE(broken.ok());
   EXPECT_EQ(broken.code(), ErrorCode::kSnapshotCorrupted);
   EXPECT_FALSE(store.truncate_tiered(999));
+}
+
+TEST_F(SnapshotFailureTest, EraseTieredDropsTheArtifactAndItsAliases) {
+  EXPECT_FALSE(store.erase_tiered(999));
+  EXPECT_TRUE(store.erase_tiered(slow_id));  // any alias names the artifact
+  EXPECT_EQ(store.get_tiered(fast_id), nullptr);
+  EXPECT_EQ(store.get_tiered(slow_id), nullptr);
+  EXPECT_EQ(store.resident_fast_bytes(slow_id), 0u);
+  EXPECT_FALSE(store.erase_tiered(fast_id));
+  EXPECT_FALSE(store.is_quarantined(fast_id));
+  EXPECT_NE(store.get_single_tier(single_id), nullptr);
+
+  // A quarantined artifact is left alone: its history stays readable.
+  PagePlacement placement(32, tier_index(0));
+  placement.set_range(0, 8, tier_index(1));
+  const u64 fast2 = store.allocate_file_id();
+  const u64 slow2 = store.allocate_file_id();
+  store.put_tiered(TieredSnapshot::build(*store.get_single_tier(single_id),
+                                         placement, {fast2, slow2}));
+  store.quarantine_tiered(fast2);
+  EXPECT_FALSE(store.erase_tiered(slow2));
+  EXPECT_TRUE(store.is_quarantined(fast2));
+  EXPECT_TRUE(store.is_quarantined(slow2));
+  EXPECT_EQ(store.quarantine_count(), 1u);
 }
 
 TEST_F(SnapshotFailureTest, QuarantineHidesArtifactAndIsIdempotent) {
