@@ -69,8 +69,7 @@ TieringDecision choose_placement(const SystemConfig& cfg,
   }
 
   // Rank-0 residue after each sweep prefix, in pages: only steps leaving
-  // rank 0 shrink it. Feeds the fast-budget extension and the demotion
-  // curve below.
+  // rank 0 shrink it. Feeds the demotion curve below.
   std::vector<u64> bin_pages(bins.size(), 0);
   for (size_t b = 0; b < bins.size(); ++b)
     for (const Region& r : bins[b].regions) bin_pages[b] += r.page_count;
@@ -82,19 +81,8 @@ TieringDecision choose_placement(const SystemConfig& cfg,
                              ? bin_pages[d.profile.steps[k].bin_index]
                              : 0);
 
-  // Fast-budget bound (the arbiter's demotion hook): extend the descent
-  // prefix until the rank-0 residue fits the cap. Only pass-1 steps (rank
-  // 0 -> 1) shrink the fast tier, and they all come first in sweep order,
-  // so the extension resolves within pass 1.
-  if (options.max_fast_bytes) {
-    while (bytes_for_pages(fast_after[best_prefix]) > *options.max_fast_bytes &&
-           best_prefix < d.profile.steps.size())
-      ++best_prefix;
-  }
-
-  // Continuous-demotion floor: the QoS arbiter re-enters placement at the
-  // next demotion_curve point, which outranks the threshold preference the
-  // same way the fast-budget cap does.
+  // Demotion floor: the arbiter re-enters placement at the next
+  // demotion_curve point, which outranks the threshold preference.
   if (options.min_descent_prefix)
     best_prefix = std::max(
         best_prefix,
@@ -103,7 +91,7 @@ TieringDecision choose_placement(const SystemConfig& cfg,
 
   // Demotion curve: for each strictly smaller rank-0 footprint reachable
   // beyond the chosen prefix, the cheapest prefix at that footprint — the
-  // "next local minimum" stops the QoS arbiter demotes through, nearest
+  // "next local minimum" stops the arbiter demotes through, nearest
   // first. Prefixes that do not shrink rank 0 cannot relieve fast-tier
   // pressure and are folded into their footprint level.
   u64 level_pages = fast_after[best_prefix];
@@ -133,18 +121,6 @@ TieringDecision choose_placement(const SystemConfig& cfg,
     for (const Region& r : bins[s.bin_index].regions)
       d.placement.set_range(r.page_begin, r.page_count,
                             tier_index(s.to_rank));
-  }
-
-  // Tier floor: the arbiter's deeper demotion rungs forbid the upper part
-  // of the ladder outright.
-  const size_t floor_rank =
-      std::min(options.min_tier_rank, ranks > 0 ? ranks - 1 : 0);
-  if (floor_rank > 0) {
-    d.placement.apply_floor(floor_rank);
-    for (size_t b = 0; b < bins.size(); ++b) {
-      d.bin_rank[b] = std::max(d.bin_rank[b], floor_rank);
-      d.offloaded[b] = true;
-    }
   }
 
   const Nanos exec = profiler.warm_exec_ns(representative, d.placement);

@@ -26,28 +26,18 @@ struct TieringOptions {
   /// TieringDecision::derived_threshold). An explicit slowdown_threshold
   /// always wins.
   std::optional<double> slo_slowdown;
-  /// Hard cap on the fastest-tier bytes the placement may keep resident.
-  /// The fleet arbiter re-enters Step IV with this bound to demote a
-  /// function under DRAM pressure: the coldest-first sweep keeps pushing
-  /// bins off rank 0 past the minimum-cost prefix — ignoring the slowdown
-  /// threshold, since fitting the budget outranks the SLO preference under
-  /// duress — until the fast residue fits. 0 forces rank 0 empty.
-  std::optional<u64> max_fast_bytes;
-  /// Tier floor (arbiter demotion rungs beyond the fast cap): no page may
-  /// be placed above this ladder rank. 0 = no floor; ladder_size-1 pushes
-  /// the whole image to the deepest rung. Clamped to the ladder.
-  size_t min_tier_rank = 0;
-  /// Continuous-demotion floor (RetierBound::min_descent_prefix): force the
-  /// chosen configuration at least this many descents down the sweep, past
-  /// whatever the threshold alone would pick. The QoS arbiter demotes a
-  /// lane by re-tiering at the next TieringDecision::demotion_curve point.
+  /// Demotion floor (RetierBound::min_descent_prefix): force the chosen
+  /// configuration at least this many descents down the sweep, past
+  /// whatever the threshold alone would pick — fitting the fleet's DRAM
+  /// budget outranks the SLO preference under duress. The arbiter demotes
+  /// a lane by re-tiering at the next TieringDecision::demotion_curve point.
   std::optional<size_t> min_descent_prefix;
 };
 
 /// One stop further down the Step-III descent sweep: the cheapest prefix at
 /// a strictly smaller rank-0 (fastest tier) footprint than the point above
-/// it. TieringDecision::demotion_curve lists these nearest-first; the QoS
-/// arbiter's continuous demotion walks them instead of a fixed rung ladder.
+/// it. TieringDecision::demotion_curve lists these nearest-first; the
+/// arbiter demotes a lane by walking them.
 struct CostCurvePoint {
   size_t prefix = 0;       ///< descents applied (sweep-order prefix length)
   u64 fast_bytes = 0;      ///< rank-0 bytes the placement would keep
@@ -64,8 +54,8 @@ struct TieringDecision {
   double slow_fraction = 0;       ///< Table II's "slow tier percentage"
   std::vector<bool> offloaded;    ///< per bin index: below rank 0?
   std::vector<size_t> bin_rank;   ///< per bin index: chosen ladder rung
-  /// Descents actually applied (after the threshold sweep, the fast-budget
-  /// extension and the min_descent_prefix floor).
+  /// Descents actually applied (after the threshold sweep and the
+  /// min_descent_prefix floor).
   size_t chosen_prefix = 0;
   /// Slowdown threshold derived from TieringOptions::slo_slowdown; unset
   /// when no SLO drove the selection.

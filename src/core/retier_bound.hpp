@@ -7,26 +7,17 @@
 #include <cstddef>
 #include <optional>
 
-#include "util/units.hpp"
-
 namespace toss {
 
-/// `max_fast_bytes` caps the rank-0 (fastest tier) residue of the rebuilt
-/// placement; `min_tier_rank` additionally forbids the ladder's upper rungs
-/// outright — the demotion rungs beyond the fast cap on ladders deeper
-/// than two tiers. `min_descent_prefix` instead forces the placement at
-/// least `prefix` descents down the Step-III sweep — the QoS arbiter's
-/// continuous-demotion hook, which walks TieringDecision::demotion_curve
-/// one local cost minimum at a time instead of the fixed rung ladder.
-/// Default-constructed = unconstrained.
+/// `min_descent_prefix` forces the rebuilt placement at least that many
+/// descents down the Step-III sweep: the arbiter demotes a lane by
+/// re-tiering at the next TieringDecision::demotion_curve point (one local
+/// Eq-1 cost minimum at a time) and promotes it by replaying the prefix it
+/// held one step up. Default-constructed = unconstrained.
 struct RetierBound {
-  std::optional<u64> max_fast_bytes;
-  size_t min_tier_rank = 0;
   std::optional<size_t> min_descent_prefix;
 
-  bool trivial() const {
-    return !max_fast_bytes && min_tier_rank == 0 && !min_descent_prefix;
-  }
+  bool trivial() const { return !min_descent_prefix; }
   bool operator==(const RetierBound&) const = default;
 };
 

@@ -269,8 +269,6 @@ TieringDecision TossFunction::analyze_now(const RetierBound& bound) const {
   topt.bin_count = options_.bin_count;
   topt.slowdown_threshold = options_.slowdown_threshold;
   topt.slo_slowdown = options_.slo_slowdown;
-  topt.max_fast_bytes = bound.max_fast_bytes;
-  topt.min_tier_rank = bound.min_tier_rank;
   topt.min_descent_prefix = bound.min_descent_prefix;
   return analyze_pattern(*cfg_, unified_->counts(), representative, topt);
 }

@@ -119,22 +119,17 @@ class TossFunction {
 
   /// Arbiter hook (DESIGN.md §9): rebuild the tiered artifact by re-entering
   /// Step IV placement under a bound. A trivial bound restores the
-  /// optimizer's unconstrained minimum-cost placement (promotion); a byte
-  /// cap forces a deep-heavier placement, and a tier floor pushes the whole
-  /// image below the forbidden rungs (demotion). Only meaningful in kTiered
-  /// with a live unified pattern — returns false, with all state unchanged,
-  /// otherwise or when persisting the re-tiered artifact exhausts its
-  /// torn-write retry budget. While a non-trivial bound is active, the
-  /// Eq 2-4 re-profiling trigger is muted: the extra slowdown is
-  /// intentional, not access-pattern drift.
+  /// optimizer's unconstrained minimum-cost placement; a descent prefix
+  /// forces the placement down the Step-III sweep to a demotion_curve
+  /// point (demotion, or a promotion that replays a shallower point). Only
+  /// meaningful in kTiered with a live unified pattern — returns false,
+  /// with all state unchanged, otherwise or when persisting the re-tiered
+  /// artifact exhausts its torn-write retry budget. While a non-trivial
+  /// bound is active, the Eq 2-4 re-profiling trigger is muted: the extra
+  /// slowdown is intentional, not access-pattern drift.
   bool retier(RetierBound bound);
-  bool retier(std::optional<u64> max_fast_bytes) {
-    return retier(RetierBound{max_fast_bytes, 0});
-  }
   /// The bound the last successful retier() applied.
   const RetierBound& retier_bound() const { return bound_; }
-  /// The fast cap of that bound; nullopt = uncapped.
-  std::optional<u64> fast_budget() const { return bound_.max_fast_bytes; }
 
   /// Fast/slow-tier bytes an invocation of this function pins while
   /// running. Tiered phase: the tiered artifact's per-tier file sizes

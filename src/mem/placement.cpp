@@ -20,11 +20,6 @@ void PagePlacement::set_all(Tier t) {
   for (auto& v : tiers_) v = static_cast<u8>(t);
 }
 
-void PagePlacement::apply_floor(size_t rank) {
-  for (auto& v : tiers_)
-    if (v < rank) v = static_cast<u8>(rank);
-}
-
 u64 PagePlacement::pages_in(Tier t) const {
   u64 n = 0;
   for (u8 v : tiers_)

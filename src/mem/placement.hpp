@@ -29,10 +29,6 @@ class PagePlacement {
   void set_range(u64 page_begin, u64 page_count, Tier t);
   void set_all(Tier t);
 
-  /// Push every page shallower than `rank` down to `rank` (the arbiter's
-  /// tier-floor demotion); pages already at or below `rank` are untouched.
-  void apply_floor(size_t rank);
-
   /// Number of pages currently in tier `t`.
   u64 pages_in(Tier t) const;
 

@@ -114,7 +114,6 @@ Result<void> Host::add(const FunctionRegistration& registration,
   if (options_.keep_outcomes) lane->outcomes.reserve(lane->requests.size());
   lane->series = metrics_.series(name);
   lane->qos = registration.qos_spec();
-  if (lane->qos.cls != QosClass::kNone) qos_engaged_ = true;
   lanes_.push_back(std::move(lane));
   return {};
 }
@@ -170,8 +169,7 @@ void Host::shed(HostLane& lane, size_t request_index, ShedCause cause) {
   const size_t c = static_cast<size_t>(cause);
   ++lane.overload.shed[c];
   lane.series->shed[c].fetch_add(1, std::memory_order_relaxed);
-  if (options_.keep_shed_events)
-    lane.shed_events.push_back(ShedEvent{request_index, cause, lane.sim_now});
+  lane.shed_events.push_back(ShedEvent{request_index, cause, lane.sim_now});
 }
 
 void Host::admit_arrivals(HostLane& lane, bool admission_closed) {
@@ -226,12 +224,11 @@ void Host::process_chunk(HostLane& lane, bool admission_closed) {
           std::max(lane.sim_now, lane.requests[lane.arrived].arrival_ns);
       continue;
     }
-    // Pop order: FIFO on an unclassed host; earliest-deadline-first once
-    // QoS classes are engaged (zero deadlines sort last, ties keep the
-    // lowest queue position), so SLO-bearing work is served before
-    // best-effort.
+    // Pop order: earliest-deadline-first (zero deadlines sort last, ties
+    // keep the lowest queue position), so SLO-bearing work is served
+    // before best-effort. Without deadlines this is FIFO.
     size_t pos = 0;
-    if (qos_engaged_ && lane.queue.size() > 1) {
+    if (lane.queue.size() > 1) {
       Nanos best_deadline = std::numeric_limits<Nanos>::max();
       for (size_t q = 0; q < lane.queue.size(); ++q) {
         const Nanos dl = lane.requests[lane.queue[q]].deadline_ns;
@@ -296,8 +293,8 @@ void Host::enforce_global_queue_bound() {
     if (lane != nullptr) total += lane->queue.size();
   while (total > options_.max_global_queue) {
     // Trim the longest queue; ties break toward the lowest lane index.
-    // With QoS classes engaged, class outranks length: bronze queues are
-    // trimmed to exhaustion before unclassed ones, and gold last.
+    // Class outranks length: bronze queues are trimmed to exhaustion
+    // before unclassed ones, and gold last.
     size_t victim = lanes_.size();
     for (size_t i = 0; i < lanes_.size(); ++i) {
       if (lanes_[i] == nullptr || lanes_[i]->queue.empty()) continue;
@@ -305,13 +302,11 @@ void Host::enforce_global_queue_bound() {
         victim = i;
         continue;
       }
-      if (qos_engaged_) {
-        const int ri = qos_shed_rank(lanes_[i]->qos.cls);
-        const int rv = qos_shed_rank(lanes_[victim]->qos.cls);
-        if (ri != rv) {
-          if (ri < rv) victim = i;
-          continue;
-        }
+      const int ri = qos_shed_rank(lanes_[i]->qos.cls);
+      const int rv = qos_shed_rank(lanes_[victim]->qos.cls);
+      if (ri != rv) {
+        if (ri < rv) victim = i;
+        continue;
       }
       if (lanes_[i]->queue.size() > lanes_[victim]->queue.size()) victim = i;
     }
@@ -334,8 +329,7 @@ FastTierArbiter* Host::ensure_arbiter() {
     ArbiterOptions aopt = options_.arbiter;
     if (aopt.fast_budget_bytes == 0)
       aopt.fast_budget_bytes = cfg_.fastest().capacity_bytes;
-    arbiter_ = std::make_unique<FastTierArbiter>(aopt, aopt.fast_budget_bytes,
-                                                 cfg_.tier_count());
+    arbiter_ = std::make_unique<FastTierArbiter>(aopt, aopt.fast_budget_bytes);
   }
   return arbiter_.get();
 }
@@ -373,10 +367,10 @@ void Host::arbiter_tick(FastTierArbiter& arbiter, u64 epoch) {
     d.demotable = toss != nullptr && toss->phase() == TossPhase::kTiered;
     d.cold_cost_ns = lane.last_setup_ns;
     d.qos = lane.qos.cls;
-    // QoS mode: hand the arbiter the lane's remaining Eq-1 demotion curve
-    // (cheapest prefix per strictly-smaller rank-0 footprint, nearest
-    // first) so it can demote continuously instead of by fixed rung.
-    if (qos_engaged_ && d.demotable) {
+    // The lane's remaining Eq-1 demotion curve (cheapest prefix per
+    // strictly-smaller rank-0 footprint, nearest first): the only steps
+    // the arbiter demotes through.
+    if (d.demotable) {
       if (const TieringDecision* dec = toss->decision()) {
         d.curve.reserve(dec->demotion_curve.size());
         for (const CostCurvePoint& p : dec->demotion_curve)
@@ -385,11 +379,9 @@ void Host::arbiter_tick(FastTierArbiter& arbiter, u64 epoch) {
     }
     // Prewarm handshake: a warm VM whose next arrival is predicted soon is
     // worth more than its GDSF priority alone says. -1 = no prediction.
-    if (options_.arbiter.prewarm_hints) {
-      if (const std::optional<Nanos> next = lane.predictor.predicted_next();
-          next.has_value())
-        d.predicted_reuse_gap_ns = std::max<Nanos>(0, *next - lane.sim_now);
-    }
+    if (const std::optional<Nanos> next = lane.predictor.predicted_next();
+        next.has_value())
+      d.predicted_reuse_gap_ns = std::max<Nanos>(0, *next - lane.sim_now);
     demands.push_back(d);
   }
 
@@ -422,8 +414,8 @@ Result<Host::EpochPlan> Host::plan_epoch() {
   FastTierArbiter* arbiter =
       options_.arbiter.enabled ? ensure_arbiter() : nullptr;
   // Snapshot the admission gates once per epoch so every lane sees the same
-  // decision regardless of scheduling. Per-class gates (QoS mode) resolve
-  // here, serially; outside QoS mode every class reads the same gate.
+  // decision regardless of scheduling. Per-class gates resolve here,
+  // serially.
   plan.closed.assign(plan.active.size(), 0);
   if (arbiter != nullptr)
     for (size_t k = 0; k < plan.active.size(); ++k)
@@ -563,35 +555,33 @@ MetricsSnapshot Host::metrics() const {
     if (t.capacity_bytes > 0)
       t.occupancy = static_cast<double>(t.resident_bytes) /
                     static_cast<double>(t.capacity_bytes);
-  if (qos_engaged_) {
-    // Schema-6 SLO ledgers: per-function attainment from the lane's
-    // overload ledger (a shed or SLO-late request counts against the
-    // class), plus the per-class rollup in QosClass enum order. Both are
-    // derived from barrier-serial counters, so they inherit the engine's
-    // thread-count independence.
-    for (FunctionMetrics& m : snap.functions) {
-      const HostLane* lane = find_lane(m.function);
-      if (lane == nullptr || lane->qos.cls == QosClass::kNone) continue;
-      m.qos = lane->qos.cls;
-      m.slo_slowdown = lane->qos.slo_slowdown;
-      m.slo.offered = lane->overload.offered;
-      m.slo.completed = lane->overload.completed;
-      m.slo.slo_met = lane->overload.completed - lane->overload.deadline_misses;
+  // Schema-6 SLO ledgers: per-function attainment from the lane's overload
+  // ledger (a shed or SLO-late request counts against the class), plus the
+  // per-class rollup in QosClass enum order; unclassed lanes add neither.
+  // Both are derived from barrier-serial counters, so they inherit the
+  // engine's thread-count independence.
+  for (FunctionMetrics& m : snap.functions) {
+    const HostLane* lane = find_lane(m.function);
+    if (lane == nullptr || lane->qos.cls == QosClass::kNone) continue;
+    m.qos = lane->qos.cls;
+    m.slo_slowdown = lane->qos.slo_slowdown;
+    m.slo.offered = lane->overload.offered;
+    m.slo.completed = lane->overload.completed;
+    m.slo.slo_met = lane->overload.completed - lane->overload.deadline_misses;
+  }
+  for (QosClass cls : {QosClass::kGold, QosClass::kBronze}) {
+    QosClassRollup rollup;
+    rollup.cls = cls;
+    bool any = false;
+    for (const auto& lane : lanes_) {
+      if (lane == nullptr || lane->qos.cls != cls) continue;
+      any = true;
+      rollup.ledger.offered += lane->overload.offered;
+      rollup.ledger.completed += lane->overload.completed;
+      rollup.ledger.slo_met +=
+          lane->overload.completed - lane->overload.deadline_misses;
     }
-    for (QosClass cls : {QosClass::kGold, QosClass::kBronze}) {
-      QosClassRollup rollup;
-      rollup.cls = cls;
-      bool any = false;
-      for (const auto& lane : lanes_) {
-        if (lane == nullptr || lane->qos.cls != cls) continue;
-        any = true;
-        rollup.ledger.offered += lane->overload.offered;
-        rollup.ledger.completed += lane->overload.completed;
-        rollup.ledger.slo_met +=
-            lane->overload.completed - lane->overload.deadline_misses;
-      }
-      if (any) snap.qos.push_back(rollup);
-    }
+    if (any) snap.qos.push_back(rollup);
   }
   return snap;
 }
@@ -648,13 +638,12 @@ Result<void> Host::adopt_lane(std::unique_ptr<HostLane> lane) {
   // registry; from here on this host's series accumulates them — the
   // cluster rollup sums both.
   lane->series = metrics_.series(lane->name);
-  if (lane->qos.cls != QosClass::kNone) qos_engaged_ = true;
   if (lane->rung != 0) {
     // Arrive un-demoted: the migration target was chosen for its headroom,
     // so restore the unconstrained Step-IV placement and let this host's
     // arbiter re-demote if its budget disagrees.
     if (TossFunction* toss = lane->host->toss_state_mutable(lane->name))
-      toss->retier(std::nullopt);
+      toss->retier(RetierBound{});
     lane->rung = 0;
   }
   lanes_.push_back(std::move(lane));

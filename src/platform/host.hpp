@@ -124,8 +124,6 @@ struct EngineOptions {
   Nanos watchdog_chunk_budget_ns = 0;
   /// Host fast-tier budget arbiter (platform/arbiter.hpp).
   ArbiterOptions arbiter;
-  /// Keep per-lane ShedEvent ledgers in the report.
-  bool keep_shed_events = true;
 };
 
 struct FunctionReport {
@@ -138,7 +136,7 @@ struct FunctionReport {
   /// Admission/shedding ledger. With every knob at its default it only
   /// conserves: offered == admitted == completed, nothing shed.
   OverloadStats overload;
-  /// Shed decisions in decision order; empty unless keep_shed_events.
+  /// Shed decisions in decision order.
   std::vector<ShedEvent> shed_events;
 };
 
@@ -192,9 +190,9 @@ struct HostLane {
   OverloadStats overload;
   std::vector<ShedEvent> shed_events;
   bool finish_reported = false;  ///< keep-alive insert happened
-  int rung = 0;                  ///< arbiter demotion rung
-  /// Service class + effective SLO slowdown target (DESIGN.md §14); the
-  /// default (kNone) leaves every scheduler decision class-blind.
+  int rung = 0;                  ///< arbiter demotion depth
+  /// Service class + effective SLO slowdown target (DESIGN.md §14); kNone
+  /// ranks between bronze and gold and reads the gold admission gate.
   QosSpec qos;
   /// Inter-arrival predictor fed by admitted arrivals; the arbiter tick
   /// turns its prediction into a warm-demand hint (prewarm handshake).
@@ -269,11 +267,6 @@ class Host {
   /// The arbiter's current fleet accounting (warm pool + active lanes);
   /// 0 before the first arbiter tick.
   u64 arbiter_resident_fast_bytes() const;
-
-  /// True once any lane carries a QoS class. Latches on add/adopt; every
-  /// QoS-aware scheduler branch is gated on it so an unclassed host stays
-  /// bit-identical to the pre-QoS ledgers (DESIGN.md §14).
-  bool qos_engaged() const { return qos_engaged_; }
 
   /// Lane-slot count including migration tombstones; lane_at() returns
   /// nullptr for tombstones.
@@ -385,7 +378,6 @@ class Host {
   std::unique_ptr<FastTierArbiter> arbiter_;
   u64 epoch_ = 0;
   int closed_streak_ = 0;
-  bool qos_engaged_ = false;  ///< any lane carries a QoS class
   Nanos wall_ns_ = 0;  ///< real time spent draining, summed
   std::atomic<u64> serialization_violations_{0};
   /// Sticky host failure: the first failed lane a barrier reported.

@@ -48,9 +48,6 @@ Result<void> FunctionRegistration::validate() const {
   if (spec_.memory_mb == 0)
     return {ErrorCode::kInvalidOptions,
             spec_.name + ": memory_mb must be >= 1"};
-  if (concurrency_ < 1)
-    return {ErrorCode::kInvalidOptions,
-            spec_.name + ": concurrency must be >= 1"};
   const RetryPolicy& r = toss_options_.retry;
   if (r.max_attempts < 1)
     return {ErrorCode::kInvalidOptions,

@@ -82,13 +82,6 @@ class FunctionRegistration {
     toss_options_ = std::move(options);
     return *this;
   }
-  /// Declared per-function concurrency limit. The engine serializes each
-  /// function's state machine, so values > 1 are accepted for forward
-  /// compatibility but currently behave as 1.
-  FunctionRegistration& concurrency(int n) {
-    concurrency_ = n;
-    return *this;
-  }
   /// Seed for the function's deterministic RNG streams (DAMON noise, ...).
   FunctionRegistration& seed(u64 s) {
     seed_ = s;
@@ -129,7 +122,6 @@ class FunctionRegistration {
   const FunctionSpec& spec() const { return spec_; }
   PolicyKind policy() const { return kind_; }
   const TossOptions& toss_options() const { return toss_options_; }
-  int concurrency() const { return concurrency_; }
   u64 seed() const { return seed_; }
   const CircuitBreakerOptions& breaker_options() const { return breaker_; }
   /// Resolved service class + effective SLO slowdown target.
@@ -141,7 +133,6 @@ class FunctionRegistration {
   FunctionSpec spec_;
   PolicyKind kind_ = PolicyKind::kToss;
   TossOptions toss_options_;
-  int concurrency_ = 1;
   u64 seed_ = 42;
   CircuitBreakerOptions breaker_;
   QosClass qos_class_ = QosClass::kNone;

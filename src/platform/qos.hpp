@@ -45,12 +45,13 @@ const char* shed_cause_name(ShedCause cause);
 /// names predate the enum and are frozen for artifact consumers.
 const char* shed_cause_json_key(ShedCause cause);
 
-/// Per-function service class. kNone (the default) keeps every scheduler
-/// decision exactly as it was before QoS classes existed; gold/bronze
-/// engage the QoS-aware degradation order end to end (EDF pop, bronze-
-/// before-gold shedding and demotion, gold-first failover and readmission).
+/// Per-function service class: its place in the degradation order end to
+/// end (bronze-before-gold shedding and demotion, gold-first failover and
+/// readmission). kNone (the default) is just another class: no SLO
+/// derivation, ranked between bronze and gold, and it reads the gold
+/// admission gate.
 enum class QosClass : u8 {
-  kNone = 0,  ///< unclassified: legacy behavior, no SLO derivation
+  kNone = 0,  ///< unclassified: no SLO derivation
   kGold,      ///< protected: degraded last, readmitted first
   kBronze,    ///< best-effort: absorbs demotion and shedding first
 };

@@ -60,9 +60,13 @@ TEST_F(TossLifecycleTest, RetierErasesTheSupersededArtifact) {
   ASSERT_NE(first, nullptr);
   const u64 first_fast = first->fast_file_id();
   const u64 first_slow = first->file_id(1);
-  ASSERT_TRUE(toss.retier(bytes_for_pages(first->fast_pages()) / 2));
+  // Demote to the first demotion-curve point, then back to unconstrained.
+  ASSERT_FALSE(toss.decision()->demotion_curve.empty());
+  RetierBound demoted;
+  demoted.min_descent_prefix = toss.decision()->demotion_curve.front().prefix;
+  ASSERT_TRUE(toss.retier(demoted));
   const u64 second_fast = toss.tiered_snapshot()->fast_file_id();
-  ASSERT_TRUE(toss.retier(std::nullopt));
+  ASSERT_TRUE(toss.retier({}));
   const u64 current = toss.tiered_snapshot()->fast_file_id();
 
   // Each retier replaced a live artifact and erased it, rank aliases too;

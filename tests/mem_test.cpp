@@ -145,19 +145,6 @@ TEST(Placement, PerRankCountsAndDeepFractions) {
   EXPECT_DOUBLE_EQ(fracs[1], 0.2);
 }
 
-TEST(Placement, ApplyFloorDemotesShallowRanks) {
-  PagePlacement p(10);
-  p.set_range(0, 5, tier_index(1));
-  p.apply_floor(1);  // no page may rest above rank 1
-  EXPECT_EQ(p.pages_in(tier_index(0)), 0u);
-  EXPECT_EQ(p.pages_in(tier_index(1)), 10u);
-  // Pages already deeper than the floor stay put.
-  p.set_range(0, 2, tier_index(2));
-  p.apply_floor(1);
-  EXPECT_EQ(p.pages_in(tier_index(2)), 2u);
-  EXPECT_EQ(p.pages_in(tier_index(1)), 8u);
-}
-
 TEST(ExpandBurst, UniformSumsExactly) {
   AccessBurst b{0, 10, 1234, Pattern::kSequential, 0.0, 0.0};
   const auto counts = expand_burst_counts(b);

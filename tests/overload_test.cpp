@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,8 @@ TossOptions fast_toss() {
 
 // ---------------------------------------------------------------------------
 // FastTierArbiter unit tests: the ladder in isolation, with synthetic lane
-// demands and a scripted re-tier hook.
+// demands and a scripted re-tier hook (class order, curve replay and the
+// gates are in qos_test).
 // ---------------------------------------------------------------------------
 
 FastTierArbiter::LaneDemand demand(size_t lane, const std::string& name,
@@ -46,11 +48,13 @@ TEST(Arbiter, DemotesLargestFirstAndPromotesLifoOnePerTick) {
   ArbiterOptions opt;
   opt.enabled = true;
   opt.keepalive = false;
-  opt.demote_step = 0.5;
-  FastTierArbiter arb(opt, /*fast_budget_bytes=*/50);
-  const std::string f0 = "f0", f1 = "f1";
+  FastTierArbiter arb(opt, /*fast_budget_bytes=*/100);
+  const std::string f0 = "f0", f1 = "f1", pinned = "pinned";
 
-  // Record every re-tier the arbiter asks for: (lane, rung, bound).
+  // Scripted Step IV: each lane lands on its curve point's footprint, and
+  // the trivial bound restores its unconstrained footprint.
+  const std::vector<CurveStep> curve0 = {{1, 50}, {3, 20}};
+  const std::vector<CurveStep> curve1 = {{2, 30}};
   struct Call {
     size_t lane;
     int rung;
@@ -60,121 +64,66 @@ TEST(Arbiter, DemotesLargestFirstAndPromotesLifoOnePerTick) {
   const auto apply = [&](size_t lane, int rung,
                          const RetierBound& bound) -> std::optional<u64> {
     calls.push_back({lane, rung, bound});
-    // Pretend the placement lands exactly on the cap; a tier floor leaves
-    // nothing on the fastest rank.
-    if (bound.max_fast_bytes) return *bound.max_fast_bytes;
-    return bound.min_tier_rank > 0 ? u64{0} : u64{80};
+    if (bound.trivial()) return lane == 0 ? u64{70} : u64{60};
+    for (const CurveStep& step : lane == 0 ? curve0 : curve1)
+      if (step.prefix == *bound.min_descent_prefix) return step.fast_bytes;
+    return std::nullopt;
+  };
+  const auto lane = [](size_t index, const std::string& name, u64 fast,
+                       std::vector<CurveStep> curve) {
+    FastTierArbiter::LaneDemand d = demand(index, name, fast);
+    d.curve = std::move(curve);
+    return d;
   };
 
-  // Tick 0: f0=80 + f1=20 = 100 > 50. Ladder: f0 -> rung 1 (cap 40, still
-  // 60 > 50), then f0 again (largest at 40 > 20) -> rung 2 (floor at the
-  // slow tier: 0 fast bytes) = 20.
-  arb.tick(0, {demand(0, f0, 80), demand(1, f1, 20, true, false)}, apply);
-  ASSERT_EQ(calls.size(), 2u);
+  // Tick 0: f0=70 + f1=60 + pinned 40 = 170 > 100. The largest lane
+  // always moves next: f0 -> 50 (150), then f1 (60 > 50) -> 30 (120), then
+  // f0 again (50 > 30) -> 20 (90), each one curve point down.
+  arb.tick(0,
+           {lane(0, f0, 70, curve0), lane(1, f1, 60, curve1),
+            demand(2, pinned, 40, true, false)},
+           apply);
+  ASSERT_EQ(calls.size(), 3u);
   EXPECT_EQ(calls[0].lane, 0u);
   EXPECT_EQ(calls[0].rung, 1);
-  EXPECT_EQ(calls[0].bound.max_fast_bytes, std::optional<u64>(40));
-  EXPECT_EQ(calls[0].bound.min_tier_rank, 0u);
-  EXPECT_EQ(calls[1].rung, 2);
-  EXPECT_FALSE(calls[1].bound.max_fast_bytes.has_value());
-  EXPECT_EQ(calls[1].bound.min_tier_rank, 1u);
+  EXPECT_EQ(calls[0].bound.min_descent_prefix, std::optional<size_t>(1));
+  EXPECT_EQ(calls[1].lane, 1u);
+  EXPECT_EQ(calls[1].rung, 1);
+  EXPECT_EQ(calls[1].bound.min_descent_prefix, std::optional<size_t>(2));
+  EXPECT_EQ(calls[2].lane, 0u);
+  EXPECT_EQ(calls[2].rung, 2);
+  EXPECT_EQ(calls[2].bound.min_descent_prefix, std::optional<size_t>(3));
   EXPECT_EQ(arb.rung(0), 2);
-  EXPECT_EQ(arb.resident_fast_bytes(), 20u);
+  EXPECT_EQ(arb.rung(1), 1);
+  EXPECT_EQ(arb.resident_fast_bytes(), 90u);
   EXPECT_FALSE(arb.admission_closed());
 
-  // Tick 1: f1 gone, f0 still demoted to 0 bytes. Recovery promotes one
-  // rung per tick: rung 2 -> 1 under the recorded rung-1 cap (fits: 40).
+  // Tick 1: the pinned lane is gone (50 fits). Recovery promotes exactly
+  // one step, the most recent demotion first: f0 back to its depth-1
+  // prefix (50 bytes; 80 fits).
   calls.clear();
-  arb.tick(1, {demand(0, f0, 0)}, apply);
+  arb.tick(1, {lane(0, f0, 20, {}), lane(1, f1, 30, {})}, apply);
   ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0].lane, 0u);
   EXPECT_EQ(calls[0].rung, 1);
-  EXPECT_EQ(calls[0].bound.max_fast_bytes, std::optional<u64>(40));
+  EXPECT_EQ(calls[0].bound.min_descent_prefix, std::optional<size_t>(1));
   EXPECT_EQ(arb.rung(0), 1);
+  EXPECT_EQ(arb.resident_fast_bytes(), 80u);
 
-  // Tick 2: rung 1 -> 0 would restore 80 bytes > 50: hysteresis holds it.
+  // Tick 2: next in LIFO order is f1, whose unconstrained 60 bytes would
+  // make 110 > 100: hysteresis holds it, and f0's promotion beneath it
+  // (which would fit exactly) may not jump the stack.
   calls.clear();
-  arb.tick(2, {demand(0, f0, 40)}, apply);
+  arb.tick(2, {lane(0, f0, 50, {{3, 20}}), lane(1, f1, 30, {})}, apply);
   EXPECT_TRUE(calls.empty());
   EXPECT_EQ(arb.rung(0), 1);
+  EXPECT_EQ(arb.rung(1), 1);
 
-  const ArbiterReport r = arb.report();
-  EXPECT_EQ(r.demotions, 2u);
-  EXPECT_EQ(r.promotions, 1u);
-  EXPECT_EQ(r.peak_resident_fast_bytes, 100u);
-  EXPECT_EQ(r.events.size(), 3u);
-}
-
-TEST(Arbiter, DeepLadderDemotesOneRankPerRung) {
-  // A 3-tier host gets a 3-rung demotion ladder: rung 1 caps the fast
-  // bytes, rung 2 floors the image at rank 1, rung 3 at rank 2 — one
-  // ladder rank per rung, never skipping.
-  ArbiterOptions opt;
-  opt.enabled = true;
-  opt.keepalive = false;
-  opt.demote_step = 0.5;
-  FastTierArbiter arb(opt, /*fast_budget_bytes=*/20,
-                      SystemConfig::cxl_host().tier_count());
-  EXPECT_EQ(arb.max_rung(), 3);
-  const std::string f0 = "f0", f1 = "pinned";
-
-  std::vector<std::pair<int, RetierBound>> calls;
-  const auto apply = [&](size_t, int rung,
-                         const RetierBound& bound) -> std::optional<u64> {
-    calls.push_back({rung, bound});
-    if (bound.max_fast_bytes) return *bound.max_fast_bytes;
-    // A floor at rank 1 still leaves 20 warm bytes on rank 0 in this
-    // script; the deepest floor leaves nothing.
-    return bound.min_tier_rank >= 2 ? u64{0} : u64{20};
-  };
-
-  // Tick 0: f0=80 plus an undemotable 15 against a 20-byte budget. The
-  // ladder must walk rung 1 (cap 40), rung 2 (floor rank 1 -> 20), rung 3
-  // (floor rank 2 -> 0) in order, one rank at a time.
-  arb.tick(0, {demand(0, f0, 80), demand(1, f1, 15, true, false)}, apply);
-  ASSERT_EQ(calls.size(), 3u);
-  EXPECT_EQ(calls[0].first, 1);
-  EXPECT_EQ(calls[0].second.max_fast_bytes, std::optional<u64>(40));
-  EXPECT_EQ(calls[0].second.min_tier_rank, 0u);
-  EXPECT_EQ(calls[1].first, 2);
-  EXPECT_FALSE(calls[1].second.max_fast_bytes.has_value());
-  EXPECT_EQ(calls[1].second.min_tier_rank, 1u);
-  EXPECT_EQ(calls[2].first, 3);
-  EXPECT_EQ(calls[2].second.min_tier_rank, 2u);
-  EXPECT_EQ(arb.rung(0), 3);
-  EXPECT_EQ(arb.resident_fast_bytes(), 15u);
-  EXPECT_FALSE(arb.admission_closed());
-
-  // Tick 1: the pinned lane is gone. Recovery climbs exactly one rung
-  // (3 -> 2, restoring the recorded 20 bytes, which fits).
-  calls.clear();
-  arb.tick(1, {demand(0, f0, 0)}, apply);
-  ASSERT_EQ(calls.size(), 1u);
-  EXPECT_EQ(calls[0].first, 2);
-  EXPECT_EQ(calls[0].second.min_tier_rank, 1u);
-  EXPECT_EQ(arb.rung(0), 2);
-
-  // Tick 2: rung 2 -> 1 would restore 40 bytes > 20: hysteresis holds it.
-  calls.clear();
-  arb.tick(2, {demand(0, f0, 20)}, apply);
-  EXPECT_TRUE(calls.empty());
-  EXPECT_EQ(arb.rung(0), 2);
-
-  // The ledger itself records the one-rung walk: 1, 2, 3 down, 2 up.
   const ArbiterReport r = arb.report();
   EXPECT_EQ(r.demotions, 3u);
   EXPECT_EQ(r.promotions, 1u);
-  int prev = 0;
-  for (const ArbiterEvent& e : r.events) {
-    if (e.action == ArbiterAction::kDemote) {
-      EXPECT_EQ(e.rung, prev + 1);
-      prev = e.rung;
-    } else if (e.action == ArbiterAction::kPromote) {
-      EXPECT_EQ(e.rung, prev - 1);
-      prev = e.rung;
-    }
-    EXPECT_LE(e.rung, arb.max_rung());
-  }
-  EXPECT_EQ(prev, 2);
+  EXPECT_EQ(r.peak_resident_fast_bytes, 170u);
+  EXPECT_EQ(r.events.size(), 4u);
 }
 
 TEST(Arbiter, EvictsWarmthBeforeDemotingAnyone) {
@@ -244,7 +193,7 @@ TEST(Arbiter, PrewarmHintsSteerRungAEvictions) {
   // Prewarm handshake: two identical warm VMs park at tick 0; "alpha"
   // carries a predicted-soon reuse hint, "zeta" none. Under pressure the
   // unhinted VM must go first — even though the name tie-break alone would
-  // have evicted "alpha".
+  // have evicted "alpha" (KeepAlive.EvictionTieBreaksOnFunctionId).
   const std::string alpha = "alpha", zeta = "zeta", busy = "busy";
   const auto park = [&](FastTierArbiter& arb) {
     FastTierArbiter::LaneDemand soon = demand(0, alpha, 40, false, false);
@@ -265,21 +214,12 @@ TEST(Arbiter, PrewarmHintsSteerRungAEvictions) {
   opt.enabled = true;
   FastTierArbiter hinted(opt, 100);
   park(hinted);
-  ArbiterReport r = hinted.report();
+  const ArbiterReport r = hinted.report();
   EXPECT_EQ(r.keepalive_evictions, 1u);
   ASSERT_FALSE(r.events.empty());
   EXPECT_EQ(r.events.back().action, ArbiterAction::kEvictWarm);
   EXPECT_EQ(r.events.back().function, zeta);
   EXPECT_EQ(r.warm_count, 1u);
-
-  // Same script with hints off: the gap is dropped at insert, priorities
-  // tie, and the (priority, function_id) tie-break evicts "alpha".
-  opt.prewarm_hints = false;
-  FastTierArbiter blind(opt, 100);
-  park(blind);
-  r = blind.report();
-  ASSERT_FALSE(r.events.empty());
-  EXPECT_EQ(r.events.back().function, alpha);
 }
 
 // ---------------------------------------------------------------------------
@@ -529,7 +469,7 @@ TEST(Overload, ArbiterDemotesUntilFleetFitsAndRecovers) {
   }
   const TossFunction* survivor = engine->toss_state(names[0]);
   ASSERT_NE(survivor, nullptr);
-  EXPECT_FALSE(survivor->fast_budget().has_value());
+  EXPECT_TRUE(survivor->retier_bound().trivial());
   u64 lane_demotions = 0, lane_promotions = 0;
   for (const FunctionReport& f : report.functions) {
     lane_demotions += f.overload.demotions;
@@ -540,9 +480,9 @@ TEST(Overload, ArbiterDemotesUntilFleetFitsAndRecovers) {
 }
 
 TEST(Overload, LadderHostDemotesOneRungAtATime) {
-  // On a 3-tier CXL host the arbiter's ladder has a rung per tier; every
-  // demotion in the engine-level ledger must move its function exactly one
-  // rung down from where it stood, and every promotion one rung up.
+  // On a 3-tier CXL host every demotion in the engine-level ledger must
+  // move its function exactly one curve step down from where it stood and
+  // free fast-tier bytes, and every promotion must move it one step up.
   // matmul: the Table-I function that keeps a rank-0 sliver even under the
   // CXL host's milder offload penalty, so there is something to demote.
   u64 unconstrained = 0;
@@ -566,9 +506,8 @@ TEST(Overload, LadderHostDemotesOneRungAtATime) {
   }
   ASSERT_GT(unconstrained, 0u);
 
-  // A budget of a quarter of one lane's unconstrained footprint: the cap
-  // rung alone cannot fit three lanes, so the ladder must reach the tier
-  // floors.
+  // A budget of a quarter of one lane's unconstrained footprint: one curve
+  // step per lane cannot fit three lanes, so the walk must go deeper.
   EngineOptions opts;
   opts.chunk = 2;
   opts.arbiter.enabled = true;
@@ -591,11 +530,21 @@ TEST(Overload, LadderHostDemotesOneRungAtATime) {
   const ArbiterReport& arb = report.arbiter;
   ASSERT_GE(arb.demotions, 2u);
 
+  // A demotion is the only action in its tick that can follow another one
+  // (keep-alive is off): each must leave the fleet strictly smaller than
+  // the event before it in the same tick. A tick's first event has no
+  // recorded predecessor.
   std::map<std::string, int> rung;
   int deepest = 0;
+  u64 epoch = 0;
+  std::optional<u64> before;
   for (const ArbiterEvent& e : arb.events) {
+    if (e.epoch != epoch) before.reset();
     if (e.action == ArbiterAction::kDemote) {
       EXPECT_EQ(e.rung, rung[e.function] + 1) << e.function;
+      if (before) {
+        EXPECT_LT(e.resident_bytes, *before) << e.function;
+      }
       rung[e.function] = e.rung;
       deepest = std::max(deepest, e.rung);
     } else if (e.action == ArbiterAction::kPromote) {
@@ -603,10 +552,11 @@ TEST(Overload, LadderHostDemotesOneRungAtATime) {
       rung[e.function] = e.rung;
     }
     EXPECT_GE(e.rung, 0);
-    EXPECT_LE(e.rung, static_cast<int>(cfg.tier_count()));
+    epoch = e.epoch;
+    before = e.resident_bytes;
   }
-  // The squeeze was tight enough to push past the cap rung into the tier
-  // floors — the part of the ladder a two-tier host cannot reach.
+  // The squeeze was tight enough to walk some lane two or more curve
+  // steps down.
   EXPECT_GE(deepest, 2);
 
   // The ladder degrades placements; it never drops admitted work.

@@ -243,11 +243,6 @@ TEST_F(PlatformTest, RegistrationValidatesOptions) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.code(), ErrorCode::kInvalidOptions);
 
-  r = platform.register_function(
-      FunctionRegistration(workloads::pyaes()).concurrency(0));
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.code(), ErrorCode::kInvalidOptions);
-
   FunctionSpec nameless = workloads::pyaes();
   nameless.name.clear();
   EXPECT_FALSE(platform.register_function(FunctionRegistration(nameless)).ok());

@@ -1,20 +1,25 @@
 // Tests for SLO-driven QoS classes (DESIGN.md §14): the SLO -> Eq-1
 // threshold derivation, the demotion curve Step III publishes for the
-// arbiter's continuous demotion, the arbiter's QoS mode (bronze walks its
-// curve to exhaustion before gold moves, per-class admission gates with
-// gold-protecting hysteresis), EDF pop order inside a lane, bronze-before-
-// gold shedding at the global queue bound, the per-class attainment
-// ledgers in metrics JSON schema 6 — and the determinism contract: with
-// QoS engaged every ledger stays bit-identical across thread counts.
+// arbiter's continuous demotion, the arbiter's class order (bronze walks
+// its curve to exhaustion before gold moves, per-class admission gates with
+// gold-protecting hysteresis) and a seeded property test of the arbiter,
+// EDF pop order inside a lane, bronze-before-gold shedding at the global
+// queue bound, the per-class attainment ledgers in metrics JSON schema 6 —
+// and the determinism contract: with classes set every ledger stays
+// bit-identical across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/merge.hpp"
 #include "core/optimizer.hpp"
 #include "platform/engine.hpp"
+#include "util/rng.hpp"
 #include "workloads/functions.hpp"
 #include "workloads/registry.hpp"
 
@@ -198,7 +203,8 @@ TEST_F(QosAnalysisTest, MinDescentPrefixLandsOnTheCurvePoint) {
 }
 
 // ---------------------------------------------------------------------------
-// FastTierArbiter QoS mode, with synthetic demands and a scripted re-tier.
+// FastTierArbiter class order, with synthetic demands and a scripted
+// re-tier.
 // ---------------------------------------------------------------------------
 
 FastTierArbiter::LaneDemand demand(size_t lane, const std::string& name,
@@ -256,7 +262,7 @@ TEST(QosArbiter, BronzeWalksItsCurveToExhaustionBeforeGoldMoves) {
   ASSERT_EQ(script.calls.size(), 2u);
   EXPECT_EQ(script.calls[0], (std::pair<size_t, size_t>{1, 2}));
   EXPECT_EQ(script.calls[1], (std::pair<size_t, size_t>{1, 4}));
-  EXPECT_EQ(arb.rung(1), 2);  // rung doubles as curve depth in QoS mode
+  EXPECT_EQ(arb.rung(1), 2);  // depth = curve steps taken
   EXPECT_EQ(arb.rung(0), 0);
   EXPECT_EQ(arb.resident_fast_bytes(), 50u);
   EXPECT_FALSE(arb.admission_closed());
@@ -275,30 +281,51 @@ TEST(QosArbiter, BronzeWalksItsCurveToExhaustionBeforeGoldMoves) {
   EXPECT_EQ(arb.resident_fast_bytes(), 35u);
 }
 
+/// Gate events in ledger order, as (action, gate class name) pairs.
+std::vector<std::pair<ArbiterAction, std::string>> gate_events(
+    const FastTierArbiter& arb) {
+  std::vector<std::pair<ArbiterAction, std::string>> gates;
+  for (const ArbiterEvent& e : arb.events())
+    if (e.action == ArbiterAction::kCloseAdmission ||
+        e.action == ArbiterAction::kOpenAdmission)
+      gates.push_back({e.action, e.function});
+  return gates;
+}
+
+/// One pinned (non-demotable) lane per class in `classes` (at most two),
+/// each at `fast`.
+std::vector<FastTierArbiter::LaneDemand> pinned_fleet(
+    const std::vector<QosClass>& classes, u64 fast) {
+  static const std::string names[] = {"pinned0", "pinned1"};
+  std::vector<FastTierArbiter::LaneDemand> lanes;
+  for (size_t i = 0; i < classes.size(); ++i)
+    lanes.push_back(demand(i, names[i], fast, classes[i], {},
+                           /*demotable=*/false));
+  return lanes;
+}
+
 TEST(QosArbiter, AdmissionClosesBronzeFirstAndReopensGoldFirst) {
   FastTierArbiter arb(qos_arbiter_options(), 50);
-  const std::string pinned = "pinned";
   size_t retiers = 0;
   const auto apply = [&](size_t, int, const RetierBound&) {
     ++retiers;
     return std::optional<u64>{};
   };
   const auto pressure = [&](u64 epoch, u64 fast) {
-    arb.tick(epoch, {demand(0, pinned, fast, QosClass::kGold, {},
-                            /*demotable=*/false)},
+    arb.tick(epoch, pinned_fleet({QosClass::kGold, QosClass::kBronze}, fast),
              apply);
   };
 
   // Tick 0: ladder exhausted -> only the bronze gate closes; gold (and
   // unclassed) traffic rides through the first pressure spike.
-  pressure(0, 200);
+  pressure(0, 100);
   EXPECT_TRUE(arb.admission_closed(QosClass::kBronze));
   EXPECT_FALSE(arb.admission_closed(QosClass::kGold));
   EXPECT_FALSE(arb.admission_closed(QosClass::kNone));
   EXPECT_TRUE(arb.admission_closed());
 
   // Tick 1: pressure persists -> gold closes too.
-  pressure(1, 200);
+  pressure(1, 100);
   EXPECT_TRUE(arb.admission_closed(QosClass::kGold));
   EXPECT_EQ(arb.report().admission_closures, 2u);
 
@@ -309,51 +336,114 @@ TEST(QosArbiter, AdmissionClosesBronzeFirstAndReopensGoldFirst) {
   EXPECT_TRUE(arb.admission_closed(QosClass::kBronze));
   EXPECT_TRUE(arb.admission_closed());
 
-  // Tick 3: bronze reopens last; the legacy gate clears with it.
+  // Tick 3: bronze reopens last; admission is fully open again.
   pressure(3, 10);
   EXPECT_FALSE(arb.admission_closed(QosClass::kBronze));
   EXPECT_FALSE(arb.admission_closed());
   EXPECT_EQ(retiers, 0u);
 
   // The event ledger names the gates in degradation order.
-  std::vector<std::pair<ArbiterAction, std::string>> gates;
-  for (const ArbiterEvent& e : arb.report().events)
-    gates.push_back({e.action, e.function});
   const std::vector<std::pair<ArbiterAction, std::string>> expected = {
       {ArbiterAction::kCloseAdmission, "bronze"},
       {ArbiterAction::kCloseAdmission, "gold"},
       {ArbiterAction::kOpenAdmission, "gold"},
       {ArbiterAction::kOpenAdmission, "bronze"},
   };
-  EXPECT_EQ(gates, expected);
+  EXPECT_EQ(gate_events(arb), expected);
 }
 
-TEST(QosArbiter, WithdrawnBudgetSlamsBothGatesAtOnce) {
-  FastTierArbiter arb(qos_arbiter_options(), 50);
-  const std::string lane = "fn";
+TEST(QosArbiter, SingleClassHostClosesOnlyItsOwnGate) {
+  // A gate closes only while some lane reads it. Gold-only and unclassed
+  // hosts (kNone reads the gold gate) close one gate on the first
+  // exhausted tick and reopen it on the first tick that fits; a
+  // bronze-only host closes bronze alone. No phantom gate ever closes.
   const auto apply = [](size_t, int, const RetierBound&) {
     return std::optional<u64>{};
   };
+  for (const QosClass cls :
+       {QosClass::kGold, QosClass::kNone, QosClass::kBronze}) {
+    SCOPED_TRACE(qos_class_name(cls));
+    const bool bronze = cls == QosClass::kBronze;
+    const std::string gate = bronze ? "bronze" : "gold";
+    FastTierArbiter arb(qos_arbiter_options(), 50);
+    const auto tick = [&](u64 epoch, u64 fast) {
+      arb.tick(epoch, pinned_fleet({cls}, fast), apply);
+    };
 
-  arb.set_budget_withdrawn(true);
-  arb.tick(0, {demand(0, lane, 10, QosClass::kBronze, {},
-                      /*demotable=*/false)},
-           apply);
-  // Quarantine is not a pressure spike: no one-per-tick grace for gold.
-  EXPECT_TRUE(arb.admission_closed(QosClass::kBronze));
-  EXPECT_TRUE(arb.admission_closed(QosClass::kGold));
-  EXPECT_EQ(arb.report().admission_closures, 2u);
+    tick(0, 200);
+    EXPECT_TRUE(arb.admission_closed(cls));
+    EXPECT_EQ(arb.admission_closed(QosClass::kBronze), bronze);
+    EXPECT_EQ(arb.admission_closed(QosClass::kGold), !bronze);
+    EXPECT_TRUE(arb.admission_closed());
+    tick(1, 200);  // sustained pressure: the other gate stays open
+    EXPECT_EQ(arb.admission_closed(QosClass::kBronze), bronze);
+    EXPECT_EQ(arb.admission_closed(QosClass::kGold), !bronze);
+    EXPECT_EQ(arb.report().admission_closures, 1u);
+    tick(2, 10);
+    EXPECT_FALSE(arb.admission_closed());
 
-  arb.set_budget_withdrawn(false);
-  arb.tick(1, {demand(0, lane, 10, QosClass::kBronze, {},
-                      /*demotable=*/false)},
-           apply);
-  EXPECT_FALSE(arb.admission_closed(QosClass::kGold));
-  EXPECT_TRUE(arb.admission_closed(QosClass::kBronze));
-  arb.tick(2, {demand(0, lane, 10, QosClass::kBronze, {},
-                      /*demotable=*/false)},
-           apply);
-  EXPECT_FALSE(arb.admission_closed());
+    const std::vector<std::pair<ArbiterAction, std::string>> expected = {
+        {ArbiterAction::kCloseAdmission, gate},
+        {ArbiterAction::kOpenAdmission, gate},
+    };
+    EXPECT_EQ(gate_events(arb), expected);
+  }
+}
+
+TEST(QosArbiter, WithdrawnBudgetSlamsBothGatesAtOnce) {
+  const auto apply = [](size_t, int, const RetierBound&) {
+    return std::optional<u64>{};
+  };
+  // A withdrawn budget closes every present class's gate in one tick,
+  // even on a fleet that fits; restoring it reopens them gold first.
+  struct Case {
+    std::vector<QosClass> classes;
+    bool gold_gate;
+    bool bronze_gate;
+  };
+  const Case cases[] = {
+      {{QosClass::kGold, QosClass::kBronze}, true, true},
+      {{QosClass::kNone, QosClass::kBronze}, true, true},
+      {{QosClass::kGold}, true, false},
+      {{QosClass::kNone}, true, false},
+      {{QosClass::kBronze}, false, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << c.classes.size() << " lanes, first "
+                 << qos_class_name(c.classes[0]));
+    FastTierArbiter arb(qos_arbiter_options(), 50);
+    const auto tick = [&](u64 epoch) {
+      arb.tick(epoch, pinned_fleet(c.classes, 10), apply);
+    };
+
+    arb.set_budget_withdrawn(true);
+    tick(0);
+    // Quarantine is not a pressure spike: no one-per-tick grace for gold.
+    EXPECT_EQ(arb.admission_closed(QosClass::kBronze), c.bronze_gate);
+    EXPECT_EQ(arb.admission_closed(QosClass::kGold), c.gold_gate);
+    EXPECT_EQ(arb.report().admission_closures,
+              u64{c.gold_gate} + u64{c.bronze_gate});
+
+    arb.set_budget_withdrawn(false);
+    tick(1);
+    EXPECT_FALSE(arb.admission_closed(QosClass::kGold));
+    EXPECT_EQ(arb.admission_closed(QosClass::kBronze),
+              c.gold_gate && c.bronze_gate);
+    tick(2);
+    EXPECT_FALSE(arb.admission_closed());
+
+    std::vector<std::pair<ArbiterAction, std::string>> expected;
+    if (c.bronze_gate)
+      expected.push_back({ArbiterAction::kCloseAdmission, "bronze"});
+    if (c.gold_gate)
+      expected.push_back({ArbiterAction::kCloseAdmission, "gold"});
+    if (c.gold_gate)
+      expected.push_back({ArbiterAction::kOpenAdmission, "gold"});
+    if (c.bronze_gate)
+      expected.push_back({ArbiterAction::kOpenAdmission, "bronze"});
+    EXPECT_EQ(gate_events(arb), expected);
+  }
 }
 
 TEST(QosArbiter, PromotionReplaysTheDescentLifo) {
@@ -373,7 +463,7 @@ TEST(QosArbiter, PromotionReplaysTheDescentLifo) {
 
   // The pinned lane leaves: recovery promotes exactly one step per tick,
   // replaying the recorded descent LIFO — back to the depth-1 point (the
-  // prefix it was demoted through), not the classic fixed rung.
+  // prefix it was demoted through).
   script.calls.clear();
   arb.tick(1, {demand(0, bronze, 10, QosClass::kBronze, {})}, script.hook());
   ASSERT_EQ(script.calls.size(), 1u);
@@ -397,13 +487,9 @@ TEST(QosArbiter, IdledLaneKeepsItsDescentThroughStaleStackPops) {
   // Demote three curve steps, promote one, then idle the lane while its
   // entries top the demote stack: the stale entries pop, but the lane
   // keeps its depth, so it must keep the descent that depth indexes.
-  // Re-demoted past the two-tier ladder's fixed depth and promoted again,
-  // it must replay its curve. The fixed-ladder fallback would read past
-  // the per-rung bookkeeping and ask Step IV for a tier floor below the
-  // deepest tier.
-  FastTierArbiter arb(qos_arbiter_options(), /*fast_budget_bytes=*/50,
-                      /*tier_count=*/2);
-  ASSERT_EQ(arb.max_rung(), 2);
+  // Re-demoted deeper than a two-tier ladder and promoted again, it must
+  // replay its curve.
+  FastTierArbiter arb(qos_arbiter_options(), /*fast_budget_bytes=*/50);
   const std::string bronze = "bronze_fn", pinned = "pinned";
   const std::vector<CurveStep> curve = {
       {1, 45}, {2, 35}, {3, 15}, {4, 10}, {5, 5}};
@@ -435,101 +521,230 @@ TEST(QosArbiter, IdledLaneKeepsItsDescentThroughStaleStackPops) {
   EXPECT_EQ(arb.rung(0), 2);
   tick(2, 35, 2, false, 10);  // idle: both remaining entries go stale
   EXPECT_EQ(arb.rung(0), 2);
-  tick(3, 35, 2, true, 40);  // 75 > 50: down 35 -> 15 -> 10, past rung 2
+  tick(3, 35, 2, true, 40);  // 75 > 50: down 35 -> 15 -> 10, to depth 4
   EXPECT_EQ(arb.rung(0), 4);
   tick(4, 10, 4, true, 10);  // 20 fits: back up one curve step
   EXPECT_EQ(arb.rung(0), 3);
 
-  // Every re-tier, the last promotion included, is a curve prefix inside
-  // the ladder.
+  // Every re-tier, the last promotion included, is a curve prefix.
   ASSERT_EQ(bounds.size(), 7u);
-  for (const RetierBound& bound : bounds) {
+  for (const RetierBound& bound : bounds)
     EXPECT_TRUE(bound.min_descent_prefix.has_value());
-    EXPECT_FALSE(bound.max_fast_bytes.has_value());
-    EXPECT_LT(bound.min_tier_rank, 2u);
-  }
   EXPECT_EQ(bounds.back().min_descent_prefix, std::optional<size_t>{3});
   EXPECT_EQ(arb.resident_fast_bytes(), 25u);
 }
 
-TEST(QosArbiter, FixedRungsFromBeforeTheLatchClimbBackOnTheLadder) {
-  // An unclassed lane demoted on the fixed ladder keeps that rung when a
-  // classed lane later latches QoS mode (a migrated or failed-over lane
-  // can bring the first class to a host). Curve steps on top of the fixed
-  // rung would leave a depth only the fixed-ladder fallback can promote,
-  // and that fallback would run past the ladder: past the per-rung
-  // bookkeeping, and a tier floor below the deepest tier. So the lane
-  // climbs back on the fixed ladder first; from depth 0 it walks its
-  // curve like any lane.
-  FastTierArbiter arb(qos_arbiter_options(), /*fast_budget_bytes=*/100,
-                      /*tier_count=*/2);
-  const std::string fn = "fn", pinned = "pinned", gold = "gold_fn";
-  // Step IV's answer per bound: curve prefixes land on their footprint,
-  // the rung-1 cap on the cap, a tier floor fully slow, and the trivial
-  // bound on the unconstrained 80 bytes.
-  const std::vector<CurveStep> curve = {{1, 60}, {2, 30}, {3, 20}, {4, 10}};
-  std::vector<RetierBound> bounds;
-  const FastTierArbiter::ApplyRung apply =
-      [&](size_t, int, const RetierBound& bound) -> std::optional<u64> {
-    bounds.push_back(bound);
-    if (bound.min_descent_prefix) {
-      for (const CurveStep& step : curve)
-        if (step.prefix == *bound.min_descent_prefix) return step.fast_bytes;
-      return std::nullopt;
+/// A scripted lane for the property test: its class, its full Eq-1 curve
+/// and where Step IV currently has it, plus the reference descent the test
+/// rebuilds from the re-tier calls alone.
+struct ScriptedLane {
+  std::string name;
+  QosClass cls = QosClass::kNone;
+  bool pinned = false;           ///< never demotable (a profiling lane)
+  u64 undemoted = 0;             ///< footprint at prefix 0
+  std::vector<CurveStep> curve;  ///< strictly decreasing, ends at 0 bytes
+  size_t prefix = 0;             ///< Step IV's current placement prefix
+  u64 fast = 0;                  ///< footprint at `prefix`
+  bool active = false;
+  std::vector<size_t> descent;   ///< prefixes of unpromoted demotions
+  int ledger_depth = 0;          ///< demote minus promote events
+};
+
+std::vector<ScriptedLane> scripted_fleet(Rng& rng) {
+  std::vector<ScriptedLane> lanes(2 + rng.next_below(5));
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    ScriptedLane& l = lanes[i];
+    l.name = "fn" + std::to_string(i);
+    l.cls = static_cast<QosClass>(rng.next_below(kQosClassCount));
+    l.pinned = rng.next_below(4) == 0;
+    l.undemoted = 10 + rng.next_below(100);
+    l.fast = l.undemoted;
+    if (l.pinned) continue;
+    size_t prefix = 0;
+    for (u64 bytes = l.undemoted; bytes > 0;) {
+      prefix += 1 + rng.next_below(3);
+      bytes = rng.next_below(bytes);
+      l.curve.push_back(CurveStep{prefix, bytes});
     }
-    if (bound.max_fast_bytes) return *bound.max_fast_bytes;
-    return bound.min_tier_rank > 0 ? 0 : 80;
-  };
-  // One tick: `fn` at `fn_fast` with the curve points below it, a pinned
-  // unclassed lane setting the pressure, and (once `classed`) a pinned
-  // gold lane that latches QoS mode.
-  const auto tick = [&](u64 epoch, u64 fn_fast, u64 pinned_fast,
-                        bool classed) {
-    std::vector<CurveStep> below;
-    for (const CurveStep& step : curve)
-      if (step.fast_bytes < fn_fast) below.push_back(step);
-    std::vector<FastTierArbiter::LaneDemand> lanes = {
-        demand(0, fn, fn_fast, QosClass::kNone, below),
-        demand(1, pinned, pinned_fast, QosClass::kNone, {},
-               /*demotable=*/false)};
-    if (classed)
-      lanes.push_back(demand(2, gold, 5, QosClass::kGold, {},
-                             /*demotable=*/false));
-    arb.tick(epoch, lanes, apply);
-  };
-
-  tick(0, 80, 40, false);  // 120 > 100: fixed rung 1 caps fn at 40
-  ASSERT_EQ(bounds.size(), 1u);
-  EXPECT_EQ(bounds[0].max_fast_bytes, std::optional<u64>{40});
-  EXPECT_EQ(arb.rung(0), 1);
-
-  tick(1, 40, 80, true);  // 125 > 100, QoS latched: fn holds its rung
-  EXPECT_EQ(bounds.size(), 1u);
-  EXPECT_EQ(arb.rung(0), 1);
-  EXPECT_TRUE(arb.admission_closed(QosClass::kBronze));
-
-  tick(2, 40, 10, true);  // 55 fits: fn climbs the fixed ladder to 0
-  ASSERT_EQ(bounds.size(), 2u);
-  EXPECT_EQ(arb.rung(0), 0);
-  EXPECT_FALSE(bounds[1].max_fast_bytes.has_value());
-  EXPECT_FALSE(bounds[1].min_descent_prefix.has_value());
-  EXPECT_EQ(bounds[1].min_tier_rank, 0u);
-
-  tick(3, 80, 80, true);  // 165 > 100: down 80 -> 60 -> 30 -> 20 -> 10
-  ASSERT_EQ(bounds.size(), 6u);
-  EXPECT_EQ(arb.rung(0), 4);
-  tick(4, 10, 10, true);  // 25 fits: back up one curve step
-  ASSERT_EQ(bounds.size(), 7u);
-  EXPECT_EQ(arb.rung(0), 3);
-  EXPECT_EQ(bounds.back().min_descent_prefix, std::optional<size_t>{3});
-  EXPECT_EQ(arb.resident_fast_bytes(), 35u);
-
-  // No re-tier mixes the two ladders or floors below the deepest tier.
-  for (size_t i = 2; i < bounds.size(); ++i) {
-    EXPECT_TRUE(bounds[i].min_descent_prefix.has_value()) << i;
-    EXPECT_FALSE(bounds[i].max_fast_bytes.has_value()) << i;
   }
-  for (const RetierBound& bound : bounds) EXPECT_LT(bound.min_tier_rank, 2u);
+  return lanes;
+}
+
+TEST(QosArbiter, RandomFleetsKeepTheSingleMechanismInvariants) {
+  // An independent oracle for the one demotion mechanism: random class
+  // mixes (kNone included), random curves, active/idle/finished lanes,
+  // random budgets, withdraw toggles and a re-tier hook that sometimes
+  // fails. After every tick the ledger, the re-tier calls and the gates
+  // must agree with a reference rebuilt from the calls alone.
+  for (u64 seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    ArbiterOptions opt = qos_arbiter_options();
+    opt.keepalive = rng.next_below(2) == 0;
+    const u64 budget = 20 + rng.next_below(200);
+    FastTierArbiter arb(opt, budget);
+    std::vector<ScriptedLane> lanes = scripted_fleet(rng);
+
+    struct Call {
+      size_t lane;
+      int rung;
+      RetierBound bound;
+      u64 before;  ///< the lane's footprint when the call was made
+      bool ok;
+    };
+    std::vector<Call> calls;
+    const FastTierArbiter::ApplyRung apply =
+        [&](size_t lane, int rung,
+            const RetierBound& bound) -> std::optional<u64> {
+      ScriptedLane& l = lanes[lane];
+      Call call{lane, rung, bound, l.fast, false};
+      if (rng.next_below(6) != 0) {  // one re-tier in six fails
+        if (bound.trivial()) {
+          l.prefix = 0;
+          l.fast = l.undemoted;
+          call.ok = true;
+        }
+        for (const CurveStep& step : l.curve)
+          if (step.prefix == bound.min_descent_prefix) {
+            l.prefix = step.prefix;
+            l.fast = step.fast_bytes;
+            call.ok = true;
+          }
+      }
+      calls.push_back(call);
+      return call.ok ? std::optional<u64>(l.fast) : std::nullopt;
+    };
+
+    for (u64 epoch = 0; epoch < 50; ++epoch) {
+      if (rng.next_below(8) == 0)
+        arb.set_budget_withdrawn(!arb.budget_withdrawn());
+      const bool withdrawn = arb.budget_withdrawn();
+      const u64 fits = withdrawn ? 0 : budget;
+      bool gold_present = false;
+      bool bronze_present = false;
+      std::vector<FastTierArbiter::LaneDemand> demands;
+      for (size_t i = 0; i < lanes.size(); ++i) {
+        ScriptedLane& l = lanes[i];
+        const bool was_active = l.active;
+        l.active = rng.next_below(4) != 0;
+        FastTierArbiter::LaneDemand d;
+        d.lane = i;
+        d.name = &l.name;
+        d.qos = l.cls;
+        d.active = l.active;
+        d.just_finished = was_active && !l.active && rng.next_below(2) == 0;
+        d.demotable = !l.pinned && rng.next_below(10) != 0;
+        d.fast_bytes = l.fast;
+        d.slow_bytes = 1;
+        d.cold_cost_ns = ms(1);
+        if (d.demotable)
+          for (const CurveStep& step : l.curve)
+            if (step.prefix > l.prefix) d.curve.push_back(step);
+        (l.cls == QosClass::kBronze ? bronze_present : gold_present) = true;
+        demands.push_back(std::move(d));
+      }
+      bool gold = arb.admission_closed(QosClass::kGold);
+      bool bronze = arb.admission_closed(QosClass::kBronze);
+      const size_t first_event = arb.events().size();
+      calls.clear();
+      arb.tick(epoch, demands, apply);
+
+      // Re-tier calls against the reference descents.
+      size_t promotion_calls = 0;
+      for (const Call& c : calls) {
+        ScriptedLane& l = lanes[c.lane];
+        const FastTierArbiter::LaneDemand& d = demands[c.lane];
+        EXPECT_TRUE(d.active && d.demotable) << l.name;
+        const int depth = static_cast<int>(l.descent.size());
+        if (c.rung == depth + 1) {
+          // A demotion: a point of the lane's remaining curve, deeper than
+          // its last one, that lowers its footprint.
+          ASSERT_TRUE(c.bound.min_descent_prefix.has_value()) << l.name;
+          const size_t prefix = *c.bound.min_descent_prefix;
+          const auto point = std::find_if(
+              d.curve.begin(), d.curve.end(),
+              [&](const CurveStep& step) { return step.prefix == prefix; });
+          ASSERT_NE(point, d.curve.end()) << l.name << " prefix " << prefix;
+          EXPECT_GT(prefix, l.descent.empty() ? size_t{0} : l.descent.back());
+          EXPECT_LT(point->fast_bytes, c.before) << l.name;
+          if (c.ok) l.descent.push_back(prefix);
+        } else {
+          // A promotion: one step up, replaying the prefix recorded at the
+          // target depth; depth 0 is the unconstrained placement.
+          ASSERT_EQ(c.rung, depth - 1) << l.name;
+          ++promotion_calls;
+          if (c.rung == 0)
+            EXPECT_TRUE(c.bound.trivial()) << l.name;
+          else
+            EXPECT_EQ(c.bound.min_descent_prefix,
+                      l.descent[static_cast<size_t>(c.rung) - 1])
+                << l.name;
+          if (c.ok) l.descent.pop_back();
+        }
+      }
+      EXPECT_LE(promotion_calls, 1u);
+
+      // This tick's ledger: promotions fit, gates follow the class rules.
+      size_t promotions = 0, closes = 0, opens = 0;
+      const std::vector<ArbiterEvent>& events = arb.events();
+      for (size_t e = first_event; e < events.size(); ++e) {
+        const ArbiterEvent& ev = events[e];
+        for (ScriptedLane& l : lanes)
+          if (ev.function == l.name)
+            l.ledger_depth += ev.action == ArbiterAction::kDemote    ? 1
+                              : ev.action == ArbiterAction::kPromote ? -1
+                                                                     : 0;
+        if (ev.action == ArbiterAction::kPromote) {
+          ++promotions;
+          EXPECT_LE(ev.resident_bytes, fits);
+        }
+        if (ev.action != ArbiterAction::kCloseAdmission &&
+            ev.action != ArbiterAction::kOpenAdmission)
+          continue;
+        const bool is_bronze = ev.function == "bronze";
+        ASSERT_TRUE(is_bronze || ev.function == "gold") << ev.function;
+        if (ev.action == ArbiterAction::kCloseAdmission) {
+          ++closes;
+          // No phantom gate, and bronze closes before gold under pressure.
+          EXPECT_TRUE(is_bronze ? bronze_present : gold_present);
+          if (!is_bronze && !withdrawn) {
+            EXPECT_TRUE(bronze || !bronze_present);
+          }
+          (is_bronze ? bronze : gold) = true;
+        } else {
+          ++opens;
+          EXPECT_FALSE(withdrawn);
+          if (is_bronze) {
+            EXPECT_FALSE(gold) << "gold reopens first";
+          }
+          (is_bronze ? bronze : gold) = false;
+        }
+      }
+      EXPECT_LE(promotions, 1u);
+      EXPECT_LE(opens, 1u);
+      if (withdrawn) {
+        EXPECT_TRUE(gold || !gold_present);
+        EXPECT_TRUE(bronze || !bronze_present);
+      } else {
+        EXPECT_LE(closes, 1u);
+      }
+      if (promotions > 0) {
+        EXPECT_LE(arb.resident_fast_bytes(), fits);
+      }
+      EXPECT_EQ(arb.admission_closed(QosClass::kGold), gold);
+      EXPECT_EQ(arb.admission_closed(QosClass::kNone), gold);
+      EXPECT_EQ(arb.admission_closed(QosClass::kBronze), bronze);
+      EXPECT_EQ(arb.admission_closed(), gold || bronze);
+      for (size_t i = 0; i < lanes.size(); ++i) {
+        const ScriptedLane& l = lanes[i];
+        EXPECT_EQ(arb.rung(i), l.ledger_depth) << l.name;
+        EXPECT_EQ(arb.rung(i), static_cast<int>(l.descent.size())) << l.name;
+        EXPECT_EQ(l.prefix, l.descent.empty() ? size_t{0} : l.descent.back())
+            << l.name;
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -562,23 +777,17 @@ TEST(QosEngine, EdfServesTheTightDeadlineQueuedBehindSlackWork) {
     return s;
   };
 
-  // A classed lane pops earliest-deadline-first: the tight request is
-  // served first (late — an SLO miss, not a shed), then the zero-deadline
-  // pair in queue order. Nothing is dropped.
-  const EngineReport gold =
-      single_lane(opts, stream(), QosClass::kGold)->run(1).value();
-  const FunctionReport& g = gold.functions[0];
-  EXPECT_EQ(g.overload.completed, 3u);
-  EXPECT_EQ(g.overload.total_shed(), 0u);
-  EXPECT_GE(g.overload.deadline_misses, 1u);
-
-  // The same stream on an unclassed lane keeps strict FIFO: by the time
-  // the tight request reaches the head its deadline is long gone.
-  const EngineReport plain =
-      single_lane(opts, stream(), QosClass::kNone)->run(1).value();
-  const FunctionReport& p = plain.functions[0];
-  EXPECT_EQ(p.overload.completed, 2u);
-  EXPECT_EQ(p.overload.shed_by(ShedCause::kDeadlineExpired), 1u);
+  // Every lane, classed or not, pops earliest-deadline-first: the tight
+  // request is served first (late — an SLO miss, not a shed), then the
+  // zero-deadline pair in queue order. Nothing is dropped.
+  for (const QosClass cls : {QosClass::kGold, QosClass::kNone}) {
+    SCOPED_TRACE(qos_class_name(cls));
+    const EngineReport report = single_lane(opts, stream(), cls)->run(1).value();
+    const FunctionReport& f = report.functions[0];
+    EXPECT_EQ(f.overload.completed, 3u);
+    EXPECT_EQ(f.overload.total_shed(), 0u);
+    EXPECT_GE(f.overload.deadline_misses, 1u);
+  }
 }
 
 TEST(QosEngine, DeadlineEqualToArrivalIsServedNotShed) {
