@@ -170,13 +170,11 @@ SeedRow summarize(u64 seed, const ClusterReport& report, bool match) {
       row.completed += f.overload.completed;
       row.shed += f.overload.total_shed();
       row.shed_host_lost += f.overload.shed_by(ShedCause::kHostLost);
-    }
-    // The bucketed histograms live in the metrics snapshot; a migrated
-    // lane's samples are split across the hosts it visited, which is fine
-    // for a max-over-functions tail gate.
-    for (const FunctionMetrics& m : host.report.metrics.functions)
+      // A migrated lane's histogram is its whole history, reported under
+      // its current host.
       row.p99_setup_ms =
-          std::max(row.p99_setup_ms, to_ms(m.setup_ns.percentile(99)));
+          std::max(row.p99_setup_ms, to_ms(f.stats.setup_ns.percentile(99)));
+    }
   }
   for (const MigrationEvent& m : report.migrations) {
     ++row.migrations;
@@ -313,9 +311,9 @@ int main(int argc, char** argv) {
     auto baseline = make_cluster(cfg, budget, kSeeds[0], /*with_faults=*/false);
     const ClusterReport clean_report = baseline->run(threads).value();
     for (const ClusterHostReport& host : clean_report.hosts)
-      for (const FunctionMetrics& m : host.report.metrics.functions)
+      for (const FunctionReport& f : host.report.functions)
         clean_p99_ms =
-            std::max(clean_p99_ms, to_ms(m.setup_ns.percentile(99)));
+            std::max(clean_p99_ms, to_ms(f.stats.setup_ns.percentile(99)));
     std::printf("fault-free baseline p99 setup: %.3f ms\n", clean_p99_ms);
   }
 

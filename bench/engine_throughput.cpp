@@ -93,12 +93,6 @@ std::unique_ptr<ClusterEngine> build_cluster_fleet(size_t hosts) {
   return cluster;
 }
 
-bool identical_stats(const OnlineStats& a, const OnlineStats& b) {
-  return a.count() == b.count() && a.sum() == b.sum() &&
-         a.mean() == b.mean() && a.min() == b.min() && a.max() == b.max() &&
-         a.variance() == b.variance();
-}
-
 /// Per-function stat equality between two engine runs (the single-host
 /// determinism contract; the cluster axis uses cluster_ledgers_equal).
 size_t count_mismatches(const EngineReport& serial,
@@ -107,13 +101,8 @@ size_t count_mismatches(const EngineReport& serial,
   for (size_t i = 0; i < serial.functions.size(); ++i) {
     const FunctionReport& s = serial.functions[i];
     const FunctionReport& p = parallel.functions[i];
-    const bool same =
-        s.name == p.name && s.stats.invocations == p.stats.invocations &&
-        s.stats.total_charge == p.stats.total_charge &&
-        s.final_phase == p.final_phase &&
-        identical_stats(s.stats.total_ns, p.stats.total_ns) &&
-        identical_stats(s.stats.setup_ns, p.stats.setup_ns) &&
-        identical_stats(s.stats.exec_ns, p.stats.exec_ns);
+    const bool same = s.name == p.name && s.stats == p.stats &&
+                      s.final_phase == p.final_phase;
     if (!same) {
       ++mismatches;
       std::printf("MISMATCH: %s\n", s.name.c_str());
@@ -210,13 +199,12 @@ int run_sweep(int max_threads, size_t hosts, const std::string& metrics_path,
                 widest.functions.size());
 
     if (FILE* out = std::fopen(metrics_path.c_str(), "w")) {
-      const std::string json = widest.metrics.to_json();
+      const std::string json = widest.to_json();
       std::fwrite(json.data(), 1, json.size(), out);
       std::fclose(out);
       std::printf("metrics: %s (%zu functions, %llu invocations)\n",
-                  metrics_path.c_str(), widest.metrics.functions.size(),
-                  static_cast<unsigned long long>(
-                      widest.metrics.total_invocations()));
+                  metrics_path.c_str(), widest.functions.size(),
+                  static_cast<unsigned long long>(widest.total_invocations()));
     }
   } else {
     auto serial_cluster = build_cluster_fleet(hosts);

@@ -97,7 +97,7 @@ RateRow run_rate(double rate) {
     row.invocations += f.stats.invocations;
     row.faults += f.stats.recovered_faults;
     row.retries += f.stats.recovery_retries;
-    row.fallbacks += f.stats.fallbacks;
+    row.fallbacks += f.stats.fallbacks();
     row.quarantines += f.stats.quarantines;
     row.regenerations += f.stats.regenerations;
     row.incomplete += f.stats.incomplete;

@@ -127,8 +127,10 @@ void BM_contention_model(benchmark::State& state) {
   solo.mem_tier_ns[1] = ms(80);
   solo.tier_read_bytes[1] = 4e9;
   const std::vector<ExecutionResult> group(20, solo);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_concurrent(env.cfg, group).iterations);
+  for (auto _ : state) {
+    ConcurrencyOutcome outcome = run_concurrent(env.cfg, group);
+    benchmark::DoNotOptimize(outcome);
+  }
 }
 BENCHMARK(BM_contention_model);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "core/optimizer.hpp"
 #include "trace/pattern.hpp"
@@ -49,7 +48,7 @@ const FunctionReport* ClusterReport::find(const std::string& name) const {
 
 std::string ClusterReport::to_json() const {
   std::string out =
-      "{\"schema\":" + std::to_string(MetricsSnapshot::kJsonSchemaVersion) +
+      "{\"schema\":" + std::to_string(EngineReport::kJsonSchemaVersion) +
       ",\"cluster\":{\"hosts\":" + std::to_string(hosts.size()) +
       ",\"epochs\":" + std::to_string(epochs) +
       ",\"migrations\":" + std::to_string(migrations.size()) +
@@ -90,11 +89,10 @@ std::string ClusterReport::to_json() const {
     out += "{\"epoch\":" + std::to_string(h.epoch) + ",\"host\":\"" + h.host +
            "\",\"action\":\"" + host_health_action_name(h.action) + "\"}";
   }
-  out += "]";
-  // Schema-6 cluster-wide per-class SLO rollup: the hosts' per-class
-  // ledgers summed in QosClass enum order. Absent for unclassed fleets,
-  // so pre-QoS reports only change by the schema number.
-  std::string qos_json;
+  // Cluster-wide per-class SLO rollup: the hosts' per-class ledgers summed
+  // in QosClass enum order; empty for unclassed fleets.
+  out += "],\"qos\":[";
+  bool first = true;
   for (QosClass cls : {QosClass::kGold, QosClass::kBronze}) {
     QosAttainment sum;
     bool any = false;
@@ -102,28 +100,17 @@ std::string ClusterReport::to_json() const {
       for (const QosClassRollup& r : h.report.metrics.qos)
         if (r.cls == cls) {
           any = true;
-          sum.offered += r.ledger.offered;
-          sum.completed += r.ledger.completed;
-          sum.slo_met += r.ledger.slo_met;
+          sum += r.ledger;
         }
     if (!any) continue;
-    if (!qos_json.empty()) qos_json += ",";
-    char buf[224];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"class\":\"%s\",\"offered\":%llu,\"completed\":%llu,"
-                  "\"slo_met\":%llu,\"attainment\":%.6f}",
-                  qos_class_name(cls),
-                  static_cast<unsigned long long>(sum.offered),
-                  static_cast<unsigned long long>(sum.completed),
-                  static_cast<unsigned long long>(sum.slo_met),
-                  sum.attainment());
-    qos_json += buf;
+    if (!first) out += ",";
+    first = false;
+    out += qos_rollup_json(cls, sum);
   }
-  if (!qos_json.empty()) out += ",\"qos\":[" + qos_json + "]";
-  out += "},\"hosts\":[";
+  out += "]},\"hosts\":[";
   for (size_t i = 0; i < hosts.size(); ++i) {
     if (i) out += ",";
-    out += hosts[i].report.metrics.to_json();
+    out += hosts[i].report.to_json();
   }
   out += "]}";
   return out;
@@ -585,10 +572,9 @@ ClusterReport ClusterEngine::report(int threads) const {
   out.hosts.reserve(hosts_.size());
   for (size_t i = 0; i < hosts_.size(); ++i) {
     ClusterHostReport hr{hosts_[i]->name(), hosts_[i]->report(threads)};
-    // Schema-5 health rollup: the cluster is the only layer that knows a
-    // host's failure-domain history, so it stamps the snapshot here.
+    // Health rollup: the cluster is the only layer that knows a host's
+    // failure-domain history, so it stamps the report here.
     HostHealthRollup& health = hr.report.metrics.health;
-    health.present = true;
     health.lost = health_[i].dead;
     health.quarantined = !health_[i].dead && host_quarantined(i);
     health.brownouts = health_[i].brownouts;

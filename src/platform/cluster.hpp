@@ -156,11 +156,10 @@ struct ClusterReport {
   u64 total_shed() const;
   /// The function's report on whichever host currently owns it.
   const FunctionReport* find(const std::string& name) const;
-  /// Schema-5 JSON: {"schema":5,"cluster":{...},"hosts":[<per-host
-  /// metrics>...]} — each hosts[] entry is a MetricsSnapshot::to_json()
-  /// tagged with its host name, its per-tier resident/occupancy rollup
-  /// (schema 4) and its health rollup (schema 5). The cluster block adds
-  /// the failover/health ledgers and the hosts_lost count.
+  /// Schema-7 JSON: {"schema":7,"cluster":{...},"hosts":[...]} — each
+  /// hosts[] entry is that host's EngineReport::to_json(). The cluster
+  /// block holds the totals, the migration/failover/health ledgers and the
+  /// per-class SLO rollup summed over hosts. Every key is always present.
   std::string to_json() const;
 };
 

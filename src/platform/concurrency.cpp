@@ -297,7 +297,6 @@ ConcurrencyOutcome run_concurrent(const SystemConfig& cfg,
     out.exec_ns[i] = t + r.disk_ns * f.disk;
   }
   out.factors = f;
-  out.iterations = 1;
   return out;
 }
 

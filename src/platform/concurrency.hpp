@@ -46,19 +46,14 @@ namespace toss {
 // bookkeeping.
 // ---------------------------------------------------------------------------
 
-/// Global lock ordering, lowest acquired first. The LaneExecutor's locks
-/// rank below everything: a deque or park lock is held only around its own
-/// queue operation — never across a lane task — so a worker inside a task
-/// may take any platform lock, while code holding a platform lock can
-/// never re-enter the executor.
+/// Global lock ordering, lowest acquired first. Only the LaneExecutor's
+/// locks exist today. A deque or park lock is held only around its own
+/// queue operation — never across a lane task — so any future platform
+/// mutex ranks above them: a worker inside a task may take it, while code
+/// holding it can never re-enter the executor.
 enum class LockRank : int {
   kLaneExecutorQueue = 4,  ///< LaneExecutor per-worker deque mutexes
   kLaneExecutorPark = 6,   ///< LaneExecutor idle-park mutex
-  /// Historical top rank. The registry's series map moved to the
-  /// optimistic version-stamped latch (util/optimistic.hpp), which the
-  /// detector does not track; the rank remains as the ceiling any future
-  /// leaf-level mutex should sit below.
-  kMetricsRegistry = 20,
 };
 
 /// std::mutex with a rank, compatible with std::lock_guard /
@@ -215,7 +210,6 @@ struct ConcurrencyOutcome {
   /// Per-invocation contended execution time (same order as input).
   std::vector<Nanos> exec_ns;
   ContentionFactors factors;
-  int iterations = 0;  ///< kept for API stability; the model is closed-form
 };
 
 /// Scale the solo runs' execution times under K-way concurrency (K = size

@@ -10,22 +10,12 @@ PlatformEngine::~PlatformEngine() = default;
 
 Result<void> PlatformEngine::add(const FunctionRegistration& registration,
                                  std::vector<Request> requests) {
-  if (ran_)
-    return {ErrorCode::kEngineBusy,
-            "engine already ran; build a new engine for another fleet"};
   return host_.add(registration, std::move(requests));
 }
 
 Result<EngineReport> PlatformEngine::run() { return run(options().threads); }
 
 Result<EngineReport> PlatformEngine::run(int threads) {
-  if (ran_)
-    return {ErrorCode::kEngineBusy,
-            "engine already ran; build a new engine for another fleet"};
-  if (drained_)
-    return {ErrorCode::kEngineBusy,
-            "engine is in reusable drain() mode; keep calling drain()"};
-  ran_ = true;
   return host_.drain(threads);
 }
 
@@ -35,10 +25,6 @@ Result<EngineReport> PlatformEngine::drain(const RequestBatch& batch) {
 
 Result<EngineReport> PlatformEngine::drain(const RequestBatch& batch,
                                            int threads) {
-  if (ran_)
-    return {ErrorCode::kEngineBusy,
-            "engine already ran; build a new engine for another fleet"};
-  drained_ = true;
   for (const LaneBatch& b : batch)
     if (Result<void> q = host_.enqueue(b.function, b.requests); !q.ok())
       return {q.code(), q.message()};

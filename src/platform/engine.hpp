@@ -21,14 +21,16 @@
 //     host page cache and RNG streams are all lane-local — and cross-lane
 //     decisions happen only at the barrier, so every outcome and ledger is
 //     bit-for-bit identical for any thread count, threads = 1 included.
-//     Only wall-clock time and the interleaving of metric updates vary.
+//     Only wall-clock time varies.
 //   - Exactly-once accounting. Requests flow through a per-lane
 //     simulated-time queue: arrivals are admitted when the lane's
 //     simulated clock reaches Request::arrival_ns, and each one is served
 //     or shed exactly once (offered == completed + shed).
-//   - Observability. Every invocation lands in a MetricsRegistry
-//     (lock-free counters + latency histograms per function/phase) that is
-//     snapshotted into the final report for the benches to serialize.
+//   - Observability. Every invocation is counted once, in its lane's
+//     FunctionStats (counters + latency histograms), and every admission
+//     decision once, in the lane's OverloadStats. The report's
+//     FunctionReports carry both; EngineReport::to_json() serializes them
+//     with the host rollups for the benches.
 //
 // Overload protection (DESIGN.md §9) is a set of knobs on that one path,
 // all unbounded by default: bounded queues shed deterministically under
@@ -37,19 +39,16 @@
 // the arbiter defends the fast-tier budget. Every shed is typed
 // (ErrorCode::kOverloaded) and ledgered.
 //
-// Two drain models:
-//   - run(): the original single-shot drain. A second run() (or an add()
-//     after it) fails with kEngineBusy. Source-compatible with every
-//     pre-Host client.
-//   - drain(batch): reusable. Appends the batch to retained lanes (each
-//     entry validated against its lane's existing arrival tail), serves
-//     everything pending, and returns a *cumulative* report. Lane state —
-//     simulated clocks, arbiter rungs, keep-alive pool, all ledgers —
-//     persists between drains. Batches that are separated in simulated
-//     time (each one arrives after the lane served the previous one) give
-//     the same report as one run() over the concatenated streams, for the
-//     lane-local knobs; the cross-lane global bound and arbiter ladder see
-//     epoch boundaries, which batching shifts (DESIGN.md §10).
+// One drain model: run() serves whatever is pending and returns the
+// *cumulative* report; drain(batch) first appends the batch to retained
+// lanes (each entry validated against its lane's existing arrival tail).
+// add() registers another lane at any time. Lane state — simulated clocks,
+// arbiter rungs, keep-alive pool, all ledgers — persists between drains.
+// Batches that are separated in simulated time (each one arrives after the
+// lane served the previous one) give the same report as one run() over the
+// concatenated streams, for the lane-local knobs; the cross-lane global
+// bound and arbiter ladder see epoch boundaries, which batching shifts
+// (DESIGN.md §10).
 #pragma once
 
 #include <string>
@@ -71,26 +70,22 @@ class PlatformEngine {
 
   /// Register a function and bind its request stream. Validation mirrors
   /// ServerlessPlatform::register_function, plus every request input must
-  /// be in [0, kNumInputs). Rejected after run() has started (kEngineBusy).
+  /// be in [0, kNumInputs). A lane added after a drain is served by the
+  /// next one.
   Result<void> add(const FunctionRegistration& registration,
                    std::vector<Request> requests);
 
   size_t function_count() const { return host_.function_count(); }
 
-  /// Drain every lane's request stream with options().threads workers.
-  /// Single-shot: a second call fails with kEngineBusy.
+  /// Serve everything pending with options().threads workers and return
+  /// the cumulative report. Callable any number of times.
   Result<EngineReport> run();
   /// Same, overriding the thread count (1 = serial reference path).
   Result<EngineReport> run(int threads);
 
-  /// Reusable drain: append `batch` to the retained lanes, serve
-  /// everything pending, return the cumulative report. Callable any number
-  /// of times; incompatible with run() (either model, not both).
+  /// Append `batch` to the retained lanes, then run().
   Result<EngineReport> drain(const RequestBatch& batch = {});
   Result<EngineReport> drain(const RequestBatch& batch, int threads);
-
-  /// Live metrics (also embedded in the final report).
-  MetricsSnapshot metrics() const { return host_.metrics(); }
 
   /// Lane state inspection (nullptr for unknown / non-TOSS lanes).
   const TossFunction* toss_state(const std::string& name) const {
@@ -107,8 +102,6 @@ class PlatformEngine {
 
  private:
   Host host_;
-  bool ran_ = false;      ///< run() happened (single-shot model engaged)
-  bool drained_ = false;  ///< drain() happened (reusable model engaged)
 };
 
 }  // namespace toss

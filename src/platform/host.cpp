@@ -112,7 +112,6 @@ Result<void> Host::add(const FunctionRegistration& registration,
     return reg;
   lane->requests = std::move(requests);
   if (options_.keep_outcomes) lane->outcomes.reserve(lane->requests.size());
-  lane->series = metrics_.series(name);
   lane->qos = registration.qos_spec();
   lanes_.push_back(std::move(lane));
   return {};
@@ -166,9 +165,7 @@ bool Host::idle() const {
 // shed/arbiter ledgers are bit-identical for any thread count.
 
 void Host::shed(HostLane& lane, size_t request_index, ShedCause cause) {
-  const size_t c = static_cast<size_t>(cause);
-  ++lane.overload.shed[c];
-  lane.series->shed[c].fetch_add(1, std::memory_order_relaxed);
+  ++lane.overload.shed[static_cast<size_t>(cause)];
   lane.shed_events.push_back(ShedEvent{request_index, cause, lane.sim_now});
 }
 
@@ -196,7 +193,6 @@ void Host::admit_arrivals(HostLane& lane, bool admission_closed) {
     }
     lane.queue.push_back(idx);
     ++lane.overload.admitted;
-    lane.series->admitted.fetch_add(1, std::memory_order_relaxed);
     lane.overload.queue_peak =
         std::max(lane.overload.queue_peak, lane.queue.size());
   }
@@ -262,13 +258,8 @@ void Host::process_chunk(HostLane& lane, bool admission_closed) {
     chunk_service_ns += o.result.total_ns();
     lane.last_setup_ns = o.result.setup.setup_ns;
     ++lane.overload.completed;
-    if (r.deadline_ns > 0 && lane.sim_now > r.deadline_ns) {
+    if (r.deadline_ns > 0 && lane.sim_now > r.deadline_ns)
       ++lane.overload.deadline_misses;
-      lane.series->deadline_misses.fetch_add(1, std::memory_order_relaxed);
-    }
-    lane.series->record(o.toss_phase, o.cold_boot, o.result.total_ns(),
-                        o.result.setup.setup_ns, o.result.exec.exec_ns,
-                        o.charge, o.recovery);
     if (options_.keep_outcomes) lane.outcomes.push_back(o);
     --budget;
   }
@@ -280,7 +271,6 @@ void Host::process_chunk(HostLane& lane, bool admission_closed) {
       chunk_service_ns > options_.watchdog_chunk_budget_ns) {
     lane.host->trip_breaker(lane.name);
     ++lane.overload.watchdog_trips;
-    lane.series->watchdog_trips.fetch_add(1, std::memory_order_relaxed);
   }
 
   lane.in_flight.fetch_sub(1, std::memory_order_acq_rel);
@@ -390,13 +380,10 @@ void Host::arbiter_tick(FastTierArbiter& arbiter, u64 epoch) {
     HostLane& lane = *lanes_[li];
     TossFunction* toss = lane.host->toss_state_mutable(lane.name);
     if (toss == nullptr || !toss->retier(bound)) return std::nullopt;
-    if (rung > lane.rung) {
+    if (rung > lane.rung)
       ++lane.overload.demotions;
-      lane.series->demotions.fetch_add(1, std::memory_order_relaxed);
-    } else {
+    else
       ++lane.overload.promotions;
-      lane.series->promotions.fetch_add(1, std::memory_order_relaxed);
-    }
     lane.rung = rung;
     return lane.host->resident_bytes(lane.name).fast;
   };
@@ -439,6 +426,17 @@ Result<void> Host::finish_epoch() {
     break;
   }
   if (!status_.ok()) return status_;
+  // Exactly-once accounting, per lane at every barrier: each offered
+  // arrival is served, shed or still queued, and the platform's invocation
+  // count is the admission ledger's completions.
+  for (const auto& lane : lanes_) {
+    if (lane == nullptr) continue;
+    const OverloadStats& o = lane->overload;
+    TOSS_ASSERT(o.offered == o.completed + o.total_shed() + lane->queue.size(),
+                "lane request conservation broken");
+    TOSS_ASSERT(lane->host->stats(lane->name).invocations == o.completed,
+                "lane invocation count disagrees with its completions");
+  }
   enforce_global_queue_bound();
   if (options_.arbiter.enabled) {
     FastTierArbiter& arbiter = *ensure_arbiter();
@@ -519,6 +517,7 @@ EngineReport Host::report(int threads) const {
     FunctionReport f;
     f.name = lane->name;
     f.policy = lane->policy;
+    f.qos = lane->qos;
     f.stats = lane->host->stats(lane->name);
     if (const TossFunction* toss = lane->host->toss_state(lane->name))
       f.final_phase = toss->phase();
@@ -529,16 +528,16 @@ EngineReport Host::report(int threads) const {
     f.shed_events = lane->shed_events;
     report.functions.push_back(std::move(f));
   }
-  report.metrics = metrics();
+  report.metrics = rollups();
   if (arbiter_ != nullptr) report.arbiter = arbiter_->report();
   return report;
 }
 
-MetricsSnapshot Host::metrics() const {
-  MetricsSnapshot snap = metrics_.snapshot();
+MetricsSnapshot Host::rollups() const {
+  MetricsSnapshot snap;
   snap.host = name_;
-  // Schema-4 ladder rollup: what every still-resident lane pins in each
-  // rank right now, against the rank's installed capacity.
+  // Ladder rollup: what every still-resident lane pins in each rank right
+  // now, against the rank's installed capacity.
   snap.tiers.resize(cfg_.tier_count());
   for (size_t r = 0; r < snap.tiers.size(); ++r) {
     snap.tiers[r].tier = tier_name(tier_index(r));
@@ -555,20 +554,9 @@ MetricsSnapshot Host::metrics() const {
     if (t.capacity_bytes > 0)
       t.occupancy = static_cast<double>(t.resident_bytes) /
                     static_cast<double>(t.capacity_bytes);
-  // Schema-6 SLO ledgers: per-function attainment from the lane's overload
-  // ledger (a shed or SLO-late request counts against the class), plus the
-  // per-class rollup in QosClass enum order; unclassed lanes add neither.
-  // Both are derived from barrier-serial counters, so they inherit the
+  // Per-class SLO rollup in QosClass enum order; unclassed lanes add
+  // nothing. Derived from barrier-serial counters, so it inherits the
   // engine's thread-count independence.
-  for (FunctionMetrics& m : snap.functions) {
-    const HostLane* lane = find_lane(m.function);
-    if (lane == nullptr || lane->qos.cls == QosClass::kNone) continue;
-    m.qos = lane->qos.cls;
-    m.slo_slowdown = lane->qos.slo_slowdown;
-    m.slo.offered = lane->overload.offered;
-    m.slo.completed = lane->overload.completed;
-    m.slo.slo_met = lane->overload.completed - lane->overload.deadline_misses;
-  }
   for (QosClass cls : {QosClass::kGold, QosClass::kBronze}) {
     QosClassRollup rollup;
     rollup.cls = cls;
@@ -576,10 +564,7 @@ MetricsSnapshot Host::metrics() const {
     for (const auto& lane : lanes_) {
       if (lane == nullptr || lane->qos.cls != cls) continue;
       any = true;
-      rollup.ledger.offered += lane->overload.offered;
-      rollup.ledger.completed += lane->overload.completed;
-      rollup.ledger.slo_met +=
-          lane->overload.completed - lane->overload.deadline_misses;
+      rollup.ledger += lane->overload.attainment();
     }
     if (any) snap.qos.push_back(rollup);
   }
@@ -634,10 +619,6 @@ Result<void> Host::adopt_lane(std::unique_ptr<HostLane> lane) {
   if (find_lane(lane->name) != nullptr)
     return {ErrorCode::kDuplicateFunction,
             lane->name + " is already registered on host " + name_};
-  // Invocations recorded before the move stay in the source host's
-  // registry; from here on this host's series accumulates them — the
-  // cluster rollup sums both.
-  lane->series = metrics_.series(lane->name);
   if (lane->rung != 0) {
     // Arrive un-demoted: the migration target was chosen for its headroom,
     // so restore the unconstrained Step-IV placement and let this host's

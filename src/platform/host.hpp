@@ -27,8 +27,9 @@
 //     its warm pool between drains.
 //   - Lanes can be extracted and adopted whole (cross-host migration).
 //     Extraction leaves a null tombstone so lane indices — which key the
-//     arbiter's rung bookkeeping — stay stable; adoption re-binds the
-//     lane's metrics series to the destination registry.
+//     arbiter's rung bookkeeping — stay stable. Every per-lane ledger
+//     (FunctionStats, OverloadStats, shed events) travels with the lane,
+//     so a migrated lane reports its whole history under its current host.
 #pragma once
 
 #include <array>
@@ -90,6 +91,11 @@ struct OverloadStats {
     for (u64 v : shed) total += v;
     return total;
   }
+  /// SLO attainment of this ledger: a shed or SLO-late request counts
+  /// against it.
+  QosAttainment attainment() const {
+    return {offered, completed, completed - deadline_misses};
+  }
 
   bool operator==(const OverloadStats&) const = default;
 };
@@ -126,9 +132,13 @@ struct EngineOptions {
   ArbiterOptions arbiter;
 };
 
+/// The one per-function view of a drain: what the invocations did
+/// (stats), what admission decided (overload, shed_events) and the lane's
+/// service class.
 struct FunctionReport {
   std::string name;
   PolicyKind policy = PolicyKind::kToss;
+  QosSpec qos;
   FunctionStats stats;
   TossPhase final_phase = TossPhase::kInitial;  ///< kToss lanes only
   /// Request-order outcomes; empty unless EngineOptions::keep_outcomes.
@@ -141,12 +151,17 @@ struct FunctionReport {
 };
 
 struct EngineReport {
+  /// Layout version of to_json() (the top-level "schema" key; DESIGN.md
+  /// §9). Consumers should ignore unknown keys.
+  static constexpr int kJsonSchemaVersion = 7;
+
   std::vector<FunctionReport> functions;  ///< registration order
   Nanos wall_ns = 0;   ///< real elapsed drain time, summed over drains
   int threads = 1;
   /// Times a lane was observed concurrently re-entered. Always 0; exposed
   /// so tests assert the serialization guarantee instead of trusting it.
   u64 serialization_violations = 0;
+  /// Host rollups: ladder occupancy, health and per-class SLO attainment.
   MetricsSnapshot metrics;
   /// Host arbiter ledger; all-default unless EngineOptions::arbiter.enabled.
   ArbiterReport arbiter;
@@ -154,6 +169,10 @@ struct EngineReport {
   u64 total_invocations() const;
   u64 total_shed() const;
   const FunctionReport* find(const std::string& name) const;
+  /// Metrics JSON schema 7 (platform/metrics.cpp): the host rollups plus
+  /// one entry per FunctionReport. Every key is always present; stable key
+  /// order, valid JSON.
+  std::string to_json() const;
 };
 
 /// One request batch for a retained lane, for PlatformEngine::drain /
@@ -177,7 +196,6 @@ struct HostLane {
   std::unique_ptr<ServerlessPlatform> host;
   std::vector<Request> requests;
   std::vector<InvocationOutcome> outcomes;
-  FunctionSeries* series = nullptr;
   std::atomic<int> in_flight{0};
   /// First invocation failure, recorded lane-locally by the worker that
   /// hit it; the next barrier reports the first failed lane in slot order.
@@ -282,9 +300,9 @@ class Host {
   /// indices (which key the arbiter's bookkeeping) stay stable.
   std::unique_ptr<HostLane> extract_lane(size_t index);
 
-  /// Take ownership of a migrated lane: re-bind its metrics series to this
-  /// host's registry and restore its unconstrained placement (the
-  /// destination arbiter re-demotes it if the budget here disagrees).
+  /// Take ownership of a migrated lane and restore its unconstrained
+  /// placement (the destination arbiter re-demotes it if the budget here
+  /// disagrees).
   Result<void> adopt_lane(std::unique_ptr<HostLane> lane);
 
   // ---- Cluster hooks (failure domains) ----
@@ -317,8 +335,6 @@ class Host {
 
   // ---- Introspection ----
 
-  /// Live metrics for this host (snapshot tagged with the host name).
-  MetricsSnapshot metrics() const;
   /// Lane state inspection (nullptr for unknown / non-TOSS lanes).
   const TossFunction* toss_state(const std::string& name) const;
   /// The lane's isolated single-function platform (nullptr for unknown
@@ -365,13 +381,15 @@ class Host {
   void enforce_global_queue_bound();
   void arbiter_tick(FastTierArbiter& arbiter, u64 epoch);
   FastTierArbiter* ensure_arbiter();
+  /// This host's rollups, tagged with its name (health stays default; the
+  /// cluster stamps it).
+  MetricsSnapshot rollups() const;
 
   std::string name_;
   SystemConfig cfg_;
   PricingPlan pricing_;
   EngineOptions options_;
   std::vector<std::unique_ptr<HostLane>> lanes_;  ///< null = migrated away
-  MetricsRegistry metrics_;
   /// Persistent across drains, so rungs / demote stack / warm pool /
   /// admission state survive between batches. Created lazily on the first
   /// epoch with the arbiter enabled.

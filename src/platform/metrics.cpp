@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "platform/host.hpp"
+
 namespace toss {
 
 namespace {
@@ -17,308 +19,165 @@ int bucket_index(Nanos t) {
   return std::min(idx, LatencyHistogram::kBucketCount - 1);
 }
 
-void atomic_add(std::atomic<double>& a, double v) {
-  a.fetch_add(v, std::memory_order_relaxed);
-}
-
-void atomic_min(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_max(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 void LatencyHistogram::record(Nanos t) {
-  buckets_[static_cast<size_t>(bucket_index(t))].fetch_add(
-      1, std::memory_order_relaxed);
-  // First sample initializes min: count_ transitions 0 -> 1 exactly once,
-  // and racing recorders both run the CAS loops afterwards, so the final
-  // min/max are correct either way.
-  if (count_.fetch_add(1, std::memory_order_relaxed) == 0) {
-    double expected = 0.0;
-    min_.compare_exchange_strong(expected, t, std::memory_order_relaxed);
-  }
-  atomic_add(sum_, t);
-  atomic_min(min_, t);
-  atomic_max(max_, t);
+  ++buckets_[static_cast<size_t>(bucket_index(t))];
+  min_ = count_ == 0 ? t : std::min(min_, t);
+  max_ = count_ == 0 ? t : std::max(max_, t);
+  sum_ += t;
+  ++count_;
 }
 
-LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
-  Snapshot s;
-  s.count = count_.load(std::memory_order_relaxed);
-  s.sum = sum_.load(std::memory_order_relaxed);
-  s.min = s.count ? min_.load(std::memory_order_relaxed) : 0.0;
-  s.max = max_.load(std::memory_order_relaxed);
-  for (int i = 0; i < kBucketCount; ++i)
-    s.buckets[static_cast<size_t>(i)] =
-        buckets_[static_cast<size_t>(i)].load(std::memory_order_relaxed);
-  return s;
-}
-
-double LatencyHistogram::Snapshot::percentile(double p) const {
-  if (count == 0) return 0;
+double LatencyHistogram::percentile(double p) const {
+  if (count_ == 0) return 0;
   const double clamped = std::clamp(p, 0.0, 100.0);
   const u64 rank = static_cast<u64>(
-      std::ceil(clamped / 100.0 * static_cast<double>(count)));
+      std::ceil(clamped / 100.0 * static_cast<double>(count_)));
   u64 seen = 0;
   for (int i = 0; i < kBucketCount; ++i) {
-    seen += buckets[static_cast<size_t>(i)];
+    seen += buckets_[static_cast<size_t>(i)];
     if (seen >= std::max<u64>(rank, 1)) {
       const double upper = std::ldexp(1.0, i + 1);  // 2^(i+1) ns
-      return std::min(upper, max);
+      return std::min(upper, max_);
     }
   }
-  return max;
+  return max_;
 }
 
-void FunctionSeries::record(TossPhase phase, bool cold_boot, Nanos total,
-                            Nanos setup, Nanos exec, double charge,
-                            const RecoveryInfo& recovery) {
-  invocations.fetch_add(1, std::memory_order_relaxed);
-  if (cold_boot) cold_boots.fetch_add(1, std::memory_order_relaxed);
-  phase_invocations[static_cast<size_t>(phase)].fetch_add(
-      1, std::memory_order_relaxed);
-  atomic_add(total_charge, charge);
-  if (recovery.faults_seen)
-    recovered_faults.fetch_add(recovery.faults_seen,
-                               std::memory_order_relaxed);
-  if (recovery.retries)
-    recovery_retries.fetch_add(recovery.retries, std::memory_order_relaxed);
-  if (recovery.fallback == FallbackLevel::kSingleTier)
-    fallbacks_single_tier.fetch_add(1, std::memory_order_relaxed);
-  else if (recovery.fallback == FallbackLevel::kColdBoot)
-    fallbacks_cold_boot.fetch_add(1, std::memory_order_relaxed);
-  if (recovery.quarantined)
-    quarantines.fetch_add(1, std::memory_order_relaxed);
-  if (recovery.regenerated)
-    regenerations.fetch_add(1, std::memory_order_relaxed);
-  if (recovery.breaker_suspended)
-    breaker_suspended.fetch_add(1, std::memory_order_relaxed);
-  if (!recovery.completed) incomplete.fetch_add(1, std::memory_order_relaxed);
-  total_ns.record(total);
-  setup_ns.record(setup);
-  exec_ns.record(exec);
-}
-
-FunctionSeries* MetricsRegistry::series(const std::string& name) {
-  {
-    // Fast path: the name almost always exists already (every invocation
-    // resolves its series). Shared mode — the vector and the names are
-    // plain memory, so optimistic reads would race with a concurrent
-    // registration's push_back.
-    SharedLatchGuard guard(latch_);
-    for (const auto& s : series_)
-      if (s->function == name) return s.get();
-  }
-  ExclusiveLatchGuard guard(latch_);
-  // Re-scan: another thread may have registered the name between the
-  // shared release and the exclusive acquire.
-  for (const auto& s : series_)
-    if (s->function == name) return s.get();
-  series_.push_back(std::make_unique<FunctionSeries>(name));
-  return series_.back().get();
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot out;
-  SharedLatchGuard guard(latch_);
-  out.functions.reserve(series_.size());
-  for (const auto& s : series_) {
-    FunctionMetrics m;
-    m.function = s->function;
-    m.invocations = s->invocations.load(std::memory_order_relaxed);
-    m.cold_boots = s->cold_boots.load(std::memory_order_relaxed);
-    for (size_t p = 0; p < m.phase_invocations.size(); ++p)
-      m.phase_invocations[p] =
-          s->phase_invocations[p].load(std::memory_order_relaxed);
-    m.total_charge = s->total_charge.load(std::memory_order_relaxed);
-    m.recovered_faults = s->recovered_faults.load(std::memory_order_relaxed);
-    m.recovery_retries = s->recovery_retries.load(std::memory_order_relaxed);
-    m.fallbacks_single_tier =
-        s->fallbacks_single_tier.load(std::memory_order_relaxed);
-    m.fallbacks_cold_boot =
-        s->fallbacks_cold_boot.load(std::memory_order_relaxed);
-    m.quarantines = s->quarantines.load(std::memory_order_relaxed);
-    m.regenerations = s->regenerations.load(std::memory_order_relaxed);
-    m.breaker_suspended =
-        s->breaker_suspended.load(std::memory_order_relaxed);
-    m.incomplete = s->incomplete.load(std::memory_order_relaxed);
-    m.admitted = s->admitted.load(std::memory_order_relaxed);
-    for (size_t c = 0; c < kShedCauseCount; ++c)
-      m.shed[c] = s->shed[c].load(std::memory_order_relaxed);
-    m.deadline_misses = s->deadline_misses.load(std::memory_order_relaxed);
-    m.demotions = s->demotions.load(std::memory_order_relaxed);
-    m.promotions = s->promotions.load(std::memory_order_relaxed);
-    m.watchdog_trips = s->watchdog_trips.load(std::memory_order_relaxed);
-    m.total_ns = s->total_ns.snapshot();
-    m.setup_ns = s->setup_ns.snapshot();
-    m.exec_ns = s->exec_ns.snapshot();
-    out.functions.push_back(std::move(m));
-  }
-  return out;
-}
-
-u64 MetricsSnapshot::total_invocations() const {
-  u64 n = 0;
-  for (const FunctionMetrics& m : functions) n += m.invocations;
-  return n;
-}
-
-const FunctionMetrics* MetricsSnapshot::find(const std::string& name) const {
-  for (const FunctionMetrics& m : functions)
-    if (m.function == name) return &m;
-  return nullptr;
+std::string qos_rollup_json(QosClass cls, const QosAttainment& a) {
+  char buf[224];
+  std::snprintf(buf, sizeof(buf),
+                "{\"class\":\"%s\",\"offered\":%llu,\"completed\":%llu,"
+                "\"slo_met\":%llu,\"attainment\":%.6f}",
+                qos_class_name(cls), static_cast<unsigned long long>(a.offered),
+                static_cast<unsigned long long>(a.completed),
+                static_cast<unsigned long long>(a.slo_met), a.attainment());
+  return buf;
 }
 
 namespace {
 
 void append_histogram(std::string& out, const char* key,
-                      const LatencyHistogram::Snapshot& h) {
+                      const LatencyHistogram& h) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "\"%s\":{\"count\":%llu,\"mean_ns\":%.1f,\"min_ns\":%.1f,"
                 "\"max_ns\":%.1f,\"p50_ns\":%.1f,\"p95_ns\":%.1f,"
                 "\"p99_ns\":%.1f}",
-                key, static_cast<unsigned long long>(h.count), h.mean(),
-                h.min, h.max, h.percentile(50), h.percentile(95),
+                key, static_cast<unsigned long long>(h.count()), h.mean(),
+                h.min(), h.max(), h.percentile(50), h.percentile(95),
                 h.percentile(99));
   out += buf;
 }
 
+void append_function(std::string& out, const FunctionReport& f) {
+  const FunctionStats& s = f.stats;
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{\"function\":\"%s\",\"invocations\":%llu,"
+                "\"cold_boots\":%llu,\"phase_invocations\":[%llu,%llu,"
+                "%llu],\"total_charge\":%.6e,",
+                f.name.c_str(), static_cast<unsigned long long>(s.invocations),
+                static_cast<unsigned long long>(s.cold_boots),
+                static_cast<unsigned long long>(s.phase_invocations[0]),
+                static_cast<unsigned long long>(s.phase_invocations[1]),
+                static_cast<unsigned long long>(s.phase_invocations[2]),
+                s.total_charge);
+  out += buf;
+  std::snprintf(buf, sizeof(buf),
+                "\"recovery\":{\"faults\":%llu,\"retries\":%llu,"
+                "\"fallback_single_tier\":%llu,\"fallback_cold_boot\":%llu,"
+                "\"quarantines\":%llu,\"regenerations\":%llu,"
+                "\"breaker_suspended\":%llu,\"incomplete\":%llu},",
+                static_cast<unsigned long long>(s.recovered_faults),
+                static_cast<unsigned long long>(s.recovery_retries),
+                static_cast<unsigned long long>(s.fallbacks_single_tier),
+                static_cast<unsigned long long>(s.fallbacks_cold_boot),
+                static_cast<unsigned long long>(s.quarantines),
+                static_cast<unsigned long long>(s.regenerations),
+                static_cast<unsigned long long>(s.breaker_suspended),
+                static_cast<unsigned long long>(s.incomplete));
+  out += buf;
+  // The per-cause keys are the historical names, one per ShedCause,
+  // emitted in enum order (shed_cause_json_key).
+  const OverloadStats& o = f.overload;
+  out += "\"overload\":{\"admitted\":" + std::to_string(o.admitted) + ",";
+  for (size_t c = 0; c < kShedCauseCount; ++c) {
+    out += "\"";
+    out += shed_cause_json_key(static_cast<ShedCause>(c));
+    out += "\":" + std::to_string(o.shed[c]) + ",";
+  }
+  std::snprintf(buf, sizeof(buf),
+                "\"deadline_misses\":%llu,"
+                "\"demotions\":%llu,\"promotions\":%llu,"
+                "\"watchdog_trips\":%llu},",
+                static_cast<unsigned long long>(o.deadline_misses),
+                static_cast<unsigned long long>(o.demotions),
+                static_cast<unsigned long long>(o.promotions),
+                static_cast<unsigned long long>(o.watchdog_trips));
+  out += buf;
+  const QosAttainment slo = o.attainment();
+  std::snprintf(buf, sizeof(buf),
+                "\"qos\":{\"class\":\"%s\",\"slo_slowdown\":%g,"
+                "\"offered\":%llu,\"completed\":%llu,\"slo_met\":%llu,"
+                "\"attainment\":%.6f},",
+                qos_class_name(f.qos.cls), f.qos.slo_slowdown,
+                static_cast<unsigned long long>(slo.offered),
+                static_cast<unsigned long long>(slo.completed),
+                static_cast<unsigned long long>(slo.slo_met),
+                slo.attainment());
+  out += buf;
+  append_histogram(out, "total_ns", s.total_ns);
+  out += ",";
+  append_histogram(out, "setup_ns", s.setup_ns);
+  out += ",";
+  append_histogram(out, "exec_ns", s.exec_ns);
+  out += "}";
+}
+
 }  // namespace
 
-std::string MetricsSnapshot::to_json() const {
-  std::string out = "{\"schema\":" + std::to_string(kJsonSchemaVersion) + ",";
-  if (!host.empty()) out += "\"host\":\"" + host + "\",";
-  if (!tiers.empty()) {
-    out += "\"tiers\":[";
-    for (size_t i = 0; i < tiers.size(); ++i) {
-      const TierRollup& t = tiers[i];
-      if (i) out += ",";
-      char buf[192];
-      std::snprintf(buf, sizeof(buf),
-                    "{\"tier\":\"%s\",\"resident_bytes\":%llu,"
-                    "\"capacity_bytes\":%llu,\"occupancy\":%.6f}",
-                    t.tier.c_str(),
-                    static_cast<unsigned long long>(t.resident_bytes),
-                    static_cast<unsigned long long>(t.capacity_bytes),
-                    t.occupancy);
-      out += buf;
-    }
-    out += "],";
-  }
-  if (health.present) {
-    char buf[224];
-    std::snprintf(buf, sizeof(buf),
-                  "\"health\":{\"lost\":%s,\"quarantined\":%s,"
-                  "\"brownouts\":%llu,\"quarantines\":%llu,"
-                  "\"readmissions\":%llu,\"lanes_failed_over\":%llu},",
-                  health.lost ? "true" : "false",
-                  health.quarantined ? "true" : "false",
-                  static_cast<unsigned long long>(health.brownouts),
-                  static_cast<unsigned long long>(health.quarantines),
-                  static_cast<unsigned long long>(health.readmissions),
-                  static_cast<unsigned long long>(health.lanes_failed_over));
-    out += buf;
-  }
-  if (!qos.empty()) {
-    out += "\"qos\":[";
-    for (size_t i = 0; i < qos.size(); ++i) {
-      const QosClassRollup& q = qos[i];
-      if (i) out += ",";
-      char buf[224];
-      std::snprintf(buf, sizeof(buf),
-                    "{\"class\":\"%s\",\"offered\":%llu,\"completed\":%llu,"
-                    "\"slo_met\":%llu,\"attainment\":%.6f}",
-                    qos_class_name(q.cls),
-                    static_cast<unsigned long long>(q.ledger.offered),
-                    static_cast<unsigned long long>(q.ledger.completed),
-                    static_cast<unsigned long long>(q.ledger.slo_met),
-                    q.ledger.attainment());
-      out += buf;
-    }
-    out += "],";
-  }
-  out += "\"functions\":[";
-  for (size_t i = 0; i < functions.size(); ++i) {
-    const FunctionMetrics& m = functions[i];
+std::string EngineReport::to_json() const {
+  std::string out = "{\"schema\":" + std::to_string(kJsonSchemaVersion) +
+                    ",\"host\":\"" + metrics.host + "\",\"tiers\":[";
+  for (size_t i = 0; i < metrics.tiers.size(); ++i) {
+    const TierRollup& t = metrics.tiers[i];
     if (i) out += ",";
-    char buf[256];
+    char buf[192];
     std::snprintf(buf, sizeof(buf),
-                  "{\"function\":\"%s\",\"invocations\":%llu,"
-                  "\"cold_boots\":%llu,\"phase_invocations\":[%llu,%llu,"
-                  "%llu],\"total_charge\":%.6e,",
-                  m.function.c_str(),
-                  static_cast<unsigned long long>(m.invocations),
-                  static_cast<unsigned long long>(m.cold_boots),
-                  static_cast<unsigned long long>(m.phase_invocations[0]),
-                  static_cast<unsigned long long>(m.phase_invocations[1]),
-                  static_cast<unsigned long long>(m.phase_invocations[2]),
-                  m.total_charge);
+                  "{\"tier\":\"%s\",\"resident_bytes\":%llu,"
+                  "\"capacity_bytes\":%llu,\"occupancy\":%.6f}",
+                  t.tier.c_str(),
+                  static_cast<unsigned long long>(t.resident_bytes),
+                  static_cast<unsigned long long>(t.capacity_bytes),
+                  t.occupancy);
     out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "\"recovery\":{\"faults\":%llu,\"retries\":%llu,"
-                  "\"fallback_single_tier\":%llu,\"fallback_cold_boot\":%llu,"
-                  "\"quarantines\":%llu,\"regenerations\":%llu,"
-                  "\"breaker_suspended\":%llu,\"incomplete\":%llu},",
-                  static_cast<unsigned long long>(m.recovered_faults),
-                  static_cast<unsigned long long>(m.recovery_retries),
-                  static_cast<unsigned long long>(m.fallbacks_single_tier),
-                  static_cast<unsigned long long>(m.fallbacks_cold_boot),
-                  static_cast<unsigned long long>(m.quarantines),
-                  static_cast<unsigned long long>(m.regenerations),
-                  static_cast<unsigned long long>(m.breaker_suspended),
-                  static_cast<unsigned long long>(m.incomplete));
-    out += buf;
-    // The per-cause keys are the historical schema-2/5 names, one per
-    // ShedCause, emitted in enum order (shed_cause_json_key).
-    out += "\"overload\":{\"admitted\":" + std::to_string(m.admitted) + ",";
-    for (size_t c = 0; c < kShedCauseCount; ++c) {
-      out += "\"";
-      out += shed_cause_json_key(static_cast<ShedCause>(c));
-      out += "\":" + std::to_string(m.shed[c]) + ",";
-    }
-    char obuf[256];
-    std::snprintf(obuf, sizeof(obuf),
-                  "\"deadline_misses\":%llu,"
-                  "\"demotions\":%llu,\"promotions\":%llu,"
-                  "\"watchdog_trips\":%llu},",
-                  static_cast<unsigned long long>(m.deadline_misses),
-                  static_cast<unsigned long long>(m.demotions),
-                  static_cast<unsigned long long>(m.promotions),
-                  static_cast<unsigned long long>(m.watchdog_trips));
-    out += obuf;
-    if (m.qos != QosClass::kNone) {
-      std::snprintf(obuf, sizeof(obuf),
-                    "\"qos\":{\"class\":\"%s\",\"slo_slowdown\":%g,"
-                    "\"offered\":%llu,\"completed\":%llu,\"slo_met\":%llu,"
-                    "\"attainment\":%.6f},",
-                    qos_class_name(m.qos), m.slo_slowdown,
-                    static_cast<unsigned long long>(m.slo.offered),
-                    static_cast<unsigned long long>(m.slo.completed),
-                    static_cast<unsigned long long>(m.slo.slo_met),
-                    m.slo.attainment());
-      out += obuf;
-    }
-    append_histogram(out, "total_ns", m.total_ns);
-    out += ",";
-    append_histogram(out, "setup_ns", m.setup_ns);
-    out += ",";
-    append_histogram(out, "exec_ns", m.exec_ns);
-    out += "}";
   }
-  out += "],\"total_invocations\":";
-  out += std::to_string(total_invocations());
-  out += "}";
+  const HostHealthRollup& health = metrics.health;
+  char buf[224];
+  std::snprintf(buf, sizeof(buf),
+                "],\"health\":{\"lost\":%s,\"quarantined\":%s,"
+                "\"brownouts\":%llu,\"quarantines\":%llu,"
+                "\"readmissions\":%llu,\"lanes_failed_over\":%llu},\"qos\":[",
+                health.lost ? "true" : "false",
+                health.quarantined ? "true" : "false",
+                static_cast<unsigned long long>(health.brownouts),
+                static_cast<unsigned long long>(health.quarantines),
+                static_cast<unsigned long long>(health.readmissions),
+                static_cast<unsigned long long>(health.lanes_failed_over));
+  out += buf;
+  for (size_t i = 0; i < metrics.qos.size(); ++i) {
+    if (i) out += ",";
+    out += qos_rollup_json(metrics.qos[i].cls, metrics.qos[i].ledger);
+  }
+  out += "],\"functions\":[";
+  for (size_t i = 0; i < functions.size(); ++i) {
+    if (i) out += ",";
+    append_function(out, functions[i]);
+  }
+  out += "],\"total_invocations\":" + std::to_string(total_invocations()) +
+         "}";
   return out;
 }
 

@@ -163,17 +163,24 @@ Result<InvocationOutcome> ServerlessPlatform::invoke(const std::string& name,
   }
   out.charge = charge_for(rt, out.result);
 
-  rt.stats.invocations++;
-  rt.stats.total_ns.add(out.result.total_ns());
-  rt.stats.setup_ns.add(out.result.setup.setup_ns);
-  rt.stats.exec_ns.add(out.result.exec.exec_ns);
-  rt.stats.total_charge += out.charge;
-  rt.stats.recovered_faults += out.recovery.faults_seen;
-  rt.stats.recovery_retries += out.recovery.retries;
-  if (out.recovery.fallback != FallbackLevel::kNone) ++rt.stats.fallbacks;
-  if (out.recovery.quarantined) ++rt.stats.quarantines;
-  if (out.recovery.regenerated) ++rt.stats.regenerations;
-  if (!out.recovery.completed) ++rt.stats.incomplete;
+  FunctionStats& st = rt.stats;
+  ++st.invocations;
+  if (out.cold_boot) ++st.cold_boots;
+  ++st.phase_invocations[static_cast<size_t>(out.toss_phase)];
+  st.total_ns.record(out.result.total_ns());
+  st.setup_ns.record(out.result.setup.setup_ns);
+  st.exec_ns.record(out.result.exec.exec_ns);
+  st.total_charge += out.charge;
+  st.recovered_faults += out.recovery.faults_seen;
+  st.recovery_retries += out.recovery.retries;
+  if (out.recovery.fallback == FallbackLevel::kSingleTier)
+    ++st.fallbacks_single_tier;
+  else if (out.recovery.fallback == FallbackLevel::kColdBoot)
+    ++st.fallbacks_cold_boot;
+  if (out.recovery.quarantined) ++st.quarantines;
+  if (out.recovery.regenerated) ++st.regenerations;
+  if (out.recovery.breaker_suspended) ++st.breaker_suspended;
+  if (!out.recovery.completed) ++st.incomplete;
   return out;
 }
 

@@ -14,6 +14,7 @@
 //     platform carries no deprecation surface at all.
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -26,12 +27,12 @@
 #include "core/toss.hpp"
 #include "platform/errors.hpp"
 #include "platform/invoker.hpp"
+#include "platform/metrics.hpp"
 #include "platform/pricing.hpp"
 #include "platform/qos.hpp"
 #include "platform/recovery.hpp"
 #include "platform/request_gen.hpp"
 #include "util/fault.hpp"
-#include "util/stats.hpp"
 
 namespace toss {
 
@@ -50,19 +51,33 @@ struct InvocationOutcome {
   RecoveryInfo recovery;
 };
 
+/// What a function's invocations did, recorded once per invocation by
+/// ServerlessPlatform::invoke. Admission decisions (offered, admitted,
+/// shed) are the engine's OverloadStats, not counted here.
 struct FunctionStats {
   u64 invocations = 0;
-  OnlineStats total_ns;
-  OnlineStats setup_ns;
-  OnlineStats exec_ns;
+  u64 cold_boots = 0;
+  /// Indexed by TossPhase (kInitial/kProfiling/kTiered). Baseline policies
+  /// count everything as kInitial.
+  std::array<u64, 3> phase_invocations{};
+  LatencyHistogram total_ns;
+  LatencyHistogram setup_ns;
+  LatencyHistogram exec_ns;
   double total_charge = 0;
   // Recovery aggregates (all zero unless faults were injected).
   u64 recovered_faults = 0;   ///< injected faults invocations tripped over
   u64 recovery_retries = 0;   ///< extra attempts spent across invocations
-  u64 fallbacks = 0;          ///< invocations served below the intended rung
+  u64 fallbacks_single_tier = 0;  ///< served from the Step-I snapshot
+  u64 fallbacks_cold_boot = 0;    ///< fell all the way to a cold boot
   u64 quarantines = 0;        ///< tiered artifacts quarantined
   u64 regenerations = 0;      ///< quarantined artifacts rebuilt (Step V)
+  u64 breaker_suspended = 0;  ///< served with the circuit breaker open
   u64 incomplete = 0;         ///< invocations that exhausted every rung
+
+  /// Invocations served below the intended rung, at any level.
+  u64 fallbacks() const { return fallbacks_single_tier + fallbacks_cold_boot; }
+
+  bool operator==(const FunctionStats&) const = default;
 };
 
 /// Builder for one function registration. Chain setters, then hand it to

@@ -4,14 +4,14 @@
 // halves of SLO-driven graceful degradation:
 //
 //   - ShedCause: the typed reason a request was dropped instead of served.
-//     Every shed counter in the system (OverloadStats, FunctionSeries,
-//     FunctionMetrics) is an array indexed by this enum, so adding a cause
-//     is one enum entry + one JSON name — not a new ad-hoc field at every
-//     layer. ShedEvent (platform/host.hpp) carries the same enum.
+//     The one shed counter in the system (OverloadStats::shed) is an array
+//     indexed by this enum, so adding a cause is one enum entry + one JSON
+//     name — not a new ad-hoc field. ShedEvent (platform/host.hpp) carries
+//     the same enum.
 //   - QosClass / QosSpec / QosAttainment: the per-function service class
 //     (gold is protected through saturation, bronze absorbs degradation
-//     first), its SLO slowdown target, and the per-class attainment ledger
-//     metrics JSON schema 6 rolls up.
+//     first), its SLO slowdown target, and the attainment ledger the
+//     metrics JSON reports per function and rolls up per class.
 //
 // Everything here is plain data decided at the engine's serial epoch
 // barrier; toss_lint's determinism auditor roots at this header so no
@@ -85,9 +85,9 @@ struct QosSpec {
   bool operator==(const QosSpec&) const = default;
 };
 
-/// Per-class SLO-attainment ledger (metrics JSON schema 6). Derived from
-/// the per-lane OverloadStats at the serial barrier — no new hot-path
-/// counter, so the overload scheduler's ledgers stay byte-identical.
+/// SLO-attainment ledger, per function or per class. Derived from the
+/// per-lane OverloadStats (OverloadStats::attainment) — no counter of its
+/// own.
 struct QosAttainment {
   u64 offered = 0;    ///< arrivals that reached admission control
   u64 completed = 0;  ///< requests actually served
@@ -100,6 +100,12 @@ struct QosAttainment {
                : static_cast<double>(slo_met) / static_cast<double>(offered);
   }
 
+  QosAttainment& operator+=(const QosAttainment& o) {
+    offered += o.offered;
+    completed += o.completed;
+    slo_met += o.slo_met;
+    return *this;
+  }
   bool operator==(const QosAttainment&) const = default;
 };
 

@@ -11,7 +11,7 @@
 //   ArbiterOptions / ArbiterReport / ShedEvent               overload control
 //   TossOptions / TossFunction / TossPhase                   the TOSS core
 //   InvocationOutcome / FunctionStats / Result / Error       call results
-//   MetricsRegistry / MetricsSnapshot                        observability
+//   FunctionReport / LatencyHistogram / MetricsSnapshot      observability
 //   RequestGenerator / FunctionRegistry / workloads::*       workloads
 //   LaneExecutor / OnlineStats / AsciiTable / Rng            utilities
 //

@@ -31,7 +31,6 @@ enum class ErrorCode : u8 {
   kDuplicateFunction,  ///< name already registered
   kInvalidOptions,     ///< registration failed validation
   kInvalidRequest,     ///< malformed invocation parameters
-  kEngineBusy,         ///< engine already ran / stream already consumed
   kSnapshotMissing,    ///< snapshot file id unknown or quarantined
   kSnapshotCorrupted,  ///< checksum mismatch / truncated tier or layout file
   kTransientIo,        ///< torn write, mmap failure: retryable
@@ -46,7 +45,6 @@ inline const char* error_code_name(ErrorCode code) {
     case ErrorCode::kDuplicateFunction: return "duplicate_function";
     case ErrorCode::kInvalidOptions: return "invalid_options";
     case ErrorCode::kInvalidRequest: return "invalid_request";
-    case ErrorCode::kEngineBusy: return "engine_busy";
     case ErrorCode::kSnapshotMissing: return "snapshot_missing";
     case ErrorCode::kSnapshotCorrupted: return "snapshot_corrupted";
     case ErrorCode::kTransientIo: return "transient_io";

@@ -1,8 +1,9 @@
 // Optimistic version-stamped latch — the vmcache `PageState` idiom
 // (Leis et al., "Virtual-Memory Assisted Buffer Management", SIGMOD'23)
-// adapted for the shared hot structures of the parallel data plane
-// (DESIGN.md §15): KeepAliveCache lookups, SnapshotStore resident-byte
-// accounting and the metrics registry's series map.
+// adapted for the two structures of the parallel data plane that keep a
+// latch (DESIGN.md §15): SnapshotStore resident-byte accounting (one store
+// per lane) and KeepAliveCache lookups (the host arbiter's pool, touched
+// only at the serial barrier).
 //
 // One 64-bit atomic word carries both the lock state and a version:
 //

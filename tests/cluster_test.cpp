@@ -1,11 +1,18 @@
 // Tests for the multi-host cluster layer (DESIGN.md §10): worst-fit
 // placement by predicted fast-tier demand, K-epoch migration hysteresis,
-// the migration ledger's thread-count determinism, and the Azure-style
-// trace loader that feeds cluster workloads.
+// the migration ledger's thread-count determinism, per-host attribution in
+// the metrics JSON (DESIGN.md §9), and the Azure-style trace loader that
+// feeds cluster workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +29,126 @@ TossOptions fast_toss() {
   opt.stable_invocations = 4;
   opt.max_profiling_invocations = 30;
   return opt;
+}
+
+// ---------------------------------------------------------------------------
+// Metrics JSON shape: a minimal reader that rejects malformed JSON.
+// ---------------------------------------------------------------------------
+
+/// Every key path of a JSON document, arrays collapsed to "[]" (e.g.
+/// "functions[].overload.admitted"), plus one map per "functions[]" entry
+/// from its relative key path to the scalar's text (strings unquoted).
+struct JsonShape {
+  std::set<std::string> keys;
+  std::vector<std::map<std::string, std::string>> functions;
+
+  std::set<std::string> top_level_keys() const {
+    std::set<std::string> out;
+    for (const std::string& k : keys)
+      if (k.find_first_of(".[") == std::string::npos) out.insert(k);
+    return out;
+  }
+  std::set<std::string> function_keys() const {
+    std::set<std::string> out;
+    for (const std::string& k : keys)
+      if (k.rfind(kFunctionPrefix, 0) == 0) out.insert(k);
+    return out;
+  }
+  std::vector<std::string> function_names() const {
+    std::vector<std::string> out;
+    for (const auto& f : functions) out.push_back(f.at("function"));
+    return out;
+  }
+
+  static constexpr const char* kFunctionPrefix = "functions[].";
+};
+
+class JsonShapeReader {
+ public:
+  explicit JsonShapeReader(const std::string& text) : s_(text) {}
+
+  /// nullopt unless the whole text is one well-formed JSON value.
+  std::optional<JsonShape> read() {
+    if (!value("")) return std::nullopt;
+    skip_ws();
+    if (pos_ != s_.size()) return std::nullopt;
+    return shape_;
+  }
+
+ private:
+  void skip_ws() {
+    while (pos_ < s_.size() &&
+           std::isspace(static_cast<unsigned char>(s_[pos_])))
+      ++pos_;
+  }
+  bool eat(char c) {
+    skip_ws();
+    if (pos_ >= s_.size() || s_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+  bool string(std::string* out) {
+    if (!eat('"')) return false;
+    while (pos_ < s_.size() && s_[pos_] != '"') {
+      if (s_[pos_] == '\\') ++pos_;
+      if (pos_ < s_.size()) out->push_back(s_[pos_++]);
+    }
+    return pos_++ < s_.size();
+  }
+  bool scalar(std::string* out) {
+    skip_ws();
+    if (pos_ < s_.size() && s_[pos_] == '"') return string(out);
+    for (const char* word : {"true", "false", "null"})
+      if (s_.compare(pos_, std::char_traits<char>::length(word), word) == 0) {
+        *out = word;
+        pos_ += out->size();
+        return true;
+      }
+    const char* begin = s_.c_str() + pos_;
+    char* end = nullptr;
+    std::strtod(begin, &end);
+    if (end == begin) return false;
+    out->assign(begin, static_cast<size_t>(end - begin));
+    pos_ += out->size();
+    return true;
+  }
+  bool value(const std::string& path) {
+    if (eat('{')) {
+      if (path == "functions[]") shape_.functions.emplace_back();
+      if (eat('}')) return true;
+      do {
+        std::string key;
+        if (!string(&key) || !eat(':')) return false;
+        const std::string child = path.empty() ? key : path + "." + key;
+        shape_.keys.insert(child);
+        if (!value(child)) return false;
+      } while (eat(','));
+      return eat('}');
+    }
+    if (eat('[')) {
+      if (eat(']')) return true;
+      do {
+        if (!value(path + "[]")) return false;
+      } while (eat(','));
+      return eat(']');
+    }
+    std::string text;
+    if (!scalar(&text)) return false;
+    const std::string prefix = JsonShape::kFunctionPrefix;
+    if (path.rfind(prefix, 0) == 0 && !shape_.functions.empty())
+      shape_.functions.back()[path.substr(prefix.size())] = text;
+    return true;
+  }
+
+  const std::string& s_;
+  size_t pos_ = 0;
+  JsonShape shape_;
+};
+
+JsonShape read_shape(const std::string& json) {
+  std::optional<JsonShape> shape = JsonShapeReader(json).read();
+  EXPECT_TRUE(shape.has_value()) << "malformed JSON: " << json;
+  return shape.value_or(JsonShape{});
 }
 
 // ---------------------------------------------------------------------------
@@ -257,11 +384,71 @@ TEST(Cluster, MigratesLargestTieredFunctionAfterKPinnedEpochs) {
   // The JSON rollup carries the cluster block and the migration ledger.
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"schema\":" +
-                      std::to_string(MetricsSnapshot::kJsonSchemaVersion)),
+                      std::to_string(EngineReport::kJsonSchemaVersion)),
             std::string::npos);
   EXPECT_NE(json.find("\"cluster\":{"), std::string::npos);
   EXPECT_NE(json.find("\"migration_events\":["), std::string::npos);
   EXPECT_NE(json.find("\"host\":\"host1\""), std::string::npos);
+  read_shape(json);
+
+  // Each host's JSON names exactly the functions of its report, so the
+  // moved lane is listed once, under its current host, with its whole
+  // history.
+  size_t listed = 0;
+  for (const ClusterHostReport& h : report.hosts) {
+    const JsonShape shape = read_shape(h.report.to_json());
+    std::vector<std::string> names;
+    for (const FunctionReport& f : h.report.functions) names.push_back(f.name);
+    EXPECT_EQ(shape.function_names(), names) << h.host;
+    for (const auto& f : shape.functions) {
+      if (f.at("function") != fleet.candidate) continue;
+      ++listed;
+      EXPECT_EQ(h.host, "host" + std::to_string(dest));
+      EXPECT_EQ(f.at("invocations"), "60");
+      EXPECT_EQ(f.at("overload.admitted"), "60");
+    }
+  }
+  EXPECT_EQ(listed, 1u);
+}
+
+TEST(Cluster, BareEngineAndQosClusterHostJsonShareOneShape) {
+  // Schema 7 has no conditional key: a bare engine's host (unclassed, no
+  // health governance) and a cluster host with QoS-classed lanes write the
+  // same top-level and per-function keys.
+  PlatformEngine engine;
+  ASSERT_TRUE(engine
+                  .add(FunctionRegistration(workloads::all_functions()[0])
+                           .policy(PolicyKind::kToss)
+                           .toss(fast_toss()),
+                       RequestGenerator::round_robin(6, 3))
+                  .ok());
+  const JsonShape bare = read_shape(engine.run(1).value().to_json());
+  ASSERT_EQ(bare.functions.size(), 1u);
+  EXPECT_EQ(bare.functions[0].at("qos.class"), "none");
+
+  ClusterOptions opts;
+  opts.hosts = 2;
+  ClusterEngine cluster(opts);
+  const QosClass classes[] = {QosClass::kGold, QosClass::kBronze};
+  for (size_t i = 0; i < 2; ++i)
+    ASSERT_TRUE(cluster
+                    .add(FunctionRegistration(workloads::all_functions()[i])
+                             .policy(PolicyKind::kToss)
+                             .toss(fast_toss())
+                             .qos(classes[i]),
+                         RequestGenerator::round_robin(6, 4))
+                    .ok());
+  const ClusterReport report = cluster.run(1).value();
+  EXPECT_TRUE(read_shape(report.to_json()).keys.count("cluster.qos[].class"));
+  size_t classed = 0;
+  for (const ClusterHostReport& h : report.hosts) {
+    const JsonShape shape = read_shape(h.report.to_json());
+    EXPECT_EQ(shape.top_level_keys(), bare.top_level_keys()) << h.host;
+    EXPECT_EQ(shape.function_keys(), bare.function_keys()) << h.host;
+    for (const auto& f : shape.functions)
+      if (f.at("qos.class") != "none") ++classed;
+  }
+  EXPECT_EQ(classed, 2u);
 }
 
 TEST(Cluster, HysteresisHoldsMigrationBelowKPinnedEpochs) {
@@ -370,10 +557,7 @@ TEST(Cluster, LedgersAreBitIdenticalAcrossThreadCounts) {
       ASSERT_EQ(a.functions.size(), b.functions.size());
       for (size_t i = 0; i < a.functions.size(); ++i) {
         EXPECT_EQ(a.functions[i].name, b.functions[i].name);
-        EXPECT_EQ(a.functions[i].stats.invocations,
-                  b.functions[i].stats.invocations);
-        EXPECT_EQ(a.functions[i].stats.total_charge,
-                  b.functions[i].stats.total_charge);
+        EXPECT_TRUE(a.functions[i].stats == b.functions[i].stats);
         EXPECT_EQ(a.functions[i].overload, b.functions[i].overload);
         EXPECT_EQ(a.functions[i].shed_events, b.functions[i].shed_events);
       }

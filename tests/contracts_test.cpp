@@ -164,28 +164,28 @@ TEST(ValidateBins, RejectsDuplicatedMass) {
 // ---------------------------------------------------------------------------
 
 TEST(LockRank, InOrderAcquisitionIsClean) {
-  RankedMutex low(LockRank::kLaneExecutorPark, "low");
-  RankedMutex high(LockRank::kMetricsRegistry, "high");
+  RankedMutex low(LockRank::kLaneExecutorQueue, "low");
+  RankedMutex high(LockRank::kLaneExecutorPark, "high");
   std::lock_guard<RankedMutex> l1(low);
   EXPECT_EQ(detail::lock_rank_violation(high), std::nullopt);
 }
 
 TEST(LockRank, ViolationDiagnosticNamesBothLocks) {
 #ifdef TOSS_CHECKED
-  RankedMutex low(LockRank::kLaneExecutorPark, "park-lock");
-  RankedMutex high(LockRank::kMetricsRegistry, "metrics-lock");
+  RankedMutex low(LockRank::kLaneExecutorQueue, "queue-lock");
+  RankedMutex high(LockRank::kLaneExecutorPark, "park-lock");
   std::lock_guard<RankedMutex> l1(high);
   const auto err = detail::lock_rank_violation(low);
   ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("queue-lock"), std::string::npos) << *err;
   EXPECT_NE(err->find("park-lock"), std::string::npos) << *err;
-  EXPECT_NE(err->find("metrics-lock"), std::string::npos) << *err;
   // Same-rank acquisition (potential ABBA) is also a violation.
-  RankedMutex peer(LockRank::kMetricsRegistry, "peer");
+  RankedMutex peer(LockRank::kLaneExecutorPark, "peer");
   EXPECT_TRUE(detail::lock_rank_violation(peer).has_value());
 #else
   // Unchecked builds do no tracking: violations are never observed.
-  RankedMutex low(LockRank::kLaneExecutorPark, "park-lock");
-  RankedMutex high(LockRank::kMetricsRegistry, "metrics-lock");
+  RankedMutex low(LockRank::kLaneExecutorQueue, "queue-lock");
+  RankedMutex high(LockRank::kLaneExecutorPark, "park-lock");
   std::lock_guard<RankedMutex> l1(high);
   EXPECT_EQ(detail::lock_rank_violation(low), std::nullopt);
 #endif
@@ -227,8 +227,8 @@ TEST(ContractsDeathTest, ValidateAbortsOnUnconservedBins) {
 TEST(ContractsDeathTest, LockRankViolationAborts) {
   EXPECT_DEATH(
       {
-        RankedMutex low(LockRank::kLaneExecutorPark, "park-lock");
-        RankedMutex high(LockRank::kMetricsRegistry, "metrics-lock");
+        RankedMutex low(LockRank::kLaneExecutorQueue, "queue-lock");
+        RankedMutex high(LockRank::kLaneExecutorPark, "park-lock");
         std::lock_guard<RankedMutex> l1(high);
         // Deliberate inversion: the static lock-rank pass flags exactly
         // what this death test expects the runtime detector to catch.

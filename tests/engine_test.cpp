@@ -4,6 +4,7 @@
 // it), metrics consistency, and engine-level error handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,17 +47,6 @@ std::unique_ptr<PlatformEngine> make_fleet(size_t n, size_t requests,
   return engine;
 }
 
-void expect_identical(const OnlineStats& a, const OnlineStats& b,
-                      const std::string& what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  // Bit-for-bit: exact double equality, not EXPECT_NEAR.
-  EXPECT_EQ(a.sum(), b.sum()) << what;
-  EXPECT_EQ(a.mean(), b.mean()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
-  EXPECT_EQ(a.variance(), b.variance()) << what;
-}
-
 TEST(Engine, ParallelMatchesSerialBitForBit) {
   constexpr size_t kFunctions = 10;  // >= 8 per the acceptance criteria
   constexpr size_t kRequests = 40;
@@ -77,11 +67,8 @@ TEST(Engine, ParallelMatchesSerialBitForBit) {
     EXPECT_EQ(a.policy, b.policy);
     EXPECT_EQ(a.final_phase, b.final_phase) << a.name;
     EXPECT_EQ(a.stats.invocations, kRequests) << a.name;
-    EXPECT_EQ(a.stats.invocations, b.stats.invocations) << a.name;
-    EXPECT_EQ(a.stats.total_charge, b.stats.total_charge) << a.name;
-    expect_identical(a.stats.total_ns, b.stats.total_ns, a.name + "/total");
-    expect_identical(a.stats.setup_ns, b.stats.setup_ns, a.name + "/setup");
-    expect_identical(a.stats.exec_ns, b.stats.exec_ns, a.name + "/exec");
+    // Bit-for-bit: every counter, histogram bucket and exact double sum.
+    EXPECT_TRUE(a.stats == b.stats) << a.name;
     // Outcome streams must match too, in request order.
     ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
     for (size_t r = 0; r < a.outcomes.size(); ++r) {
@@ -99,11 +86,7 @@ void expect_same_report(const FunctionReport& a, const FunctionReport& b) {
   ASSERT_EQ(a.name, b.name);
   EXPECT_EQ(a.policy, b.policy);
   EXPECT_EQ(a.final_phase, b.final_phase) << a.name;
-  EXPECT_EQ(a.stats.invocations, b.stats.invocations) << a.name;
-  EXPECT_EQ(a.stats.total_charge, b.stats.total_charge) << a.name;
-  expect_identical(a.stats.total_ns, b.stats.total_ns, a.name + "/total");
-  expect_identical(a.stats.setup_ns, b.stats.setup_ns, a.name + "/setup");
-  expect_identical(a.stats.exec_ns, b.stats.exec_ns, a.name + "/exec");
+  EXPECT_TRUE(a.stats == b.stats) << a.name;
   EXPECT_EQ(a.overload, b.overload) << a.name;
   EXPECT_EQ(a.shed_events, b.shed_events) << a.name;
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size()) << a.name;
@@ -195,9 +178,12 @@ TEST(Engine, TimeSeparatedDrainsEqualOneConcatenatedRun) {
     else
       EXPECT_GT(shed, 0u);  // the bursts really did overload the queues
 
-    // The two models are mutually exclusive on one engine instance.
-    EXPECT_EQ(split->run(1).code(), ErrorCode::kEngineBusy);
-    EXPECT_EQ(whole->drain({}).code(), ErrorCode::kEngineBusy);
+    // Nothing is pending any more: another run() serves nothing and
+    // returns the same cumulative report.
+    const EngineReport again = split->run(1).value();
+    ASSERT_EQ(again.functions.size(), rest.functions.size());
+    for (size_t i = 0; i < rest.functions.size(); ++i)
+      expect_same_report(rest.functions[i], again.functions[i]);
     // Unknown lanes are rejected, not absorbed.
     EXPECT_EQ(split->drain({LaneBatch{"ghost", {}}}).code(),
               ErrorCode::kUnknownFunction);
@@ -225,33 +211,43 @@ TEST(Engine, MetricsCountersSumToInvocationCounts) {
   const EngineReport report = engine->run(4).value();
 
   EXPECT_EQ(report.total_invocations(), kFunctions * kRequests);
-  EXPECT_EQ(report.metrics.total_invocations(), kFunctions * kRequests);
   for (const FunctionReport& f : report.functions) {
-    const FunctionMetrics* m = report.metrics.find(f.name);
-    ASSERT_NE(m, nullptr) << f.name;
-    EXPECT_EQ(m->invocations, f.stats.invocations) << f.name;
+    const FunctionStats& s = f.stats;
+    EXPECT_EQ(s.invocations, kRequests) << f.name;
+    EXPECT_EQ(s.invocations, f.overload.completed) << f.name;
     // Per-phase counters partition the invocations.
     u64 phase_sum = 0;
-    for (u64 c : m->phase_invocations) phase_sum += c;
-    EXPECT_EQ(phase_sum, m->invocations) << f.name;
-    // Histogram totals match the counters, and their means match the
-    // OnlineStats means.
-    EXPECT_EQ(m->total_ns.count, m->invocations) << f.name;
-    EXPECT_EQ(m->setup_ns.count, m->invocations) << f.name;
-    EXPECT_EQ(m->exec_ns.count, m->invocations) << f.name;
-    EXPECT_DOUBLE_EQ(m->total_ns.mean(), f.stats.total_ns.mean()) << f.name;
-    EXPECT_EQ(m->total_ns.max, f.stats.total_ns.max()) << f.name;
-    EXPECT_EQ(m->total_ns.min, f.stats.total_ns.min()) << f.name;
-    EXPECT_DOUBLE_EQ(m->total_charge, f.stats.total_charge) << f.name;
+    for (u64 c : s.phase_invocations) phase_sum += c;
+    EXPECT_EQ(phase_sum, s.invocations) << f.name;
+    EXPECT_EQ(s.total_ns.count(), s.invocations) << f.name;
+    EXPECT_EQ(s.setup_ns.count(), s.invocations) << f.name;
+    EXPECT_EQ(s.exec_ns.count(), s.invocations) << f.name;
+    // The histograms summarize the outcome stream exactly: same sum (in
+    // the same order), extremes and charge.
+    ASSERT_EQ(f.outcomes.size(), s.invocations) << f.name;
+    double sum = 0, charge = 0;
+    Nanos lo = f.outcomes[0].result.total_ns(), hi = lo;
+    for (const InvocationOutcome& o : f.outcomes) {
+      sum += o.result.total_ns();
+      charge += o.charge;
+      lo = std::min(lo, o.result.total_ns());
+      hi = std::max(hi, o.result.total_ns());
+    }
+    EXPECT_EQ(s.total_ns.sum(), sum) << f.name;
+    EXPECT_EQ(s.total_ns.min(), lo) << f.name;
+    EXPECT_EQ(s.total_ns.max(), hi) << f.name;
+    EXPECT_EQ(s.total_charge, charge) << f.name;
+    EXPECT_LE(s.total_ns.percentile(50), s.total_ns.percentile(99)) << f.name;
+    EXPECT_LE(s.total_ns.percentile(99), hi) << f.name;
   }
-  // The JSON snapshot serializes without blowing up and carries the totals.
-  const std::string json = report.metrics.to_json();
+  // The JSON serializes without blowing up and carries the totals.
+  const std::string json = report.to_json();
   EXPECT_NE(json.find("\"total_invocations\":" +
                       std::to_string(kFunctions * kRequests)),
             std::string::npos);
 }
 
-TEST(Engine, RejectsDuplicatesBadStreamsAndReruns) {
+TEST(Engine, RejectsBadLanesAndRerunsServeOnlyNewWork) {
   PlatformEngine engine;
   ASSERT_TRUE(engine
                   .add(FunctionRegistration(workloads::pyaes())
@@ -271,14 +267,25 @@ TEST(Engine, RejectsDuplicatesBadStreamsAndReruns) {
   EXPECT_FALSE(bad_stream.ok());
   EXPECT_EQ(bad_stream.code(), ErrorCode::kInvalidRequest);
 
-  EXPECT_TRUE(engine.run(2).ok());
-  const auto again = engine.run(2);
-  EXPECT_FALSE(again.ok());
-  EXPECT_EQ(again.code(), ErrorCode::kEngineBusy);
-  const auto late_add = engine.add(
-      FunctionRegistration(workloads::linpack()), {});
-  EXPECT_FALSE(late_add.ok());
-  EXPECT_EQ(late_add.code(), ErrorCode::kEngineBusy);
+  const EngineReport first = engine.run(2).value();
+  ASSERT_EQ(first.functions.size(), 1u);
+  EXPECT_EQ(first.functions[0].stats.invocations, 3u);
+  // A second run() has nothing pending: the same cumulative report.
+  const EngineReport again = engine.run(2).value();
+  ASSERT_EQ(again.functions.size(), 1u);
+  expect_same_report(first.functions[0], again.functions[0]);
+  // A lane added after a run is served by the next run, and only it.
+  ASSERT_TRUE(engine
+                  .add(FunctionRegistration(workloads::linpack())
+                           .policy(PolicyKind::kToss)
+                           .toss(fast_toss()),
+                       RequestGenerator::fixed(2, 1, 1))
+                  .ok());
+  const EngineReport late = engine.run(2).value();
+  ASSERT_EQ(late.functions.size(), 2u);
+  expect_same_report(first.functions[0], late.functions[0]);
+  EXPECT_EQ(late.functions[1].stats.invocations, 2u);
+  EXPECT_EQ(late.total_invocations(), 3u + 2u);
 }
 
 TEST(Engine, TossLanesReachTieredPhase) {

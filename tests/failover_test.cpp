@@ -49,7 +49,7 @@ TEST(FailureDomains, NamesAreStable) {
 
 TEST(FailureDomains, FaultFreeClusterReportsNoFailureActivity) {
   // A plan-free cluster must report zero failure-domain activity and keep
-  // the new ledger fields at their schema-5 defaults.
+  // the failure-domain ledger fields at their defaults.
   ClusterOptions opts;
   opts.hosts = 2;
   ClusterEngine cluster(opts);
@@ -414,9 +414,9 @@ TEST(FailureDomains, BrownoutQuarantineReadmitsAfterCleanCooldown) {
     EXPECT_FALSE(cluster->host_dead(h)) << name;
   }
 
-  // The health rollup reaches the per-host metrics snapshot (schema 5).
+  // The health rollup reaches each host's report.
   for (const ClusterHostReport& host : report.hosts) {
-    EXPECT_TRUE(host.report.metrics.health.present);
+    EXPECT_FALSE(host.report.metrics.health.lost);
     EXPECT_EQ(host.report.metrics.health.brownouts, 2u);
     EXPECT_EQ(host.report.metrics.health.quarantines, 1u);
     EXPECT_EQ(host.report.metrics.health.readmissions, 1u);

@@ -3,7 +3,7 @@
 #pragma once
 
 namespace fx {
-struct MetricsRegistry {
-  int series = 0;
+struct MetricsSnapshot {
+  int tiers = 0;
 };
 }  // namespace fx

@@ -4,7 +4,7 @@
 // its curve to exhaustion before gold moves, per-class admission gates with
 // gold-protecting hysteresis) and a seeded property test of the arbiter,
 // EDF pop order inside a lane, bronze-before-gold shedding at the global
-// queue bound, the per-class attainment ledgers in metrics JSON schema 6 —
+// queue bound, the per-class attainment ledgers in the metrics JSON —
 // and the determinism contract: with classes set every ledger stays
 // bit-identical across thread counts.
 #include <gtest/gtest.h>
@@ -864,7 +864,7 @@ TEST(QosEngine, GlobalBoundShedsBronzeBeforeGold) {
   EXPECT_GE(bronze_trim, gold_trim);
   EXPECT_GT(bronze_shed, gold_shed);
 
-  // Per-class rollups (metrics JSON schema 6) mirror the lane ledgers.
+  // Per-class rollups mirror the lane ledgers.
   ASSERT_EQ(report.metrics.qos.size(), 2u);
   EXPECT_EQ(report.metrics.qos[0].cls, QosClass::kGold);
   EXPECT_EQ(report.metrics.qos[1].cls, QosClass::kBronze);
@@ -877,8 +877,8 @@ TEST(QosEngine, GlobalBoundShedsBronzeBeforeGold) {
   EXPECT_GE(report.metrics.qos[0].ledger.attainment(),
             report.metrics.qos[1].ledger.attainment());
 
-  const std::string json = report.metrics.to_json();
-  EXPECT_NE(json.find("\"schema\":6"), std::string::npos);
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("\"schema\":7"), std::string::npos);
   EXPECT_NE(json.find("\"qos\":["), std::string::npos);
   EXPECT_NE(json.find("\"class\":\"gold\""), std::string::npos);
   EXPECT_NE(json.find("\"class\":\"bronze\""), std::string::npos);

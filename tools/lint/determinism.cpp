@@ -27,11 +27,10 @@
 //                       order, which ASLR reshuffles every run.
 //   det-fp-accum        `+=`/`-=` on a floating-point symbol, or
 //                       fetch_add on an atomic<double>, lexically inside
-//                       a parallel_for(...), .submit(...) or
-//                       .run_epoch(...) call — the last is the
-//                       work-stealing LaneExecutor's fan-out point, where
-//                       a stolen chunk makes accumulation order depend on
-//                       the steal schedule. FP addition is
+//                       a .run_epoch(...) call — the work-stealing
+//                       LaneExecutor's fan-out point, where a stolen
+//                       chunk makes accumulation order depend on the
+//                       steal schedule. FP addition is
 //                       non-associative, so a racy accumulation order
 //                       changes the low bits run to run. Accumulate
 //                       per-task and reduce in index order instead (see
@@ -249,22 +248,15 @@ FloatSymbols float_decls(const SourceFile& f) {
   return out;
 }
 
-/// Token-index ranges lexically inside `parallel_for(...)`,
-/// `.submit(...)` / `->submit(...)` and `.run_epoch(...)` /
-/// `->run_epoch(...)` call argument lists (the latter is the LaneExecutor
-/// work-stealing fan-out; its steal schedule reorders execution just like
-/// the pool's claim order does).
+/// Token-index ranges lexically inside `.run_epoch(...)` /
+/// `->run_epoch(...)` call argument lists: the LaneExecutor's
+/// work-stealing fan-out, whose steal schedule reorders execution.
 std::vector<std::pair<size_t, size_t>> parallel_spans(const SourceFile& f) {
   std::vector<std::pair<size_t, size_t>> spans;
   const std::vector<Token>& t = f.tokens;
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind != Token::Kind::kIdent) continue;
-    const bool pf = t[i].text == "parallel_for";
-    const bool member = i > 0 && (is_punct(t[i - 1], ".") ||
-                                  is_punct(t[i - 1], "->"));
-    const bool sub =
-        (t[i].text == "submit" || t[i].text == "run_epoch") && member;
-    if (!pf && !sub) continue;
+  for (size_t i = 1; i < t.size(); ++i) {
+    if (t[i].kind != Token::Kind::kIdent || t[i].text != "run_epoch") continue;
+    if (!is_punct(t[i - 1], ".") && !is_punct(t[i - 1], "->")) continue;
     if (i + 1 >= t.size() || !is_punct(t[i + 1], "(")) continue;
     int depth = 1;
     size_t j = i + 2;
