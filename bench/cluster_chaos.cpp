@@ -67,34 +67,8 @@ constexpr double kSetupTailSlack = 4.0;
 /// (see --calibrate). Re-curate if the fleet shape or crash rate changes.
 constexpr u64 kSeeds[] = {9, 14, 19};
 
-constexpr size_t kBulkSpecs = 3;
-
-TossOptions fast_toss() {
-  TossOptions opt;
-  opt.stable_invocations = 4;
-  opt.max_profiling_invocations = 16;
-  return opt;
-}
-
-FunctionRegistration bulk_registration(size_t i, FunctionSpec spec) {
-  spec.name += "#" + std::to_string(i);
-  return FunctionRegistration(std::move(spec))
-      .policy(PolicyKind::kToss)
-      .toss(fast_toss())
-      .seed(1100 + i);
-}
-
-u64 pick_budget(const SystemConfig& cfg) {
-  const std::vector<FunctionSpec> base = workloads::all_functions();
-  u64 total = 0, largest = 0;
-  for (size_t i = 0; i < kLanes; ++i) {
-    const u64 d = predicted_fast_demand(
-        cfg, bulk_registration(i, base[i % kBulkSpecs]));
-    total += d;
-    largest = std::max(largest, d);
-  }
-  return (total + total * 2 / 5 + 2 * largest * kHosts) / kHosts;
-}
+const bench::SoakFleet kFleet{kLanes, kHosts, /*lane_seed_base=*/1100,
+                              /*hog_seed=*/37};
 
 /// Host crashes are rare per epoch (the seeds are curated for exactly K
 /// dead); brownouts are common enough to exercise the health breaker;
@@ -123,28 +97,9 @@ std::unique_ptr<ClusterEngine> make_cluster(const SystemConfig& cfg,
   opts.health_breaker.failure_threshold = 2;
   opts.health_breaker.cooldown_invocations = 3;
   auto cluster = std::make_unique<ClusterEngine>(opts, cfg);
-  const std::vector<FunctionSpec> base = workloads::all_functions();
-  for (size_t i = 0; i < kLanes; ++i) {
-    cluster
-        ->add(bulk_registration(i, base[i % kBulkSpecs]),
-              RequestGenerator::round_robin(
-                  kRequestsPerLane, mix_seed(seed, "lane" + std::to_string(i))))
-        .value();
-  }
-  // Same hog as cluster_scale: pins its host so migrations (and their
-  // injected aborts) actually happen during the soak.
-  FunctionSpec hog = base[base.size() - 1];
-  hog.name = "hog";
-  TossOptions never_tiers;
-  never_tiers.stable_invocations = 1u << 20;
-  never_tiers.max_profiling_invocations = 1u << 20;
-  cluster
-      ->add(FunctionRegistration(std::move(hog))
-                .policy(PolicyKind::kToss)
-                .toss(never_tiers)
-                .seed(37),
-            RequestGenerator::round_robin(kHogRequests, mix_seed(seed, "hog")))
-      .value();
+  // The cluster_scale fleet shape: the hog pins its host so migrations
+  // (and their injected aborts) actually happen during the soak.
+  kFleet.add_to(*cluster, seed, kRequestsPerLane, kHogRequests);
   return cluster;
 }
 
@@ -258,7 +213,7 @@ int calibrate(const SystemConfig& cfg, u64 budget, u64 max_seed) {
 
 int main(int argc, char** argv) {
   const SystemConfig cfg = bench::ladder_config_from_args(argc, argv);
-  const u64 budget = pick_budget(cfg);
+  const u64 budget = kFleet.host_budget(cfg);
   const bool faults = fault_injection_enabled();
   if (!faults)
     std::printf(

@@ -52,39 +52,8 @@ constexpr size_t kHogRequests = 60;
 constexpr int kPinnedEpochs = 4;
 constexpr u64 kSeeds[] = {1, 2, 3};
 
-/// Small specs only for the bulk fleet: the soak's cost is lane count, not
-/// per-invocation page volume.
-constexpr size_t kBulkSpecs = 3;
-
-TossOptions fast_toss() {
-  TossOptions opt;
-  opt.stable_invocations = 4;
-  opt.max_profiling_invocations = 16;
-  return opt;
-}
-
-FunctionRegistration bulk_registration(size_t i, FunctionSpec spec) {
-  spec.name += "#" + std::to_string(i);
-  return FunctionRegistration(std::move(spec))
-      .policy(PolicyKind::kToss)
-      .toss(fast_toss())
-      .seed(900 + i);
-}
-
-/// Per-host budget: generous against the predicted steady state (so the
-/// packer is never forced to overload a host) yet tiny against the hog's
-/// profiling-phase guest image (so the skew genuinely pins its host).
-u64 pick_budget(const SystemConfig& cfg) {
-  const std::vector<FunctionSpec> base = workloads::all_functions();
-  u64 total = 0, largest = 0;
-  for (size_t i = 0; i < kLanes; ++i) {
-    const u64 d = predicted_fast_demand(
-        cfg, bulk_registration(i, base[i % kBulkSpecs]));
-    total += d;
-    largest = std::max(largest, d);
-  }
-  return total + total * 2 / 5 + 2 * largest * kHosts;
-}
+const bench::SoakFleet kFleet{kLanes, kHosts, /*lane_seed_base=*/900,
+                              /*hog_seed=*/31};
 
 /// Faults-on mode: brownouts soak the health breaker and migration aborts
 /// soak the transactional retry path, but no kHostCrash — this bench's
@@ -110,28 +79,7 @@ std::unique_ptr<ClusterEngine> make_cluster(const SystemConfig& cfg,
   if (with_faults)
     opts.cluster_fault_plan = scale_fault_plan(mix_seed(seed, "scale-faults"));
   auto cluster = std::make_unique<ClusterEngine>(opts, cfg);
-  const std::vector<FunctionSpec> base = workloads::all_functions();
-  for (size_t i = 0; i < kLanes; ++i) {
-    cluster
-        ->add(bulk_registration(i, base[i % kBulkSpecs]),
-              RequestGenerator::round_robin(kRequestsPerLane,
-                                            mix_seed(seed, "lane" + std::to_string(i))))
-        .value();
-  }
-  // The hog: the biggest Table-I guest, wedged in profiling for its whole
-  // stream. Added last, so worst-fit drops it on the least-loaded host.
-  FunctionSpec hog = base[base.size() - 1];
-  hog.name = "hog";
-  TossOptions never_tiers;
-  never_tiers.stable_invocations = 1u << 20;
-  never_tiers.max_profiling_invocations = 1u << 20;
-  cluster
-      ->add(FunctionRegistration(std::move(hog))
-                .policy(PolicyKind::kToss)
-                .toss(never_tiers)
-                .seed(31),
-            RequestGenerator::round_robin(kHogRequests, mix_seed(seed, "hog")))
-      .value();
+  kFleet.add_to(*cluster, seed, kRequestsPerLane, kHogRequests);
   return cluster;
 }
 
@@ -225,7 +173,7 @@ int main(int argc, char** argv) {
   }
   if (max_threads < 1) max_threads = 1;
 
-  const u64 budget = pick_budget(cfg) / kHosts;
+  const u64 budget = kFleet.host_budget(cfg);
   std::printf("hosts=%zu lanes=%zu budget=%.1f MiB/host max_threads=%d "
               "(hardware: %d)\n",
               kHosts, kLanes + 1,

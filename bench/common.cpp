@@ -1,5 +1,6 @@
 #include "common.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <stdexcept>
 #include <string_view>
@@ -126,6 +127,57 @@ std::string artifact_path(int argc, char** argv,
                           const std::string& filename) {
   return (std::filesystem::path(artifact_dir(argc, argv)) / filename)
       .string();
+}
+
+namespace {
+
+FunctionRegistration soak_lane(size_t i, u64 seed_base) {
+  // The soak's cost is lane count, not per-invocation page volume.
+  constexpr size_t kSmallSpecs = 3;
+  FunctionSpec spec = workloads::all_functions()[i % kSmallSpecs];
+  spec.name += "#" + std::to_string(i);
+  TossOptions fast;
+  fast.stable_invocations = 4;
+  fast.max_profiling_invocations = 16;
+  return FunctionRegistration(std::move(spec))
+      .policy(PolicyKind::kToss)
+      .toss(fast)
+      .seed(seed_base + i);
+}
+
+}  // namespace
+
+u64 SoakFleet::host_budget(const SystemConfig& cfg) const {
+  u64 total = 0, largest = 0;
+  for (size_t i = 0; i < lanes; ++i) {
+    const u64 d = predicted_fast_demand(cfg, soak_lane(i, lane_seed_base));
+    total += d;
+    largest = std::max(largest, d);
+  }
+  return (total + total * 2 / 5 + 2 * largest * hosts) / hosts;
+}
+
+void SoakFleet::add_to(ClusterEngine& cluster, u64 seed,
+                       size_t requests_per_lane, size_t hog_requests) const {
+  for (size_t i = 0; i < lanes; ++i)
+    cluster
+        .add(soak_lane(i, lane_seed_base),
+             RequestGenerator::round_robin(
+                 requests_per_lane, mix_seed(seed, "lane" + std::to_string(i))))
+        .value();
+  // The hog never converges, so it never leaves profiling.
+  FunctionSpec hog = workloads::all_functions().back();
+  hog.name = "hog";
+  TossOptions never_tiers;
+  never_tiers.stable_invocations = 1u << 20;
+  never_tiers.max_profiling_invocations = 1u << 20;
+  cluster
+      .add(FunctionRegistration(std::move(hog))
+               .policy(PolicyKind::kToss)
+               .toss(never_tiers)
+               .seed(hog_seed),
+           RequestGenerator::round_robin(hog_requests, mix_seed(seed, "hog")))
+      .value();
 }
 
 bool cluster_ledgers_equal(const ClusterReport& a, const ClusterReport& b) {

@@ -91,6 +91,30 @@ std::string artifact_dir(int argc, char** argv);
 std::string artifact_path(int argc, char** argv,
                           const std::string& filename);
 
+/// The skewed fleet the cluster soaks (cluster_scale, cluster_chaos) run:
+/// `lanes` small TOSS lanes cycling the three smallest Table-I specs (lane
+/// i is "<spec>#i", converging after 4 stable of at most 16 profiled
+/// invocations), plus one "hog" — the biggest Table-I guest, wedged in its
+/// profiling phase (which pins its whole guest image in DRAM) for its
+/// entire stream. The hog's host pins at the close-admission rung, so the
+/// cluster must migrate tiered lanes away. Each bench keeps its own seeds.
+struct SoakFleet {
+  size_t lanes = 0;
+  size_t hosts = 0;
+  u64 lane_seed_base = 0;  ///< lane i registers with seed lane_seed_base + i
+  u64 hog_seed = 0;
+
+  /// Per-host fast-tier budget: generous against the lanes' predicted
+  /// steady state (so the packer never has to overload a host) yet tiny
+  /// against the hog's profiling-phase image (so the skew pins its host).
+  u64 host_budget(const SystemConfig& cfg) const;
+  /// Register every lane (`requests_per_lane` round-robin requests seeded
+  /// by (seed, "lane<i>")), then the hog (`hog_requests`, seeded by (seed,
+  /// "hog")) — last, so worst-fit drops it on the least-loaded host.
+  void add_to(ClusterEngine& cluster, u64 seed, size_t requests_per_lane,
+              size_t hog_requests) const;
+};
+
 /// Deep equality over everything in a ClusterReport that falls under the
 /// determinism contract: migration/failover/health ledgers, hosts_lost,
 /// epoch count, per-host arbiter events and per-function invocation

@@ -19,17 +19,6 @@ u64 tier_snapshot(SnapshotStore& store, const SingleTierSnapshot& snap,
   return primary;
 }
 
-Nanos tiering_stage_ns(const SystemConfig& cfg, u64 guest_bytes) {
-  // Read the single-tier file and write both tier files serially, plus a
-  // fixed analysis term. Dominated by the copy, matching the paper's
-  // 128 MB -> hundreds of ms, 1 GB -> couple of seconds scaling.
-  const double read_ns = static_cast<double>(guest_bytes) /
-                         cfg.disk.seq_read_bw_bytes_per_ns;
-  const double write_ns = static_cast<double>(guest_bytes) /
-                          cfg.disk.seq_write_bw_bytes_per_ns;
-  return ms(50) + read_ns + write_ns;
-}
-
 TossPolicy::TossPolicy(const SnapshotStore& store, u64 tiered_id)
     : store_(&store), tiered_id_(tiered_id) {
   TOSS_REQUIRE(store_->get_tiered(tiered_id_) != nullptr);

@@ -15,11 +15,6 @@ namespace toss {
 u64 tier_snapshot(SnapshotStore& store, const SingleTierSnapshot& snap,
                   const PagePlacement& placement);
 
-/// Estimated wall time of the analysis + tiering stage (Section V-C: a few
-/// hundred ms for a 128 MB snapshot, a couple of seconds at 1 GB): the
-/// serial copy of both tier files plus layout bookkeeping.
-Nanos tiering_stage_ns(const SystemConfig& cfg, u64 guest_bytes);
-
 /// TOSS restore: one mapping per layout entry. The rank-0 file stays pinned
 /// in DRAM (it is precisely the fast-tier share the memory cost model
 /// charges for) and every deeper rank's file is a DAX mapping of its

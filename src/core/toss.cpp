@@ -67,58 +67,33 @@ TossInvocationRecord TossFunction::handle(int input, u64 invocation_seed) {
   return rec;
 }
 
-TossFunction::AttemptStatus TossFunction::restore_execute_with_retry(
-    MicroVm& vm, const RestorePlan& plan, const Invocation& inv,
-    InvocationResult* out, RecoveryInfo* recovery) {
-  const int attempts = std::max(1, options_.retry.max_attempts);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      ++recovery->retries;
-      recovery->overhead_ns +=
-          options_.retry.backoff_ns(attempt - 1, recovery_rng_);
-    }
-    try {
-      InvocationResult r;
-      r.setup = vm.restore(plan);
-      r.exec = vm.execute(inv.trace, inv.cpu_ns);
-      *out = r;
-      return AttemptStatus::kOk;
-    } catch (const Error& e) {
-      if (!is_transient(e.code())) return AttemptStatus::kBroken;
-      ++recovery->faults_seen;
-    }
-  }
-  return AttemptStatus::kExhausted;
+RetryStatus TossFunction::restore_execute(MicroVm& vm, const RestorePlan& plan,
+                                          const Invocation& inv,
+                                          InvocationResult* out,
+                                          RecoveryInfo* recovery) {
+  return options_.retry.run(recovery_rng_, recovery, [&] {
+    InvocationResult r;
+    r.setup = vm.restore(plan);
+    r.exec = vm.execute(inv.trace, inv.cpu_ns);
+    *out = r;
+  });
 }
 
-bool TossFunction::boot_execute_with_retry(MicroVm& vm, const Invocation& inv,
-                                           InvocationResult* out,
-                                           RecoveryInfo* recovery) {
-  const int attempts = std::max(1, options_.retry.max_attempts);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      ++recovery->retries;
-      recovery->overhead_ns +=
-          options_.retry.backoff_ns(attempt - 1, recovery_rng_);
-    }
-    try {
-      InvocationResult r;
-      r.setup = vm.boot(model_->guest_bytes(), VmState{});
-      r.exec = vm.execute(inv.trace, inv.cpu_ns);
-      *out = r;
-      return true;
-    } catch (const Error& e) {
-      ++recovery->faults_seen;
-      if (!is_transient(e.code())) return false;
-    }
-  }
-  return false;
+RetryStatus TossFunction::boot_execute(MicroVm& vm, const Invocation& inv,
+                                       InvocationResult* out,
+                                       RecoveryInfo* recovery) {
+  return options_.retry.run(recovery_rng_, recovery, [&] {
+    InvocationResult r;
+    r.setup = vm.boot(model_->guest_bytes(), VmState{});
+    r.exec = vm.execute(inv.trace, inv.cpu_ns);
+    *out = r;
+  });
 }
 
 void TossFunction::cold_boot_rung(MicroVm& vm, const Invocation& inv,
                                   TossInvocationRecord& rec) {
   rec.recovery.fallback = FallbackLevel::kColdBoot;
-  if (!boot_execute_with_retry(vm, inv, &rec.result, &rec.recovery))
+  if (boot_execute(vm, inv, &rec.result, &rec.recovery) != RetryStatus::kOk)
     rec.recovery.completed = false;
   // A cold start's authoritative contents are the fresh guest image.
   rec.recovery.expected_hash =
@@ -162,7 +137,7 @@ TossInvocationRecord TossFunction::handle_initial(const Invocation& inv) {
 
   // Step I: run in a DRAM-only guest, snapshot after execution completes.
   MicroVm vm(*cfg_, *store_);
-  if (!boot_execute_with_retry(vm, inv, &rec.result, &rc)) {
+  if (boot_execute(vm, inv, &rec.result, &rc) != RetryStatus::kOk) {
     // Every attempt crashed mid-run. Report the failed invocation and stay
     // in Step I; the next invocation restarts it from scratch.
     rc.completed = false;
@@ -175,22 +150,10 @@ TossInvocationRecord TossFunction::handle_initial(const Invocation& inv) {
   // Persist the Step-I snapshot. A torn write is retried; if every attempt
   // tears, the invocation still completes (the caller got its result) and
   // Step I re-runs wholesale next time.
-  const int attempts = std::max(1, options_.retry.max_attempts);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      ++rc.retries;
-      rc.overhead_ns += options_.retry.backoff_ns(attempt - 1, recovery_rng_);
-    }
-    try {
-      single_tier_id_ = vm.take_snapshot();
-      rec.snapshot_created = true;
-      break;
-    } catch (const Error& e) {
-      ++rc.faults_seen;
-      if (!is_transient(e.code())) break;
-    }
-  }
-
+  rec.snapshot_created =
+      options_.retry.run(recovery_rng_, &rc, [&] {
+        single_tier_id_ = vm.take_snapshot();
+      }) == RetryStatus::kOk;
   if (rec.snapshot_created) {
     // Oracle: the persisted snapshot must round-trip the guest exactly.
     record_oracle(vm, store_->fetch_single_tier(single_tier_id_), &rc);
@@ -212,13 +175,12 @@ TossInvocationRecord TossFunction::handle_profiling(const Invocation& inv) {
 
   MicroVm vm(*cfg_, *store_);
   const SingleTierSnapshot* snap = store_->get_single_tier(single_tier_id_);
-  AttemptStatus status = AttemptStatus::kBroken;
+  RetryStatus status = RetryStatus::kBroken;
   if (snap != nullptr) {
     VanillaPolicy vanilla(*store_, single_tier_id_);
-    status = restore_execute_with_retry(vm, vanilla.plan_restore(), inv,
-                                        &rec.result, &rc);
+    status = restore_execute(vm, vanilla.plan_restore(), inv, &rec.result, &rc);
   }
-  if (status != AttemptStatus::kOk) {
+  if (status != RetryStatus::kOk) {
     // No usable Step-I snapshot for this invocation: serve cold. DAMON is
     // skipped — it rides the restored snapshot — so profiling resumes on
     // the next successful restore.
@@ -294,21 +256,10 @@ bool TossFunction::run_analysis(RecoveryInfo* recovery) {
   // the function stays in profiling; the next convergence check re-attempts
   // persistence.
   u64 id = 0;
-  const int attempts = std::max(1, options_.retry.max_attempts);
-  for (int attempt = 0; attempt < attempts && id == 0; ++attempt) {
-    if (attempt > 0) {
-      ++recovery->retries;
-      recovery->overhead_ns +=
-          options_.retry.backoff_ns(attempt - 1, recovery_rng_);
-    }
-    try {
-      id = tier_snapshot(*store_, *snap, decision_->placement);
-    } catch (const Error& e) {
-      ++recovery->faults_seen;
-      if (!is_transient(e.code())) break;
-    }
-  }
-  if (id == 0) return false;
+  if (options_.retry.run(recovery_rng_, recovery, [&] {
+        id = tier_snapshot(*store_, *snap, decision_->placement);
+      }) != RetryStatus::kOk)
+    return false;
   replace_tiered(id);
   arm_reprofiler();
   phase_ = TossPhase::kTiered;
@@ -321,21 +272,16 @@ bool TossFunction::retier(RetierBound bound) {
   if (snap == nullptr) return false;
 
   TieringDecision d = analyze_now(bound);
-  // Persist the re-placed artifact; bounded torn-write retry. No backoff is
-  // charged anywhere — demotions run between requests at the engine's
-  // epoch barrier, not inside an invocation — and recovery_rng_ is left
-  // untouched so the lane's fault/backoff streams stay bit-identical to a
-  // run without arbiter activity.
+  // Persist the re-placed artifact; bounded torn-write retry. No recovery
+  // ledger: demotions run between requests at the engine's epoch barrier,
+  // not inside an invocation, so no backoff is charged and recovery_rng_
+  // is left untouched — the lane's fault/backoff streams stay bit-identical
+  // to a run without arbiter activity.
   u64 id = 0;
-  const int attempts = std::max(1, options_.retry.max_attempts);
-  for (int attempt = 0; attempt < attempts && id == 0; ++attempt) {
-    try {
-      id = tier_snapshot(*store_, *snap, d.placement);
-    } catch (const Error& e) {
-      if (!is_transient(e.code())) break;
-    }
-  }
-  if (id == 0) return false;  // keep serving the current artifact
+  if (options_.retry.run(recovery_rng_, nullptr, [&] {
+        id = tier_snapshot(*store_, *snap, d.placement);
+      }) != RetryStatus::kOk)
+    return false;  // keep serving the current artifact
   replace_tiered(id);
   decision_ = std::move(d);
   bound_ = bound;
@@ -370,9 +316,9 @@ TossInvocationRecord TossFunction::handle_tiered(const Invocation& inv) {
 
   if (use_tiered) {
     TossPolicy policy(*store_, tiered_id_);
-    const AttemptStatus status = restore_execute_with_retry(
-        vm, policy.plan_restore(), inv, &rec.result, &rc);
-    if (status == AttemptStatus::kOk) {
+    const RetryStatus status =
+        restore_execute(vm, policy.plan_restore(), inv, &rec.result, &rc);
+    if (status == RetryStatus::kOk) {
       // The retained Step-I snapshot is the authority the tiered restore
       // must reproduce bit-exactly.
       if (const SingleTierSnapshot* authority =
@@ -396,7 +342,7 @@ TossInvocationRecord TossFunction::handle_tiered(const Invocation& inv) {
       }
       return rec;
     }
-    if (status == AttemptStatus::kBroken) {
+    if (status == RetryStatus::kBroken) {
       // Verified clean but the restore still found it unusable (e.g. a
       // truncation raced the verify pass): quarantine rather than retry.
       quarantine_and_rearm(&rc);
@@ -408,8 +354,8 @@ TossInvocationRecord TossFunction::handle_tiered(const Invocation& inv) {
     rc.fallback = FallbackLevel::kSingleTier;
   if (store_->get_single_tier(single_tier_id_) != nullptr) {
     VanillaPolicy vanilla(*store_, single_tier_id_);
-    if (restore_execute_with_retry(vm, vanilla.plan_restore(), inv,
-                                   &rec.result, &rc) == AttemptStatus::kOk) {
+    if (restore_execute(vm, vanilla.plan_restore(), inv, &rec.result, &rc) ==
+        RetryStatus::kOk) {
       record_oracle(vm, store_->fetch_single_tier(single_tier_id_), &rc);
       return rec;
     }

@@ -104,14 +104,12 @@ class TossFunction {
   const UnifiedPattern* unified() const {
     return unified_ ? &*unified_ : nullptr;
   }
-  const ReprofilePolicy& reprofiler() const { return reprofiler_; }
 
   /// Circuit breaker hook: while suspended, tiered restores and Step III
   /// re-analysis are skipped in favour of the retained single-tier snapshot
   /// (FallbackLevel::kSingleTier), letting a flapping lane stop hammering a
   /// failing artifact without losing availability.
   void set_recovery_suspended(bool suspended) { suspended_ = suspended; }
-  bool recovery_suspended() const { return suspended_; }
 
   /// True between a quarantine and the Step V rebuild that replaces the
   /// quarantined tiered snapshot.
@@ -148,13 +146,6 @@ class TossFunction {
   }
 
  private:
-  /// Outcome of one bounded-retry restore+execute ladder rung.
-  enum class AttemptStatus : u8 {
-    kOk = 0,      ///< an attempt succeeded; result is filled in
-    kExhausted,   ///< every attempt failed on transient faults
-    kBroken,      ///< the backing artifact itself is missing/corrupted
-  };
-
   TossInvocationRecord handle_initial(const Invocation& inv);
   TossInvocationRecord handle_profiling(const Invocation& inv);
   TossInvocationRecord handle_tiered(const Invocation& inv);
@@ -165,13 +156,14 @@ class TossFunction {
   /// Re-arm the Eq 2-4 regeneration trigger against decision_.
   void arm_reprofiler();
 
-  AttemptStatus restore_execute_with_retry(MicroVm& vm,
-                                           const RestorePlan& plan,
-                                           const Invocation& inv,
-                                           InvocationResult* out,
-                                           RecoveryInfo* recovery);
-  bool boot_execute_with_retry(MicroVm& vm, const Invocation& inv,
-                               InvocationResult* out, RecoveryInfo* recovery);
+  /// One ladder rung under options_.retry: restore (or cold-boot) and
+  /// execute; `out` is written only by the attempt that succeeds.
+  /// kBroken = the restore's backing artifact is missing or corrupted.
+  RetryStatus restore_execute(MicroVm& vm, const RestorePlan& plan,
+                              const Invocation& inv, InvocationResult* out,
+                              RecoveryInfo* recovery);
+  RetryStatus boot_execute(MicroVm& vm, const Invocation& inv,
+                           InvocationResult* out, RecoveryInfo* recovery);
   void cold_boot_rung(MicroVm& vm, const Invocation& inv,
                       TossInvocationRecord& rec);
   void quarantine_and_rearm(RecoveryInfo* recovery);

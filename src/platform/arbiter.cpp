@@ -4,21 +4,10 @@
 
 namespace toss {
 
-const char* arbiter_action_name(ArbiterAction action) {
-  switch (action) {
-    case ArbiterAction::kEvictWarm: return "evict_warm";
-    case ArbiterAction::kDemote: return "demote";
-    case ArbiterAction::kPromote: return "promote";
-    case ArbiterAction::kCloseAdmission: return "close_admission";
-    case ArbiterAction::kOpenAdmission: return "open_admission";
-  }
-  return "?";
-}
-
 FastTierArbiter::FastTierArbiter(ArbiterOptions options, u64 fast_budget_bytes)
     : options_(options),
       budget_(fast_budget_bytes),
-      warm_(KeepAliveConfig{fast_budget_bytes, options.slow_budget_bytes}) {}
+      warm_(KeepAliveConfig{.dram_capacity_bytes = fast_budget_bytes}) {}
 
 void FastTierArbiter::push_event(u64 epoch, std::string function,
                                  ArbiterAction action, int rung) {

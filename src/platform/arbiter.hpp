@@ -56,8 +56,6 @@ struct ArbiterOptions {
   /// Fleet fast-tier budget. 0 = use the SystemConfig's installed fast-tier
   /// capacity (TierSpec::capacity_bytes), resolved by the engine.
   u64 fast_budget_bytes = 0;
-  /// Slow-tier pool for warm VMs; effectively abundant (paper: 768 GB).
-  u64 slow_budget_bytes = 64 * kGiB;
   /// Keep finished lanes' VMs warm (GDSF keep-alive) until evicted.
   bool keepalive = true;
 };
@@ -69,8 +67,6 @@ enum class ArbiterAction : u8 {
   kCloseAdmission,   ///< rung C: new arrivals will be shed
   kOpenAdmission,    ///< recovery: admission re-opened
 };
-
-const char* arbiter_action_name(ArbiterAction action);
 
 /// One ledger entry. The sequence of events is part of the engine's
 /// determinism contract: identical for any thread count at a fixed seed.
@@ -167,7 +163,6 @@ class FastTierArbiter {
                : 0;
   }
   u64 resident_fast_bytes() const { return resident_; }
-  u64 budget_bytes() const { return budget_; }
   const std::vector<ArbiterEvent>& events() const { return events_; }
   ArbiterReport report() const;
 

@@ -5,6 +5,7 @@
 
 #include "core/optimizer.hpp"
 #include "trace/pattern.hpp"
+#include "util/contracts.hpp"
 #include "workloads/function_model.hpp"
 
 namespace toss {
@@ -212,8 +213,6 @@ ClusterEngine::ClusterEngine(ClusterOptions options, SystemConfig cfg,
   migration_rng_ =
       Rng(mix_seed(options_.cluster_fault_plan.seed, "migration-backoff"));
   predicted_load_.assign(options_.hosts, 0);
-  predicted_tier_load_.assign(options_.hosts,
-                              std::vector<u64>(cfg_.tier_count(), 0));
 }
 
 ClusterEngine::~ClusterEngine() = default;
@@ -235,12 +234,10 @@ Result<void> ClusterEngine::add(const FunctionRegistration& registration,
   const std::string& name = registration.spec().name;
   if (host_of(name) != npos)
     return {ErrorCode::kDuplicateFunction, name + " is already registered"};
-  std::vector<u64> tier_demand = predicted_tier_demand(cfg_, registration);
-  const u64 demand = tier_demand.front();
   // Placement binds on rank 0 only: the fast tier is the arbiter-defended
-  // scarce resource; deeper rungs are modelled as abundant, and their
-  // predicted demand is tracked for capacity reporting. Dead and
+  // scarce resource; deeper rungs are modelled as abundant. Dead and
   // quarantined hosts are not eligible targets.
+  const u64 demand = predicted_fast_demand(cfg_, registration);
   const size_t target = pick_host(demand, npos);
   if (target == npos)
     return {ErrorCode::kHostLost,
@@ -249,9 +246,7 @@ Result<void> ClusterEngine::add(const FunctionRegistration& registration,
       !added.ok())
     return added;
   predicted_load_[target] += demand;
-  for (size_t r = 0; r < tier_demand.size(); ++r)
-    predicted_tier_load_[target][r] += tier_demand[r];
-  placements_.push_back(Placement{name, target, demand, std::move(tier_demand)});
+  placements_.push_back(Placement{name, target, demand});
   return {};
 }
 
@@ -302,6 +297,43 @@ void ClusterEngine::push_health_event(const std::string& host,
   health_events_.push_back(HostHealthEvent{epochs_, host, action});
 }
 
+ClusterEngine::Placement& ClusterEngine::placement_of(
+    const std::string& function) {
+  const auto it =
+      std::find_if(placements_.begin(), placements_.end(),
+                   [&](const Placement& p) { return p.function == function; });
+  TOSS_ASSERT(it != placements_.end(), "lane without a placement");
+  return *it;
+}
+
+ClusterEngine::LaneTransfer ClusterEngine::transfer_lane(size_t from,
+                                                         size_t slot,
+                                                         size_t to,
+                                                         Nanos backoff_ns) {
+  std::unique_ptr<HostLane> lane = hosts_[from]->extract_lane(slot);
+  // The snapshot files travel with the lane's own (durable) SnapshotStore:
+  // copying them out for a migration, or re-materializing a crashed host's
+  // lane on a survivor, costs one sequential read of the resident bytes.
+  // That — plus any backoff burned on aborted attempts — is charged to the
+  // lane's clock, so a moved function visibly stalls.
+  const ServerlessPlatform::ResidentBytes rb =
+      lane->host->resident_bytes(lane->name);
+  LaneTransfer t;
+  t.moved_bytes = rb.fast + rb.slow;
+  t.transfer_ns = lane->host->store().seq_read_ns(t.moved_bytes);
+  lane->sim_now += t.transfer_ns + backoff_ns;
+  Placement& p = placement_of(lane->name);
+  predicted_load_[from] -= std::min(predicted_load_[from], p.demand);
+  predicted_load_[to] += p.demand;
+  p.host = to;
+  const u64 queued = lane->queue.size();
+  // adopt_lane fails only for a duplicate name, which host_of() excludes
+  // cluster-wide.
+  t.shed = hosts_[to]->adopt_lane(std::move(lane)).value();
+  t.requeued = queued - t.shed;
+  return t;
+}
+
 void ClusterEngine::maybe_migrate() {
   if (!options_.enable_migration || hosts_.size() < 2) return;
   for (size_t s = 0; s < hosts_.size(); ++s) {
@@ -309,99 +341,53 @@ void ClusterEngine::maybe_migrate() {
     Host& src = *hosts_[s];
     if (src.admission_closed_streak() < options_.migrate_after_pinned_epochs)
       continue;
+    // Hysteresis: one decision per pinned streak, whatever it turns out to
+    // be, so the streak re-arms instead of re-checking every epoch.
+    src.reset_admission_streak();
     const size_t li = src.largest_tiered_lane();
-    if (li == Host::npos) {
-      // Pinned but nothing migratable (all profiling / baselines); reset
-      // so the streak re-arms instead of re-checking every epoch.
-      src.reset_admission_streak();
+    if (li == Host::npos) continue;  // all profiling / baselines
+    const std::string fn = src.lane_at(li)->name;
+    // Destination: the least-loaded healthy host other than the source,
+    // ties toward the lowest index. A quarantined pick means nothing
+    // healthy is left, and a full one that the whole cluster is saturated:
+    // migrating would only thrash.
+    const size_t dest = pick_host(placement_of(fn).demand, s);
+    if (dest == npos || host_quarantined(dest) ||
+        predicted_load_[dest] >= hosts_[dest]->fast_budget_bytes())
       continue;
-    }
-    // Destination: the most predicted headroom against the (uniform)
-    // budget, excluding the source and any dead or quarantined host; ties
-    // toward the lowest index.
-    size_t dest = npos;
-    u64 best_headroom = 0;
-    for (size_t d = 0; d < hosts_.size(); ++d) {
-      if (d == s || health_[d].dead || host_quarantined(d)) continue;
-      const u64 budget = hosts_[d]->fast_budget_bytes();
-      const u64 load = std::min(predicted_load_[d], budget);
-      const u64 headroom = budget - load;
-      if (dest == npos || headroom > best_headroom) {
-        dest = d;
-        best_headroom = headroom;
-      }
-    }
-    if (dest == npos || best_headroom == 0) {
-      // Whole cluster saturated (or nothing healthy to move to):
-      // migrating would only thrash.
-      src.reset_admission_streak();
-      continue;
-    }
 
     // Transactional transfer: the source lane stays authoritative — still
     // admitting and serving — until a copy attempt survives to the commit
     // point, so an aborted attempt rolls back by simply not moving
     // anything. kMigrationAbort fires per attempt from the source host's
-    // injector; attempts are bounded by the RetryPolicy, with the backoff
-    // accumulated in simulated time.
-    const HostLane* view = src.lane_at(li);
-    const ServerlessPlatform::ResidentBytes rb =
-        view->host->resident_bytes(view->name);
-    const u64 moved = rb.fast + rb.slow;
+    // injector; attempts are bounded by the default RetryPolicy, with the
+    // backoff accumulated in simulated time.
     FaultInjector& inj = *health_[s].injector;
-    const u32 max_attempts =
-        static_cast<u32>(std::max(1, options_.migration_retry.max_attempts));
-    u32 attempts = 0;
-    Nanos backoff = 0;
-    bool committed = false;
-    while (attempts < max_attempts) {
-      ++attempts;
-      if (!inj.should_fire(FaultSite::kMigrationAbort)) {
-        committed = true;
-        break;
-      }
-      if (attempts < max_attempts)
-        backoff += options_.migration_retry.backoff_ns(
-            static_cast<int>(attempts) - 1, migration_rng_);
-    }
+    RecoveryInfo ledger;
+    const bool committed =
+        RetryPolicy{}.run(migration_rng_, &ledger, [&] {
+          if (inj.should_fire(FaultSite::kMigrationAbort))
+            throw Error(ErrorCode::kTransientIo,
+                        fn + ": transfer aborted mid-copy");
+        }) == RetryStatus::kOk;
+    const u32 attempts = ledger.retries + 1;
     if (!committed) {
       // Abandoned: the source keeps the lane (no split ownership, no lane
       // stall — the copy runs off the serving path, so rollback is free).
       // The typed ledger entry is the cluster-level analogue of the
       // recovery ladder exhausting its retries.
+      const ServerlessPlatform::ResidentBytes rb =
+          src.lane_at(li)->host->resident_bytes(fn);
       migrations_.push_back(MigrationEvent{
-          epochs_, view->name, src.name(), hosts_[dest]->name(), moved, 0,
-          MigrationOutcome::kAborted, attempts, backoff});
-      src.reset_admission_streak();
+          epochs_, fn, src.name(), hosts_[dest]->name(), rb.fast + rb.slow,
+          0, MigrationOutcome::kAborted, attempts, ledger.overhead_ns});
       continue;
     }
-
-    std::unique_ptr<HostLane> lane = src.extract_lane(li);
-    // The snapshot files travel with the lane's own SnapshotStore; the
-    // simulated cost of reading them out for the copy — plus any backoff
-    // burned on aborted attempts — is charged to the lane's clock, so a
-    // migrated function visibly stalls.
-    const Nanos transfer = lane->host->store().seq_read_ns(moved);
-    lane->sim_now += transfer + backoff;
+    const LaneTransfer t = transfer_lane(s, li, dest, ledger.overhead_ns);
     migrations_.push_back(MigrationEvent{
-        epochs_, lane->name, src.name(), hosts_[dest]->name(), moved,
-        transfer, MigrationOutcome::kCommitted, attempts, backoff});
-    for (Placement& p : placements_) {
-      if (p.function != lane->name) continue;
-      predicted_load_[s] -= std::min(predicted_load_[s], p.demand);
-      predicted_load_[dest] += p.demand;
-      for (size_t r = 0; r < p.tier_demand.size(); ++r) {
-        predicted_tier_load_[s][r] -=
-            std::min(predicted_tier_load_[s][r], p.tier_demand[r]);
-        predicted_tier_load_[dest][r] += p.tier_demand[r];
-      }
-      p.host = dest;
-      break;
-    }
-    // adopt_lane only fails for duplicate names, which host_of() already
-    // excludes cluster-wide.
-    hosts_[dest]->adopt_lane(std::move(lane)).ok();
-    src.reset_admission_streak();
+        epochs_, fn, src.name(), hosts_[dest]->name(), t.moved_bytes,
+        t.transfer_ns, MigrationOutcome::kCommitted, attempts,
+        ledger.overhead_ns});
   }
 }
 
@@ -471,17 +457,10 @@ void ClusterEngine::fail_over(size_t dead_host) {
   });
   for (size_t li : order) {
     const HostLane* view = dead.lane_at(li);
-    if (view == nullptr) continue;  // unreachable; defensive
-    Placement* placement = nullptr;
-    for (Placement& p : placements_)
-      if (p.function == view->name) {
-        placement = &p;
-        break;
-      }
     const std::string fn = view->name;
-    const u64 demand = placement != nullptr ? placement->demand : 0;
-    const size_t dst =
-        options_.enable_failover ? pick_host(demand, dead_host) : npos;
+    const size_t dst = options_.enable_failover
+                           ? pick_host(placement_of(fn).demand, dead_host)
+                           : npos;
     if (dst == npos) {
       // No survivor (or failover disabled): every pending request on this
       // lane resolves as kHostLost via abandon_pending() below, and the
@@ -489,42 +468,19 @@ void ClusterEngine::fail_over(size_t dead_host) {
       // with a typed error instead of queueing into the void.
       const u64 pending = view->queue.size() +
                           (view->requests.size() - view->arrived);
-      failovers_.push_back(FailoverEvent{epochs_, view->name, dead.name(),
-                                         "", 0, 0, 0, pending});
+      failovers_.push_back(
+          FailoverEvent{epochs_, fn, dead.name(), "", 0, 0, 0, pending});
       continue;
     }
-    std::unique_ptr<HostLane> lane = dead.extract_lane(li);
-    // Tiered restore from surviving snapshot state: the artifact store is
-    // durable and travels with the lane, so re-materializing on the
-    // destination costs one sequential read of the resident bytes — the
-    // recovery ladder's happy rung. A corrupted survivor is caught by the
-    // same per-invocation ladder on first use (verify -> retry -> degrade
-    // -> regenerate), so failover never needs a separate repair path.
-    const ServerlessPlatform::ResidentBytes rb =
-        lane->host->resident_bytes(lane->name);
-    const u64 moved = rb.fast + rb.slow;
-    const Nanos restore = lane->host->store().seq_read_ns(moved);
-    lane->sim_now += restore;
-    u64 requeued = 0;
-    u64 shed = 0;
-    // Only fails for duplicate names, excluded cluster-wide by host_of().
-    hosts_[dst]->adopt_failover_lane(std::move(lane), &requeued, &shed).ok();
-    if (placement != nullptr) {
-      predicted_load_[dead_host] -=
-          std::min(predicted_load_[dead_host], placement->demand);
-      predicted_load_[dst] += placement->demand;
-      for (size_t r = 0; r < placement->tier_demand.size(); ++r) {
-        predicted_tier_load_[dead_host][r] -=
-            std::min(predicted_tier_load_[dead_host][r],
-                     placement->tier_demand[r]);
-        predicted_tier_load_[dst][r] += placement->tier_demand[r];
-      }
-      placement->host = dst;
-    }
+    // Tiered restore from surviving snapshot state — the recovery ladder's
+    // happy rung. A corrupted survivor is caught by the same per-invocation
+    // ladder on first use (verify -> retry -> degrade -> regenerate), so
+    // failover never needs a separate repair path.
+    const LaneTransfer t = transfer_lane(dead_host, li, dst, 0);
     ++h.lanes_failed_over;
     failovers_.push_back(FailoverEvent{epochs_, fn, dead.name(),
-                                       hosts_[dst]->name(), moved, restore,
-                                       requeued, shed});
+                                       hosts_[dst]->name(), t.moved_bytes,
+                                       t.transfer_ns, t.requeued, t.shed});
   }
   // Lanes that found no survivor shed everything still pending, so each
   // request resolves to exactly one typed outcome and idle() holds.
@@ -558,6 +514,24 @@ Result<ClusterReport> ClusterEngine::run(int threads) {
         !stepped.ok())
       return {stepped.code(), stepped.message()};
     maybe_migrate();
+#ifdef TOSS_CHECKED
+    // Barrier conservation: each placement names a live lane on its host
+    // and nothing else is live (a lane no survivor adopted stays in its
+    // dead host's slots, placement included), and each host's predicted
+    // load is exactly the demand placed on it.
+    size_t live = 0;
+    for (const auto& host : hosts_) live += host->function_count();
+    TOSS_ASSERT(live == placements_.size(),
+                "cluster lane count disagrees with its placements");
+    std::vector<u64> placed(hosts_.size(), 0);
+    for (const Placement& p : placements_) {
+      TOSS_ASSERT(hosts_[p.host]->lane_host(p.function) != nullptr,
+                  "placement names a lane its host does not own");
+      placed[p.host] += p.demand;
+    }
+    TOSS_ASSERT(placed == predicted_load_,
+                "predicted load disagrees with the placed demand");
+#endif
     ++epochs_;
   }
   const auto t1 = std::chrono::steady_clock::now();  // toss-lint: allow(det-wallclock)

@@ -68,9 +68,6 @@ struct ClusterOptions {
   /// (seed, host name) — distinct from host_options.fault_plan, which
   /// drives the per-lane snapshot sites. Inert without -DTOSS_FAULTS=ON.
   FaultPlan cluster_fault_plan;
-  /// Bounded retry for aborted migration transfers (simulated backoff,
-  /// charged to the lane only when the move eventually commits).
-  RetryPolicy migration_retry;
   /// Survive host crashes by re-placing the dead host's lanes onto
   /// survivors; when off, a crash sheds everything pending as kHostLost.
   bool enable_failover = true;
@@ -219,13 +216,6 @@ class ClusterEngine {
   size_t function_count() const;
   /// Predicted fast-tier demand currently placed on each host.
   const std::vector<u64>& predicted_load() const { return predicted_load_; }
-  /// Full per-rung predicted demand per host: predicted_tier_load()[h][r]
-  /// is host h's placed demand at ladder rank r. Row 0 of each host equals
-  /// predicted_load()[h]; deeper rungs inform capacity planning but do not
-  /// constrain placement (they are modelled as abundant).
-  const std::vector<std::vector<u64>>& predicted_tier_load() const {
-    return predicted_tier_load_;
-  }
   u64 host_fast_budget_bytes(size_t index) const {
     return hosts_[index]->fast_budget_bytes();
   }
@@ -259,7 +249,30 @@ class ClusterEngine {
     u64 lanes_failed_over = 0;
   };
 
+  /// (function name, owning host index, predicted rank-0 demand) in
+  /// registration order; a lane transfer rewrites the host index.
+  struct Placement {
+    std::string function;
+    size_t host = 0;
+    u64 demand = 0;
+  };
+  /// What one transfer_lane() moved and charged.
+  struct LaneTransfer {
+    u64 moved_bytes = 0;    ///< resident snapshot bytes (fast + slow tier)
+    Nanos transfer_ns = 0;  ///< one sequential read of moved_bytes
+    u64 requeued = 0;       ///< carried queued requests the destination kept
+    u64 shed = 0;           ///< carried queued requests shed as kHostLost
+  };
+
   void maybe_migrate();
+  /// The one way a lane changes hosts (migration commit and crash
+  /// failover): extract slot `slot` of host `from`, charge one sequential
+  /// read of its resident snapshot bytes plus `backoff_ns` to its simulated
+  /// clock, re-point its placement at `to` and adopt it there.
+  LaneTransfer transfer_lane(size_t from, size_t slot, size_t to,
+                             Nanos backoff_ns);
+  /// The placement of a function registered through add().
+  Placement& placement_of(const std::string& function);
   /// Serial failure-domain barrier, run before the hosts step each epoch:
   /// arm kHostCrash / kHostBrownout per alive host in index order, fail
   /// over crashes, stall brownouts, and advance each health breaker.
@@ -280,16 +293,6 @@ class ClusterEngine {
   /// serial barrier, in host index order — deterministic.
   Rng migration_rng_{0};
   std::vector<u64> predicted_load_;  ///< placed rank-0 demand per host index
-  /// Placed demand per host per ladder rank (see predicted_tier_load()).
-  std::vector<std::vector<u64>> predicted_tier_load_;
-  /// (function name, owning host index, predicted per-rank demand) in
-  /// registration order; migration rewrites the host index.
-  struct Placement {
-    std::string function;
-    size_t host = 0;
-    u64 demand = 0;                 ///< rank-0 rollup (= tier_demand[0])
-    std::vector<u64> tier_demand;   ///< per ladder rank
-  };
   std::vector<Placement> placements_;
   std::vector<MigrationEvent> migrations_;
   std::vector<FailoverEvent> failovers_;

@@ -92,7 +92,7 @@ class PlatformEngine {
     return host_.toss_state(name);
   }
   /// The lane's isolated single-function host (nullptr for unknown names);
-  /// exposes its snapshot store, fault injector and circuit breaker for
+  /// exposes its snapshot store, circuit breaker and function stats for
   /// chaos-suite introspection.
   const ServerlessPlatform* lane_host(const std::string& name) const {
     return host_.lane_host(name);

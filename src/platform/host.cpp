@@ -8,14 +8,6 @@
 
 namespace toss {
 
-const char* drop_policy_name(DropPolicy policy) {
-  switch (policy) {
-    case DropPolicy::kTailDrop: return "tail_drop";
-    case DropPolicy::kOldestDrop: return "oldest_drop";
-  }
-  return "?";
-}
-
 Error shed_error(const std::string& function, const ShedEvent& event) {
   // Host loss is not retryable-later the way overload is: the caller must
   // re-resolve the function's placement first, so it gets its own code.
@@ -169,6 +161,18 @@ void Host::shed(HostLane& lane, size_t request_index, ShedCause cause) {
   lane.shed_events.push_back(ShedEvent{request_index, cause, lane.sim_now});
 }
 
+size_t Host::pop_victim(HostLane& lane) {
+  size_t idx = 0;
+  if (options_.drop_policy == DropPolicy::kTailDrop) {
+    idx = lane.queue.back();
+    lane.queue.pop_back();
+  } else {
+    idx = lane.queue.front();
+    lane.queue.pop_front();
+  }
+  return idx;
+}
+
 void Host::admit_arrivals(HostLane& lane, bool admission_closed) {
   while (lane.arrived < lane.requests.size() &&
          lane.requests[lane.arrived].arrival_ns <= lane.sim_now) {
@@ -188,8 +192,7 @@ void Host::admit_arrivals(HostLane& lane, bool admission_closed) {
         continue;
       }
       // Oldest-drop: the newcomer displaces the stalest queued request.
-      shed(lane, lane.queue.front(), ShedCause::kQueueFull);
-      lane.queue.pop_front();
+      shed(lane, pop_victim(lane), ShedCause::kQueueFull);
     }
     lane.queue.push_back(idx);
     ++lane.overload.admitted;
@@ -302,14 +305,7 @@ void Host::enforce_global_queue_bound() {
     }
     if (victim == lanes_.size()) return;  // unreachable; defensive
     HostLane& lane = *lanes_[victim];
-    const size_t idx = options_.drop_policy == DropPolicy::kTailDrop
-                           ? lane.queue.back()
-                           : lane.queue.front();
-    if (options_.drop_policy == DropPolicy::kTailDrop)
-      lane.queue.pop_back();
-    else
-      lane.queue.pop_front();
-    shed(lane, idx, ShedCause::kGlobalOverload);
+    shed(lane, pop_victim(lane), ShedCause::kGlobalOverload);
     --total;
   }
 }
@@ -328,10 +324,6 @@ u64 Host::fast_budget_bytes() const {
   return options_.arbiter.fast_budget_bytes != 0
              ? options_.arbiter.fast_budget_bytes
              : cfg_.fastest().capacity_bytes;
-}
-
-u64 Host::arbiter_resident_fast_bytes() const {
-  return arbiter_ != nullptr ? arbiter_->resident_fast_bytes() : 0;
 }
 
 void Host::arbiter_tick(FastTierArbiter& arbiter, u64 epoch) {
@@ -375,16 +367,18 @@ void Host::arbiter_tick(FastTierArbiter& arbiter, u64 epoch) {
     demands.push_back(d);
   }
 
-  const auto apply = [this](size_t li, int rung,
-                            const RetierBound& bound) -> std::optional<u64> {
+  const auto apply = [this, &arbiter](size_t li, int rung,
+                                      const RetierBound& bound)
+      -> std::optional<u64> {
     HostLane& lane = *lanes_[li];
     TossFunction* toss = lane.host->toss_state_mutable(lane.name);
     if (toss == nullptr || !toss->retier(bound)) return std::nullopt;
-    if (rung > lane.rung)
+    // The arbiter records the move after this hook returns, so rung(li) is
+    // still the depth the lane is leaving.
+    if (rung > arbiter.rung(li))
       ++lane.overload.demotions;
     else
       ++lane.overload.promotions;
-    lane.rung = rung;
     return lane.host->resident_bytes(lane.name).fast;
   };
   arbiter.tick(epoch, demands, apply);
@@ -613,55 +607,30 @@ std::unique_ptr<HostLane> Host::extract_lane(size_t index) {
   return std::move(lanes_[index]);
 }
 
-Result<void> Host::adopt_lane(std::unique_ptr<HostLane> lane) {
+Result<u64> Host::adopt_lane(std::unique_ptr<HostLane> lane) {
   if (lane == nullptr)
     return {ErrorCode::kInvalidRequest, name_ + ": cannot adopt a null lane"};
   if (find_lane(lane->name) != nullptr)
     return {ErrorCode::kDuplicateFunction,
             lane->name + " is already registered on host " + name_};
-  if (lane->rung != 0) {
-    // Arrive un-demoted: the migration target was chosen for its headroom,
-    // so restore the unconstrained Step-IV placement and let this host's
-    // arbiter re-demote if its budget disagrees.
-    if (TossFunction* toss = lane->host->toss_state_mutable(lane->name))
-      toss->retier(RetierBound{});
-    lane->rung = 0;
-  }
+  // Arrive un-demoted: the new host was chosen for its headroom, so restore
+  // the unconstrained Step-IV placement and let this host's arbiter
+  // re-demote if its budget disagrees.
+  if (TossFunction* toss = lane->host->toss_state_mutable(lane->name);
+      toss != nullptr && !toss->retier_bound().trivial())
+    toss->retier(RetierBound{});
+  // Re-admission under this host's lane bound. Hosts of one cluster share
+  // the bound the source lane already held, so there nothing is shed.
+  u64 dropped = 0;
+  if (options_.max_lane_queue > 0)
+    for (; lane->queue.size() > options_.max_lane_queue; ++dropped)
+      shed(*lane, pop_victim(*lane), ShedCause::kHostLost);
   lanes_.push_back(std::move(lane));
-  return {};
+  return dropped;
 }
 
 // ---------------------------------------------------------------------------
 // Failure-domain hooks (cluster failover / health governance).
-
-Result<void> Host::adopt_failover_lane(std::unique_ptr<HostLane> lane,
-                                       u64* requeued, u64* shed_count) {
-  if (lane == nullptr)
-    return {ErrorCode::kInvalidRequest, name_ + ": cannot adopt a null lane"};
-  const std::string fn = lane->name;
-  if (Result<void> adopted = adopt_lane(std::move(lane)); !adopted.ok())
-    return adopted;
-  HostLane* l = find_lane(fn);
-  u64 dropped = 0;
-  if (options_.max_lane_queue > 0) {
-    while (l->queue.size() > options_.max_lane_queue) {
-      // Same drop policy as admission: tail-drop sheds the newest queued
-      // request, oldest-drop the stalest.
-      const size_t idx = options_.drop_policy == DropPolicy::kTailDrop
-                             ? l->queue.back()
-                             : l->queue.front();
-      if (options_.drop_policy == DropPolicy::kTailDrop)
-        l->queue.pop_back();
-      else
-        l->queue.pop_front();
-      shed(*l, idx, ShedCause::kHostLost);
-      ++dropped;
-    }
-  }
-  if (requeued != nullptr) *requeued = l->queue.size();
-  if (shed_count != nullptr) *shed_count = dropped;
-  return {};
-}
 
 u64 Host::abandon_pending(ShedCause cause) {
   u64 dropped = 0;

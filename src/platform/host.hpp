@@ -25,11 +25,12 @@
 //   - The arbiter and the epoch counter are host state, so the
 //     graceful-degradation ladder keeps its rungs, its demotion stack and
 //     its warm pool between drains.
-//   - Lanes can be extracted and adopted whole (cross-host migration).
-//     Extraction leaves a null tombstone so lane indices — which key the
-//     arbiter's rung bookkeeping — stay stable. Every per-lane ledger
-//     (FunctionStats, OverloadStats, shed events) travels with the lane,
-//     so a migrated lane reports its whole history under its current host.
+//   - Lanes can be extracted and adopted whole (cross-host migration and
+//     crash failover). Extraction leaves a null tombstone so lane indices
+//     — which key the arbiter's rung bookkeeping — stay stable. Every
+//     per-lane ledger (FunctionStats, OverloadStats, shed events) travels
+//     with the lane, so a moved lane reports its whole history under its
+//     current host.
 #pragma once
 
 #include <array>
@@ -52,8 +53,6 @@ enum class DropPolicy : u8 {
   kTailDrop = 0,  ///< shed the newly arrived request
   kOldestDrop,    ///< shed the head of the queue, admit the newcomer
 };
-
-const char* drop_policy_name(DropPolicy policy);
 
 /// One shed decision, carrying the typed ShedCause (platform/qos.hpp); part
 /// of the determinism contract (the sequence is bit-identical for any
@@ -208,7 +207,6 @@ struct HostLane {
   OverloadStats overload;
   std::vector<ShedEvent> shed_events;
   bool finish_reported = false;  ///< keep-alive insert happened
-  int rung = 0;                  ///< arbiter demotion depth
   /// Service class + effective SLO slowdown target (DESIGN.md §14); kNone
   /// ranks between bronze and gold and reads the gold admission gate.
   QosSpec qos;
@@ -282,9 +280,6 @@ class Host {
   /// Resolved fast-tier budget (options.arbiter.fast_budget_bytes, or the
   /// SystemConfig's installed fast-tier capacity when 0).
   u64 fast_budget_bytes() const;
-  /// The arbiter's current fleet accounting (warm pool + active lanes);
-  /// 0 before the first arbiter tick.
-  u64 arbiter_resident_fast_bytes() const;
 
   /// Lane-slot count including migration tombstones; lane_at() returns
   /// nullptr for tombstones.
@@ -300,21 +295,14 @@ class Host {
   /// indices (which key the arbiter's bookkeeping) stay stable.
   std::unique_ptr<HostLane> extract_lane(size_t index);
 
-  /// Take ownership of a migrated lane and restore its unconstrained
-  /// placement (the destination arbiter re-demotes it if the budget here
-  /// disagrees).
-  Result<void> adopt_lane(std::unique_ptr<HostLane> lane);
+  /// Take ownership of a migrated or failed-over lane: restore its
+  /// unconstrained placement (this host's arbiter re-demotes it if the
+  /// budget here disagrees), then re-admit its carried queue under this
+  /// host's lane bound, shedding the overflow as kHostLost under the drop
+  /// policy. Returns the number of queued requests shed.
+  Result<u64> adopt_lane(std::unique_ptr<HostLane> lane);
 
   // ---- Cluster hooks (failure domains) ----
-
-  /// Failover adoption: adopt_lane() plus re-admission — the queue the lane
-  /// carried off its dead host must fit this host's admission bounds, so
-  /// overflow is shed as kHostLost under the configured drop policy.
-  /// Returns the number of re-admitted requests via `requeued` and the
-  /// number shed via `shed_count` (both optional).
-  Result<void> adopt_failover_lane(std::unique_ptr<HostLane> lane,
-                                   u64* requeued = nullptr,
-                                   u64* shed_count = nullptr);
 
   /// Terminal shed for a crashed host with no survivors: every queued and
   /// not-yet-arrived request on every live lane is shed as kHostLost, so
@@ -338,8 +326,8 @@ class Host {
   /// Lane state inspection (nullptr for unknown / non-TOSS lanes).
   const TossFunction* toss_state(const std::string& name) const;
   /// The lane's isolated single-function platform (nullptr for unknown
-  /// names); exposes its snapshot store, fault injector and circuit
-  /// breaker for chaos-suite introspection.
+  /// names); exposes its snapshot store, circuit breaker and function
+  /// stats for chaos-suite introspection.
   const ServerlessPlatform* lane_host(const std::string& name) const;
 
   /// Cumulative report without draining (what drain() returns, minus the
@@ -378,6 +366,9 @@ class Host {
   void process_chunk(HostLane& lane, bool admission_closed);
   void admit_arrivals(HostLane& lane, bool admission_closed);
   void shed(HostLane& lane, size_t request_index, ShedCause cause);
+  /// Pop the queued request the drop policy sheds first: the newest under
+  /// tail-drop, the stalest under oldest-drop. The queue must be non-empty.
+  size_t pop_victim(HostLane& lane);
   void enforce_global_queue_bound();
   void arbiter_tick(FastTierArbiter& arbiter, u64 epoch);
   FastTierArbiter* ensure_arbiter();

@@ -1,36 +1,6 @@
 #include "platform/platform.hpp"
 
-#include <algorithm>
-
 namespace toss {
-
-namespace {
-
-/// Bounded-retry wrapper for the baseline recovery path: runs `fn` up to
-/// retry.max_attempts times, charging jittered backoff (simulated time) into
-/// the recovery ledger between attempts. Returns false when every attempt
-/// failed; non-transient errors stop retrying immediately.
-template <typename F>
-bool with_retry(const RetryPolicy& retry, Rng& rng, RecoveryInfo* recovery,
-                F&& fn) {
-  const int attempts = std::max(1, retry.max_attempts);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      ++recovery->retries;
-      recovery->overhead_ns += retry.backoff_ns(attempt - 1, rng);
-    }
-    try {
-      fn();
-      return true;
-    } catch (const Error& e) {
-      ++recovery->faults_seen;
-      if (!is_transient(e.code())) return false;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 const char* policy_name(PolicyKind kind) {
   switch (kind) {
@@ -196,10 +166,10 @@ InvocationOutcome ServerlessPlatform::invoke_baseline(FunctionRuntime& rt,
     // write retries the whole initial execution; on exhaustion the next
     // request starts cold again.
     out.cold_boot = true;
-    if (!with_retry(retry, rt.recovery_rng, &rc, [&] {
+    if (retry.run(rt.recovery_rng, &rc, [&] {
           rt.snapshot_id =
               invoker_.initial_execution(rt.model, inv, &out.result);
-        })) {
+        }) != RetryStatus::kOk) {
       // initial_execution reports timings before the snapshot write, so a
       // torn put still counts as a completed (if snapshot-less) run; only
       // an all-attempts crash leaves the result empty.
@@ -220,20 +190,23 @@ InvocationOutcome ServerlessPlatform::invoke_baseline(FunctionRuntime& rt,
   switch (rt.kind) {
     case PolicyKind::kVanilla: {
       VanillaPolicy policy(store_, rt.snapshot_id);
-      restored = with_retry(retry, rt.recovery_rng, &rc,
-                            [&] { out.result = invoker_.invoke(policy, inv); });
+      restored = retry.run(rt.recovery_rng, &rc, [&] {
+        out.result = invoker_.invoke(policy, inv);
+      }) == RetryStatus::kOk;
       break;
     }
     case PolicyKind::kReap: {
       ReapPolicy policy(store_, rt.snapshot_id, *rt.ws);
-      restored = with_retry(retry, rt.recovery_rng, &rc,
-                            [&] { out.result = invoker_.invoke(policy, inv); });
+      restored = retry.run(rt.recovery_rng, &rc, [&] {
+        out.result = invoker_.invoke(policy, inv);
+      }) == RetryStatus::kOk;
       break;
     }
     case PolicyKind::kFaasnap: {
       FaasnapPolicy policy(store_, rt.snapshot_id, *rt.ws);
-      restored = with_retry(retry, rt.recovery_rng, &rc,
-                            [&] { out.result = invoker_.invoke(policy, inv); });
+      restored = retry.run(rt.recovery_rng, &rc, [&] {
+        out.result = invoker_.invoke(policy, inv);
+      }) == RetryStatus::kOk;
       break;
     }
     case PolicyKind::kToss:
@@ -245,10 +218,10 @@ InvocationOutcome ServerlessPlatform::invoke_baseline(FunctionRuntime& rt,
     // snapshot, replacing whatever kept failing).
     rc.fallback = FallbackLevel::kColdBoot;
     out.cold_boot = true;
-    if (!with_retry(retry, rt.recovery_rng, &rc, [&] {
+    if (retry.run(rt.recovery_rng, &rc, [&] {
           rt.snapshot_id =
               invoker_.initial_execution(rt.model, inv, &out.result);
-        }))
+        }) != RetryStatus::kOk)
       rc.completed = false;
   }
   out.result.setup.setup_ns += rc.overhead_ns;

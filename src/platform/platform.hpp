@@ -200,8 +200,6 @@ class ServerlessPlatform {
   bool trip_breaker(const std::string& name);
   /// nullptr for unknown names.
   const CircuitBreaker* breaker(const std::string& name) const;
-  /// nullptr unless a non-empty FaultPlan was attached at construction.
-  const FaultInjector* fault_injector() const { return injector_.get(); }
 
   const SystemConfig& config() const { return cfg_; }
   SnapshotStore& store() { return store_; }

@@ -48,13 +48,4 @@ void CircuitBreaker::observe(bool degraded) {
   }
 }
 
-const char* breaker_state_name(CircuitBreaker::State state) {
-  switch (state) {
-    case CircuitBreaker::State::kClosed: return "closed";
-    case CircuitBreaker::State::kOpen: return "open";
-    case CircuitBreaker::State::kHalfOpen: return "half_open";
-  }
-  return "?";
-}
-
 }  // namespace toss

@@ -58,6 +58,4 @@ class CircuitBreaker {
   u64 opened_count_ = 0;
 };
 
-const char* breaker_state_name(CircuitBreaker::State state);
-
 }  // namespace toss

@@ -4,15 +4,6 @@
 
 namespace toss {
 
-const char* fallback_level_name(FallbackLevel level) {
-  switch (level) {
-    case FallbackLevel::kNone: return "none";
-    case FallbackLevel::kSingleTier: return "single_tier";
-    case FallbackLevel::kColdBoot: return "cold_boot";
-  }
-  return "?";
-}
-
 FaultInjector::FaultInjector(FaultPlan plan, u64 salt) {
   for (size_t i = 0; i < kFaultSiteCount; ++i) {
     sites_[i].config = std::move(plan.sites[i]);

@@ -17,18 +17,21 @@
 // so production binaries carry zero probes and bit-identical behaviour.
 //
 // Recovery vocabulary (used even when injection is compiled out):
-//   RetryPolicy    bounded attempts + exponential backoff with
-//                  deterministic jitter, in *simulated* time
 //   FallbackLevel  how far down the degradation ladder an invocation fell
 //   RecoveryInfo   per-invocation ledger of faults seen, retries spent,
 //                  fallback taken and quarantine/regeneration events
+//   RetryPolicy    bounded attempts + exponential backoff with
+//                  deterministic jitter, in *simulated* time; run() is the
+//                  one retry loop every ladder rung goes through
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <string_view>
 #include <vector>
 
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -152,29 +155,12 @@ class FaultInjector {
   std::array<SiteState, kFaultSiteCount> sites_;
 };
 
-/// Bounded retry with exponential backoff and deterministic jitter. Backoff
-/// is *simulated* time: the ladder adds it to the invocation's setup cost,
-/// so degradation under faults is measurable in the latency metrics rather
-/// than burned as real wall-clock sleeps.
-struct RetryPolicy {
-  int max_attempts = 3;  ///< total attempts per fallible operation (>= 1)
-  Nanos base_backoff_ns = ms(1);
-  double multiplier = 2.0;
-  double jitter = 0.25;  ///< +/- fraction of the backoff, drawn from `rng`
-
-  /// Backoff charged before retry number `retry_index` (0-based, i.e. after
-  /// the (retry_index+1)-th failed attempt).
-  Nanos backoff_ns(int retry_index, Rng& rng) const;
-};
-
 /// How far down the degradation ladder an invocation fell.
 enum class FallbackLevel : u8 {
   kNone = 0,        ///< intended restore path succeeded
   kSingleTier = 1,  ///< tiered artifact unusable; retained Step-I snapshot
   kColdBoot = 2,    ///< no usable snapshot at all; booted from scratch
 };
-
-const char* fallback_level_name(FallbackLevel level);
 
 /// Per-invocation recovery ledger, carried on TossInvocationRecord /
 /// InvocationOutcome and aggregated into the metrics counters.
@@ -195,6 +181,53 @@ struct RecoveryInfo {
   bool memory_ok() const { return memory_hash == expected_hash; }
   bool engaged() const {
     return retries > 0 || fallback != FallbackLevel::kNone || quarantined;
+  }
+};
+
+/// How one RetryPolicy::run ended.
+enum class RetryStatus : u8 {
+  kOk = 0,     ///< an attempt returned normally
+  kExhausted,  ///< every attempt threw a transient Error
+  kBroken,     ///< an attempt threw a non-transient Error; no retry
+};
+
+/// Bounded retry with exponential backoff and deterministic jitter. Backoff
+/// is *simulated* time: the ladder adds it to the invocation's setup cost,
+/// so degradation under faults is measurable in the latency metrics rather
+/// than burned as real wall-clock sleeps.
+struct RetryPolicy {
+  int max_attempts = 3;  ///< total attempts per fallible operation (>= 1)
+  Nanos base_backoff_ns = ms(1);
+  double multiplier = 2.0;
+  double jitter = 0.25;  ///< +/- fraction of the backoff, drawn from `rng`
+
+  /// Backoff charged before retry number `retry_index` (0-based, i.e. after
+  /// the (retry_index+1)-th failed attempt).
+  Nanos backoff_ns(int retry_index, Rng& rng) const;
+
+  /// The one bounded-retry loop: call `attempt` until it returns without
+  /// throwing toss::Error, at most max_attempts times (below 1 counts as
+  /// 1). Every Error thrown counts one fault seen; a non-transient one
+  /// ends the loop at once. Each retry adds one retry and its jittered
+  /// backoff to `recovery`. A null `recovery` counts nothing and draws no
+  /// jitter, so barrier-time work leaves every lane's streams untouched.
+  template <typename Attempt>
+  RetryStatus run(Rng& rng, RecoveryInfo* recovery, Attempt&& attempt) const {
+    const int attempts = std::max(1, max_attempts);
+    for (int i = 0; i < attempts; ++i) {
+      if (i > 0 && recovery != nullptr) {
+        ++recovery->retries;
+        recovery->overhead_ns += backoff_ns(i - 1, rng);
+      }
+      try {
+        attempt();
+        return RetryStatus::kOk;
+      } catch (const Error& e) {
+        if (recovery != nullptr) ++recovery->faults_seen;
+        if (!is_transient(e.code())) return RetryStatus::kBroken;
+      }
+    }
+    return RetryStatus::kExhausted;
   }
 };
 

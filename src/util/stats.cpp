@@ -80,10 +80,4 @@ double percentile_of(std::span<const double> xs, double p) {
   return v[lo] + (v[hi] - v[lo]) * frac;
 }
 
-double cv_of(std::span<const double> xs) {
-  OnlineStats st;
-  for (double x : xs) st.add(x);
-  return st.mean() != 0.0 ? st.stddev() / st.mean() : 0.0;
-}
-
 }  // namespace toss

@@ -41,7 +41,4 @@ double min_of(std::span<const double> xs);
 /// Linear-interpolated percentile; p in [0, 100]. Copies + sorts.
 double percentile_of(std::span<const double> xs, double p);
 
-/// Coefficient of variation (stddev / mean); 0 for empty/zero-mean input.
-double cv_of(std::span<const double> xs);
-
 }  // namespace toss

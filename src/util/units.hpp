@@ -38,7 +38,6 @@ inline constexpr Nanos us(double v) { return v * 1e3; }
 inline constexpr Nanos ms(double v) { return v * 1e6; }
 inline constexpr Nanos sec(double v) { return v * 1e9; }
 
-inline constexpr double to_us(Nanos v) { return v / 1e3; }
 inline constexpr double to_ms(Nanos v) { return v / 1e6; }
 inline constexpr double to_sec(Nanos v) { return v / 1e9; }
 

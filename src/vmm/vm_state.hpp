@@ -16,11 +16,6 @@ struct VmState {
   u64 device_state_bytes = 128 * kKiB; ///< virtio-net/block/serial, KVM irqchip
   u64 config_hash = 0;                 ///< identity of the machine config
 
-  u64 total_bytes() const {
-    return static_cast<u64>(vcpu_count) * vcpu_state_bytes +
-           device_state_bytes;
-  }
-
   std::vector<u8> serialize() const;
   static std::optional<VmState> deserialize(const std::vector<u8>& bytes);
 

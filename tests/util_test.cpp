@@ -1,10 +1,11 @@
 // Tests for src/util: rng determinism and distributions, streaming stats,
-// table rendering, unit formatting.
+// table rendering, unit formatting, the shared retry loop.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
+#include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -37,6 +38,96 @@ TEST(FaultSites, NameTableRoundTripsAtCompileTime) {
   }
   EXPECT_FALSE(fault_site_from_name("no_such_site").has_value());
   EXPECT_FALSE(fault_site_from_name("").has_value());
+}
+
+// RetryPolicy::run is the one bounded-retry loop behind every recovery
+// rung (restore, boot, persist, migration transfer); these cases pin its
+// counting rules against hand-computed expectations.
+
+TEST(RetryPolicy, TwoTransientFaultsThenSuccess) {
+  const RetryPolicy policy;  // 3 attempts
+  Rng rng(7);
+  RecoveryInfo rc;
+  int calls = 0;
+  const RetryStatus status = policy.run(rng, &rc, [&] {
+    if (++calls <= 2) throw Error(ErrorCode::kTransientIo, "torn write");
+  });
+  EXPECT_EQ(status, RetryStatus::kOk);
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(rc.retries, 2u);
+  EXPECT_EQ(rc.faults_seen, 2u);
+  // Backoff before retry i is backoff_ns(i), drawn in retry order from the
+  // caller's stream.
+  Rng oracle(7);
+  Nanos expected = policy.backoff_ns(0, oracle);
+  expected += policy.backoff_ns(1, oracle);
+  EXPECT_GT(expected, 0);
+  EXPECT_EQ(rc.overhead_ns, expected);
+}
+
+TEST(RetryPolicy, AlwaysTransientExhaustsAfterMaxAttempts) {
+  RetryPolicy policy;
+  policy.max_attempts = 4;
+  Rng rng(1);
+  RecoveryInfo rc;
+  int calls = 0;
+  const RetryStatus status = policy.run(rng, &rc, [&] {
+    ++calls;
+    throw Error(ErrorCode::kExecutionCrashed, "guest crash");
+  });
+  EXPECT_EQ(status, RetryStatus::kExhausted);
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(rc.faults_seen, 4u);
+  EXPECT_EQ(rc.retries, 3u);
+}
+
+TEST(RetryPolicy, NonTransientErrorStopsAtOnce) {
+  const RetryPolicy policy;
+  Rng rng(1);
+  RecoveryInfo rc;
+  int calls = 0;
+  const RetryStatus status = policy.run(rng, &rc, [&] {
+    ++calls;
+    throw Error(ErrorCode::kSnapshotCorrupted, "bad checksum");
+  });
+  EXPECT_EQ(status, RetryStatus::kBroken);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(rc.faults_seen, 1u);
+  EXPECT_EQ(rc.retries, 0u);
+  EXPECT_EQ(rc.overhead_ns, 0);
+}
+
+TEST(RetryPolicy, NullRecoveryDrawsNoJitter) {
+  const RetryPolicy policy;
+  Rng rng(99);
+  int calls = 0;
+  const RetryStatus status = policy.run(rng, nullptr, [&] {
+    ++calls;
+    throw Error(ErrorCode::kTransientIo, "torn write");
+  });
+  EXPECT_EQ(status, RetryStatus::kExhausted);
+  EXPECT_EQ(calls, policy.max_attempts);
+  Rng untouched(99);
+  EXPECT_EQ(rng.next(), untouched.next());
+}
+
+TEST(RetryPolicy, ZeroMaxAttemptsRunsOnce) {
+  RetryPolicy policy;
+  policy.max_attempts = 0;
+  Rng rng(3);
+  RecoveryInfo rc;
+  int calls = 0;
+  const RetryStatus failed = policy.run(rng, &rc, [&] {
+    ++calls;
+    throw Error(ErrorCode::kTransientIo, "torn write");
+  });
+  EXPECT_EQ(failed, RetryStatus::kExhausted);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(rc.faults_seen, 1u);
+  EXPECT_EQ(rc.retries, 0u);
+  const RetryStatus ok = policy.run(rng, &rc, [&] { ++calls; });
+  EXPECT_EQ(ok, RetryStatus::kOk);
+  EXPECT_EQ(calls, 2);
 }
 
 TEST(Units, PageMath) {
