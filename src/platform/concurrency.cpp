@@ -2,82 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace toss {
-
-namespace detail {
-
-namespace {
-// Ranks (not pointers) of the locks this thread currently holds, in
-// acquisition order. thread_local so the detector needs no global lock of
-// its own.
-thread_local std::vector<const RankedMutex*> t_held_locks;
-}  // namespace
-
-std::optional<std::string> lock_rank_violation(const RankedMutex& m) {
-  if (t_held_locks.empty()) return std::nullopt;
-  const RankedMutex* top = t_held_locks.back();
-  if (static_cast<int>(m.rank()) > static_cast<int>(top->rank()))
-    return std::nullopt;
-  return std::string("lock-rank violation: acquiring '") + m.name() +
-         "' (rank " + std::to_string(static_cast<int>(m.rank())) +
-         ") while holding '" + top->name() + "' (rank " +
-         std::to_string(static_cast<int>(top->rank())) +
-         "); locks must be taken in increasing rank order";
-}
-
-void lock_rank_push(const RankedMutex& m) { t_held_locks.push_back(&m); }
-
-void lock_rank_pop(const RankedMutex& m) {
-  // Unlocks are LIFO in practice (lock_guard / unique_lock / cv wait), but
-  // tolerate out-of-order release: erase the most recent matching entry.
-  for (auto it = t_held_locks.rbegin(); it != t_held_locks.rend(); ++it) {
-    if (*it == &m) {
-      t_held_locks.erase(std::next(it).base());
-      return;
-    }
-  }
-}
-
-}  // namespace detail
-
-void RankedMutex::lock() {
-#ifdef TOSS_CHECKED
-  TOSS_VALIDATE(detail::lock_rank_violation(*this));
-#endif
-  mu_.lock();
-#ifdef TOSS_CHECKED
-  detail::lock_rank_push(*this);
-#endif
-}
-
-void RankedMutex::unlock() {
-#ifdef TOSS_CHECKED
-  detail::lock_rank_pop(*this);
-#endif
-  mu_.unlock();
-}
-
-bool RankedMutex::try_lock() {
-#ifdef TOSS_CHECKED
-  TOSS_VALIDATE(detail::lock_rank_violation(*this));
-#endif
-  const bool acquired = mu_.try_lock();
-#ifdef TOSS_CHECKED
-  if (acquired) detail::lock_rank_push(*this);
-#endif
-  return acquired;
-}
-
-// ---------------------------------------------------------------------------
-// LaneExecutor (work-stealing epochs, DESIGN.md §15).
-
-namespace {
-/// Spins on the epoch-generation / completion atomics before parking or
-/// yielding. Epochs are microseconds apart mid-drain, so this is nearly
-/// always enough.
-constexpr int kIdleSpins = 4096;
-}  // namespace
 
 int hardware_threads() {
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
@@ -86,120 +13,53 @@ int hardware_threads() {
 LaneExecutor::LaneExecutor(int threads) {
   const size_t workers =
       threads > 1 ? static_cast<size_t>(threads - 1) : size_t{0};
-  slots_.reserve(workers + 1);
-  for (size_t i = 0; i < workers + 1; ++i)
-    slots_.push_back(std::make_unique<Slot>());
   workers_.reserve(workers);
+  // Every worker starts from the constructor's epoch rather than reading
+  // epoch_ once it is first scheduled, so a worker that starts late still
+  // joins a round already under way; and since its wait predicate checks
+  // stop_ too, one first scheduled after ~LaneExecutor still exits.
   for (size_t i = 0; i < workers; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this, seen = epoch_] { worker_loop(seen); });
 }
 
 LaneExecutor::~LaneExecutor() {
-  stop_.store(true, std::memory_order_release);
-  // The generation bump doubles as the shutdown signal: spinners see it
-  // (with stop_ set and no work) and exit; parked workers need the wakeup.
-  epoch_gen_.fetch_add(1, std::memory_order_release);
   {
-    std::lock_guard<RankedMutex> lock(park_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
   }
-  park_cv_.notify_all();
+  wake_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
-bool LaneExecutor::pop_local(size_t self, size_t* index) {
-  Slot& slot = *slots_[self];
-  std::lock_guard<RankedMutex> lock(slot.mu);
-  if (slot.deque.empty()) return false;
-  Chunk& back = slot.deque.back();
-  *index = back.begin++;
-  if (back.begin >= back.end) slot.deque.pop_back();
-  return true;
-}
-
-bool LaneExecutor::steal_half(size_t self, Chunk* chunk) {
-  const size_t p = slots_.size();
-  for (size_t offset = 1; offset < p; ++offset) {
-    Slot& victim = *slots_[(self + offset) % p];
-    // One deque lock at a time (they share a rank): the stolen chunk is
-    // extracted here and pushed onto our own deque by the caller, after
-    // this lock is gone.
-    std::lock_guard<RankedMutex> lock(victim.mu);
-    if (victim.deque.empty()) continue;
-    Chunk& front = victim.deque.front();
-    const size_t len = front.end - front.begin;
-    if (len <= 1) {
-      *chunk = front;
-      victim.deque.erase(victim.deque.begin());
-    } else {
-      // Steal-half: take the upper half, leave the lower half in place so
-      // a third worker can still split the remainder.
-      const size_t mid = front.begin + (len + 1) / 2;
-      *chunk = Chunk{mid, front.end};
-      front.end = mid;
+void LaneExecutor::drain(std::unique_lock<std::mutex>& lock) {
+  while (next_ < n_) {
+    const size_t index = next_++;
+    ++running_;
+    // fn_ stays valid while running_ > 0: run_epoch returns only after
+    // every claimed index has come back.
+    const std::function<void(size_t)>& fn = *fn_;
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      fn(index);
+      // Not swallowed: captured whole and rethrown from run_epoch's join.
+    } catch (...) {  // toss-lint: allow(swallowed-error)
+      error = std::current_exception();
     }
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    lock.lock();
+    if (error && !first_error_) first_error_ = error;
+    --running_;
   }
-  return false;
+  if (running_ == 0) done_.notify_one();
 }
 
-void LaneExecutor::record_error() {
-  std::lock_guard<RankedMutex> lock(park_mu_);
-  if (!first_error_) first_error_ = std::current_exception();
-}
-
-void LaneExecutor::work(size_t self) {
+void LaneExecutor::worker_loop(u64 seen) {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    size_t index;
-    while (pop_local(self, &index)) {
-      // Re-load per index: a straggler that pops a chunk dealt by the
-      // *next* epoch must run that epoch's function, not a dangling
-      // reference to the one it was woken for.
-      const std::function<void(size_t)>* fn =
-          fn_.load(std::memory_order_acquire);
-      try {
-        (*fn)(index);
-        // Not swallowed: captured whole and rethrown from run_epoch's
-        // join.
-      } catch (...) {  // toss-lint: allow(swallowed-error)
-        record_error();
-      }
-      remaining_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    Chunk stolen;
-    if (!steal_half(self, &stolen)) return;  // every deque is dry
-    std::lock_guard<RankedMutex> lock(slots_[self]->mu);
-    slots_[self]->deque.push_back(stolen);
-  }
-}
-
-void LaneExecutor::worker_loop(size_t self) {
-  u64 seen = epoch_gen_.load(std::memory_order_acquire);
-  for (;;) {
-    // Wait for the next generation: spin first (back-to-back epochs), park
-    // only when the drain has genuinely gone idle.
-    u64 gen = epoch_gen_.load(std::memory_order_acquire);
-    if (gen == seen) {
-      for (int spin = 0; spin < kIdleSpins && gen == seen; ++spin)
-        gen = epoch_gen_.load(std::memory_order_acquire);
-      if (gen == seen) {
-        std::unique_lock<RankedMutex> lock(park_mu_);
-        parked_.fetch_add(1, std::memory_order_release);
-        // The predicate must re-check stop_, not just the generation: a
-        // worker first scheduled after the destructor's final bump loads
-        // the post-shutdown generation as its baseline, so no further
-        // bump (or notify) is ever coming for it.
-        park_cv_.wait(lock, [this, seen] {
-          return stop_.load(std::memory_order_acquire) ||
-                 epoch_gen_.load(std::memory_order_acquire) != seen;
-        });
-        parked_.fetch_sub(1, std::memory_order_release);
-        gen = epoch_gen_.load(std::memory_order_acquire);
-      }
-    }
-    seen = gen;
-    if (stop_.load(std::memory_order_acquire)) return;
-    work(self);
+    wake_.wait(lock, [this, seen] { return stop_ || epoch_ != seen; });
+    if (stop_) return;
+    seen = epoch_;
+    drain(lock);
   }
 }
 
@@ -209,45 +69,17 @@ void LaneExecutor::run_epoch(size_t n, const std::function<void(size_t)>& fn) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  const size_t p = slots_.size();
-  const size_t caller = p - 1;
-  // Publish the function and the countdown BEFORE any chunk is dealt: a
-  // straggler that pops a fresh chunk synchronizes through the deque
-  // mutex, so everything stored before the push is visible to it.
-  fn_.store(&fn, std::memory_order_release);
-  remaining_.store(n, std::memory_order_release);
-  // Deal [0, n) into contiguous per-participant chunks; the caller's slot
-  // is dealt too, so with perfectly even costs no steal ever happens.
-  for (size_t s = 0; s < p; ++s) {
-    const size_t begin = n * s / p;
-    const size_t end = n * (s + 1) / p;
-    if (begin >= end) continue;
-    std::lock_guard<RankedMutex> lock(slots_[s]->mu);
-    slots_[s]->deque.push_back(Chunk{begin, end});
-  }
-  epoch_gen_.fetch_add(1, std::memory_order_release);
-  if (parked_.load(std::memory_order_acquire) > 0) {
-    // Empty critical section: pairs the notify with the waiter's re-check
-    // so a worker deciding to park right now cannot miss the generation.
-    {
-      std::lock_guard<RankedMutex> lock(park_mu_);
-    }
-    park_cv_.notify_all();
-  }
-
-  work(caller);
-  // The caller's deque is dry and nothing was stealable, so only indices
-  // already claimed by workers remain: spin them out (they are mid-fn, not
-  // queued — this wait is bounded by one chunk's work).
-  for (int spin = 0; remaining_.load(std::memory_order_acquire) > 0; ++spin)
-    if (spin >= kIdleSpins) std::this_thread::yield();
-
-  std::exception_ptr error;
-  {
-    std::lock_guard<RankedMutex> lock(park_mu_);
-    error = first_error_;
-    first_error_ = nullptr;
-  }
+  std::unique_lock<std::mutex> lock(mu_);
+  ++epoch_;
+  fn_ = &fn;
+  n_ = n;
+  next_ = 0;
+  wake_.notify_all();
+  drain(lock);
+  done_.wait(lock, [this] { return next_ == n_ && running_ == 0; });
+  fn_ = nullptr;
+  const std::exception_ptr error = std::exchange(first_error_, nullptr);
+  lock.unlock();
   if (error) std::rethrow_exception(error);
 }
 

@@ -4,8 +4,8 @@
 // calling thread. The engine scales that out: every registered function
 // becomes a *lane* — an isolated single-function host (own SnapshotStore,
 // own page cache, own policy state machine) plus its request stream — and
-// an epoch-barrier scheduler drains all lanes over a work-stealing
-// LaneExecutor.
+// an epoch-barrier scheduler drains all lanes over a LaneExecutor, whose
+// participants claim one lane at a time.
 //
 // The engine is a thin façade over one Host (platform/host.hpp,
 // platform-internal), and its drain is the same loop a ClusterEngine runs

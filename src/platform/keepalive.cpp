@@ -24,9 +24,6 @@ double KeepAliveCache::priority_of(const Entry& e) const {
 }
 
 bool KeepAliveCache::lookup(const std::string& function) {
-  // A hit mutates the entry (frequency + priority refresh), so even the
-  // lookup is a writer under GDSF — exclusive, not shared.
-  ExclusiveLatchGuard guard(latch_);
   auto it = entries_.find(function);
   if (it == entries_.end()) {
     ++stats_.misses;
@@ -38,26 +35,15 @@ bool KeepAliveCache::lookup(const std::string& function) {
   return true;
 }
 
-void KeepAliveCache::remove_entry_locked(const std::string& function) {
+void KeepAliveCache::evict(const std::string& function) {
   auto it = entries_.find(function);
   if (it == entries_.end()) return;
-  dram_used_.fetch_sub(it->second.dram_bytes, std::memory_order_relaxed);
-  slow_used_.fetch_sub(it->second.slow_bytes, std::memory_order_relaxed);
-  warm_count_.fetch_sub(1, std::memory_order_relaxed);
+  dram_used_ -= it->second.dram_bytes;
+  slow_used_ -= it->second.slow_bytes;
   entries_.erase(it);
 }
 
-void KeepAliveCache::evict(const std::string& function) {
-  ExclusiveLatchGuard guard(latch_);
-  remove_entry_locked(function);
-}
-
 std::optional<std::string> KeepAliveCache::evict_lowest() {
-  ExclusiveLatchGuard guard(latch_);
-  return evict_lowest_locked();
-}
-
-std::optional<std::string> KeepAliveCache::evict_lowest_locked() {
   // Evict the lowest-priority warm VM and advance the aging clock to its
   // priority (classic Greedy-Dual). The victim is the minimum of the
   // explicit (priority, function_id) tuple — the name is part of the key,
@@ -74,23 +60,18 @@ std::optional<std::string> KeepAliveCache::evict_lowest_locked() {
   if (victim == entries_.end()) return std::nullopt;
   std::string name = victim->first;
   clock_ = victim->second.priority;
-  dram_used_.fetch_sub(victim->second.dram_bytes, std::memory_order_relaxed);
-  slow_used_.fetch_sub(victim->second.slow_bytes, std::memory_order_relaxed);
-  warm_count_.fetch_sub(1, std::memory_order_relaxed);
-  entries_.erase(victim);
+  evict(name);
   ++stats_.evictions;
   return name;
 }
 
-bool KeepAliveCache::make_room_locked(u64 dram_bytes, u64 slow_bytes) {
+bool KeepAliveCache::make_room(u64 dram_bytes, u64 slow_bytes) {
   if (dram_bytes > cfg_.dram_capacity_bytes ||
       slow_bytes > cfg_.slow_capacity_bytes)
     return false;
-  while (dram_used_.load(std::memory_order_relaxed) + dram_bytes >
-             cfg_.dram_capacity_bytes ||
-         slow_used_.load(std::memory_order_relaxed) + slow_bytes >
-             cfg_.slow_capacity_bytes) {
-    if (!evict_lowest_locked()) return false;  // nothing left to evict
+  while (dram_used_ + dram_bytes > cfg_.dram_capacity_bytes ||
+         slow_used_ + slow_bytes > cfg_.slow_capacity_bytes) {
+    if (!evict_lowest()) return false;  // nothing left to evict
   }
   return true;
 }
@@ -98,9 +79,8 @@ bool KeepAliveCache::make_room_locked(u64 dram_bytes, u64 slow_bytes) {
 bool KeepAliveCache::insert(const std::string& function, u64 dram_bytes,
                             u64 slow_bytes, Nanos cold_cost_ns,
                             Nanos predicted_reuse_gap_ns) {
-  ExclusiveLatchGuard guard(latch_);
-  remove_entry_locked(function);
-  if (!make_room_locked(dram_bytes, slow_bytes)) {
+  evict(function);
+  if (!make_room(dram_bytes, slow_bytes)) {
     ++stats_.rejected;
     return false;
   }
@@ -111,48 +91,14 @@ bool KeepAliveCache::insert(const std::string& function, u64 dram_bytes,
   e.predicted_reuse_gap_ns = predicted_reuse_gap_ns;
   e.frequency = 1;
   e.priority = priority_of(e);
-  dram_used_.fetch_add(dram_bytes, std::memory_order_relaxed);
-  slow_used_.fetch_add(slow_bytes, std::memory_order_relaxed);
-  warm_count_.fetch_add(1, std::memory_order_relaxed);
+  dram_used_ += dram_bytes;
+  slow_used_ += slow_bytes;
   entries_.emplace(function, e);
   return true;
 }
 
 bool KeepAliveCache::contains(const std::string& function) const {
-  // Walks plain memory (the map), so shared mode — not optimistic.
-  SharedLatchGuard guard(latch_);
   return entries_.contains(function);
-}
-
-size_t KeepAliveCache::warm_count() const {
-  for (;;) {
-    const u64 snapshot = latch_.optimistic_begin();
-    const u64 n = warm_count_.load(std::memory_order_acquire);
-    if (latch_.validate(snapshot)) return static_cast<size_t>(n);
-  }
-}
-
-u64 KeepAliveCache::dram_in_use() const {
-  for (;;) {
-    const u64 snapshot = latch_.optimistic_begin();
-    const u64 bytes = dram_used_.load(std::memory_order_acquire);
-    if (latch_.validate(snapshot)) return bytes;
-  }
-}
-
-u64 KeepAliveCache::slow_in_use() const {
-  for (;;) {
-    const u64 snapshot = latch_.optimistic_begin();
-    const u64 bytes = slow_used_.load(std::memory_order_acquire);
-    if (latch_.validate(snapshot)) return bytes;
-  }
-}
-
-KeepAliveStats KeepAliveCache::stats() const {
-  // stats_ is plain memory: copy it under the shared latch so the four
-  // counters are a consistent cut (no torn hit/miss pairs).
-  SharedLatchGuard guard(latch_);
-  return stats_;
 }
 
 }  // namespace toss

@@ -8,20 +8,16 @@
 // a DRAM-only platform that is the whole VM; for TOSS it is only the fast
 // (DRAM) share of the tiered snapshot — which is exactly why a fixed DRAM
 // budget keeps many more TOSS VMs warm.
-// Thread safety (DESIGN.md §15): the cache is shared across lanes once the
-// work-stealing executor lets any worker run any lane, so every public
-// method takes the optimistic version-stamped latch — shared (CAS-counted)
-// for reads that walk the entry map, exclusive for mutation. The byte
-// gauges are atomics read under the optimistic protocol: zero stores, so
-// hot-path polling never bounces a cache line between readers.
+//
+// Ownership (DESIGN.md §15): the cache has one owner, the host's fast-tier
+// arbiter, which touches it only from its tick at the serial epoch
+// barrier. No lane task reaches it, so it is a plain single-threaded class.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <optional>
 #include <string>
 
-#include "util/optimistic.hpp"
 #include "util/units.hpp"
 
 namespace toss {
@@ -76,14 +72,10 @@ class KeepAliveCache {
   std::optional<std::string> evict_lowest();
 
   bool contains(const std::string& function) const;
-  /// Warm-VM count / byte gauges: optimistic version-validated reads of
-  /// the atomic mirrors — no latch transition, no stores.
-  size_t warm_count() const;
-  u64 dram_in_use() const;
-  u64 slow_in_use() const;
-  /// Snapshot of the hit/miss/eviction counters (copied under the shared
-  /// latch, so the four counters are mutually consistent).
-  KeepAliveStats stats() const;
+  size_t warm_count() const { return entries_.size(); }
+  u64 dram_in_use() const { return dram_used_; }
+  u64 slow_in_use() const { return slow_used_; }
+  KeepAliveStats stats() const { return stats_; }
 
  private:
   struct Entry {
@@ -96,24 +88,13 @@ class KeepAliveCache {
   };
 
   double priority_of(const Entry& e) const;
-  // _locked helpers assume latch_ is held exclusive by the caller; the
-  // public wrappers take the guard. Keeps insert -> make_room ->
-  // evict_lowest from re-entering the latch.
-  void remove_entry_locked(const std::string& function);
-  std::optional<std::string> evict_lowest_locked();
   /// Evict lowest-priority entries until both pools can fit the sizes.
-  bool make_room_locked(u64 dram_bytes, u64 slow_bytes);
+  bool make_room(u64 dram_bytes, u64 slow_bytes);
 
   KeepAliveConfig cfg_;
-  /// vmcache-style optimistic word guarding entries_/clock_/stats_;
-  /// mutation bumps the version so gauge readers revalidate.
-  mutable OptimisticLatch latch_;
   std::map<std::string, Entry> entries_;
-  /// Atomic mirrors of the pool occupancy and entry count, readable under
-  /// the optimistic protocol (plain-memory fields must not be).
-  std::atomic<u64> dram_used_{0};
-  std::atomic<u64> slow_used_{0};
-  std::atomic<u64> warm_count_{0};
+  u64 dram_used_ = 0;  ///< Σ entries_ dram_bytes
+  u64 slow_used_ = 0;  ///< Σ entries_ slow_bytes
   double clock_ = 0;  ///< Greedy-Dual aging clock (last evicted priority)
   KeepAliveStats stats_;
 };

@@ -2,8 +2,8 @@
 //
 // Examples, benches and downstream users include only this header; deep
 // internal headers (core/, vmm/, mem/, ...) are implementation detail and
-// may be reorganized between releases (tests/public_api_test.cpp enforces
-// the rule for the in-tree clients). The stable surface is:
+// may be reorganized between releases (toss_lint's deep-include rule
+// enforces this for the in-tree clients). The stable surface is:
 //
 //   ServerlessPlatform / FunctionRegistration / PolicyKind   single host
 //   PlatformEngine / EngineOptions / EngineReport            fleet engine

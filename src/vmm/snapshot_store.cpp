@@ -4,17 +4,13 @@ namespace toss {
 
 SnapshotStore::SnapshotStore(const SystemConfig& cfg) : cfg_(&cfg) {}
 
-u64 SnapshotStore::allocate_file_id() {
-  return next_file_id_.fetch_add(1, std::memory_order_relaxed);
-}
+u64 SnapshotStore::allocate_file_id() { return next_file_id_++; }
 
 u64 SnapshotStore::put_single_tier(const GuestMemory& memory,
                                    const VmState& state) {
   // Stage first (the "temp file"): a torn write aborts before any store
   // state — including the id counter — changes, so the previous snapshot
-  // generation stays the one readers see. The exclusive guard's unlock
-  // bumps the version either way, so optimistic readers revalidate.
-  ExclusiveLatchGuard guard(latch_);
+  // generation stays the one readers see.
   if (faults_ && faults_->should_fire(FaultSite::kPutSingleTier))
     throw Error(ErrorCode::kTransientIo,
                 "torn write persisting single-tier snapshot");
@@ -23,22 +19,15 @@ u64 SnapshotStore::put_single_tier(const GuestMemory& memory,
   return id;
 }
 
-const SingleTierSnapshot* SnapshotStore::get_single_tier_unlocked(
-    u64 file_id) const {
+const SingleTierSnapshot* SnapshotStore::get_single_tier(u64 file_id) const {
   auto it = single_tier_.find(file_id);
   return it == single_tier_.end() ? nullptr : &it->second;
-}
-
-const SingleTierSnapshot* SnapshotStore::get_single_tier(u64 file_id) const {
-  SharedLatchGuard guard(latch_);
-  return get_single_tier_unlocked(file_id);
 }
 
 void SnapshotStore::put_tiered(TieredSnapshot snapshot) {
   // The tiered artifact is one file per ladder rank plus the layout; the
   // rename step publishes all of them at once. A torn write fires before
   // the alias or blob maps are touched.
-  ExclusiveLatchGuard guard(latch_);
   if (faults_ && faults_->should_fire(FaultSite::kPutTiered))
     throw Error(ErrorCode::kTransientIo,
                 "torn write persisting tiered snapshot");
@@ -59,16 +48,11 @@ TieredSnapshot* SnapshotStore::find_tiered(u64 file_id) {
   return it == tiered_.end() ? nullptr : &it->second;
 }
 
-const TieredSnapshot* SnapshotStore::get_tiered_unlocked(u64 file_id) const {
+const TieredSnapshot* SnapshotStore::get_tiered(u64 file_id) const {
   const u64 fast_id = resolve_tiered(file_id);
   if (quarantined_.count(fast_id) > 0) return nullptr;
   auto it = tiered_.find(fast_id);
   return it == tiered_.end() ? nullptr : &it->second;
-}
-
-const TieredSnapshot* SnapshotStore::get_tiered(u64 file_id) const {
-  SharedLatchGuard guard(latch_);
-  return get_tiered_unlocked(file_id);
 }
 
 const SingleTierSnapshot& SnapshotStore::fetch_single_tier(
@@ -84,10 +68,7 @@ const SingleTierSnapshot& SnapshotStore::fetch_single_tier(
 const TieredSnapshot& SnapshotStore::fetch_tiered(u64 file_id) {
   // At-rest damage is discovered at read time: arm the corruption sites
   // before the lookup so the caller's verify pass sees what a real store
-  // would hand back. Arming mutates the stored blob, so the whole
-  // arm-then-resolve sequence holds the latch exclusive (the RAII guard
-  // unlocks — and bumps the version — even on the throw paths below).
-  ExclusiveLatchGuard guard(latch_);
+  // would hand back.
   if (faults_ != nullptr) {
     if (faults_->should_fire(FaultSite::kTierBitrot)) {
       if (TieredSnapshot* snap = find_tiered(file_id);
@@ -99,23 +80,21 @@ const TieredSnapshot& SnapshotStore::fetch_tiered(u64 file_id) {
       if (TieredSnapshot* snap = find_tiered(file_id)) snap->truncate_fast_file();
     }
   }
-  const TieredSnapshot* snap = get_tiered_unlocked(file_id);
-  if (snap == nullptr) {
-    const bool quarantined = is_quarantined_unlocked(file_id);
+  const TieredSnapshot* snap = get_tiered(file_id);
+  if (snap == nullptr)
     throw Error(ErrorCode::kSnapshotMissing,
                 "tiered snapshot file " + std::to_string(file_id) +
-                    (quarantined ? " is quarantined" : " not found"));
-  }
+                    (is_quarantined(file_id) ? " is quarantined"
+                                             : " not found"));
   return *snap;
 }
 
-Result<void> SnapshotStore::verify_tiered_unlocked(u64 file_id) const {
-  const TieredSnapshot* snap = get_tiered_unlocked(file_id);
+Result<void> SnapshotStore::verify_tiered(u64 file_id) const {
+  const TieredSnapshot* snap = get_tiered(file_id);
   if (snap == nullptr)
     return {ErrorCode::kSnapshotMissing,
             "tiered snapshot file " + std::to_string(file_id) +
-                (is_quarantined_unlocked(file_id) ? " is quarantined"
-                                                  : " not found")};
+                (is_quarantined(file_id) ? " is quarantined" : " not found")};
   if (const auto violation = snap->verify())
     return {ErrorCode::kSnapshotCorrupted,
             "tiered snapshot file " + std::to_string(file_id) + ": " +
@@ -123,38 +102,29 @@ Result<void> SnapshotStore::verify_tiered_unlocked(u64 file_id) const {
   return {};
 }
 
-Result<void> SnapshotStore::verify_tiered(u64 file_id) const {
-  SharedLatchGuard guard(latch_);
-  return verify_tiered_unlocked(file_id);
-}
-
 u64 SnapshotStore::resident_fast_bytes(u64 file_id) const {
-  SharedLatchGuard guard(latch_);
-  if (const TieredSnapshot* t = get_tiered_unlocked(file_id))
+  if (const TieredSnapshot* t = get_tiered(file_id))
     return bytes_for_pages(t->fast_pages());
-  if (const SingleTierSnapshot* s = get_single_tier_unlocked(file_id))
+  if (const SingleTierSnapshot* s = get_single_tier(file_id))
     return s->memory_bytes();
   return 0;
 }
 
 u64 SnapshotStore::resident_slow_bytes(u64 file_id) const {
-  SharedLatchGuard guard(latch_);
-  if (const TieredSnapshot* t = get_tiered_unlocked(file_id))
+  if (const TieredSnapshot* t = get_tiered(file_id))
     return bytes_for_pages(t->slow_pages());
   return 0;
 }
 
 u64 SnapshotStore::resident_tier_bytes(u64 file_id, size_t rank) const {
-  SharedLatchGuard guard(latch_);
-  if (const TieredSnapshot* t = get_tiered_unlocked(file_id))
+  if (const TieredSnapshot* t = get_tiered(file_id))
     return rank < t->tier_count() ? bytes_for_pages(t->tier_pages(rank)) : 0;
-  if (const SingleTierSnapshot* s = get_single_tier_unlocked(file_id))
+  if (const SingleTierSnapshot* s = get_single_tier(file_id))
     return rank == 0 ? s->memory_bytes() : 0;
   return 0;
 }
 
 bool SnapshotStore::erase_tiered(u64 file_id) {
-  ExclusiveLatchGuard guard(latch_);
   const u64 fast_id = resolve_tiered(file_id);
   auto it = tiered_.find(fast_id);
   if (it == tiered_.end() || quarantined_.count(fast_id) > 0) return false;
@@ -165,24 +135,15 @@ bool SnapshotStore::erase_tiered(u64 file_id) {
 }
 
 void SnapshotStore::quarantine_tiered(u64 file_id) {
-  ExclusiveLatchGuard guard(latch_);
   const u64 fast_id = resolve_tiered(file_id);
-  if (tiered_.count(fast_id) == 0) return;
-  if (quarantined_.insert(fast_id).second)
-    quarantine_count_.fetch_add(1, std::memory_order_release);
-}
-
-bool SnapshotStore::is_quarantined_unlocked(u64 file_id) const {
-  return quarantined_.count(resolve_tiered(file_id)) > 0;
+  if (tiered_.count(fast_id) > 0) quarantined_.insert(fast_id);
 }
 
 bool SnapshotStore::is_quarantined(u64 file_id) const {
-  SharedLatchGuard guard(latch_);
-  return is_quarantined_unlocked(file_id);
+  return quarantined_.count(resolve_tiered(file_id)) > 0;
 }
 
 bool SnapshotStore::corrupt_tiered_page(u64 file_id, u64 fast_file_page) {
-  ExclusiveLatchGuard guard(latch_);
   TieredSnapshot* snap = find_tiered(file_id);
   if (snap == nullptr || fast_file_page >= snap->fast_pages()) return false;
   snap->corrupt_fast_page(fast_file_page);
@@ -190,7 +151,6 @@ bool SnapshotStore::corrupt_tiered_page(u64 file_id, u64 fast_file_page) {
 }
 
 bool SnapshotStore::truncate_tiered(u64 file_id) {
-  ExclusiveLatchGuard guard(latch_);
   TieredSnapshot* snap = find_tiered(file_id);
   if (snap == nullptr || snap->fast_pages() == 0) return false;
   snap->truncate_fast_file();

@@ -1,9 +1,9 @@
 // Snapshot storage on the simulated disk.
 //
 // Owns file-id allocation and the snapshot blobs, and prices disk transfers
-// using the DiskSpec. The host page cache is shared host state and lives
-// here too, so experiments can drop it between invocations like the paper's
-// methodology does.
+// using the DiskSpec. The lane's host page cache lives here too, so
+// experiments can drop it between invocations like the paper's methodology
+// does.
 //
 // Failure domain semantics (the fault-injection PR):
 //   - Puts are atomic: blobs are fully staged before any store state is
@@ -19,18 +19,12 @@
 //     so the recovery ladder degrades to the retained single-tier snapshot
 //     and Step V regenerates a fresh artifact instead of re-mapping rot.
 //
-// Thread safety (DESIGN.md §15): once the work-stealing executor lets any
-// worker run any lane, a store's resident-byte accounting is read from the
-// arbiter barrier while another worker may be serving its lane — so the
-// container maps are guarded by the vmcache optimistic version-stamped
-// latch: shared (CAS-counted, lock-free) for every read that walks the
-// maps, exclusive for puts, fault arming, quarantine and damage hooks.
-// Returned blob pointers stay valid after the guard drops because std::map
-// nodes are stable and the engine's ownership discipline confines blob
-// *mutation* to the lane that owns the id (or the serial barrier).
+// Ownership (DESIGN.md §15): a store has one owner, its ServerlessPlatform
+// — in an engine, one lane's. An epoch hands the lane to one executor
+// index, and the serial barrier reads the store only after the round has
+// joined, so the store is a plain single-threaded class.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <set>
@@ -39,7 +33,6 @@
 #include "mem/tier.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
-#include "util/optimistic.hpp"
 #include "vmm/snapshot.hpp"
 #include "vmm/tiered_snapshot.hpp"
 
@@ -105,9 +98,7 @@ class SnapshotStore {
   /// Mark a tiered artifact unreadable (checksum failure). Idempotent.
   void quarantine_tiered(u64 file_id);
   bool is_quarantined(u64 file_id) const;
-  u64 quarantine_count() const {
-    return quarantine_count_.load(std::memory_order_acquire);
-  }
+  u64 quarantine_count() const { return quarantined_.size(); }
 
   /// Fault/test hooks: damage a stored tiered artifact in place (checksums
   /// go stale, which verify_tiered detects). Return false for unknown ids.
@@ -127,25 +118,13 @@ class SnapshotStore {
   const SystemConfig& config() const { return *cfg_; }
 
  private:
-  // _unlocked helpers assume latch_ is already held (shared or exclusive)
-  // by the public wrapper; fetch_tiered holds it exclusive across fault
-  // arming + lookup, so the lookups must not re-enter the latch.
   /// Resolve a tiered id through the deep-rank -> rank-0 alias map.
   u64 resolve_tiered(u64 file_id) const;
   TieredSnapshot* find_tiered(u64 file_id);
-  const SingleTierSnapshot* get_single_tier_unlocked(u64 file_id) const;
-  const TieredSnapshot* get_tiered_unlocked(u64 file_id) const;
-  bool is_quarantined_unlocked(u64 file_id) const;
-  Result<void> verify_tiered_unlocked(u64 file_id) const;
 
   const SystemConfig* cfg_;
   FaultInjector* faults_ = nullptr;
-  /// Atomic: id allocation must not serialize behind the blob latch.
-  std::atomic<u64> next_file_id_{1};
-  std::atomic<u64> quarantine_count_{0};
-  /// vmcache-style optimistic word guarding the four containers below;
-  /// every exclusive unlock bumps the version.
-  mutable OptimisticLatch latch_;
+  u64 next_file_id_ = 1;
   // Ordered containers on purpose: the store sits in the include closure
   // of the metrics ledger, and any future walk over snapshots (resident-
   // byte rollups, eviction sweeps) must visit ids in a run-stable order.
@@ -154,7 +133,7 @@ class SnapshotStore {
   std::map<u64, SingleTierSnapshot> single_tier_;
   std::map<u64, TieredSnapshot> tiered_;
   std::map<u64, u64> tiered_alias_;  ///< deep-rank id -> rank-0 id
-  std::set<u64> quarantined_;        ///< rank-0 ids
+  std::set<u64> quarantined_;  ///< rank-0 ids; never erased
   HostPageCache page_cache_;
 };
 

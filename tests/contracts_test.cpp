@@ -1,9 +1,8 @@
 // Contracts + validators: validate_layout()/validate_bins() must reject
-// deliberately corrupted inputs with a diagnostic, the contract macros
-// must abort in checked builds and be inert otherwise, and the lock-rank
-// detector must flag out-of-order acquisition. Death tests arm only when
-// TOSS_CHECKED is on (the same binary compiles in both modes; the ifdef'd
-// halves prove unchecked behavior is unchanged).
+// deliberately corrupted inputs with a diagnostic, and the contract macros
+// must abort in checked builds and be inert otherwise. Death tests arm
+// only when TOSS_CHECKED is on (the same binary compiles in both modes;
+// the ifdef'd halves prove unchecked behavior is unchanged).
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "core/binpack.hpp"
-#include "platform/concurrency.hpp"
 #include "util/contracts.hpp"
 #include "vmm/tiered_snapshot.hpp"
 
@@ -160,38 +158,6 @@ TEST(ValidateBins, RejectsDuplicatedMass) {
 }
 
 // ---------------------------------------------------------------------------
-// Lock-rank detector
-// ---------------------------------------------------------------------------
-
-TEST(LockRank, InOrderAcquisitionIsClean) {
-  RankedMutex low(LockRank::kLaneExecutorQueue, "low");
-  RankedMutex high(LockRank::kLaneExecutorPark, "high");
-  std::lock_guard<RankedMutex> l1(low);
-  EXPECT_EQ(detail::lock_rank_violation(high), std::nullopt);
-}
-
-TEST(LockRank, ViolationDiagnosticNamesBothLocks) {
-#ifdef TOSS_CHECKED
-  RankedMutex low(LockRank::kLaneExecutorQueue, "queue-lock");
-  RankedMutex high(LockRank::kLaneExecutorPark, "park-lock");
-  std::lock_guard<RankedMutex> l1(high);
-  const auto err = detail::lock_rank_violation(low);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_NE(err->find("queue-lock"), std::string::npos) << *err;
-  EXPECT_NE(err->find("park-lock"), std::string::npos) << *err;
-  // Same-rank acquisition (potential ABBA) is also a violation.
-  RankedMutex peer(LockRank::kLaneExecutorPark, "peer");
-  EXPECT_TRUE(detail::lock_rank_violation(peer).has_value());
-#else
-  // Unchecked builds do no tracking: violations are never observed.
-  RankedMutex low(LockRank::kLaneExecutorQueue, "queue-lock");
-  RankedMutex high(LockRank::kLaneExecutorPark, "park-lock");
-  std::lock_guard<RankedMutex> l1(high);
-  EXPECT_EQ(detail::lock_rank_violation(low), std::nullopt);
-#endif
-}
-
-// ---------------------------------------------------------------------------
 // Contract macros: checked builds abort, unchecked builds are inert.
 // ---------------------------------------------------------------------------
 
@@ -222,19 +188,6 @@ TEST(ContractsDeathTest, ValidateAbortsOnUnconservedBins) {
   std::vector<Bin> bins = pack_equal_access(regions, 4);
   bins[2].access_mass += 5;
   EXPECT_DEATH(TOSS_VALIDATE(validate_bins(bins, regions)), "bin 2");
-}
-
-TEST(ContractsDeathTest, LockRankViolationAborts) {
-  EXPECT_DEATH(
-      {
-        RankedMutex low(LockRank::kLaneExecutorQueue, "queue-lock");
-        RankedMutex high(LockRank::kLaneExecutorPark, "park-lock");
-        std::lock_guard<RankedMutex> l1(high);
-        // Deliberate inversion: the static lock-rank pass flags exactly
-        // what this death test expects the runtime detector to catch.
-        std::lock_guard<RankedMutex> l2(low);  // toss-lint: allow(lock-rank)
-      },
-      "lock-rank violation");
 }
 
 TEST(Contracts, EnabledReportsChecked) {

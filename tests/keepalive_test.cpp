@@ -1,9 +1,7 @@
 // Tests for the Greedy-Dual keep-alive cache (Section VI-A integration).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-#include <vector>
+#include <string>
 
 #include "platform/keepalive.hpp"
 
@@ -127,60 +125,32 @@ TEST(KeepAlive, PredictedReuseBoostsPriority) {
   EXPECT_FALSE(cache.contains("never"));
 }
 
-TEST(KeepAlive, ConcurrentReadersRaceOneEvictor) {
-  // DESIGN.md §15: once the work-stealing executor lets any worker run any
-  // lane, the cache is shared hot state. Several readers hammer the gauges
-  // (optimistic protocol, zero stores) and the map walks (shared latch)
-  // while one writer drives insert-pressure evictions. Under
-  // -DTOSS_SANITIZE=thread this is the data-race audit of the latch; in
-  // any build it checks the capacity invariant is never observably broken
-  // — a validated optimistic read saw no writer mid-flight, so the gauges
-  // it returns must respect the pool bound.
+TEST(KeepAlive, EvictionChurnKeepsPoolBound) {
+  // The cache's one owner (the arbiter, at the barrier) drives
+  // insert-pressure evictions and, after every insert, the reads a tick
+  // makes: a lookup, the gauges and the stats. The pool bound holds after
+  // every insert, and the gauges and the entry count agree with the map.
   constexpr u64 kDramCapBytes = 256 * kMiB;
+  constexpr u64 kDramBytes = 96 * kMiB;
+  constexpr u64 kSlowBytes = 8 * kMiB;
   constexpr int kFunctions = 16;
   KeepAliveCache cache(small_pool(256));
-  std::atomic<bool> stop{false};
-  std::atomic<u64> over_capacity{0};
-  std::atomic<u64> polls{0};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&, r] {
-      u64 i = static_cast<u64>(r);
-      while (!stop.load(std::memory_order_acquire)) {
-        const std::string name = "f" + std::to_string(i++ % kFunctions);
-        cache.lookup(name);  // exclusive: refreshes priority, bumps stats
-        cache.contains(name);
-        if (cache.dram_in_use() > kDramCapBytes)
-          over_capacity.fetch_add(1, std::memory_order_relaxed);
-        (void)cache.warm_count();
-        (void)cache.slow_in_use();
-        (void)cache.stats().hit_rate();
-        polls.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
   for (int i = 0; i < 2000; ++i) {
     // 96 MiB entries against a 256 MiB pool: every third insert evicts.
-    cache.insert("f" + std::to_string(i % kFunctions), 96 * kMiB, 8 * kMiB,
-                 ms(50 + i % 97));
+    cache.insert("f" + std::to_string(i % kFunctions), kDramBytes,
+                 kSlowBytes, ms(50 + i % 97));
     if (i % 64 == 0) cache.evict_lowest();
+    cache.lookup("f" + std::to_string(i * 7 % kFunctions));
+    ASSERT_LE(cache.dram_in_use(), kDramCapBytes) << "insert " << i;
+    size_t live = 0;
+    for (int f = 0; f < kFunctions; ++f)
+      live += cache.contains("f" + std::to_string(f)) ? 1 : 0;
+    ASSERT_EQ(cache.warm_count(), live) << "insert " << i;
+    ASSERT_EQ(cache.dram_in_use(), live * kDramBytes) << "insert " << i;
+    ASSERT_EQ(cache.slow_in_use(), live * kSlowBytes) << "insert " << i;
   }
-  // On a single core the writer may finish before any reader is scheduled;
-  // let the readers make progress before stopping them (terminates: the
-  // reader loop is wait-free once the writer is quiet).
-  while (polls.load(std::memory_order_acquire) == 0)
-    std::this_thread::yield();
-  stop.store(true, std::memory_order_release);
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(over_capacity.load(std::memory_order_relaxed), 0u);
-  EXPECT_GT(polls.load(std::memory_order_relaxed), 0u);
-  EXPECT_LE(cache.dram_in_use(), kDramCapBytes);
   EXPECT_GT(cache.stats().evictions, 0u);
-  // Quiescent cross-check: the atomic mirror agrees with the map.
-  size_t live = 0;
-  for (int f = 0; f < kFunctions; ++f)
-    live += cache.contains("f" + std::to_string(f)) ? 1 : 0;
-  EXPECT_EQ(cache.warm_count(), live);
+  EXPECT_GT(cache.stats().hits, 0u);
 }
 
 TEST(KeepAlive, AgingLetsNewEntriesWin) {

@@ -1,4 +1,4 @@
-// Fixture: stand-in for the work-stealing executor header. Files whose
+// Fixture: stand-in for the lane executor header. Files whose
 // include closure reaches this path are "ledger-feeding" for
 // det-unordered-iter even when they never touch metrics.hpp.
 #pragma once

@@ -27,14 +27,12 @@
 //                       order, which ASLR reshuffles every run.
 //   det-fp-accum        `+=`/`-=` on a floating-point symbol, or
 //                       fetch_add on an atomic<double>, lexically inside
-//                       a .run_epoch(...) call — the work-stealing
-//                       LaneExecutor's fan-out point, where a stolen
-//                       chunk makes accumulation order depend on the
-//                       steal schedule. FP addition is
-//                       non-associative, so a racy accumulation order
+//                       a .run_epoch(...) call — the LaneExecutor's
+//                       fan-out point, where indices run in whatever
+//                       order the participants claim them. FP addition
+//                       is non-associative, so a racy accumulation order
 //                       changes the low bits run to run. Accumulate
-//                       per-task and reduce in index order instead (see
-//                       bin_profiler.cpp).
+//                       per-task and reduce in index order instead.
 //
 // All four run on the token stream, so string literals and comments never
 // trip them — which is also what lets this file self-host.
@@ -249,8 +247,8 @@ FloatSymbols float_decls(const SourceFile& f) {
 }
 
 /// Token-index ranges lexically inside `.run_epoch(...)` /
-/// `->run_epoch(...)` call argument lists: the LaneExecutor's
-/// work-stealing fan-out, whose steal schedule reorders execution.
+/// `->run_epoch(...)` call argument lists: the LaneExecutor's fan-out,
+/// whose claim order varies run to run.
 std::vector<std::pair<size_t, size_t>> parallel_spans(const SourceFile& f) {
   std::vector<std::pair<size_t, size_t>> spans;
   const std::vector<Token>& t = f.tokens;
@@ -315,9 +313,9 @@ void run_determinism(const Project& project, std::vector<Finding>& findings) {
   // (platform/metrics.hpp), the cluster's migration/failover/health event
   // ledgers (platform/cluster.hpp, DESIGN.md §13), the QoS shed/SLO
   // vocabulary (platform/qos.hpp, DESIGN.md §14 — ShedCause-indexed
-  // counters and the per-class attainment rollups), and the work-stealing
+  // counters and the per-class attainment rollups), and the lane
   // executor (platform/concurrency.hpp, DESIGN.md §15 — everything it
-  // fans out feeds a ledger from a steal-ordered worker) — rooting the
+  // fans out feeds a ledger from whichever worker claimed it) — rooting the
   // set at all four keeps every consumer covered even if its include
   // graph stops reaching the metrics header.
   const std::set<std::string> kLedgerHeaders = {

@@ -15,8 +15,8 @@
 //     positions in findings stay honest. Line-oriented rules match here.
 //   - `tokens`: the token stream (identifiers, numbers, literals, puncts)
 //     with 1-based line and 0-based column, for the passes that need to see
-//     across lines: the lock-rank verifier, the determinism auditor's
-//     declaration tables, and the layering pass's alias scan.
+//     across lines: the determinism auditor's declaration tables and the
+//     layering pass's alias scan.
 #pragma once
 
 #include <string>

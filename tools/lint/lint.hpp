@@ -117,7 +117,4 @@ void run_layering(const Project& project, std::vector<Finding>& findings);
 /// det-fp-accum).
 void run_determinism(const Project& project, std::vector<Finding>& findings);
 
-/// Static lock-rank verifier (lock-rank).
-void run_lock_rank(const Project& project, std::vector<Finding>& findings);
-
 }  // namespace toss_lint

@@ -114,7 +114,6 @@ int scan_project(const fs::path& root, const std::string& format) {
   for (const SourceFile& f : project.files) run_line_rules(f, findings);
   run_layering(project, findings);
   run_determinism(project, findings);
-  run_lock_rank(project, findings);
 
   std::vector<Finding> active;
   std::vector<Finding> waived;

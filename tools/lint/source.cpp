@@ -16,8 +16,6 @@ const char* const kRuleNames[] = {
     "layering", "include-cycle", "host-internal", "tier-alias",
     // determinism auditor
     "det-unordered-iter", "det-wallclock", "det-ptr-key", "det-fp-accum",
-    // static lock-rank verifier
-    "lock-rank",
 };
 
 /// Rules suppressed on `line` via a toss-lint allow(...) trailer, e.g.
