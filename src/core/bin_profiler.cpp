@@ -1,10 +1,30 @@
 #include "core/bin_profiler.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 
+#include "util/contracts.hpp"
+
 namespace toss {
+
+namespace {
+
+/// One bin region or zero-access region as a half-open page span.
+struct Span {
+  u64 begin = 0;
+  u64 end = 0;
+  size_t bin = 0;  ///< owning bin index; kZeroSpan for a zero region
+};
+
+constexpr size_t kZeroSpan = static_cast<size_t>(-1);
+
+/// A bin's accesses in one burst of the representative trace.
+struct BurstShare {
+  size_t burst = 0;
+  u64 accesses = 0;
+};
+
+}  // namespace
 
 Nanos BinProfiler::warm_exec_ns(const Invocation& inv,
                                 const PagePlacement& placement) const {
@@ -23,7 +43,70 @@ BinProfile BinProfiler::profile(const std::vector<Bin>& bins,
     out.base_placement.set_range(r.page_begin, r.page_count,
                                  cfg_->deepest_tier());
 
-  out.base_exec_ns = warm_exec_ns(representative, out.base_placement);
+  // Every bin and zero-region span, sorted by start page. A descent moves
+  // its bin wholly from rank p-1 to rank p only if no page belongs to two
+  // spans, so sorted spans must not overlap.
+  std::vector<Span> spans;
+  for (const Region& r : zero_regions)
+    if (r.page_count > 0)
+      spans.push_back(Span{r.page_begin, r.page_end(), kZeroSpan});
+  std::vector<u64> bin_pages(bins.size(), 0);
+  for (size_t b = 0; b < bins.size(); ++b) {
+    for (const Region& r : bins[b].regions) {
+      bin_pages[b] += r.page_count;
+      if (r.page_count > 0)
+        spans.push_back(Span{r.page_begin, r.page_end(), b});
+    }
+  }
+  std::sort(spans.begin(), spans.end(),
+            [](const Span& a, const Span& b) { return a.begin < b.begin; });
+  for (size_t k = 1; k < spans.size(); ++k)
+    TOSS_REQUIRE(spans[k - 1].end <= spans[k].begin,
+                 "bins and zero regions must be pairwise disjoint");
+  TOSS_REQUIRE(spans.empty() || spans.back().end <= guest_pages);
+
+  // One pass over the representative trace: each burst's accesses per rank
+  // under the base placement (as AccessCostModel::burst_cost sums them),
+  // and each bin's accesses in every burst it overlaps.
+  const BurstTrace& trace = representative.trace;
+  const std::vector<AccessBurst>& bursts = trace.bursts();
+  std::vector<RankAccesses> accesses(bursts.size());
+  std::vector<std::vector<BurstShare>> shares(bins.size());
+  for (size_t i = 0; i < bursts.size(); ++i) {
+    const AccessBurst& b = bursts[i];
+    TOSS_REQUIRE(b.page_end() <= guest_pages);
+    const std::vector<u64>& counts = trace.counts_of(i);
+    for (u64 j = 0; j < b.page_count; ++j)
+      accesses[i][out.base_placement.rank_of(b.page_begin + j)] += counts[j];
+    // First span ending past the burst's start, then every span it meets.
+    auto it = std::upper_bound(
+        spans.begin(), spans.end(), b.page_begin,
+        [](u64 page, const Span& s) { return page < s.end; });
+    for (; it != spans.end() && it->begin < b.page_end(); ++it) {
+      if (it->bin == kZeroSpan) continue;
+      const u64 lo = std::max(it->begin, b.page_begin);
+      const u64 hi = std::min(it->end, b.page_end());
+      u64 sum = 0;
+      for (u64 p = lo; p < hi; ++p) sum += counts[p - b.page_begin];
+      std::vector<BurstShare>& bin_shares = shares[it->bin];
+      if (!bin_shares.empty() && bin_shares.back().burst == i)
+        bin_shares.back().accesses += sum;
+      else
+        bin_shares.push_back(BurstShare{i, sum});
+    }
+  }
+
+  // Warm time of the current configuration: burst costs summed in burst
+  // order plus the CPU time, exactly as warm_exec_ns computes it.
+  std::vector<Nanos> burst_ns(bursts.size());
+  for (size_t i = 0; i < bursts.size(); ++i)
+    burst_ns[i] = model_.cost_of(bursts[i], accesses[i]).total_ns();
+  const auto exec_ns = [&] {
+    Nanos total = 0;
+    for (Nanos t : burst_ns) total += t;
+    return representative.cpu_ns + total;
+  };
+  out.base_exec_ns = exec_ns();
 
   // Descent order within each pass: coldest access density first
   // (progressively hotter).
@@ -35,58 +118,55 @@ BinProfile BinProfiler::profile(const std::vector<Bin>& bins,
 
   const std::vector<double> ratios = cfg_->rank_cost_ratios();
   const double guest_bytes = static_cast<double>(bytes_for_pages(guest_pages));
+  const double pages = static_cast<double>(guest_pages);
+  std::vector<u64> rank_pages = out.base_placement.pages_per_rank(ranks);
+  std::vector<double> deep(ranks > 0 ? ranks - 1 : 0, 0.0);
 
-  // Materialize the placement of every descent prefix. Pass p (p = 1 ..
-  // ranks-1) pushes each bin from rank p-1 to rank p, coldest first; the
-  // placements build on each other and are cheap; the expensive part is
-  // replaying the representative trace under each configuration.
-  std::vector<PagePlacement> prefix_placements;
-  const size_t passes = ranks > 0 ? ranks - 1 : 0;
-  prefix_placements.reserve(order.size() * passes);
-  {
-    PagePlacement placement = out.base_placement;
-    for (size_t pass = 1; pass <= passes; ++pass) {
-      for (size_t idx : order) {
-        for (const Region& r : bins[idx].regions)
-          placement.set_range(r.page_begin, r.page_count, tier_index(pass));
-        prefix_placements.push_back(placement);
+  // Pass p (p = 1 .. ranks-1) pushes each bin from rank p-1 to rank p,
+  // coldest first; a step re-costs only the bursts its bin overlaps.
+  Nanos prev_exec = out.base_exec_ns;
+  for (size_t pass = 1; pass < ranks; ++pass) {
+    for (size_t idx : order) {
+      for (const BurstShare& s : shares[idx]) {
+        accesses[s.burst][pass - 1] -= s.accesses;
+        accesses[s.burst][pass] += s.accesses;
+        burst_ns[s.burst] =
+            model_.cost_of(bursts[s.burst], accesses[s.burst]).total_ns();
       }
+      rank_pages[pass - 1] -= bin_pages[idx];
+      rank_pages[pass] += bin_pages[idx];
+      const Nanos exec = exec_ns();
+
+      BinStep step;
+      step.bin_index = idx;
+      step.from_rank = pass - 1;
+      step.to_rank = pass;
+      step.byte_fraction = static_cast<double>(bins[idx].bytes()) / guest_bytes;
+      step.marginal_slowdown =
+          out.base_exec_ns > 0 ? (exec - prev_exec) / out.base_exec_ns : 0.0;
+      // Timing noise can make a configuration marginally "faster"; clamp.
+      step.marginal_slowdown = std::max(0.0, step.marginal_slowdown);
+      step.cumulative_slowdown =
+          out.base_exec_ns > 0
+              ? std::max(0.0, exec / out.base_exec_ns - 1.0)
+              : 0.0;
+      // PagePlacement::slow_fraction / deep_fractions over the rank counts.
+      if (guest_pages > 0) {
+        step.slow_fraction =
+            static_cast<double>(guest_pages - rank_pages[0]) / pages;
+        for (size_t rank = 1; rank < ranks; ++rank)
+          deep[rank - 1] = static_cast<double>(rank_pages[rank]) / pages;
+      }
+      step.cumulative_cost =
+          ladder_normalized_cost(1.0 + step.cumulative_slowdown, deep, ratios);
+      // Per-bin V-C test, charged at the rung the bin lands on.
+      step.bin_cost = bin_normalized_cost(step.marginal_slowdown,
+                                          step.byte_fraction, ratios[pass - 1]);
+      out.steps.push_back(step);
+      prev_exec = exec;
     }
   }
-  std::vector<Nanos> prefix_exec(prefix_placements.size(), 0);
-  for (size_t k = 0; k < prefix_placements.size(); ++k)
-    prefix_exec[k] = warm_exec_ns(representative, prefix_placements[k]);
-
-  for (size_t k = 0; k < prefix_placements.size(); ++k) {
-    const size_t pass = order.empty() ? 1 : k / order.size() + 1;
-    const Bin& bin = bins[order[k % order.size()]];
-    const Nanos prev_exec = k == 0 ? out.base_exec_ns : prefix_exec[k - 1];
-    const Nanos exec = prefix_exec[k];
-
-    BinStep step;
-    step.bin_index = order[k % order.size()];
-    step.from_rank = pass - 1;
-    step.to_rank = pass;
-    step.byte_fraction = static_cast<double>(bin.bytes()) / guest_bytes;
-    step.marginal_slowdown =
-        out.base_exec_ns > 0 ? (exec - prev_exec) / out.base_exec_ns : 0.0;
-    // Timing noise can make a configuration marginally "faster"; clamp.
-    step.marginal_slowdown = std::max(0.0, step.marginal_slowdown);
-    step.cumulative_slowdown =
-        out.base_exec_ns > 0
-            ? std::max(0.0, exec / out.base_exec_ns - 1.0)
-            : 0.0;
-    step.slow_fraction = prefix_placements[k].slow_fraction();
-    step.cumulative_cost = ladder_normalized_cost(
-        1.0 + step.cumulative_slowdown,
-        prefix_placements[k].deep_fractions(ranks), ratios);
-    // Per-bin V-C test, charged at the rung the bin lands on.
-    step.bin_cost = bin_normalized_cost(step.marginal_slowdown,
-                                        step.byte_fraction, ratios[pass - 1]);
-    out.steps.push_back(step);
-  }
-  out.full_slow_exec_ns =
-      prefix_exec.empty() ? out.base_exec_ns : prefix_exec.back();
+  out.full_slow_exec_ns = prev_exec;
   return out;
 }
 

@@ -10,6 +10,12 @@
 // bins from rank p-1 to rank p, coldest first, so a prefix of the
 // concatenated step sequence is a full per-bin rung assignment (colder
 // bins sit deeper).
+//
+// The whole sweep costs one pass over the representative trace plus
+// O(steps x bursts): the pass records every burst's accesses per rank and
+// each bin's share of them, and a descent moves its bin's share one rank
+// down and re-costs only the bursts it overlaps. Every step's time is the
+// same double a full replay (warm_exec_ns) of its prefix placement gives.
 #pragma once
 
 #include <vector>
@@ -55,7 +61,9 @@ class BinProfiler {
   /// already restored; only access-time differences matter, which is what
   /// the configuration comparison isolates).
   ///
-  /// Each step of the sweep measures one descent *prefix*.
+  /// Each step of the sweep measures one descent *prefix*. Requires the
+  /// bins' regions to be pairwise disjoint and disjoint from
+  /// `zero_regions`, so that a descent moves its bin wholly.
   BinProfile profile(const std::vector<Bin>& bins,
                      const RegionList& zero_regions, u64 guest_pages,
                      const Invocation& representative) const;

@@ -1,6 +1,7 @@
 #include "core/optimizer.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/merge.hpp"
 
@@ -23,18 +24,13 @@ double derive_slowdown_threshold(const BinProfile& profile, double base_cost,
              : profile.steps[best_prefix - 1].cumulative_slowdown;
 }
 
-TieringDecision choose_placement(const SystemConfig& cfg,
+TieringDecision select_placement(const SystemConfig& cfg, BinProfile profile,
                                  const std::vector<Bin>& bins,
-                                 const RegionList& zero_regions,
-                                 u64 guest_pages,
-                                 const Invocation& representative,
                                  const TieringOptions& options) {
   const size_t ranks = cfg.tier_count();
   const std::vector<double> ratios = cfg.rank_cost_ratios();
-  BinProfiler profiler(cfg);
   TieringDecision d;
-  d.profile =
-      profiler.profile(bins, zero_regions, guest_pages, representative);
+  d.profile = std::move(profile);
   d.offloaded.assign(bins.size(), false);
   d.bin_rank.assign(bins.size(), 0);
 
@@ -123,28 +119,49 @@ TieringDecision choose_placement(const SystemConfig& cfg,
                             tier_index(s.to_rank));
   }
 
-  const Nanos exec = profiler.warm_exec_ns(representative, d.placement);
-  d.expected_slowdown =
-      d.profile.base_exec_ns > 0
-          ? std::max(0.0, exec / d.profile.base_exec_ns - 1.0)
-          : 0.0;
-  d.slow_fraction = d.placement.slow_fraction();
-  d.normalized_cost = ladder_normalized_cost(
-      1.0 + d.expected_slowdown, d.placement.deep_fractions(ranks), ratios);
+  // The placement is the sweep's prefix placement, so the profile already
+  // measured it: prefix 0 is the base configuration, any other prefix its
+  // last step.
+  if (best_prefix == 0) {
+    d.expected_slowdown = 0.0;
+    d.slow_fraction = d.profile.base_placement.slow_fraction();
+    d.normalized_cost = base_cost;
+  } else {
+    const BinStep& s = d.profile.steps[best_prefix - 1];
+    d.expected_slowdown = s.cumulative_slowdown;
+    d.slow_fraction = s.slow_fraction;
+    d.normalized_cost = s.cumulative_cost;
+  }
   return d;
+}
+
+TieringDecision choose_placement(const SystemConfig& cfg,
+                                 const std::vector<Bin>& bins,
+                                 const RegionList& zero_regions,
+                                 u64 guest_pages,
+                                 const Invocation& representative,
+                                 const TieringOptions& options) {
+  return select_placement(
+      cfg,
+      BinProfiler(cfg).profile(bins, zero_regions, guest_pages,
+                               representative),
+      bins, options);
+}
+
+PackedPattern pack_pattern(const PageAccessCounts& unified, int bin_count) {
+  const RegionList merged = regionize_and_merge(unified);
+  return PackedPattern{
+      zero_access_regions(merged),
+      pack_equal_access(nonzero_access_regions(merged), bin_count)};
 }
 
 TieringDecision analyze_pattern(const SystemConfig& cfg,
                                 const PageAccessCounts& unified,
                                 const Invocation& representative,
                                 const TieringOptions& options) {
-  const RegionList merged = regionize_and_merge(unified);
-  const RegionList zeros = zero_access_regions(merged);
-  const RegionList accessed = nonzero_access_regions(merged);
-  const std::vector<Bin> bins =
-      pack_equal_access(accessed, options.bin_count);
-  return choose_placement(cfg, bins, zeros, unified.num_pages(),
-                          representative, options);
+  const PackedPattern packed = pack_pattern(unified, options.bin_count);
+  return choose_placement(cfg, packed.bins, packed.zero_regions,
+                          unified.num_pages(), representative, options);
 }
 
 }  // namespace toss

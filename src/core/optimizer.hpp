@@ -64,7 +64,8 @@ struct TieringDecision {
   /// for each strictly smaller rank-0 footprint reachable further down the
   /// sweep, the cheapest prefix at that footprint. Empty = fully descended.
   std::vector<CostCurvePoint> demotion_curve;
-  BinProfile profile;             ///< kept for diagnostics and benches
+  /// The sweep this was picked from; TossFunction::retier re-picks from it.
+  BinProfile profile;
 };
 
 /// SLO -> Eq-1 threshold derivation: the cumulative slowdown of the
@@ -75,14 +76,31 @@ struct TieringDecision {
 double derive_slowdown_threshold(const BinProfile& profile, double base_cost,
                                  double slo_slowdown);
 
+/// The minimum-cost (optionally slowdown-bounded, floored by
+/// min_descent_prefix) descent selection on a finished bin profile of
+/// `bins`. Replays nothing: the chosen placement is a sweep prefix, whose
+/// slowdown, slow fraction and cost the profile already holds. A lane
+/// re-tiers by calling this again on the profile of its last Step III.
+TieringDecision select_placement(const SystemConfig& cfg, BinProfile profile,
+                                 const std::vector<Bin>& bins,
+                                 const TieringOptions& options);
+
 /// Run the full analysis for a set of packed bins: bin profiling followed
-/// by the minimum-cost (optionally slowdown-bounded) descent selection.
+/// by select_placement.
 TieringDecision choose_placement(const SystemConfig& cfg,
                                  const std::vector<Bin>& bins,
                                  const RegionList& zero_regions,
                                  u64 guest_pages,
                                  const Invocation& representative,
                                  const TieringOptions& options);
+
+/// Step III's packing stage: the merged unified pattern split into its
+/// zero-access regions and `bin_count` equal-access bins of the rest.
+struct PackedPattern {
+  RegionList zero_regions;
+  std::vector<Bin> bins;
+};
+PackedPattern pack_pattern(const PageAccessCounts& unified, int bin_count);
 
 /// Convenience: counts -> merged regions -> bins -> decision. This is the
 /// complete "Profiling Analysis" step on a unified access pattern.

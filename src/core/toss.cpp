@@ -1,6 +1,7 @@
 #include "core/toss.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/contracts.hpp"
 #include "util/error.hpp"
@@ -221,18 +222,13 @@ TossInvocationRecord TossFunction::handle_profiling(const Invocation& inv) {
   return rec;
 }
 
-TieringDecision TossFunction::analyze_now(const RetierBound& bound) const {
-  TOSS_ASSERT(unified_ && largest_);
-  // Step III on the unified pattern, profiled against the largest
-  // (longest-running) invocation encountered while profiling.
-  const Invocation representative =
-      model_->invoke(largest_->input, largest_->seed);
+TieringOptions TossFunction::tiering_options(const RetierBound& bound) const {
   TieringOptions topt;
   topt.bin_count = options_.bin_count;
   topt.slowdown_threshold = options_.slowdown_threshold;
   topt.slo_slowdown = options_.slo_slowdown;
   topt.min_descent_prefix = bound.min_descent_prefix;
-  return analyze_pattern(*cfg_, unified_->counts(), representative, topt);
+  return topt;
 }
 
 void TossFunction::arm_reprofiler() {
@@ -247,7 +243,16 @@ void TossFunction::arm_reprofiler() {
 }
 
 bool TossFunction::run_analysis(RecoveryInfo* recovery) {
-  decision_ = analyze_now(bound_);
+  TOSS_ASSERT(unified_ && largest_);
+  // Step III on the unified pattern, profiled against the largest
+  // (longest-running) invocation encountered while profiling.
+  const Invocation representative =
+      model_->invoke(largest_->input, largest_->seed);
+  PackedPattern packed = pack_pattern(unified_->counts(), options_.bin_count);
+  decision_ = choose_placement(*cfg_, packed.bins, packed.zero_regions,
+                               unified_->counts().num_pages(), representative,
+                               tiering_options(bound_));
+  bins_ = std::move(packed.bins);
 
   const SingleTierSnapshot* snap = store_->get_single_tier(single_tier_id_);
   TOSS_ASSERT(snap != nullptr);
@@ -267,11 +272,15 @@ bool TossFunction::run_analysis(RecoveryInfo* recovery) {
 }
 
 bool TossFunction::retier(RetierBound bound) {
-  if (phase_ != TossPhase::kTiered || !unified_ || !largest_) return false;
+  if (phase_ != TossPhase::kTiered || !decision_) return false;
   const SingleTierSnapshot* snap = store_->get_single_tier(single_tier_id_);
   if (snap == nullptr) return false;
 
-  TieringDecision d = analyze_now(bound);
+  // kTiered is entered only through run_analysis, and every way out of it
+  // passes through run_analysis again, so the kept profile and bins are
+  // the current Step III's: re-pick from them instead of re-running it.
+  TieringDecision d = select_placement(*cfg_, decision_->profile, bins_,
+                                       tiering_options(bound));
   // Persist the re-placed artifact; bounded torn-write retry. No recovery
   // ledger: demotions run between requests at the engine's epoch barrier,
   // not inside an invocation, so no backoff is charged and recovery_rng_

@@ -115,16 +115,20 @@ class TossFunction {
   /// quarantined tiered snapshot.
   bool regeneration_pending() const { return regeneration_pending_; }
 
-  /// Arbiter hook (DESIGN.md §9): rebuild the tiered artifact by re-entering
-  /// Step IV placement under a bound. A trivial bound restores the
-  /// optimizer's unconstrained minimum-cost placement; a descent prefix
-  /// forces the placement down the Step-III sweep to a demotion_curve
-  /// point (demotion, or a promotion that replays a shallower point). Only
-  /// meaningful in kTiered with a live unified pattern — returns false,
-  /// with all state unchanged, otherwise or when persisting the re-tiered
-  /// artifact exhausts its torn-write retry budget. While a non-trivial
-  /// bound is active, the Eq 2-4 re-profiling trigger is muted: the extra
-  /// slowdown is intentional, not access-pattern drift.
+  /// Arbiter hook (DESIGN.md §9): rebuild the tiered artifact by re-picking
+  /// a placement from the last Step III's bin profile under a bound, then
+  /// re-running Step IV. A trivial bound restores the optimizer's
+  /// unconstrained minimum-cost placement; a descent prefix forces the
+  /// placement down the Step-III sweep to a demotion_curve point
+  /// (demotion, or a promotion that replays a shallower point). The pick
+  /// equals what a fresh Step III would choose: the profile depends only on
+  /// the unified pattern and the representative, and both change only
+  /// while profiling, which always ends in a fresh Step III. Only
+  /// meaningful in kTiered — returns false, with all state unchanged,
+  /// otherwise or when persisting the re-tiered artifact exhausts its
+  /// torn-write retry budget. While a non-trivial bound is active, the
+  /// Eq 2-4 re-profiling trigger is muted: the extra slowdown is
+  /// intentional, not access-pattern drift.
   bool retier(RetierBound bound);
   /// The bound the last successful retier() applied.
   const RetierBound& retier_bound() const { return bound_; }
@@ -149,10 +153,11 @@ class TossFunction {
   TossInvocationRecord handle_initial(const Invocation& inv);
   TossInvocationRecord handle_profiling(const Invocation& inv);
   TossInvocationRecord handle_tiered(const Invocation& inv);
+  /// Step III on the current unified pattern under bound_, then Step IV.
+  /// Sets decision_ and bins_ together. Requires unified_ && largest_.
   bool run_analysis(RecoveryInfo* recovery);
-  /// Steps III(+IV placement) on the current unified pattern, optionally
-  /// constrained by an arbiter bound. Requires unified_ && largest_.
-  TieringDecision analyze_now(const RetierBound& bound) const;
+  /// Step III's options under an arbiter bound.
+  TieringOptions tiering_options(const RetierBound& bound) const;
   /// Re-arm the Eq 2-4 regeneration trigger against decision_.
   void arm_reprofiler();
 
@@ -194,6 +199,8 @@ class TossFunction {
   bool regeneration_pending_ = false;
   std::optional<UnifiedPattern> unified_;
   std::optional<TieringDecision> decision_;
+  /// The bins decision_->profile swept; retier() re-picks from both.
+  std::vector<Bin> bins_;
   DamonMonitor damon_;
   ReprofilePolicy reprofiler_;
   u64 damon_invocations_ = 0;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bin_profiler.hpp"
 #include "core/binpack.hpp"
 #include "util/contracts.hpp"
 #include "vmm/tiered_snapshot.hpp"
@@ -188,6 +189,22 @@ TEST(ContractsDeathTest, ValidateAbortsOnUnconservedBins) {
   std::vector<Bin> bins = pack_equal_access(regions, 4);
   bins[2].access_mass += 5;
   EXPECT_DEATH(TOSS_VALIDATE(validate_bins(bins, regions)), "bin 2");
+}
+
+TEST(ContractsDeathTest, BinProfileRejectsOverlappingBins) {
+  // The one-pass sweep moves each bin wholly from one rank to the next, so
+  // a page claimed by two bins is a precondition violation.
+  const SystemConfig cfg = SystemConfig::paper_default();
+  std::vector<Bin> bins(2);
+  bins[0].regions = {Region{0, 8, 10}};
+  bins[0].pages = 8;
+  bins[0].access_mass = 80;
+  bins[1].regions = {Region{4, 8, 20}};
+  bins[1].pages = 8;
+  bins[1].access_mass = 160;
+  const Invocation idle;
+  EXPECT_DEATH(BinProfiler(cfg).profile(bins, {}, 16, idle),
+               "pairwise disjoint");
 }
 
 TEST(Contracts, EnabledReportsChecked) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "core/cost.hpp"
 #include "core/merge.hpp"
@@ -211,6 +212,101 @@ TEST_F(LadderSweepTest, ThreeTierChoiceMatchesBruteForce) {
 
 TEST_F(LadderSweepTest, FourTierChoiceMatchesBruteForce) {
   check_against_brute_force(SystemConfig::nvme_host(), "compress", 3);
+}
+
+// The one-pass sweep against its definition: materialise every descent
+// prefix's placement and replay the representative trace under it. Each
+// field must be the same double, not merely a close one, and so must the
+// selection tail's figures, which are taken from the profile instead of a
+// replay of the chosen placement.
+TEST_F(LadderSweepTest, OnePassProfileMatchesPerPrefixReplay) {
+  const FunctionRegistry reg = FunctionRegistry::table1();
+  const SystemConfig ladders[] = {SystemConfig::paper_default(),
+                                  SystemConfig::cxl_host(),
+                                  SystemConfig::nvme_host()};
+  for (const FunctionModel& m : reg.models()) {
+    const PageAccessCounts unified = unified_for(m);
+    const RegionList merged = regionize_and_merge(unified);
+    const RegionList zeros = zero_access_regions(merged);
+    const RegionList accessed = nonzero_access_regions(merged);
+    const Invocation rep = m.invoke(3, 900);
+    const double guest_bytes = static_cast<double>(m.guest_bytes());
+    for (const SystemConfig& cfg : ladders) {
+      const size_t ranks = cfg.tier_count();
+      const std::vector<double> ratios = cfg.rank_cost_ratios();
+      const BinProfiler profiler(cfg);
+      for (int bin_count : {10, 3}) {
+        SCOPED_TRACE(m.name() + " on a " + std::to_string(ranks) +
+                     "-tier ladder, " + std::to_string(bin_count) + " bins");
+        const std::vector<Bin> bins = pack_equal_access(accessed, bin_count);
+        const BinProfile got =
+            profiler.profile(bins, zeros, m.guest_pages(), rep);
+
+        PagePlacement placement(m.guest_pages(), tier_index(0));
+        for (const Region& r : zeros)
+          placement.set_range(r.page_begin, r.page_count, cfg.deepest_tier());
+        EXPECT_EQ(got.base_placement, placement);
+        const Nanos base_exec = profiler.warm_exec_ns(rep, placement);
+        ASSERT_GT(base_exec, 0);
+        EXPECT_EQ(got.base_exec_ns, base_exec);
+
+        std::vector<size_t> order(bins.size());
+        std::iota(order.begin(), order.end(), 0);
+        std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+          return bins[a].density() < bins[b].density();
+        });
+        ASSERT_EQ(got.steps.size(), order.size() * (ranks - 1));
+        Nanos prev_exec = base_exec;
+        size_t k = 0;
+        for (size_t pass = 1; pass < ranks; ++pass) {
+          for (size_t idx : order) {
+            for (const Region& r : bins[idx].regions)
+              placement.set_range(r.page_begin, r.page_count,
+                                  tier_index(pass));
+            const Nanos exec = profiler.warm_exec_ns(rep, placement);
+            const double byte_fraction =
+                static_cast<double>(bins[idx].bytes()) / guest_bytes;
+            const double marginal =
+                std::max(0.0, (exec - prev_exec) / base_exec);
+            const double cumulative = std::max(0.0, exec / base_exec - 1.0);
+            const BinStep& s = got.steps[k++];
+            EXPECT_EQ(s.bin_index, idx);
+            EXPECT_EQ(s.from_rank, pass - 1);
+            EXPECT_EQ(s.to_rank, pass);
+            EXPECT_EQ(s.byte_fraction, byte_fraction);
+            EXPECT_EQ(s.marginal_slowdown, marginal);
+            EXPECT_EQ(s.cumulative_slowdown, cumulative);
+            EXPECT_EQ(s.slow_fraction, placement.slow_fraction());
+            EXPECT_EQ(s.cumulative_cost,
+                      ladder_normalized_cost(1.0 + cumulative,
+                                             placement.deep_fractions(ranks),
+                                             ratios));
+            EXPECT_EQ(s.bin_cost, bin_normalized_cost(marginal, byte_fraction,
+                                                      ratios[pass - 1]));
+            prev_exec = exec;
+          }
+        }
+        EXPECT_EQ(got.full_slow_exec_ns, prev_exec);
+
+        for (size_t floor = 0; floor <= got.steps.size(); ++floor) {
+          TieringOptions opt;
+          opt.bin_count = bin_count;
+          opt.min_descent_prefix = floor;
+          const TieringDecision d = select_placement(cfg, got, bins, opt);
+          const Nanos exec = profiler.warm_exec_ns(rep, d.placement);
+          const double slowdown = std::max(0.0, exec / base_exec - 1.0);
+          EXPECT_EQ(d.expected_slowdown, slowdown) << "floor " << floor;
+          EXPECT_EQ(d.slow_fraction, d.placement.slow_fraction())
+              << "floor " << floor;
+          EXPECT_EQ(d.normalized_cost,
+                    ladder_normalized_cost(1.0 + slowdown,
+                                           d.placement.deep_fractions(ranks),
+                                           ratios))
+              << "floor " << floor;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // of Figure 4 plus the re-generation path.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/toss.hpp"
 #include "platform/request_gen.hpp"
 #include "workloads/registry.hpp"
@@ -81,6 +84,74 @@ TEST_F(TossLifecycleTest, RetierErasesTheSupersededArtifact) {
   EXPECT_EQ(rec.phase, TossPhase::kTiered);
   EXPECT_EQ(rec.recovery.fallback, FallbackLevel::kNone);
   EXPECT_EQ(rec.recovery.memory_hash, rec.recovery.expected_hash);
+}
+
+// A retier re-picks from the last Step III's profile instead of re-running
+// Step III. Its decision and artifact must equal what a fresh Step III at
+// the same floor gives, at every demotion-curve point and back, and after
+// a profiling re-entry the re-pick must follow the new Step III.
+TEST_F(TossLifecycleTest, RetierRepicksWhatAFreshStepThreeWould) {
+  const auto expect_fresh = [&](const TossFunction& toss, RetierBound bound) {
+    SCOPED_TRACE(toss.model().name() + " at floor " +
+                 std::to_string(bound.min_descent_prefix.value_or(0)));
+    TieringOptions topt;
+    topt.bin_count = toss.options().bin_count;
+    topt.min_descent_prefix = bound.min_descent_prefix;
+    const auto rep = toss.representative();
+    ASSERT_TRUE(rep.has_value());
+    const TieringDecision want =
+        analyze_pattern(cfg, toss.unified()->counts(),
+                        toss.model().invoke(rep->first, rep->second), topt);
+    const TieringDecision& got = *toss.decision();
+    EXPECT_EQ(got.profile.base_exec_ns, want.profile.base_exec_ns);
+    EXPECT_EQ(got.placement, want.placement);
+    EXPECT_EQ(got.chosen_prefix, want.chosen_prefix);
+    EXPECT_EQ(got.demotion_curve, want.demotion_curve);
+    EXPECT_EQ(got.bin_rank, want.bin_rank);
+    EXPECT_EQ(got.expected_slowdown, want.expected_slowdown);
+    EXPECT_EQ(got.normalized_cost, want.normalized_cost);
+    EXPECT_EQ(got.slow_fraction, want.slow_fraction);
+    PagePlacement layout(toss.model().guest_pages());
+    for (const LayoutEntry& e : toss.tiered_snapshot()->layout().entries())
+      layout.set_range(e.guest_page, e.page_count, e.tier);
+    EXPECT_EQ(layout, got.placement);
+  };
+  // Retier to every point of the unconstrained curve, then back.
+  const auto walk_curve = [&](TossFunction& toss) {
+    expect_fresh(toss, {});
+    const std::vector<CostCurvePoint> curve = toss.decision()->demotion_curve;
+    for (const CostCurvePoint& point : curve) {
+      RetierBound bound;
+      bound.min_descent_prefix = point.prefix;
+      ASSERT_TRUE(toss.retier(bound));
+      expect_fresh(toss, bound);
+    }
+    ASSERT_TRUE(toss.retier({}));
+    expect_fresh(toss, {});
+  };
+
+  for (const FunctionModel& m : reg.models()) {
+    // Profile on the smallest input only, so that the re-entry below, on
+    // the largest, changes the representative and with it Step III.
+    TossFunction toss(cfg, store, m, fast_options());
+    toss.handle(0, 1);
+    for (u64 i = 0; i < 100 && toss.phase() != TossPhase::kTiered; ++i)
+      toss.handle(0, 600 + i);
+    ASSERT_EQ(toss.phase(), TossPhase::kTiered) << m.name();
+    walk_curve(toss);
+    const Nanos old_base = toss.decision()->profile.base_exec_ns;
+
+    // A damaged artifact is quarantined and the lane re-profiles.
+    ASSERT_TRUE(
+        store.corrupt_tiered_page(toss.tiered_snapshot()->fast_file_id(), 0));
+    toss.handle(3, 700);
+    ASSERT_EQ(toss.phase(), TossPhase::kProfiling) << m.name();
+    for (u64 i = 0; i < 100 && toss.phase() != TossPhase::kTiered; ++i)
+      toss.handle(3, 800 + i);
+    ASSERT_EQ(toss.phase(), TossPhase::kTiered) << m.name();
+    ASSERT_NE(toss.decision()->profile.base_exec_ns, old_base) << m.name();
+    walk_curve(toss);
+  }
 }
 
 TEST_F(TossLifecycleTest, TieredSnapshotPreservesMemoryImage) {
