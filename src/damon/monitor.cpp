@@ -28,7 +28,7 @@ DamonOutput DamonMonitor::monitor(const PageAccessCounts& true_counts,
 
   // Pass 1: quantize to the minimum region size. Each chunk's frequency is
   // the mean of its pages' true counts, perturbed with sampling noise.
-  std::vector<DamonRegion> regions;
+  RegionList regions;
   regions.reserve(num_pages / quantum + 1);
   for (u64 begin = 0; begin < num_pages; begin += quantum) {
     const u64 count = std::min(quantum, num_pages - begin);
@@ -41,29 +41,27 @@ DamonOutput DamonMonitor::monitor(const PageAccessCounts& true_counts,
       est *= rng.jitter(std::min(rel, 0.5));
     }
     regions.push_back(
-        DamonRegion{begin, count, static_cast<u64>(std::llround(est))});
+        Region{begin, count, static_cast<u64>(std::llround(est))});
   }
 
   // Pass 2: merge adjacent regions with similar estimated frequency, the
   // way DAMON's aggregation step does. Never merge zero with nonzero: the
   // untouched/touched boundary is the signal TOSS needs most.
-  std::vector<DamonRegion> merged;
-  for (const DamonRegion& r : regions) {
+  RegionList merged;
+  for (const Region& r : regions) {
     if (!merged.empty()) {
-      DamonRegion& last = merged.back();
-      const double a = static_cast<double>(last.nr_accesses);
-      const double b = static_cast<double>(r.nr_accesses);
+      Region& last = merged.back();
+      const double a = static_cast<double>(last.accesses);
+      const double b = static_cast<double>(r.accesses);
       const double denom = std::max(a, b);
-      const bool both_zero = last.nr_accesses == 0 && r.nr_accesses == 0;
+      const bool both_zero = last.accesses == 0 && r.accesses == 0;
       const bool similar =
           both_zero ||
-          (last.nr_accesses > 0 && r.nr_accesses > 0 &&
+          (last.accesses > 0 && r.accesses > 0 &&
            std::abs(a - b) / denom <= cfg_.merge_similarity);
       if (similar) {
         const u64 pages = last.page_count + r.page_count;
-        const u64 mass =
-            last.nr_accesses * last.page_count + r.nr_accesses * r.page_count;
-        last.nr_accesses = mass / pages;
+        last.accesses = (last.total_accesses() + r.total_accesses()) / pages;
         last.page_count = pages;
         continue;
       }
@@ -77,18 +75,17 @@ DamonOutput DamonMonitor::monitor(const PageAccessCounts& true_counts,
     size_t best = 0;
     double best_diff = -1.0;
     for (size_t i = 0; i + 1 < merged.size(); ++i) {
-      const double diff = std::abs(static_cast<double>(merged[i].nr_accesses) -
-                                   static_cast<double>(merged[i + 1].nr_accesses));
+      const double diff = std::abs(static_cast<double>(merged[i].accesses) -
+                                   static_cast<double>(merged[i + 1].accesses));
       if (best_diff < 0.0 || diff < best_diff) {
         best_diff = diff;
         best = i;
       }
     }
-    DamonRegion& a = merged[best];
-    const DamonRegion& b = merged[best + 1];
+    Region& a = merged[best];
+    const Region& b = merged[best + 1];
     const u64 pages = a.page_count + b.page_count;
-    a.nr_accesses =
-        (a.nr_accesses * a.page_count + b.nr_accesses * b.page_count) / pages;
+    a.accesses = (a.total_accesses() + b.total_accesses()) / pages;
     a.page_count = pages;
     merged.erase(merged.begin() + static_cast<std::ptrdiff_t>(best) + 1);
   }

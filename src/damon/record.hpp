@@ -1,50 +1,31 @@
-// DAMON record files: the serialized region-granularity access pattern a
-// monitoring run produces. TOSS stores one record per profiled invocation
-// and merges them into the unified access pattern.
+// DAMON record: the region-granularity access pattern one monitoring run
+// produces (the paper's per-invocation DAMON record file). TOSS keeps one
+// record per profiled invocation and merges them into the unified access
+// pattern. Each region's `accesses` is DAMON's estimated nr_accesses per
+// page; the regions tile [0, num_pages) (regions_cover_space).
 #pragma once
 
 #include <cstddef>
-#include <optional>
-#include <vector>
 
 #include "trace/region.hpp"
 
 namespace toss {
 
-struct DamonRegion {
-  u64 page_begin = 0;
-  u64 page_count = 0;
-  /// Estimated accesses per page over the monitored invocation.
-  u64 nr_accesses = 0;
-
-  u64 page_end() const { return page_begin + page_count; }
-  bool operator==(const DamonRegion&) const = default;
-};
-
 class DamonRecord {
  public:
   DamonRecord() = default;
-  DamonRecord(u64 num_pages, std::vector<DamonRegion> regions);
+  DamonRecord(u64 num_pages, RegionList regions);
 
   u64 num_pages() const { return num_pages_; }
-  const std::vector<DamonRegion>& regions() const { return regions_; }
+  const RegionList& regions() const { return regions_; }
   size_t region_count() const { return regions_.size(); }
 
-  /// Regions must tile [0, num_pages) exactly.
-  bool valid() const;
-
-  /// Expand to a per-page view (each page gets its region's nr_accesses).
+  /// Expand to a per-page view (each page gets its region's accesses).
   PageAccessCounts to_counts() const;
-
-  /// Binary serialization (the "access pattern file" on disk).
-  std::vector<u8> serialize() const;
-  static std::optional<DamonRecord> deserialize(const std::vector<u8>& bytes);
-
-  bool operator==(const DamonRecord&) const = default;
 
  private:
   u64 num_pages_ = 0;
-  std::vector<DamonRegion> regions_;
+  RegionList regions_;
 };
 
 }  // namespace toss

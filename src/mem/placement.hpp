@@ -1,9 +1,9 @@
 // Per-page tier placement map for a guest address space.
 //
-// The optimizer produces a PagePlacement; the tiered snapshot serializes it
-// as layout regions; the access-cost model consults it per burst. Pages
-// hold a tier *rank* (index into the SystemConfig ladder), so the map works
-// unchanged for any ladder depth.
+// The optimizer produces a PagePlacement; the tiered snapshot turns its
+// same-tier runs into layout entries; the access-cost model consults it per
+// burst. Pages hold a tier *rank* (index into the SystemConfig ladder), so
+// the map works unchanged for any ladder depth.
 #pragma once
 
 #include <vector>

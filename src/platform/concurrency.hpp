@@ -111,9 +111,6 @@ constexpr std::array<double, kMaxTiers> unit_factors() {
 struct ContentionFactors {
   std::array<double, kMaxTiers> tier = detail::unit_factors();
   double disk = 1.0;
-
-  double fast() const { return tier[0]; }
-  double slow() const { return tier[1]; }
 };
 
 struct ConcurrencyOutcome {

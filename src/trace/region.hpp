@@ -1,8 +1,8 @@
 // Contiguous memory regions with an access count attribute.
 //
-// Regions are the unit TOSS reasons about: DAMON emits them, the access-count
-// merger coalesces them, the bin packer distributes them, and the tiered
-// snapshot serializes them as mappings.
+// Regions are the unit TOSS reasons about: a DAMON record is a list of them,
+// the access-count merger coalesces them, the bin packer distributes them,
+// and the tiered snapshot lays them out as mappings (layout entries).
 #pragma once
 
 #include <vector>

@@ -16,15 +16,21 @@ void GuestMemory::copy_versions(u64 page, const std::vector<u32>& file,
             versions_.begin() + static_cast<std::ptrdiff_t>(page));
 }
 
-u64 hash_memory(const GuestMemory& memory) {
+u64 region_checksum(const std::vector<u32>& versions, u64 first_page,
+                    u64 page_count) {
   u64 h = 0xcbf29ce484222325ULL;
-  for (u32 v : memory.versions()) {
+  for (u64 p = first_page; p < first_page + page_count; ++p) {
+    const u32 v = versions[p];
     for (int b = 0; b < 4; ++b) {
       h ^= (v >> (8 * b)) & 0xff;
       h *= 0x100000001b3ULL;
     }
   }
   return h;
+}
+
+u64 hash_memory(const GuestMemory& memory) {
+  return region_checksum(memory.versions(), 0, memory.num_pages());
 }
 
 u64 hash_memory_against(const GuestMemory& memory,

@@ -35,9 +35,16 @@ class GuestMemory {
   std::vector<u32> versions_;
 };
 
-/// FNV-1a over all page versions — the page-version oracle the chaos suite
-/// compares against the authoritative snapshot contents to prove that no
-/// recovered invocation ever observed wrong memory.
+/// FNV-1a over versions [first_page, first_page + page_count) of a page
+/// version array. A tiered snapshot stores it per layout entry
+/// (LayoutEntry::checksum, `versions` a tier file) and recomputes it
+/// before a restore maps the region.
+u64 region_checksum(const std::vector<u32>& versions, u64 first_page,
+                    u64 page_count);
+
+/// region_checksum over every page of the guest — the page-version oracle
+/// the chaos suite compares against the authoritative snapshot contents to
+/// prove that no recovered invocation ever observed wrong memory.
 u64 hash_memory(const GuestMemory& memory);
 
 /// hash_memory(memory) for a guest checked against an authority whose

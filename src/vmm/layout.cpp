@@ -9,10 +9,6 @@ MemoryLayoutFile::MemoryLayoutFile(u64 guest_pages,
       tier_count_(tier_count),
       entries_(std::move(entries)) {}
 
-bool MemoryLayoutFile::valid() const {
-  return !validate_layout(*this).has_value();
-}
-
 std::optional<std::string> validate_layout(const MemoryLayoutFile& layout) {
   const auto entry_err = [](size_t i, const std::string& what) {
     return "entry " + std::to_string(i) + ": " + what;
@@ -70,84 +66,6 @@ double MemoryLayoutFile::slow_fraction() const {
   for (const auto& e : entries_)
     if (tier_rank(e.tier) != 0) deep += e.page_count;
   return static_cast<double>(deep) / static_cast<double>(guest_pages_);
-}
-
-u64 region_checksum(const std::vector<u32>& file, u64 file_page,
-                    u64 page_count) {
-  u64 h = 0xcbf29ce484222325ULL;
-  for (u64 i = 0; i < page_count; ++i) {
-    u64 v = file[file_page + i];
-    for (int b = 0; b < 4; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
-}
-
-namespace {
-// Version 3 is tier-indexed: a ladder-depth word follows guest_pages and
-// entry tier tags may name any rank below it.
-constexpr u64 kMagicV3 = 0x544f53534c415933ULL;  // "TOSSLAY3"
-
-void put_u64(std::vector<u8>& out, u64 v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-bool get_u64(const std::vector<u8>& in, size_t& pos, u64& v) {
-  if (pos + 8 > in.size()) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<u64>(in[pos + i]) << (8 * i);
-  pos += 8;
-  return true;
-}
-}  // namespace
-
-std::vector<u8> MemoryLayoutFile::serialize() const {
-  std::vector<u8> out;
-  out.reserve(32 + entries_.size() * 40);
-  put_u64(out, kMagicV3);
-  put_u64(out, guest_pages_);
-  put_u64(out, static_cast<u64>(tier_count_));
-  put_u64(out, entries_.size());
-  for (const auto& e : entries_) {
-    put_u64(out, static_cast<u64>(e.tier));
-    put_u64(out, e.file_page);
-    put_u64(out, e.guest_page);
-    put_u64(out, e.page_count);
-    put_u64(out, e.checksum);
-  }
-  return out;
-}
-
-std::optional<MemoryLayoutFile> MemoryLayoutFile::deserialize(
-    const std::vector<u8>& bytes) {
-  size_t pos = 0;
-  u64 magic = 0, guest_pages = 0, tier_count = 0, count = 0;
-  if (!get_u64(bytes, pos, magic) || magic != kMagicV3) return std::nullopt;
-  if (!get_u64(bytes, pos, guest_pages)) return std::nullopt;
-  if (!get_u64(bytes, pos, tier_count) || tier_count < 1 ||
-      tier_count > kMaxTiers)
-    return std::nullopt;
-  if (!get_u64(bytes, pos, count)) return std::nullopt;
-  std::vector<LayoutEntry> entries;
-  entries.reserve(count);
-  for (u64 i = 0; i < count; ++i) {
-    u64 tier = 0;
-    LayoutEntry e;
-    if (!get_u64(bytes, pos, tier) || tier >= tier_count) return std::nullopt;
-    e.tier = static_cast<Tier>(tier);
-    if (!get_u64(bytes, pos, e.file_page) ||
-        !get_u64(bytes, pos, e.guest_page) ||
-        !get_u64(bytes, pos, e.page_count) ||
-        !get_u64(bytes, pos, e.checksum))
-      return std::nullopt;
-    entries.push_back(e);
-  }
-  MemoryLayoutFile layout(guest_pages, std::move(entries),
-                          static_cast<size_t>(tier_count));
-  if (!layout.valid()) return std::nullopt;
-  return layout;
 }
 
 }  // namespace toss

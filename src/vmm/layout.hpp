@@ -5,10 +5,9 @@
 // and its size. At restore time the VMM creates one memory mapping per
 // entry, so the entry count directly drives setup time (Section V-F).
 //
-// Since the tier-ladder redesign the layout is tier-indexed: entries carry
-// a ladder rank and the file records how deep the ladder was at tiering
-// time (format v3, "TOSSLAY3"). Snapshots never leave the process, so only
-// the current format is read back.
+// The layout is tier-indexed: entries carry a ladder rank and the file
+// records how deep the ladder was at tiering time. validate_layout() is the
+// one structural predicate over it.
 #pragma once
 
 #include <optional>
@@ -24,21 +23,16 @@ struct LayoutEntry {
   u64 file_page = 0;   ///< offset within the tier's snapshot file, in pages
   u64 guest_page = 0;  ///< offset within guest memory, in pages
   u64 page_count = 0;
-  /// Content checksum of the region's pages in the tier file, written at
-  /// tiering time (Step IV). Restores recompute it before mapping; a
-  /// mismatch means bitrot or a torn write and the artifact is quarantined
-  /// instead of mapped (TieredSnapshot::verify).
+  /// Content checksum of the region's pages in the tier file
+  /// (region_checksum), written at tiering time (Step IV). Restores
+  /// recompute it before mapping; a mismatch means bitrot or a torn write
+  /// and the artifact is quarantined instead of mapped
+  /// (TieredSnapshot::verify).
   u64 checksum = 0;
 
   u64 guest_page_end() const { return guest_page + page_count; }
   u64 bytes() const { return bytes_for_pages(page_count); }
-  bool operator==(const LayoutEntry&) const = default;
 };
-
-/// FNV-1a over a region of page versions; the per-region checksum stored in
-/// LayoutEntry::checksum. `file` is a tier file's version array.
-u64 region_checksum(const std::vector<u32>& file, u64 file_page,
-                    u64 page_count);
 
 class MemoryLayoutFile {
  public:
@@ -53,10 +47,6 @@ class MemoryLayoutFile {
   /// below it.
   size_t tier_count() const { return tier_count_; }
 
-  /// Entries must be sorted by guest offset, tile guest memory exactly, and
-  /// each tier's file offsets must be contiguous from zero in entry order.
-  bool valid() const;
-
   /// Number of entries (mappings) per tier.
   u64 entries_in(Tier t) const;
 
@@ -65,12 +55,6 @@ class MemoryLayoutFile {
 
   /// Fraction of guest bytes below the fastest tier.
   double slow_fraction() const;
-
-  std::vector<u8> serialize() const;
-  static std::optional<MemoryLayoutFile> deserialize(
-      const std::vector<u8>& bytes);
-
-  bool operator==(const MemoryLayoutFile&) const = default;
 
  private:
   u64 guest_pages_ = 0;
@@ -84,9 +68,9 @@ class MemoryLayoutFile {
 /// recorded ladder, and each tier's file offsets must be contiguous from
 /// zero in entry order. Returns std::nullopt when the layout is
 /// well-formed, else a description of the first violation ("entry 3:
-/// overlaps entry 2 ..."). `valid()` is this predicate without the
-/// diagnostic; checked builds call this at the Step IV seam via
-/// TOSS_VALIDATE.
+/// overlaps entry 2 ..."). Checked builds call this at the Step IV seam via
+/// TOSS_VALIDATE, and TieredSnapshot::verify() runs it before every tiered
+/// restore.
 std::optional<std::string> validate_layout(const MemoryLayoutFile& layout);
 
 }  // namespace toss

@@ -27,7 +27,7 @@ const SingleTierSnapshot* SnapshotStore::get_single_tier(u64 file_id) const {
 void SnapshotStore::put_tiered(TieredSnapshot snapshot) {
   // The tiered artifact is one file per ladder rank plus the layout; the
   // rename step publishes all of them at once. A torn write fires before
-  // the alias or blob maps are touched.
+  // the alias or artifact maps are touched.
   if (faults_ && faults_->should_fire(FaultSite::kPutTiered))
     throw Error(ErrorCode::kTransientIo,
                 "torn write persisting tiered snapshot");

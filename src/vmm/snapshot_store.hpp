@@ -1,12 +1,13 @@
 // Snapshot storage on the simulated disk.
 //
-// Owns file-id allocation and the snapshot blobs, and prices disk transfers
-// using the DiskSpec. The lane's host page cache lives here too, so
-// experiments can drop it between invocations like the paper's methodology
-// does.
+// Owns file-id allocation and the snapshot artifacts, which are in-process
+// objects (a restore is priced from layout entries and touched pages, never
+// from a byte encoding), and prices disk transfers using the DiskSpec. The
+// lane's host page cache lives here too, so experiments can drop it between
+// invocations like the paper's methodology does.
 //
 // Failure domain semantics (the fault-injection PR):
-//   - Puts are atomic: blobs are fully staged before any store state is
+//   - Puts are atomic: artifacts are fully built before any store state is
 //     touched (write-temp-then-rename), so a torn write — injected at the
 //     kPutSingleTier / kPutTiered sites — throws toss::Error(kTransientIo)
 //     and leaves every previous snapshot generation readable.
@@ -69,9 +70,10 @@ class SnapshotStore {
   const SingleTierSnapshot& fetch_single_tier(u64 file_id) const;
 
   /// Ladder read path for a tiered artifact: first arms the at-rest
-  /// corruption sites (which may damage the stored blob, deterministically),
-  /// then resolves the id. Throws toss::Error(kSnapshotMissing) for unknown
-  /// or quarantined ids. The caller verifies content via verify_tiered().
+  /// corruption sites (which may damage the stored artifact,
+  /// deterministically), then resolves the id. Throws
+  /// toss::Error(kSnapshotMissing) for unknown or quarantined ids. The
+  /// caller verifies content via verify_tiered().
   const TieredSnapshot& fetch_tiered(u64 file_id);
 
   /// Content + structure verification of a stored tiered artifact:

@@ -63,101 +63,6 @@ TieredSnapshot::Location TieredSnapshot::locate(u64 guest_page) const {
   return Location{tier_index(0), 0};
 }
 
-namespace {
-// Version 2 stores a ladder of tier files.
-constexpr u64 kMagicV2 = 0x544f535354495232ULL;  // "TOSSTIR2"
-
-void put_u64(std::vector<u8>& out, u64 v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-bool get_u64(const std::vector<u8>& in, size_t& pos, u64& v) {
-  if (pos + 8 > in.size()) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<u64>(in[pos + i]) << (8 * i);
-  pos += 8;
-  return true;
-}
-
-void put_blob(std::vector<u8>& out, const std::vector<u8>& blob) {
-  put_u64(out, blob.size());
-  out.insert(out.end(), blob.begin(), blob.end());
-}
-
-bool get_blob(const std::vector<u8>& in, size_t& pos, std::vector<u8>& blob) {
-  u64 size = 0;
-  if (!get_u64(in, pos, size) || pos + size > in.size()) return false;
-  blob.assign(in.begin() + static_cast<std::ptrdiff_t>(pos),
-              in.begin() + static_cast<std::ptrdiff_t>(pos + size));
-  pos += size;
-  return true;
-}
-
-void put_versions(std::vector<u8>& out, const std::vector<u32>& vs) {
-  put_u64(out, vs.size());
-  for (u32 v : vs)
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
-}
-
-bool get_versions(const std::vector<u8>& in, size_t& pos,
-                  std::vector<u32>& vs) {
-  u64 count = 0;
-  if (!get_u64(in, pos, count) || pos + count * 4 > in.size()) return false;
-  vs.resize(count);
-  for (u64 i = 0; i < count; ++i) {
-    u32 v = 0;
-    for (int b = 0; b < 4; ++b)
-      v |= static_cast<u32>(in[pos + i * 4 + static_cast<u64>(b)]) << (8 * b);
-    vs[i] = v;
-  }
-  pos += count * 4;
-  return true;
-}
-}  // namespace
-
-std::vector<u8> TieredSnapshot::serialize() const {
-  std::vector<u8> out;
-  put_u64(out, kMagicV2);
-  put_u64(out, file_ids_.size());
-  for (u64 id : file_ids_) put_u64(out, id);
-  put_blob(out, vm_state_.serialize());
-  put_blob(out, layout_.serialize());
-  for (const auto& vs : tier_versions_) put_versions(out, vs);
-  return out;
-}
-
-std::optional<TieredSnapshot> TieredSnapshot::deserialize(
-    const std::vector<u8>& bytes) {
-  size_t pos = 0;
-  u64 magic = 0;
-  TieredSnapshot snap;
-  if (!get_u64(bytes, pos, magic) || magic != kMagicV2) return std::nullopt;
-  u64 ranks = 0;
-  if (!get_u64(bytes, pos, ranks) || ranks < 1 || ranks > kMaxTiers)
-    return std::nullopt;
-  snap.file_ids_.resize(ranks);
-  for (u64 r = 0; r < ranks; ++r)
-    if (!get_u64(bytes, pos, snap.file_ids_[r])) return std::nullopt;
-  std::vector<u8> blob;
-  if (!get_blob(bytes, pos, blob)) return std::nullopt;
-  const auto state = VmState::deserialize(blob);
-  if (!state) return std::nullopt;
-  snap.vm_state_ = *state;
-  if (!get_blob(bytes, pos, blob)) return std::nullopt;
-  const auto layout = MemoryLayoutFile::deserialize(blob);
-  if (!layout) return std::nullopt;
-  snap.layout_ = *layout;
-  if (snap.layout_.tier_count() != ranks) return std::nullopt;
-  snap.tier_versions_.resize(ranks);
-  for (u64 r = 0; r < ranks; ++r)
-    if (!get_versions(bytes, pos, snap.tier_versions_[r])) return std::nullopt;
-  // Cross-checks: each tier file must match the layout's page counts.
-  for (u64 r = 0; r < ranks; ++r)
-    if (snap.tier_versions_[r].size() != snap.layout_.pages_in(tier_index(r)))
-      return std::nullopt;
-  return snap;
-}
-
 std::optional<std::string> TieredSnapshot::verify() const {
   if (const auto structural = validate_layout(layout_)) return structural;
   if (layout_.tier_count() != tier_versions_.size())

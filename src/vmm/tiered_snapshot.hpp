@@ -79,8 +79,7 @@ class TieredSnapshot {
 
   /// A clean checksum verdict, kept until the contents change: build()
   /// seals the artifact (it computes every checksum from the contents it
-  /// holds), the two damage hooks below unseal it, and a deserialized
-  /// artifact starts unsealed. Not part of equality.
+  /// holds), and the two damage hooks below, its only mutators, unseal it.
   bool sealed() const { return sealed_; }
 
   /// Fault/test hooks modelling at-rest damage to the rank-0 file. Checksums
@@ -88,21 +87,6 @@ class TieredSnapshot {
   /// catch. They are the only mutators of the tier files.
   void corrupt_fast_page(u64 file_page);  ///< flip one page's content
   void truncate_fast_file();              ///< drop the fast file's last page
-
-  /// Full binary serialization of the tiered artifact (vm state + layout
-  /// file + all tier files), as it would be stored on disk/PMem, in the
-  /// ladder-aware "TOSSTIR2" format (the only one read back).
-  std::vector<u8> serialize() const;
-  static std::optional<TieredSnapshot> deserialize(
-      const std::vector<u8>& bytes);
-
-  /// Equal artifacts hold equal contents; the seal is a cached verdict
-  /// about them, not content.
-  bool operator==(const TieredSnapshot& other) const {
-    return layout_ == other.layout_ && vm_state_ == other.vm_state_ &&
-           file_ids_ == other.file_ids_ &&
-           tier_versions_ == other.tier_versions_;
-  }
 
  private:
   MemoryLayoutFile layout_;

@@ -1,10 +1,7 @@
 // Virtual machine monitor state captured alongside guest memory in a
-// snapshot: vCPU registers and emulated device state. Modeled as opaque
-// blobs with sizes that contribute to snapshot load time.
+// snapshot: vCPU registers and emulated device state. Modeled only by its
+// sizes, which contribute to snapshot load time.
 #pragma once
-
-#include <optional>
-#include <vector>
 
 #include "util/units.hpp"
 
@@ -15,11 +12,6 @@ struct VmState {
   u64 vcpu_state_bytes = 16 * kKiB;    ///< per-vCPU register/MSR state
   u64 device_state_bytes = 128 * kKiB; ///< virtio-net/block/serial, KVM irqchip
   u64 config_hash = 0;                 ///< identity of the machine config
-
-  std::vector<u8> serialize() const;
-  static std::optional<VmState> deserialize(const std::vector<u8>& bytes);
-
-  bool operator==(const VmState&) const = default;
 };
 
 }  // namespace toss

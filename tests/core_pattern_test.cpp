@@ -8,10 +8,9 @@
 namespace toss {
 namespace {
 
-DamonRecord record_of(u64 pages, std::vector<DamonRegion> regions) {
-  DamonRecord rec(pages, std::move(regions));
-  EXPECT_TRUE(rec.valid());
-  return rec;
+DamonRecord record_of(u64 pages, RegionList regions) {
+  EXPECT_TRUE(regions_cover_space(regions, pages));
+  return DamonRecord(pages, std::move(regions));
 }
 
 TEST(UnifiedPattern, IdenticalRecordsConverge) {

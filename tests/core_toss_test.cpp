@@ -164,7 +164,7 @@ TEST_F(TossLifecycleTest, TieredSnapshotPreservesMemoryImage) {
 
   const TieredSnapshot* tiered = toss.tiered_snapshot();
   ASSERT_NE(tiered, nullptr);
-  EXPECT_TRUE(tiered->layout().valid());
+  EXPECT_EQ(validate_layout(tiered->layout()), std::nullopt);
   // Integrity: the partitioned image reassembles to the single-tier one.
   // (The single-tier snapshot is the first file the store handed out.)
   const SingleTierSnapshot* single = store.get_single_tier(1);
@@ -276,9 +276,10 @@ TEST_F(TossLifecycleTest, ReprofileTriggersOnSustainedDrift) {
 
 TEST_F(TossLifecycleTest, DeterministicAcrossRuns) {
   const FunctionModel& m = *reg.find("float_operation");
+  // Each run owns a fresh store, so the second starts from no artifacts.
   auto run = [&] {
-    SnapshotStore s(cfg);
-    TossFunction toss(cfg, store, m, fast_options());
+    SnapshotStore own_store(cfg);
+    TossFunction toss(cfg, own_store, m, fast_options());
     std::vector<double> times;
     const auto reqs = RequestGenerator::round_robin(40, 7);
     for (const auto& r : reqs)

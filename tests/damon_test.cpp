@@ -1,4 +1,4 @@
-// Tests for the DAMON simulator: record files and the adaptive monitor.
+// Tests for the DAMON simulator: records and the adaptive monitor.
 #include <gtest/gtest.h>
 
 #include "damon/monitor.hpp"
@@ -7,37 +7,12 @@
 namespace toss {
 namespace {
 
-TEST(DamonRecord, ValidityRules) {
-  EXPECT_TRUE(DamonRecord(4, {{0, 2, 5}, {2, 2, 0}}).valid());
-  EXPECT_FALSE(DamonRecord(4, {{0, 2, 5}}).valid());           // short
-  EXPECT_FALSE(DamonRecord(4, {{0, 2, 5}, {3, 1, 0}}).valid()); // gap
-  EXPECT_FALSE(DamonRecord(4, {{0, 0, 5}, {0, 4, 0}}).valid()); // empty region
-}
-
 TEST(DamonRecord, ToCounts) {
   DamonRecord rec(6, {{0, 2, 5}, {2, 4, 9}});
   const PageAccessCounts counts = rec.to_counts();
   EXPECT_EQ(counts.at(0), 5u);
   EXPECT_EQ(counts.at(1), 5u);
   EXPECT_EQ(counts.at(5), 9u);
-}
-
-TEST(DamonRecord, SerializeRoundtrip) {
-  DamonRecord rec(100, {{0, 40, 7}, {40, 60, 123}});
-  const auto bytes = rec.serialize();
-  const auto back = DamonRecord::deserialize(bytes);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, rec);
-}
-
-TEST(DamonRecord, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(DamonRecord::deserialize({1, 2, 3}).has_value());
-  auto bytes = DamonRecord(4, {{0, 4, 1}}).serialize();
-  bytes[0] ^= 0xff;  // corrupt magic
-  EXPECT_FALSE(DamonRecord::deserialize(bytes).has_value());
-  bytes = DamonRecord(4, {{0, 4, 1}}).serialize();
-  bytes.resize(bytes.size() - 3);  // truncated
-  EXPECT_FALSE(DamonRecord::deserialize(bytes).has_value());
 }
 
 class DamonMonitorTest : public ::testing::Test {
@@ -57,7 +32,7 @@ TEST_F(DamonMonitorTest, RecordCoversSpaceAndQuantized) {
   DamonMonitor monitor(cfg);
   const auto counts = pattern_with_hot_region(4096);
   const DamonOutput out = monitor.monitor(counts, ms(100), rng);
-  EXPECT_TRUE(out.record.valid());
+  EXPECT_TRUE(regions_cover_space(out.record.regions(), 4096));
   for (const auto& r : out.record.regions()) {
     // Regions never smaller than the 16 KiB minimum (except trailing).
     if (r.page_end() != 4096)
@@ -117,7 +92,7 @@ TEST_F(DamonMonitorTest, MaxRegionsCapRespected) {
   for (u64 p = 0; p < 1024; ++p) counts.set(p, 1 + local.next_below(1000));
   const auto out = monitor.monitor(counts, ms(10), rng);
   EXPECT_LE(out.record.region_count(), 8u);
-  EXPECT_TRUE(out.record.valid());
+  EXPECT_TRUE(regions_cover_space(out.record.regions(), 1024));
 }
 
 TEST_F(DamonMonitorTest, OverheadNearThreePercent) {

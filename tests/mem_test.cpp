@@ -389,13 +389,6 @@ TEST_F(ContentionLadderTest, MixedRungLoadContendsSeparately) {
   EXPECT_DOUBLE_EQ(solo1.factors.tier[2], 1.0);
 }
 
-TEST_F(ContentionLadderTest, LegacyAccessorsAliasFirstTwoRanks) {
-  std::vector<ExecutionResult> solo(8, bound_to_rank(1, 40.0, ms(100)));
-  const auto out = run_concurrent(cfg, solo);
-  EXPECT_DOUBLE_EQ(out.factors.fast(), out.factors.tier[0]);
-  EXPECT_DOUBLE_EQ(out.factors.slow(), out.factors.tier[1]);
-}
-
 TEST(PageCache, FillWithReadahead) {
   HostPageCache cache(8);
   EXPECT_FALSE(cache.contains(1, 100));

@@ -137,6 +137,7 @@ TEST(Regions, CoverSpaceRejectsGapsAndOverlap) {
   EXPECT_FALSE(regions_cover_space({{0, 2, 0}, {3, 2, 0}}, 5));   // gap
   EXPECT_FALSE(regions_cover_space({{0, 3, 0}, {2, 3, 0}}, 5));   // overlap
   EXPECT_FALSE(regions_cover_space({{0, 3, 0}}, 5));              // short
+  EXPECT_FALSE(regions_cover_space({{0, 0, 5}, {0, 5, 0}}, 5));   // empty
   EXPECT_TRUE(regions_cover_space({{0, 3, 0}, {3, 2, 0}}, 5));
 }
 

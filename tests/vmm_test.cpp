@@ -32,28 +32,6 @@ GuestMemory patterned_memory(u64 pages) {
   return mem;
 }
 
-/// `bytes` with its leading little-endian magic word replaced.
-std::vector<u8> with_magic(std::vector<u8> bytes, u64 magic) {
-  for (size_t i = 0; i < 8; ++i) bytes[i] = static_cast<u8>(magic >> (8 * i));
-  return bytes;
-}
-
-TEST(VmState, SerializeRoundtrip) {
-  VmState s;
-  s.vcpu_count = 2;
-  s.config_hash = 0xdeadbeef;
-  const auto back = VmState::deserialize(s.serialize());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, s);
-}
-
-TEST(VmState, DeserializeRejectsCorrupt) {
-  auto bytes = VmState{}.serialize();
-  bytes[3] ^= 0x55;
-  EXPECT_FALSE(VmState::deserialize(bytes).has_value());
-  EXPECT_FALSE(VmState::deserialize({}).has_value());
-}
-
 TEST(SingleTierSnapshot, MaterializeMatchesSource) {
   const GuestMemory mem = patterned_memory(64);
   SingleTierSnapshot snap(1, mem, VmState{});
@@ -97,60 +75,39 @@ TEST(LayoutFile, ValidityRules) {
   MemoryLayoutFile ok(10, {{tier_index(0), 0, 0, 4},
                            {tier_index(1), 0, 4, 4},
                            {tier_index(0), 4, 8, 2}});
-  EXPECT_TRUE(ok.valid());
+  EXPECT_EQ(validate_layout(ok), std::nullopt);
   EXPECT_EQ(ok.entries_in(tier_index(0)), 2u);
   EXPECT_EQ(ok.pages_in(tier_index(1)), 4u);
   EXPECT_DOUBLE_EQ(ok.slow_fraction(), 0.4);
 
   // Guest gap.
-  EXPECT_FALSE(MemoryLayoutFile(10, {{tier_index(0), 0, 0, 4},
-                                     {tier_index(1), 0, 5, 5}})
-                   .valid());
+  EXPECT_NE(validate_layout(MemoryLayoutFile(10, {{tier_index(0), 0, 0, 4},
+                                                  {tier_index(1), 0, 5, 5}})),
+            std::nullopt);
   // File offsets must be contiguous per tier.
-  EXPECT_FALSE(MemoryLayoutFile(8, {{tier_index(0), 0, 0, 4},
-                                    {tier_index(0), 6, 4, 4}})
-                   .valid());
+  EXPECT_NE(validate_layout(MemoryLayoutFile(8, {{tier_index(0), 0, 0, 4},
+                                                 {tier_index(0), 6, 4, 4}})),
+            std::nullopt);
   // Incomplete coverage.
-  EXPECT_FALSE(MemoryLayoutFile(10, {{tier_index(0), 0, 0, 4}}).valid());
+  EXPECT_NE(validate_layout(MemoryLayoutFile(10, {{tier_index(0), 0, 0, 4}})),
+            std::nullopt);
   // A tier tag at or beyond the recorded ladder depth is invalid.
-  EXPECT_FALSE(MemoryLayoutFile(4, {{tier_index(2), 0, 0, 4}}).valid());
-  EXPECT_TRUE(MemoryLayoutFile(4, {{tier_index(2), 0, 0, 4}}, 3).valid());
-}
+  EXPECT_NE(validate_layout(MemoryLayoutFile(4, {{tier_index(2), 0, 0, 4}})),
+            std::nullopt);
+  EXPECT_EQ(validate_layout(MemoryLayoutFile(4, {{tier_index(2), 0, 0, 4}}, 3)),
+            std::nullopt);
 
-TEST(LayoutFile, SerializeRoundtrip) {
-  MemoryLayoutFile layout(6, {{tier_index(0), 0, 0, 2},
-                              {tier_index(1), 0, 2, 3},
-                              {tier_index(0), 2, 5, 1}});
-  const auto back = MemoryLayoutFile::deserialize(layout.serialize());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, layout);
-}
-
-TEST(LayoutFile, ThreeTierSerializeRoundtrip) {
-  // Format v3 carries the ladder depth, so deep tier tags survive the trip.
-  MemoryLayoutFile layout(12,
-                          {{tier_index(0), 0, 0, 4},
-                           {tier_index(1), 0, 4, 4},
-                           {tier_index(2), 0, 8, 4}},
-                          3);
-  ASSERT_TRUE(layout.valid());
-  const auto back = MemoryLayoutFile::deserialize(layout.serialize());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->tier_count(), 3u);
-  EXPECT_EQ(*back, layout);
-  EXPECT_EQ(back->pages_in(tier_index(2)), 4u);
-  EXPECT_DOUBLE_EQ(back->slow_fraction(), 2.0 / 3.0);
-}
-
-TEST(LayoutFile, DeserializeRejectsInvalid) {
-  const auto good = MemoryLayoutFile(4, {{tier_index(0), 0, 0, 4}}).serialize();
-  auto bytes = good;
-  bytes[8] ^= 1;  // corrupt guest_pages -> coverage fails
-  EXPECT_FALSE(MemoryLayoutFile::deserialize(bytes).has_value());
-  // Snapshots never leave the process, so retired formats are not read.
-  EXPECT_FALSE(MemoryLayoutFile::deserialize(
-                   with_magic(good, 0x544f53534c415932ULL))  // "TOSSLAY2"
-                   .has_value());
+  // The layout records its ladder depth, and every rank below the fastest
+  // counts as offloaded.
+  MemoryLayoutFile three(12,
+                         {{tier_index(0), 0, 0, 4},
+                          {tier_index(1), 0, 4, 4},
+                          {tier_index(2), 0, 8, 4}},
+                         3);
+  EXPECT_EQ(validate_layout(three), std::nullopt);
+  EXPECT_EQ(three.tier_count(), 3u);
+  EXPECT_EQ(three.pages_in(tier_index(2)), 4u);
+  EXPECT_DOUBLE_EQ(three.slow_fraction(), 2.0 / 3.0);
 }
 
 class TieredSnapshotTest : public ::testing::Test {
@@ -166,7 +123,7 @@ TEST_F(TieredSnapshotTest, BuildPreservesContent) {
   placement.set_range(64, 64, tier_index(1));
   const TieredSnapshot tiered =
       TieredSnapshot::build(snap, placement, {2, 3});
-  EXPECT_TRUE(tiered.layout().valid());
+  EXPECT_EQ(validate_layout(tiered.layout()), std::nullopt);
   EXPECT_EQ(tiered.guest_pages(), kPages);
   EXPECT_EQ(tiered.fast_pages() + tiered.slow_pages(), kPages);
   EXPECT_EQ(tiered.slow_pages(), 94u);
@@ -197,9 +154,9 @@ TEST_F(TieredSnapshotTest, LocateAgreesWithPlacement) {
   }
 }
 
-TEST_F(TieredSnapshotTest, ThreeRungBuildMaterializesAndRoundtrips) {
+TEST_F(TieredSnapshotTest, ThreeRungBuildMaterializesAndVerifies) {
   // One file per rung: pages spread over a three-rung ladder reassemble
-  // bit-identically and survive the v2 ("TOSSTIR2") serialization.
+  // bit-identically and pass verification.
   PagePlacement placement(kPages, tier_index(0));
   placement.set_range(32, 32, tier_index(1));
   placement.set_range(64, 64, tier_index(2));
@@ -214,40 +171,6 @@ TEST_F(TieredSnapshotTest, ThreeRungBuildMaterializesAndRoundtrips) {
   EXPECT_EQ(tier_rank(tiered.locate(70).tier), 2u);
   EXPECT_EQ(tiered.materialize(), mem);
   EXPECT_EQ(tiered.verify(), std::nullopt);
-  const auto back = TieredSnapshot::deserialize(tiered.serialize());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, tiered);
-  EXPECT_EQ(back->materialize(), mem);
-}
-
-TEST_F(TieredSnapshotTest, SerializeRoundtrip) {
-  PagePlacement placement(kPages, tier_index(0));
-  placement.set_range(8, 40, tier_index(1));
-  placement.set_range(100, 28, tier_index(1));
-  const TieredSnapshot tiered =
-      TieredSnapshot::build(snap, placement, {7, 8});
-  const auto back = TieredSnapshot::deserialize(tiered.serialize());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, tiered);
-  EXPECT_EQ(back->materialize(), mem);
-}
-
-TEST_F(TieredSnapshotTest, DeserializeRejectsCorruption) {
-  PagePlacement placement(kPages, tier_index(0));
-  placement.set_range(0, 64, tier_index(1));
-  const TieredSnapshot tiered =
-      TieredSnapshot::build(snap, placement, {7, 8});
-  auto bytes = tiered.serialize();
-  EXPECT_FALSE(TieredSnapshot::deserialize({}).has_value());
-  auto bad_magic = bytes;
-  bad_magic[0] ^= 0xff;
-  EXPECT_FALSE(TieredSnapshot::deserialize(bad_magic).has_value());
-  EXPECT_FALSE(TieredSnapshot::deserialize(
-                   with_magic(bytes, 0x544f535354495231ULL))  // "TOSSTIR1"
-                   .has_value());
-  auto truncated = bytes;
-  truncated.resize(truncated.size() / 2);
-  EXPECT_FALSE(TieredSnapshot::deserialize(truncated).has_value());
 }
 
 TEST_F(TieredSnapshotTest, BuildSealsAndEveryMutatorUnseals) {
@@ -256,10 +179,16 @@ TEST_F(TieredSnapshotTest, BuildSealsAndEveryMutatorUnseals) {
   TieredSnapshot tiered = TieredSnapshot::build(snap, placement, {7, 8});
   EXPECT_TRUE(tiered.sealed());
   EXPECT_EQ(tiered.verify(), std::nullopt);
+  // Flipped content keeps the structure intact, so only the checksum pass
+  // sees it. Fast file page 40 lies in entry 2 (guest pages 96..127), so
+  // entries 0 and 1 must pass that pass first.
   TieredSnapshot rotted = tiered;
-  rotted.corrupt_fast_page(5);
+  rotted.corrupt_fast_page(40);
   EXPECT_FALSE(rotted.sealed());
-  EXPECT_NE(rotted.verify(), std::nullopt);
+  const auto violation = rotted.verify();
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_EQ(violation->rfind("entry 2: checksum mismatch", 0), 0u)
+      << *violation;
   TieredSnapshot truncated = tiered;
   truncated.truncate_fast_file();
   EXPECT_FALSE(truncated.sealed());
@@ -267,26 +196,6 @@ TEST_F(TieredSnapshotTest, BuildSealsAndEveryMutatorUnseals) {
   // Out-of-range damage is a no-op and keeps the seal.
   tiered.corrupt_fast_page(10'000);
   EXPECT_TRUE(tiered.sealed());
-}
-
-TEST_F(TieredSnapshotTest, DeserializedArtifactIsCheckedInFull) {
-  PagePlacement placement(kPages, tier_index(0));
-  placement.set_range(32, 64, tier_index(1));
-  const TieredSnapshot tiered = TieredSnapshot::build(snap, placement, {7, 8});
-  const auto clean = TieredSnapshot::deserialize(tiered.serialize());
-  ASSERT_TRUE(clean.has_value());
-  EXPECT_FALSE(clean->sealed());
-  EXPECT_EQ(clean->verify(), std::nullopt);
-  // The last four bytes are the deepest tier file's last page version:
-  // flipping one survives parsing, and only the checksum pass sees it.
-  auto bytes = tiered.serialize();
-  bytes.back() ^= 0x01;
-  const auto flipped = TieredSnapshot::deserialize(bytes);
-  ASSERT_TRUE(flipped.has_value());
-  EXPECT_FALSE(flipped->sealed());
-  const auto violation = flipped->verify();
-  ASSERT_TRUE(violation.has_value());
-  EXPECT_NE(violation->find("checksum mismatch"), std::string::npos);
 }
 
 TEST(SnapshotStore, IdsAndLookup) {
