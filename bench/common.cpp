@@ -61,18 +61,19 @@ InvocationResult reap_invocation(SimEnv& env, const SnapshotWithWs& snap,
   return env.invoker.invoke(policy, inv);
 }
 
-ExecutionResult dram_resident_execution(SimEnv& env, const FunctionModel& m,
-                                        const Invocation& inv) {
+SoloRun dram_resident_run(SimEnv& env, const FunctionModel& m,
+                          const Invocation& inv) {
   MicroVm vm(env.cfg, env.store);
   vm.boot(m.guest_bytes(), VmState{});
   vm.execute(inv.trace, inv.cpu_ns);  // populate residency
-  return vm.execute(inv.trace, inv.cpu_ns);  // warm, fault-free run
+  const ExecutionResult warm = vm.execute(inv.trace, inv.cpu_ns);
+  return SoloRun{warm, vm.demand()};
 }
 
 Nanos dram_resident_total_ns(SimEnv& env, const FunctionModel& m,
                              const Invocation& inv) {
   return dram_resident_setup_ns(env) +
-         dram_resident_execution(env, m, inv).exec_ns;
+         dram_resident_run(env, m, inv).exec.exec_ns;
 }
 
 Nanos dram_resident_setup_ns(const SimEnv& env) {

@@ -58,10 +58,10 @@ InvocationResult reap_invocation(SimEnv& env, const SnapshotWithWs& snap,
 /// The paper's DRAM-only baseline: the function's memory permanently
 /// resides in DRAM (that residency is exactly the cost TOSS attacks), so an
 /// invocation pays only the VMM state load + one mapping, and execution is
-/// warm (no faults). Returns the warm ExecutionResult (with the bandwidth
-/// demand fields the concurrency model needs).
-ExecutionResult dram_resident_execution(SimEnv& env, const FunctionModel& m,
-                                        const Invocation& inv);
+/// warm (no faults). Returns the warm run with the per-rank demand the
+/// concurrency model needs.
+SoloRun dram_resident_run(SimEnv& env, const FunctionModel& m,
+                          const Invocation& inv);
 
 /// Total invocation time of the DRAM-resident baseline.
 Nanos dram_resident_total_ns(SimEnv& env, const FunctionModel& m,

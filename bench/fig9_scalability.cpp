@@ -23,16 +23,17 @@ constexpr int kLevels[] = {1, 5, 10, 20};
 
 /// Solo execution under a policy; only the execution (not setup) feeds the
 /// contention model, matching the figure's "execution time slowdown".
-ExecutionResult solo_exec(SimEnv& env, const RestorePolicy& policy,
-                          const Invocation& inv) {
+SoloRun solo_exec(SimEnv& env, const RestorePolicy& policy,
+                  const Invocation& inv) {
   env.store.drop_caches();
   MicroVm vm(env.cfg, env.store);
   vm.restore(policy.plan_restore());
-  return vm.execute(inv.trace, inv.cpu_ns);
+  const ExecutionResult exec = vm.execute(inv.trace, inv.cpu_ns);
+  return SoloRun{exec, vm.demand()};
 }
 
-Nanos contended_mean(const SimEnv& env, const ExecutionResult& solo, int k) {
-  const std::vector<ExecutionResult> group(static_cast<size_t>(k), solo);
+Nanos contended_mean(const SimEnv& env, const SoloRun& solo, int k) {
+  const std::vector<SoloRun> group(static_cast<size_t>(k), solo);
   const auto out = run_concurrent(env.cfg, group);
   OnlineStats st;
   for (Nanos t : out.exec_ns) st.add(t);
@@ -61,16 +62,16 @@ FunctionRows fig9_rows_for(const SystemConfig& cfg, size_t model_index) {
   const SnapshotWithWs worst = make_snapshot(env, m, 0, 802);
 
   const Invocation inv = m.invoke(3, 9090);
-  const ExecutionResult dram = dram_resident_execution(env, m, inv);
-  const ExecutionResult toss_run = solo_exec(env, toss_policy, inv);
-  const ExecutionResult reap_best = solo_exec(
+  const SoloRun dram = dram_resident_run(env, m, inv);
+  const SoloRun toss_run = solo_exec(env, toss_policy, inv);
+  const SoloRun reap_best = solo_exec(
       env, ReapPolicy(env.store, best.snapshot_id, best.ws), inv);
-  const ExecutionResult reap_worst = solo_exec(
+  const SoloRun reap_worst = solo_exec(
       env, ReapPolicy(env.store, worst.snapshot_id, worst.ws), inv);
 
   struct Row {
     const char* label;
-    const ExecutionResult* solo;
+    const SoloRun* solo;
   };
   const Row rows[] = {{"TOSS", &toss_run},
                       {"REAP Best", &reap_best},
@@ -121,12 +122,12 @@ void print_fig9(const SystemConfig& cfg) {
 
 void BM_contention_model(benchmark::State& state) {
   SimEnv env;
-  ExecutionResult solo;
-  solo.exec_ns = ms(100);
-  solo.cpu_ns = ms(20);
-  solo.mem_tier_ns[1] = ms(80);
-  solo.tier_read_bytes[1] = 4e9;
-  const std::vector<ExecutionResult> group(20, solo);
+  SoloRun solo;
+  solo.exec.exec_ns = ms(100);
+  solo.exec.cpu_ns = ms(20);
+  solo.demand.tier_ns[1] = ms(80);
+  solo.demand.tier_read_bytes[1] = 4e9;
+  const std::vector<SoloRun> group(20, solo);
   for (auto _ : state) {
     ConcurrencyOutcome outcome = run_concurrent(env.cfg, group);
     benchmark::DoNotOptimize(outcome);

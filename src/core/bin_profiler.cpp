@@ -67,33 +67,39 @@ BinProfile BinProfiler::profile(const std::vector<Bin>& bins,
 
   // One pass over the representative trace: each burst's accesses per rank
   // under the base placement (as AccessCostModel::burst_cost sums them),
-  // and each bin's accesses in every burst it overlaps.
-  const BurstTrace& trace = representative.trace;
-  const std::vector<AccessBurst>& bursts = trace.bursts();
+  // and each bin's accesses in every burst it overlaps. Only the spans a
+  // burst's nonzero prefix meets hold any of its accesses: zero spans'
+  // go to the deepest rung, the rest of the burst's to rank 0.
+  const std::vector<AccessBurst>& bursts = representative.trace.bursts();
+  const size_t deepest = ranks - 1;
   std::vector<RankAccesses> accesses(bursts.size());
   std::vector<std::vector<BurstShare>> shares(bins.size());
   for (size_t i = 0; i < bursts.size(); ++i) {
     const AccessBurst& b = bursts[i];
     TOSS_REQUIRE(b.page_end() <= guest_pages);
-    const std::vector<u64>& counts = trace.counts_of(i);
-    for (u64 j = 0; j < b.page_count; ++j)
-      accesses[i][out.base_placement.rank_of(b.page_begin + j)] += counts[j];
+    const BurstSpread spread(b);
+    const u64 end = b.page_begin + spread.nonzero_pages();
+    u64 buried = 0;
     // First span ending past the burst's start, then every span it meets.
     auto it = std::upper_bound(
         spans.begin(), spans.end(), b.page_begin,
         [](u64 page, const Span& s) { return page < s.end; });
-    for (; it != spans.end() && it->begin < b.page_end(); ++it) {
-      if (it->bin == kZeroSpan) continue;
+    for (; it != spans.end() && it->begin < end; ++it) {
       const u64 lo = std::max(it->begin, b.page_begin);
-      const u64 hi = std::min(it->end, b.page_end());
-      u64 sum = 0;
-      for (u64 p = lo; p < hi; ++p) sum += counts[p - b.page_begin];
+      const u64 hi = std::min(it->end, end);
+      const u64 sum = spread.sum(lo - b.page_begin, hi - b.page_begin);
+      if (it->bin == kZeroSpan) {
+        buried += sum;
+        continue;
+      }
       std::vector<BurstShare>& bin_shares = shares[it->bin];
       if (!bin_shares.empty() && bin_shares.back().burst == i)
         bin_shares.back().accesses += sum;
       else
         bin_shares.push_back(BurstShare{i, sum});
     }
+    accesses[i][0] += spread.total() - buried;
+    accesses[i][deepest] += buried;
   }
 
   // Warm time of the current configuration: burst costs summed in burst
@@ -119,7 +125,8 @@ BinProfile BinProfiler::profile(const std::vector<Bin>& bins,
   const std::vector<double> ratios = cfg_->rank_cost_ratios();
   const double guest_bytes = static_cast<double>(bytes_for_pages(guest_pages));
   const double pages = static_cast<double>(guest_pages);
-  std::vector<u64> rank_pages = out.base_placement.pages_per_rank(ranks);
+  out.base_rank_pages = out.base_placement.pages_per_rank(ranks);
+  std::vector<u64> rank_pages = out.base_rank_pages;
   std::vector<double> deep(ranks > 0 ? ranks - 1 : 0, 0.0);
 
   // Pass p (p = 1 .. ranks-1) pushes each bin from rank p-1 to rank p,

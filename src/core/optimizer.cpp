@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/merge.hpp"
+#include "util/contracts.hpp"
 
 namespace toss {
 
@@ -34,8 +35,20 @@ TieringDecision select_placement(const SystemConfig& cfg, BinProfile profile,
   d.offloaded.assign(bins.size(), false);
   d.bin_rank.assign(bins.size(), 0);
 
-  const double base_cost = ladder_normalized_cost(
-      1.0, d.profile.base_placement.deep_fractions(ranks), ratios);
+  // Prefix 0 is the base placement; its per-rank page counts give the
+  // fractions PagePlacement::deep_fractions and slow_fraction would.
+  const std::vector<u64>& base_pages = d.profile.base_rank_pages;
+  TOSS_REQUIRE(base_pages.size() == ranks);
+  const u64 guest_pages = d.profile.base_placement.num_pages();
+  const auto fraction = [&](u64 pages) {
+    return guest_pages > 0 ? static_cast<double>(pages) /
+                                 static_cast<double>(guest_pages)
+                           : 0.0;
+  };
+  std::vector<double> base_deep(ranks - 1);
+  for (size_t rank = 1; rank < ranks; ++rank)
+    base_deep[rank - 1] = fraction(base_pages[rank]);
+  const double base_cost = ladder_normalized_cost(1.0, base_deep, ratios);
 
   // SLO -> threshold (DESIGN.md §14): a QoS class's SLO target picks the
   // cheapest configuration it admits, and that configuration's slowdown
@@ -70,7 +83,7 @@ TieringDecision select_placement(const SystemConfig& cfg, BinProfile profile,
   for (size_t b = 0; b < bins.size(); ++b)
     for (const Region& r : bins[b].regions) bin_pages[b] += r.page_count;
   std::vector<u64> fast_after(d.profile.steps.size() + 1, 0);
-  fast_after[0] = d.profile.base_placement.pages_in(tier_index(0));
+  fast_after[0] = base_pages[0];
   for (size_t k = 0; k < d.profile.steps.size(); ++k)
     fast_after[k + 1] =
         fast_after[k] - (d.profile.steps[k].from_rank == 0
@@ -124,7 +137,7 @@ TieringDecision select_placement(const SystemConfig& cfg, BinProfile profile,
   // last step.
   if (best_prefix == 0) {
     d.expected_slowdown = 0.0;
-    d.slow_fraction = d.profile.base_placement.slow_fraction();
+    d.slow_fraction = fraction(guest_pages - base_pages[0]);
     d.normalized_cost = base_cost;
   } else {
     const BinStep& s = d.profile.steps[best_prefix - 1];

@@ -23,6 +23,11 @@ struct ZipfTable {
 /// Distinct thetas kept per thread; the workloads use a handful.
 constexpr size_t kMaxZipfTables = 16;
 
+/// Bumped whenever this thread's tables may have moved their weights
+/// (a table grew, or all were cleared): what a BurstSpread checks that it
+/// still reads live memory.
+thread_local u64 zipf_generation = 0;
+
 const ZipfTable& zipf_table(double theta, u64 pages) {
   // Per thread: lanes run on executor workers, and a private table needs
   // no lock on the hot path. Contents depend only on theta, never on
@@ -31,12 +36,16 @@ const ZipfTable& zipf_table(double theta, u64 pages) {
   auto it = std::find_if(tables.begin(), tables.end(),
                          [&](const ZipfTable& t) { return t.theta == theta; });
   if (it == tables.end()) {
-    if (tables.size() >= kMaxZipfTables) tables.clear();
+    if (tables.size() >= kMaxZipfTables) {
+      tables.clear();
+      ++zipf_generation;
+    }
     tables.push_back(ZipfTable{theta, {}, {}});
     it = tables.end() - 1;
   }
   ZipfTable& t = *it;
   if (t.weight.size() < pages) {
+    ++zipf_generation;
     t.weight.reserve(pages);
     t.running_sum.reserve(pages);
     double z = t.running_sum.empty() ? 0.0 : t.running_sum.back();
@@ -76,6 +85,53 @@ std::vector<u64> expand_burst_counts(const AccessBurst& burst) {
   }
   counts[0] += burst.accesses - assigned;
   return counts;
+}
+
+BurstSpread::BurstSpread(const AccessBurst& b) {
+  if (b.page_count == 0 || b.accesses == 0) return;
+  total_ = b.accesses;
+  if (b.zipf_theta <= 1e-9) {
+    base_ = b.accesses / b.page_count;
+    rem_ = b.accesses % b.page_count;
+    nonzero_ = base_ > 0 ? b.page_count : rem_;
+    return;
+  }
+  // Shares never rise with the page index, so the first empty page ends
+  // the nonzero prefix; page 0 holds the drift and is never empty.
+  const ZipfTable& table = zipf_table(b.zipf_theta, b.page_count);
+  table_generation_ = zipf_generation;
+  weight_ = table.weight.data();
+  accesses_ = static_cast<double>(b.accesses);
+  z_ = table.running_sum[b.page_count - 1];
+  const u64 first = static_cast<u64>(accesses_ * weight_[0] / z_);
+  u64 assigned = first;
+  u64 i = 1;
+  for (; i < b.page_count; ++i) {
+    const u64 share = zipf_share(i);
+    if (share == 0) break;
+    assigned += share;
+  }
+  nonzero_ = i;
+  head_ = first + (b.accesses - assigned);
+}
+
+bool BurstSpread::table_live() const {
+  return table_generation_ == zipf_generation;
+}
+
+u64 BurstSpread::sum(u64 lo, u64 hi) const {
+  hi = std::min(hi, nonzero_);
+  if (lo >= hi) return 0;
+  if (weight_ == nullptr)
+    return base_ * (hi - lo) + (lo < rem_ ? std::min(hi, rem_) - lo : 0);
+  TOSS_ASSERT(table_live(), "BurstSpread outlived its Zipf table");
+  u64 total = 0;
+  if (lo == 0) {
+    total = head_;
+    lo = 1;
+  }
+  for (u64 i = lo; i < hi; ++i) total += zipf_share(i);
+  return total;
 }
 
 Nanos AccessCostModel::access_cost(Tier t, Pattern pattern,

@@ -40,11 +40,62 @@ struct AccessBurst {
 
   u64 page_end() const { return page_begin + page_count; }
   u64 bytes() const { return bytes_for_pages(page_count); }
+
+  bool operator==(const AccessBurst&) const = default;
 };
 
 /// Deterministically expand a burst into per-page access counts
-/// (length == burst.page_count). The counts sum to ~burst.accesses.
+/// (length == burst.page_count). The counts sum to exactly
+/// burst.accesses. This is the materialised reference; the simulator's
+/// own paths read bursts through BurstSpread.
 std::vector<u64> expand_burst_counts(const AccessBurst& burst);
+
+/// A burst's per-page access counts, read without materialising them:
+/// at(i) is expand_burst_counts(b)[i] and sum(lo, hi) its sum over burst
+/// pages [lo, hi), exactly. The nonzero pages are exactly the prefix
+/// [0, nonzero_pages()): the uniform remainder goes to the leading pages,
+/// and Zipf weights fall with the page index. Uniform bursts answer in
+/// closed form; a Zipf burst finds its prefix in one pass over it on its
+/// theta's weight table and sums a range page by page.
+///
+/// A Zipf spread reads its thread's table for that theta, so it must not
+/// outlive a later BurstSpread or expand_burst_counts on the same thread,
+/// which may grow or clear the table (checked builds assert this).
+class BurstSpread {
+ public:
+  explicit BurstSpread(const AccessBurst& b);
+
+  u64 nonzero_pages() const { return nonzero_; }
+  /// All the burst's accesses: sum(0, page_count), without the pass.
+  u64 total() const { return total_; }
+  u64 at(u64 i) const {
+    if (i >= nonzero_) return 0;
+    if (weight_ == nullptr) return base_ + (i < rem_ ? 1 : 0);
+    TOSS_ASSERT(table_live(), "BurstSpread outlived its Zipf table");
+    return i == 0 ? head_ : zipf_share(i);
+  }
+  u64 sum(u64 lo, u64 hi) const;
+
+ private:
+  /// Page i >= 1 of a Zipf burst: its share of the accesses, rounded down.
+  u64 zipf_share(u64 i) const {
+    return static_cast<u64>(accesses_ * weight_[i] / z_);
+  }
+  /// No table of this thread has grown or been cleared since construction.
+  bool table_live() const;
+
+  u64 nonzero_ = 0;
+  u64 total_ = 0;
+  // Uniform: base_ accesses per page, one more on pages below rem_.
+  u64 base_ = 0;
+  u64 rem_ = 0;
+  // Zipf: page 0 holds head_ (its share plus the rounding drift).
+  const double* weight_ = nullptr;  ///< nullptr for a uniform burst
+  double accesses_ = 0;
+  double z_ = 0;
+  u64 head_ = 0;
+  u64 table_generation_ = 0;
+};
 
 /// Per-tier time and device-bandwidth demand of a burst, indexed by ladder
 /// rank (0 = fastest); the concurrency model (platform/concurrency.hpp)
@@ -81,8 +132,8 @@ class AccessCostModel {
   Nanos burst_time_uniform(const AccessBurst& b, Tier t) const;
 
   /// Time for a burst under a per-page placement. `counts` must be the
-  /// expansion of `b` (expand_burst_counts); passing it explicitly lets
-  /// callers cache the expansion.
+  /// expansion of `b` (expand_burst_counts): the materialised reference
+  /// path the oracles and BurstTrace::time_under use.
   Nanos burst_time(const AccessBurst& b, const std::vector<u64>& counts,
                    const PagePlacement& placement) const;
 
@@ -91,8 +142,8 @@ class AccessCostModel {
                        const PagePlacement& placement) const;
 
   /// The same breakdown from the burst's accesses already summed per rank
-  /// (for callers that walk the burst's pages anyway, like
-  /// MicroVm::execute); burst_cost is this over its own page pass.
+  /// (MicroVm::execute and BinProfiler sum them over page ranges);
+  /// burst_cost is this over its own page pass.
   BurstCost cost_of(const AccessBurst& b, const RankAccesses& accesses) const;
 
   /// Total memory time of a whole trace in a single tier.

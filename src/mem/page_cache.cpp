@@ -3,29 +3,10 @@
 #include <algorithm>
 #include <bit>
 
+#include "util/bitmap.hpp"
 #include "util/contracts.hpp"
 
 namespace toss {
-
-namespace {
-
-constexpr u64 kWordPages = 64;
-
-/// Calls f(word, mask) for each bitmap word pages [begin, end) touch, with
-/// the mask of the range's pages within that word.
-template <typename F>
-void for_each_word(u64 begin, u64 end, F&& f) {
-  for (u64 p = begin; p < end;) {
-    const u64 word = p / kWordPages;
-    const u64 lo = p % kWordPages;
-    const u64 hi = std::min(end - word * kWordPages, kWordPages);
-    const u64 upper = hi == kWordPages ? ~u64{0} : (u64{1} << hi) - 1;
-    f(word, upper & ~((u64{1} << lo) - 1));
-    p = word * kWordPages + hi;
-  }
-}
-
-}  // namespace
 
 HostPageCache::HostPageCache(u64 readahead_pages)
     : readahead_(readahead_pages == 0 ? 1 : readahead_pages) {}
@@ -57,7 +38,7 @@ HostPageCache::Bitmap& HostPageCache::bitmap_for(u64 file_id, u64 page_end) {
   if (file_id >= files_.size()) files_.resize(file_id + 1);
   Bitmap& bits = files_[file_id];
   if (bits.empty()) filled_.push_back(file_id);
-  const u64 words = (page_end + kWordPages - 1) / kWordPages;
+  const u64 words = bitmap_words(page_end);
   if (bits.size() < words) bits.resize(words, 0);
   return bits;
 }

@@ -84,10 +84,11 @@ void LaneExecutor::run_epoch(size_t n, const std::function<void(size_t)>& fn) {
 }
 
 ConcurrencyOutcome run_concurrent(const SystemConfig& cfg,
-                                  const std::vector<ExecutionResult>& solo) {
+                                  const std::vector<SoloRun>& solo) {
   ConcurrencyOutcome out;
   out.exec_ns.resize(solo.size());
-  for (size_t i = 0; i < solo.size(); ++i) out.exec_ns[i] = solo[i].exec_ns;
+  for (size_t i = 0; i < solo.size(); ++i)
+    out.exec_ns[i] = solo[i].exec.exec_ns;
   if (solo.empty()) return out;
 
   // Offered-load saturation: each job consumes a fraction of a device equal
@@ -102,12 +103,14 @@ ConcurrencyOutcome run_concurrent(const SystemConfig& cfg,
   const size_t ranks = cfg.tier_count();
   std::array<double, kMaxTiers> tier_load{};
   double disk_load = 0;
-  for (const auto& r : solo) {
+  for (const SoloRun& run : solo) {
+    const ExecutionResult& r = run.exec;
     if (r.exec_ns <= 0) continue;
     for (size_t rank = 0; rank < ranks; ++rank) {
       const TierSpec& spec = cfg.tiers[rank];
-      const Nanos util = r.tier_read_bytes[rank] / spec.read_bw_bytes_per_ns +
-                         r.tier_write_bytes[rank] / spec.write_bw_bytes_per_ns;
+      const Nanos util =
+          run.demand.tier_read_bytes[rank] / spec.read_bw_bytes_per_ns +
+          run.demand.tier_write_bytes[rank] / spec.write_bw_bytes_per_ns;
       tier_load[rank] += util / r.exec_ns;
     }
     const Nanos disk_util =
@@ -121,11 +124,11 @@ ConcurrencyOutcome run_concurrent(const SystemConfig& cfg,
   f.disk = std::max(1.0, disk_load);
 
   for (size_t i = 0; i < solo.size(); ++i) {
-    const auto& r = solo[i];
+    const ExecutionResult& r = solo[i].exec;
     const Nanos other_fault = r.fault_ns - r.disk_ns;
     Nanos t = r.cpu_ns + r.profiling_overhead_ns + other_fault;
     for (size_t rank = 0; rank < ranks; ++rank)
-      t += r.mem_tier_ns[rank] * f.tier[rank];
+      t += solo[i].demand.tier_ns[rank] * f.tier[rank];
     out.exec_ns[i] = t + r.disk_ns * f.disk;
   }
   out.factors = f;

@@ -10,9 +10,10 @@
 //
 // The paper runs up to 20 concurrent invocations on a 20-core host, so CPU
 // time does not contend — shared memory tiers and the snapshot disk do.
-// Each invocation is first simulated solo (its ExecutionResult carries
-// per-tier time and device-bandwidth demand); this model then scales the
-// contended components by each resource's aggregate utilization:
+// Each invocation is first simulated solo (its ExecutionResult, plus the
+// per-tier time and device-bandwidth demand MicroVm::demand() reports for
+// it); this model then scales the contended components by each
+// resource's aggregate utilization:
 //
 //   utilization(tier) = sum_i read_demand_i/read_bw + write_demand_i/write_bw
 //   factor = max(1, utilization)
@@ -119,10 +120,17 @@ struct ConcurrencyOutcome {
   ContentionFactors factors;
 };
 
+/// One invocation simulated solo: its ExecutionResult and the per-rank
+/// memory time and device demand of that execute (MicroVm::demand()).
+struct SoloRun {
+  ExecutionResult exec;
+  BurstCost demand;
+};
+
 /// Scale the solo runs' execution times under K-way concurrency (K = size
 /// of `solo`). All invocations are assumed to start together, as in the
 /// paper's scalability experiment.
 ConcurrencyOutcome run_concurrent(const SystemConfig& cfg,
-                                  const std::vector<ExecutionResult>& solo);
+                                  const std::vector<SoloRun>& solo);
 
 }  // namespace toss

@@ -8,12 +8,9 @@
 namespace toss {
 
 BurstTrace::BurstTrace(std::vector<AccessBurst> bursts)
-    : bursts_(std::move(bursts)), expansions_(bursts_.size()) {}
+    : bursts_(std::move(bursts)) {}
 
-void BurstTrace::push_back(AccessBurst b) {
-  bursts_.push_back(b);
-  expansions_.emplace_back();
-}
+void BurstTrace::push_back(AccessBurst b) { bursts_.push_back(b); }
 
 u64 BurstTrace::total_accesses() const {
   u64 total = 0;
@@ -42,27 +39,20 @@ u64 BurstTrace::footprint_pages(u64 num_guest_pages) const {
   return n;
 }
 
-const std::vector<u64>& BurstTrace::counts_of(size_t i) const {
-  TOSS_REQUIRE(i < bursts_.size());
-  if (expansions_[i].empty() && bursts_[i].page_count > 0)
-    expansions_[i] = expand_burst_counts(bursts_[i]);
-  return expansions_[i];
-}
-
 void BurstTrace::accumulate_counts(PageAccessCounts& out) const {
-  for (size_t i = 0; i < bursts_.size(); ++i) {
-    const auto& b = bursts_[i];
-    const auto& counts = counts_of(i);
-    for (u64 j = 0; j < b.page_count; ++j)
-      if (counts[j] > 0) out.add(b.page_begin + j, counts[j]);
+  for (const auto& b : bursts_) {
+    const BurstSpread spread(b);
+    for (u64 j = 0; j < spread.nonzero_pages(); ++j)
+      out.add(b.page_begin + j, spread.at(j));
   }
 }
 
 Nanos BurstTrace::time_under(const AccessCostModel& model,
                              const PagePlacement& placement) const {
   Nanos total = 0;
-  for (size_t i = 0; i < bursts_.size(); ++i)
-    total += model.burst_time(bursts_[i], counts_of(i), placement);
+  for (const auto& b : bursts_)
+    if (b.page_count > 0)
+      total += model.burst_time(b, expand_burst_counts(b), placement);
   return total;
 }
 

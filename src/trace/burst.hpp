@@ -1,5 +1,6 @@
 // BurstTrace: an invocation's memory activity as an ordered list of access
-// bursts, with lazily cached per-page expansions for timing and profiling.
+// bursts. A trace keeps no per-page counts: readers go through
+// BurstSpread, or expand_burst_counts for the materialised reference.
 #pragma once
 
 #include <vector>
@@ -30,14 +31,12 @@ class BurstTrace {
   /// Highest page index touched, +1 (0 for an empty trace).
   u64 max_page_end() const;
 
-  /// Per-page expansion of burst `i` (cached on first use).
-  const std::vector<u64>& counts_of(size_t i) const;
-
-  /// Accumulate this trace's per-page counts into `out` (out must cover the
-  /// guest; see PageAccessCounts::accumulate).
+  /// Accumulate this trace's per-page counts into `out` (out must cover
+  /// every burst's pages).
   void accumulate_counts(PageAccessCounts& out) const;
 
-  /// Memory time of the whole trace under a placement.
+  /// Memory time of the whole trace under a placement, from each burst's
+  /// materialised expansion (the warm-time reference the oracles replay).
   Nanos time_under(const AccessCostModel& model,
                    const PagePlacement& placement) const;
 
@@ -46,7 +45,6 @@ class BurstTrace {
 
  private:
   std::vector<AccessBurst> bursts_;
-  mutable std::vector<std::vector<u64>> expansions_;  // parallel to bursts_
 };
 
 }  // namespace toss

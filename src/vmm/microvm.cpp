@@ -1,7 +1,9 @@
 #include "vmm/microvm.hpp"
 
 #include <algorithm>
+#include <bit>
 
+#include "util/bitmap.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
 
@@ -20,10 +22,10 @@ SetupResult MicroVm::boot(u64 guest_bytes, const VmState& state) {
   memory_ = GuestMemory(guest_bytes);
   vm_state_ = state;
   const u64 n = memory_.num_pages();
-  placement_ = PagePlacement(n, tier_index(0));
+  TOSS_REQUIRE(n < (u64{1} << 32), "guest too large for u32 page counts");
   mappings_.clear();  // anonymous, zero-fill on demand
-  resident_.assign(n, false);
-  written_.assign(n, false);
+  resident_.assign(bitmap_words(n), 0);
+  written_.assign(bitmap_words(n), 0);
 
   SetupResult r;
   r.vm_state_ns = cfg_->vmm.boot_ns;
@@ -45,11 +47,11 @@ SetupResult MicroVm::restore(const RestorePlan& plan) {
 
   vm_state_ = plan.vm_state;
   const u64 n = plan.guest_pages;
+  TOSS_REQUIRE(n < (u64{1} << 32), "guest too large for u32 page counts");
   memory_ = GuestMemory(bytes_for_pages(n));
-  placement_ = PagePlacement(n, tier_index(0));
   mappings_ = plan.mappings;
-  resident_.assign(n, false);
-  written_.assign(n, false);
+  resident_.assign(bitmap_words(n), 0);
+  written_.assign(bitmap_words(n), 0);
 
   SetupResult r;
   r.vm_state_ns = cfg_->vmm.vm_state_load_ns;
@@ -63,8 +65,9 @@ SetupResult MicroVm::restore(const RestorePlan& plan) {
     mapped_end = m.guest_page + m.page_count;
     r.mmap_ns += cfg_->vmm.mmap_region_ns;
     ++r.mappings;
+    TOSS_REQUIRE(tier_rank(m.tier) < cfg_->tier_count(),
+                 "restore mapping tier outside the ladder");
     maps_slow_tier |= tier_rank(m.tier) >= 1;
-    placement_.set_range(m.guest_page, m.page_count, m.tier);
   }
   if (faults != nullptr && maps_slow_tier &&
       faults->should_fire(FaultSite::kSlowTierStall))
@@ -75,16 +78,16 @@ SetupResult MicroVm::restore(const RestorePlan& plan) {
   // bandwidth; the cache may already hold some pages.
   HostPageCache& cache = store_->page_cache();
   for (const auto& e : plan.eager) {
+    TOSS_REQUIRE(e.guest_page + e.page_count <= n);
     const u64 uncached =
         e.page_count - cache.count_cached(e.file_id, e.file_page, e.page_count);
-    const auto first =
-        resident_.begin() + static_cast<std::ptrdiff_t>(e.guest_page);
-    std::fill(first, first + static_cast<std::ptrdiff_t>(e.page_count), true);
+    for_each_word(e.guest_page, e.guest_page + e.page_count,
+                  [&](u64 word, u64 mask) { resident_[word] |= mask; });
     cache.fill_range(e.file_id, e.file_page, e.page_count);
     r.eager_load_ns += store_->seq_read_ns(bytes_for_pages(uncached));
     r.eager_load_ns +=
         static_cast<double>(e.page_count) * cfg_->vmm.pte_populate_ns;
-    r.eager_pages += e.page_count;
+    r.eager_pages += static_cast<u32>(e.page_count);
   }
 
   // Materialize contents for integrity checking: guest memory versions come
@@ -155,6 +158,65 @@ Nanos MicroVm::fault_cost(u64 page, const RestoreMapping* mapping,
   return cfg_->disk.random_read_latency_ns + cfg_->vmm.major_fault_sw_ns;
 }
 
+void MicroVm::fault_range(u64 lo, u64 hi, const RestoreMapping* mapping,
+                          const AccessBurst& b) {
+  ExecutionResult& r = pending_;
+  const bool writes = b.write_fraction > 0.0;
+  // Copy-on-write duplicates the page within its tier; holes are rank 0.
+  const TierSpec& spec =
+      cfg_->tier(mapping != nullptr ? mapping->tier : tier_index(0));
+  const Nanos cow_ns = cfg_->vmm.minor_fault_ns +
+                       static_cast<double>(kPageSize) /
+                           spec.write_bw_bytes_per_ns;
+  for_each_word(lo, hi, [&](u64 word, u64 mask) {
+    const u64 first_touch = ~resident_[word] & mask;
+    const u64 cow = writes ? ~written_[word] & mask : 0;
+    for (u64 todo = first_touch | cow; todo != 0; todo &= todo - 1) {
+      const int i = std::countr_zero(todo);
+      const u64 bit = u64{1} << i;
+      if ((first_touch & bit) != 0) {
+        const u64 g = word * kWordPages + static_cast<u64>(i);
+        r.fault_ns += fault_cost(g, mapping, b.pattern);
+        ++r.touched_pages;
+      }
+      if ((cow & bit) != 0) {
+        r.fault_ns += cow_ns;
+        ++r.cow_faults;
+      }
+    }
+    resident_[word] |= mask;
+    if (writes) written_[word] |= mask;
+  });
+}
+
+RankAccesses MicroVm::walk_burst(const AccessBurst& b) {
+  const BurstSpread spread(b);
+  const u64 end = b.page_begin + spread.nonzero_pages();
+  RankAccesses accesses{};
+  // Pieces in address order: the part of a mapping the nonzero prefix
+  // meets, or of the hole before the next mapping.
+  size_t cursor = first_mapping_after(b.page_begin);
+  for (u64 lo = b.page_begin; lo < end;) {
+    const RestoreMapping* mapping = nullptr;
+    u64 hi = end;
+    if (cursor < mappings_.size()) {
+      const RestoreMapping& m = mappings_[cursor];
+      if (m.guest_page <= lo) {
+        mapping = &m;
+        hi = std::min(end, m.guest_page + m.page_count);
+        ++cursor;
+      } else {
+        hi = std::min(end, m.guest_page);
+      }
+    }
+    const size_t rank = mapping != nullptr ? tier_rank(mapping->tier) : 0;
+    accesses[rank] += spread.sum(lo - b.page_begin, hi - b.page_begin);
+    fault_range(lo, hi, mapping, b);
+    lo = hi;
+  }
+  return accesses;
+}
+
 ExecutionResult MicroVm::execute(const BurstTrace& trace, Nanos cpu_ns,
                                  Nanos profiling_overhead_ns) {
   // Guest crash mid-invocation (before any snapshot is taken): the whole
@@ -164,58 +226,32 @@ ExecutionResult MicroVm::execute(const BurstTrace& trace, Nanos cpu_ns,
     throw Error(ErrorCode::kExecutionCrashed,
                 "guest crashed mid-invocation");
   pending_ = ExecutionResult{};
+  demand_ = BurstCost{};
   ExecutionResult& r = pending_;
   r.cpu_ns = cpu_ns;
   r.profiling_overhead_ns = profiling_overhead_ns;
 
   const u64 n = memory_.num_pages();
   const size_t ranks = cfg_->tier_count();
-  for (size_t bi = 0; bi < trace.bursts().size(); ++bi) {
-    const AccessBurst& b = trace.bursts()[bi];
+  const AccessBurst* prev = nullptr;
+  RankAccesses accesses{};
+  BurstCost bc;
+  for (const AccessBurst& b : trace.bursts()) {
     TOSS_REQUIRE(b.page_end() <= n);
     (void)n;
-    const auto& counts = trace.counts_of(bi);
-
-    // One pass over the burst, in access order: first-touch faults (pages
-    // advance monotonically, so the covering mapping is found by a cursor)
-    // and the per-rank access sums the burst's memory time is built from.
-    size_t cursor = first_mapping_after(b.page_begin);
-    RankAccesses accesses{};
-    for (u64 i = 0; i < b.page_count; ++i) {
-      if (counts[i] == 0) continue;
-      const u64 g = b.page_begin + i;
-      if (!resident_[g]) {
-        while (cursor < mappings_.size() &&
-               mappings_[cursor].guest_page + mappings_[cursor].page_count <= g)
-          ++cursor;
-        const RestoreMapping* mapping =
-            cursor < mappings_.size() && mappings_[cursor].guest_page <= g
-                ? &mappings_[cursor]
-                : nullptr;
-        r.fault_ns += fault_cost(g, mapping, b.pattern);
-        resident_[g] = true;
-        ++r.touched_pages;
-      }
-      if (b.write_fraction > 0.0 && !written_[g]) {
-        // Copy-on-write: duplicate the page within its tier.
-        const TierSpec& spec = cfg_->tier(placement_.tier_of(g));
-        r.fault_ns += cfg_->vmm.minor_fault_ns +
-                      static_cast<double>(kPageSize) /
-                          spec.write_bw_bytes_per_ns;
-        written_[g] = true;
-        ++r.cow_faults;
-      }
-      const size_t rank = placement_.rank_of(g);
-      TOSS_ASSERT(rank < ranks, "placement rank outside the ladder");
-      if (rank != 0) r.slow_accesses += counts[i];
-      r.total_accesses += counts[i];
-      accesses[rank] += counts[i];
+    // A repeat of the previous burst finds every page it touches resident
+    // (and written, if it writes): no fault, and the same per-rank sums.
+    if (prev == nullptr || !(b == *prev)) {
+      accesses = walk_burst(b);
+      bc = cost_model_.cost_of(b, accesses);
     }
-    const BurstCost bc = cost_model_.cost_of(b, accesses);
+    prev = &b;
     for (size_t rank = 0; rank < ranks; ++rank) {
-      r.mem_tier_ns[rank] += bc.tier_ns[rank];
-      r.tier_read_bytes[rank] += bc.tier_read_bytes[rank];
-      r.tier_write_bytes[rank] += bc.tier_write_bytes[rank];
+      if (rank != 0) r.slow_accesses += accesses[rank];
+      r.total_accesses += accesses[rank];
+      demand_.tier_ns[rank] += bc.tier_ns[rank];
+      demand_.tier_read_bytes[rank] += bc.tier_read_bytes[rank];
+      demand_.tier_write_bytes[rank] += bc.tier_write_bytes[rank];
     }
     r.mem_ns += bc.total_ns();
   }

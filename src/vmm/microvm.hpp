@@ -51,35 +51,35 @@ struct RestorePlan {
   u64 eager_pages() const;
 };
 
+// The engine keeps every invocation's results in its reports, so they stay
+// small: page and mapping counts are u32 (MicroVm takes guests of fewer
+// than 2^32 pages), and an execute's per-rank split is MicroVm::demand(),
+// not a field.
 struct SetupResult {
   Nanos setup_ns = 0;
   Nanos vm_state_ns = 0;
   Nanos mmap_ns = 0;
   Nanos eager_load_ns = 0;
-  u64 mappings = 0;
-  u64 eager_pages = 0;
+  u32 mappings = 0;
+  u32 eager_pages = 0;
 };
 
 struct ExecutionResult {
   Nanos exec_ns = 0;  ///< cpu + memory + faults + profiling overhead
   Nanos cpu_ns = 0;
-  Nanos mem_ns = 0;        ///< sum of mem_tier_ns over the ladder
-  /// Memory time per ladder rank (0 = fastest); ranks beyond the ladder
-  /// stay zero. Each rank is its own contention pool.
-  std::array<Nanos, kMaxTiers> mem_tier_ns{};
+  /// Memory time, summed burst by burst; its split per ladder rank is
+  /// MicroVm::demand().
+  Nanos mem_ns = 0;
   Nanos fault_ns = 0;      ///< all fault handling, incl. disk_ns
   Nanos disk_ns = 0;       ///< device portion of major faults
   Nanos profiling_overhead_ns = 0;
-  u64 minor_faults = 0;
-  u64 major_faults = 0;
-  u64 cow_faults = 0;
-  u64 disk_pages = 0;       ///< pages demand-read from disk
-  u64 touched_pages = 0;
+  u32 minor_faults = 0;
+  u32 major_faults = 0;
+  u32 cow_faults = 0;
+  u32 disk_pages = 0;       ///< pages demand-read from disk
+  u32 touched_pages = 0;
   u64 slow_accesses = 0;    ///< LLC misses served below the fastest tier
   u64 total_accesses = 0;
-  /// Device bandwidth demand per rank, for the concurrency contention model.
-  std::array<double, kMaxTiers> tier_read_bytes{};
-  std::array<double, kMaxTiers> tier_write_bytes{};
 };
 
 struct InvocationResult {
@@ -102,10 +102,22 @@ class MicroVm {
 
   /// Execute one invocation: `trace` is its memory activity, `cpu_ns` the
   /// pure compute time. `profiling_overhead_ns` is added when DAMON rides
-  /// along. Mutates residency/page-cache state. One pass over each burst's
-  /// pages charges first-touch faults and sums the accesses per rank.
+  /// along. Mutates residency/page-cache state.
+  ///
+  /// Each burst's accesses are summed once per mapping piece its nonzero
+  /// prefix meets (holes are rank 0); a burst repeating the previous one
+  /// field for field reuses its per-rank sums, since its pages are
+  /// resident and written by then. The pages still to fault are found a
+  /// bitmap word at a time and charged in address order, first touch then
+  /// copy-on-write, so fault_ns adds the same doubles in the same order as
+  /// a per-page walk.
   ExecutionResult execute(const BurstTrace& trace, Nanos cpu_ns,
                           Nanos profiling_overhead_ns = 0);
+
+  /// Per-rank memory time and device bandwidth demand of the last
+  /// execute(), summed burst by burst: what the contention model
+  /// (run_concurrent) scales. All zero before the first execute().
+  const BurstCost& demand() const { return demand_; }
 
   /// Write-back of the workload's dirty pages into guest memory versions,
   /// so a snapshot taken after execution reflects the run.
@@ -116,7 +128,6 @@ class MicroVm {
 
   const GuestMemory& memory() const { return memory_; }
   GuestMemory& memory() { return memory_; }
-  const PagePlacement& placement() const { return placement_; }
   const VmState& vm_state() const { return vm_state_; }
   u64 guest_pages() const { return memory_.num_pages(); }
 
@@ -125,12 +136,24 @@ class MicroVm {
   /// none); that mapping covers `page` iff it starts at or before it.
   size_t first_mapping_after(u64 page) const;
 
+  /// Sums a burst's accesses per rank and charges the faults its pages
+  /// still take, piece by piece over the mappings.
+  RankAccesses walk_burst(const AccessBurst& b);
+
+  /// Charges the pages of [lo, hi) (within one mapping piece of burst
+  /// `b`; `mapping` is nullptr for a hole) that are not yet resident, or
+  /// not yet written by a writing burst, in address order; leaves them
+  /// all resident (and written).
+  void fault_range(u64 lo, u64 hi, const RestoreMapping* mapping,
+                   const AccessBurst& b);
+
   /// First-touch fault on guest page `page`, backed by `mapping` (nullptr
   /// for anonymous memory).
   Nanos fault_cost(u64 page, const RestoreMapping* mapping, Pattern pattern);
 
   /// Fault counters for the execute() call in progress.
   ExecutionResult pending_;
+  BurstCost demand_;
 
   const SystemConfig* cfg_;
   SnapshotStore* store_;
@@ -138,10 +161,10 @@ class MicroVm {
 
   GuestMemory memory_{0};
   VmState vm_state_;
-  PagePlacement placement_;
   std::vector<RestoreMapping> mappings_;  ///< the restore plan's, as given
-  std::vector<bool> resident_;
-  std::vector<bool> written_;
+  /// Bitmaps over guest pages (util/bitmap.hpp).
+  std::vector<u64> resident_;
+  std::vector<u64> written_;
 };
 
 }  // namespace toss

@@ -214,6 +214,43 @@ TEST_F(LadderSweepTest, FourTierChoiceMatchesBruteForce) {
   check_against_brute_force(SystemConfig::nvme_host(), "compress", 3);
 }
 
+// Zero-access regions start at the deepest rung. A representative outside
+// the unified pattern (another seed's allocation jitter) touches pages the
+// pattern left at zero, and the sweep must charge those accesses at the
+// deepest rung from its base configuration on, exactly as a replay of
+// each prefix placement does.
+TEST_F(LadderSweepTest, AccessesInZeroRegionsStartAtTheDeepestRung) {
+  const FunctionRegistry reg = FunctionRegistry::table1();
+  const SystemConfig cfg = SystemConfig::cxl_host();
+  const BinProfiler profiler(cfg);
+  u64 buried = 0;
+  for (const FunctionModel& m : reg.models()) {
+    SCOPED_TRACE(m.name());
+    const RegionList merged = regionize_and_merge(unified_for(m));
+    const RegionList zeros = zero_access_regions(merged);
+    const std::vector<Bin> bins =
+        pack_equal_access(nonzero_access_regions(merged), 10);
+    const Invocation rep = m.invoke(3, 4242);
+    const PageAccessCounts counts =
+        PageAccessCounts::from_trace(rep.trace, m.guest_pages());
+    for (const Region& r : zeros)
+      for (u64 p = r.page_begin; p < r.page_end(); ++p) buried += counts.at(p);
+
+    const BinProfile got = profiler.profile(bins, zeros, m.guest_pages(), rep);
+    PagePlacement placement = got.base_placement;
+    EXPECT_EQ(got.base_exec_ns, profiler.warm_exec_ns(rep, placement));
+    for (const BinStep& s : got.steps) {
+      for (const Region& r : bins[s.bin_index].regions)
+        placement.set_range(r.page_begin, r.page_count, tier_index(s.to_rank));
+      EXPECT_EQ(s.cumulative_slowdown,
+                std::max(0.0, profiler.warm_exec_ns(rep, placement) /
+                                      got.base_exec_ns -
+                                  1.0));
+    }
+  }
+  EXPECT_GT(buried, 0u);  // some representative does touch a zero region
+}
+
 // The one-pass sweep against its definition: materialise every descent
 // prefix's placement and replay the representative trace under it. Each
 // field must be the same double, not merely a close one, and so must the

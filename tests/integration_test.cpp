@@ -122,25 +122,31 @@ TEST(Integration, ConcurrencyOrderingMatchesFig9) {
   ASSERT_EQ(toss.phase(), TossPhase::kTiered);
 
   const Invocation inv = m.invoke(3, 777);
-  // Solo executions per system.
-  store.drop_caches();
-  const ExecutionResult toss_solo = toss.handle(3, 777).result.exec;
+  // Solo executions per system, each from a dropped cache.
+  auto solo_run = [&](const RestorePolicy& policy) {
+    store.drop_caches();
+    MicroVm vm(cfg, store);
+    vm.restore(policy.plan_restore());
+    const ExecutionResult exec = vm.execute(inv.trace, inv.cpu_ns);
+    return SoloRun{exec, vm.demand()};
+  };
+  const SoloRun toss_solo = solo_run(
+      TossPolicy(store, toss.tiered_snapshot()->fast_file_id()));
 
   const Invocation first_small = m.invoke(0, 778);
   const u64 snap_id = invoker.initial_execution(m, first_small);
-  ReapPolicy reap_worst(store, snap_id,
-                        ReapPolicy::record_working_set(first_small.trace,
-                                                       m.guest_pages()));
-  const ExecutionResult reap_solo =
-      invoker.invoke(reap_worst, inv).exec;
+  const SoloRun reap_solo = solo_run(ReapPolicy(
+      store, snap_id,
+      ReapPolicy::record_working_set(first_small.trace, m.guest_pages())));
 
   MicroVm warm_vm(cfg, store);
   warm_vm.boot(m.guest_bytes(), VmState{});
   warm_vm.execute(inv.trace, inv.cpu_ns);
-  const ExecutionResult dram_solo = warm_vm.execute(inv.trace, inv.cpu_ns);
+  const ExecutionResult warm = warm_vm.execute(inv.trace, inv.cpu_ns);
+  const SoloRun dram_solo{warm, warm_vm.demand()};
 
-  auto at20 = [&](const ExecutionResult& solo) {
-    const std::vector<ExecutionResult> group(20, solo);
+  auto at20 = [&](const SoloRun& solo) {
+    const std::vector<SoloRun> group(20, solo);
     return run_concurrent(cfg, group).exec_ns[0];
   };
   const Nanos dram20 = at20(dram_solo);

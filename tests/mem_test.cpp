@@ -5,7 +5,9 @@
 #include <cmath>
 #include <iterator>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "mem/access_cost.hpp"
 #include "mem/page_cache.hpp"
@@ -13,6 +15,7 @@
 #include "mem/tier.hpp"
 #include "platform/concurrency.hpp"
 #include "util/rng.hpp"
+#include "workloads/registry.hpp"
 
 namespace toss {
 namespace {
@@ -222,6 +225,132 @@ TEST(ExpandBurst, MemoizedZipfMatchesDirectLoopBitForBit) {
   EXPECT_EQ(expand_burst_counts(b), direct_burst_counts(b));
 }
 
+// ---------------------------------------------------------------------------
+// BurstSpread against the materialised expansion it replaces.
+// ---------------------------------------------------------------------------
+
+/// `b`'s spread must mark exactly the expansion's nonzero pages as its
+/// prefix [0, nonzero_pages()), give each page's count, and sum any range
+/// as the expansion does: the whole burst, cuts at the prefix end and at
+/// the uniform remainder, and `cuts` random ranges.
+void expect_spread_matches(const AccessBurst& b, Rng& rng, int cuts = 16) {
+  const std::vector<u64> counts =
+      b.page_count > 0 ? expand_burst_counts(b) : std::vector<u64>{};
+  const BurstSpread spread(b);
+  ASSERT_LE(spread.nonzero_pages(), b.page_count);
+  std::vector<u64> prefix(b.page_count + 1, 0);
+  u64 first_bad = b.page_count;
+  for (u64 i = 0; i < b.page_count; ++i) {
+    prefix[i + 1] = prefix[i] + counts[i];
+    if (first_bad == b.page_count &&
+        ((counts[i] > 0) != (i < spread.nonzero_pages()) ||
+         spread.at(i) != counts[i]))
+      first_bad = i;
+  }
+  EXPECT_EQ(first_bad, b.page_count)
+      << "page " << first_bad << " of " << b.page_count << ", prefix "
+      << spread.nonzero_pages();
+  EXPECT_EQ(spread.total(), prefix[b.page_count]);
+  const u64 n = b.page_count;
+  const u64 nz = spread.nonzero_pages();
+  const u64 rem = n > 0 ? b.accesses % n : 0;
+  const std::pair<u64, u64> fixed[] = {
+      {0, n}, {0, nz}, {nz, n}, {0, std::min(nz + 1, n)},
+      {nz > 0 ? nz - 1 : 0, n}, {0, std::min(rem, n)},
+      {std::min(rem, n), n}, {rem > 0 ? rem - 1 : 0, std::min(rem + 1, n)},
+      {0, std::min<u64>(1, n)}, {std::min<u64>(1, n), n}};
+  for (const auto& [lo, hi] : fixed)
+    EXPECT_EQ(spread.sum(lo, hi), prefix[hi] - prefix[lo])
+        << "[" << lo << ", " << hi << ") of " << n;
+  for (int k = 0; k < cuts; ++k) {
+    u64 lo = rng.next_below(n + 1);
+    u64 hi = rng.next_below(n + 1);
+    if (lo > hi) std::swap(lo, hi);
+    EXPECT_EQ(spread.sum(lo, hi), prefix[hi] - prefix[lo])
+        << "[" << lo << ", " << hi << ") of " << n;
+  }
+}
+
+TEST(BurstSpread, MatchesTheExpansionOnEveryTableOneBurst) {
+  const FunctionRegistry reg = FunctionRegistry::table1();
+  Rng rng(0xb0057);
+  for (const FunctionModel& m : reg.models()) {
+    for (int input = 0; input < kNumInputs; ++input) {
+      for (const u64 seed : {1u, 2u, 3u}) {
+        const Invocation inv = m.invoke(input, seed);
+        const AccessBurst* prev = nullptr;
+        for (const AccessBurst& b : inv.trace.bursts()) {
+          if (prev != nullptr && b == *prev) continue;  // same spread
+          prev = &b;
+          SCOPED_TRACE(m.name() + " input " + std::to_string(input) +
+                       " seed " + std::to_string(seed));
+          expect_spread_matches(b, rng);
+        }
+      }
+    }
+  }
+}
+
+TEST(BurstSpread, EdgeCases) {
+  Rng rng(7);
+  const double kCutoff = 1e-9;  // thetas at or below it spread uniformly
+  const AccessBurst cases[] = {
+      // Zero accesses, uniform and Zipf: an empty prefix.
+      {0, 4, 0, Pattern::kRandom, 0.0, 0.0},
+      {0, 4, 0, Pattern::kRandom, 0.0, 0.5},
+      // Uniform with fewer accesses than pages: the remainder's prefix.
+      {10, 100, 37, Pattern::kSequential, 0.0, 0.0},
+      {10, 100, 99, Pattern::kSequential, 0.5, 0.0},
+      {10, 100, 101, Pattern::kSequential, 0.5, 0.0},
+      // A single page.
+      {5, 1, 999, Pattern::kRandom, 0.3, 0.0},
+      {5, 1, 999, Pattern::kRandom, 0.3, 1.0},
+      {5, 1, 1, Pattern::kRandom, 0.0, 0.8},
+      // No page's share reaches one access: page 0 holds all of them,
+      // through the rounding drift alone.
+      {0, 1000, 3, Pattern::kRandom, 0.0, 0.5},
+      // Theta at the uniform cut-off, and the first Zipf theta above it
+      // (near-uniform weights: every share rounds the same way).
+      {0, 1000, 12345, Pattern::kRandom, 0.0, kCutoff},
+      {0, 1000, 12345, Pattern::kRandom, 0.0, std::nextafter(kCutoff, 1.0)},
+      {0, 1000, 500, Pattern::kRandom, 0.0, kCutoff},
+      {0, 1000, 500, Pattern::kRandom, 0.0, std::nextafter(kCutoff, 1.0)},
+  };
+  for (const AccessBurst& b : cases) {
+    SCOPED_TRACE(std::to_string(b.page_count) + " pages, " +
+                 std::to_string(b.accesses) + " accesses, theta " +
+                 std::to_string(b.zipf_theta));
+    expect_spread_matches(b, rng, 64);
+  }
+  // The drift case really is one: every Zipf share rounds to zero.
+  const BurstSpread drift(cases[8]);
+  EXPECT_EQ(drift.nonzero_pages(), 1u);
+  EXPECT_EQ(drift.at(0), 3u);
+  // The cut-off is inclusive: uniform there, Zipf just above it.
+  EXPECT_EQ(BurstSpread(cases[11]).nonzero_pages(), 500u);
+  EXPECT_EQ(BurstSpread(cases[12]).nonzero_pages(), 1u);
+  // A zero-page burst spreads nothing.
+  const BurstSpread empty(AccessBurst{3, 0, 50, Pattern::kRandom, 0.0, 0.7});
+  EXPECT_EQ(empty.nonzero_pages(), 0u);
+  EXPECT_EQ(empty.total(), 0u);
+  EXPECT_EQ(empty.sum(0, 10), 0u);
+}
+
+#ifdef TOSS_CHECKED
+TEST(BurstSpreadDeathTest, OutlivingItsZipfTableIsCaught) {
+  // An unusual theta, so no earlier test has grown its table this far.
+  const AccessBurst small{0, 100, 5000, Pattern::kRandom, 0.0, 0.7171};
+  const AccessBurst large{0, 200000, 1, Pattern::kRandom, 0.0, 0.7171};
+  EXPECT_DEATH(
+      {
+        const BurstSpread spread(small);
+        (void)expand_burst_counts(large);  // grows the table under it
+        (void)spread.sum(0, 100);
+      },
+      "outlived its Zipf table");
+}
+#endif  // TOSS_CHECKED
+
 class AccessCostTest : public ::testing::Test {
  protected:
   SystemConfig cfg = SystemConfig::paper_default();
@@ -350,20 +479,20 @@ class ContentionLadderTest : public ::testing::Test {
   SystemConfig cfg = SystemConfig::cxl_host();  // 3 rungs
 
   // A memory-bound solo run whose demand lands entirely on `rank`.
-  ExecutionResult bound_to_rank(size_t rank, double gb, Nanos exec) {
-    ExecutionResult r;
-    r.exec_ns = exec;
-    r.cpu_ns = exec * 0.2;
-    r.mem_tier_ns[rank] = exec * 0.8;
-    r.mem_ns = r.mem_tier_ns[rank];
-    r.tier_read_bytes[rank] = gb * 1e9;
+  SoloRun bound_to_rank(size_t rank, double gb, Nanos exec) {
+    SoloRun r;
+    r.exec.exec_ns = exec;
+    r.exec.cpu_ns = exec * 0.2;
+    r.demand.tier_ns[rank] = exec * 0.8;
+    r.exec.mem_ns = r.demand.tier_ns[rank];
+    r.demand.tier_read_bytes[rank] = gb * 1e9;
     return r;
   }
 };
 
 TEST_F(ContentionLadderTest, PoolsAreIndependentPerRung) {
   // 20 invocations hammering rank 2 saturate only rank 2's pool.
-  std::vector<ExecutionResult> solo(20, bound_to_rank(2, 40.0, ms(100)));
+  std::vector<SoloRun> solo(20, bound_to_rank(2, 40.0, ms(100)));
   const auto out = run_concurrent(cfg, solo);
   EXPECT_GT(out.factors.tier[2], 1.5);
   EXPECT_DOUBLE_EQ(out.factors.tier[0], 1.0);
@@ -375,14 +504,14 @@ TEST_F(ContentionLadderTest, MixedRungLoadContendsSeparately) {
   // Half the fleet on rank 1, half on rank 2: each pool sees only its own
   // demand, so both factors exceed 1 and the rank-1 factor stays close to
   // what the same rank-1 load produces alone.
-  std::vector<ExecutionResult> solo;
+  std::vector<SoloRun> solo;
   for (int i = 0; i < 10; ++i) solo.push_back(bound_to_rank(1, 40.0, ms(100)));
   for (int i = 0; i < 10; ++i) solo.push_back(bound_to_rank(2, 40.0, ms(100)));
   const auto mixed = run_concurrent(cfg, solo);
   EXPECT_GT(mixed.factors.tier[1], 1.0);
   EXPECT_GT(mixed.factors.tier[2], 1.0);
 
-  std::vector<ExecutionResult> rank1_only(10, bound_to_rank(1, 40.0, ms(100)));
+  std::vector<SoloRun> rank1_only(10, bound_to_rank(1, 40.0, ms(100)));
   const auto solo1 = run_concurrent(cfg, rank1_only);
   EXPECT_NEAR(solo1.factors.tier[1], mixed.factors.tier[1],
               mixed.factors.tier[1] * 0.25);

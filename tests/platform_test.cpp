@@ -73,13 +73,13 @@ class ConcurrencyTest : public ::testing::Test {
  protected:
   SystemConfig cfg = SystemConfig::paper_default();
 
-  ExecutionResult memory_bound_solo(double slow_gb, Nanos exec) {
-    ExecutionResult r;
-    r.exec_ns = exec;
-    r.cpu_ns = exec * 0.2;
-    r.mem_tier_ns[1] = exec * 0.8;
-    r.mem_ns = r.mem_tier_ns[1];
-    r.tier_read_bytes[1] = slow_gb * 1e9;
+  SoloRun memory_bound_solo(double slow_gb, Nanos exec) {
+    SoloRun r;
+    r.exec.exec_ns = exec;
+    r.exec.cpu_ns = exec * 0.2;
+    r.demand.tier_ns[1] = exec * 0.8;
+    r.exec.mem_ns = r.demand.tier_ns[1];
+    r.demand.tier_read_bytes[1] = slow_gb * 1e9;
     return r;
   }
 };
@@ -93,7 +93,7 @@ TEST_F(ConcurrencyTest, SingleInvocationUncontended) {
 TEST_F(ConcurrencyTest, ContentionGrowsWithConcurrency) {
   Nanos prev = 0;
   for (size_t k : {1, 5, 10, 20}) {
-    std::vector<ExecutionResult> solo(k, memory_bound_solo(40.0, ms(100)));
+    std::vector<SoloRun> solo(k, memory_bound_solo(40.0, ms(100)));
     const auto out = run_concurrent(cfg, solo);
     EXPECT_GE(out.exec_ns[0], prev);
     prev = out.exec_ns[0];
@@ -102,22 +102,22 @@ TEST_F(ConcurrencyTest, ContentionGrowsWithConcurrency) {
 }
 
 TEST_F(ConcurrencyTest, CpuBoundScalesFreely) {
-  ExecutionResult r;
-  r.exec_ns = ms(100);
-  r.cpu_ns = ms(100);
-  std::vector<ExecutionResult> solo(20, r);
+  SoloRun r;
+  r.exec.exec_ns = ms(100);
+  r.exec.cpu_ns = ms(100);
+  std::vector<SoloRun> solo(20, r);
   const auto out = run_concurrent(cfg, solo);
   for (Nanos t : out.exec_ns) EXPECT_NEAR(t, ms(100), 1.0);
 }
 
 TEST_F(ConcurrencyTest, DiskContentionScalesMajorFaults) {
-  ExecutionResult r;
-  r.exec_ns = ms(100);
-  r.cpu_ns = ms(10);
-  r.disk_ns = ms(90);
-  r.fault_ns = ms(90);
-  r.disk_pages = 50000;  // 500k IOPS demand over 100 ms
-  std::vector<ExecutionResult> solo(20, r);
+  SoloRun r;
+  r.exec.exec_ns = ms(100);
+  r.exec.cpu_ns = ms(10);
+  r.exec.disk_ns = ms(90);
+  r.exec.fault_ns = ms(90);
+  r.exec.disk_pages = 50000;  // 500k IOPS demand over 100 ms
+  std::vector<SoloRun> solo(20, r);
   const auto out = run_concurrent(cfg, solo);
   EXPECT_GT(out.factors.disk, 2.0);
   EXPECT_GT(out.exec_ns[0], ms(150));

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -426,15 +425,23 @@ TEST_F(MicroVmTest, RestoreMaterializesTieredContent) {
 }
 
 // ---------------------------------------------------------------------------
-// The interval restore against a per-page reference: one backing entry per
-// guest page, a std::set page cache and a second pass over each burst for
-// its memory time, as MicroVm worked before it kept the plan's mappings.
+// The range walk against a per-page reference: one backing entry and one
+// placement entry per guest page, a page cache of per-file page flags,
+// each burst's materialised expansion walked page by page, and a second
+// pass over each burst for its memory time, as MicroVm worked before it
+// kept the plan's mappings and summed accesses over page ranges.
 // ---------------------------------------------------------------------------
 
 class PerPageVm {
  public:
   PerPageVm(const SystemConfig& cfg, const SnapshotStore& store)
       : cfg_(cfg), store_(store), model_(cfg) {}
+
+  /// Mirrors HostPageCache::fill_range on the store's cache.
+  void prewarm(u64 file_id, u64 page_begin, u64 page_count) {
+    for (u64 p = page_begin; p < page_begin + page_count; ++p)
+      cache(file_id, p);
+  }
 
   SetupResult restore(const RestorePlan& plan) {
     const u64 n = plan.guest_pages;
@@ -457,26 +464,27 @@ class PerPageVm {
     for (const auto& e : plan.eager) {
       u64 uncached = 0;
       for (u64 i = 0; i < e.page_count; ++i) {
-        if (cache_.count({e.file_id, e.file_page + i}) == 0) ++uncached;
+        if (!cached(e.file_id, e.file_page + i)) ++uncached;
         resident_[e.guest_page + i] = true;
       }
       for (u64 i = 0; i < e.page_count; ++i)
-        cache_.insert({e.file_id, e.file_page + i});
+        cache(e.file_id, e.file_page + i);
       r.eager_load_ns += store_.seq_read_ns(bytes_for_pages(uncached));
       r.eager_load_ns +=
           static_cast<double>(e.page_count) * cfg_.vmm.pte_populate_ns;
-      r.eager_pages += e.page_count;
+      r.eager_pages += static_cast<u32>(e.page_count);
     }
     for (const auto& m : plan.mappings) {
       if (!m.file_id) continue;
+      const SingleTierSnapshot* single = store_.get_single_tier(m.file_id);
+      const TieredSnapshot* tiered = store_.get_tiered(m.file_id);
       for (u64 i = 0; i < m.page_count; ++i) {
         const u64 fp = m.file_page + i;
-        if (const SingleTierSnapshot* s = store_.get_single_tier(m.file_id))
-          memory_.set_version(m.guest_page + i, s->page_version(fp));
-        else
-          memory_.set_version(m.guest_page + i,
-                              store_.get_tiered(m.file_id)->tier_page_version(
-                                  tier_rank(m.tier), fp));
+        memory_.set_version(
+            m.guest_page + i,
+            single != nullptr
+                ? single->page_version(fp)
+                : tiered->tier_page_version(tier_rank(m.tier), fp));
       }
     }
     r.setup_ns = r.vm_state_ns + r.mmap_ns + r.eager_load_ns;
@@ -486,9 +494,15 @@ class PerPageVm {
   ExecutionResult execute(const BurstTrace& trace, Nanos cpu_ns) {
     ExecutionResult r;
     r.cpu_ns = cpu_ns;
-    for (size_t bi = 0; bi < trace.size(); ++bi) {
-      const AccessBurst& b = trace.bursts()[bi];
-      const auto& counts = trace.counts_of(bi);
+    demand_ = BurstCost{};
+    AccessBurst expanded;
+    std::vector<u64> counts;
+    for (const AccessBurst& b : trace.bursts()) {
+      // Memoized: the expansion depends on the burst alone.
+      if (counts.empty() || !(b == expanded)) {
+        counts = expand_burst_counts(b);
+        expanded = b;
+      }
       for (u64 i = 0; i < b.page_count; ++i) {
         if (counts[i] == 0) continue;
         const u64 g = b.page_begin + i;
@@ -510,9 +524,9 @@ class PerPageVm {
       }
       const BurstCost bc = model_.burst_cost(b, counts, placement_);
       for (size_t rank = 0; rank < cfg_.tier_count(); ++rank) {
-        r.mem_tier_ns[rank] += bc.tier_ns[rank];
-        r.tier_read_bytes[rank] += bc.tier_read_bytes[rank];
-        r.tier_write_bytes[rank] += bc.tier_write_bytes[rank];
+        demand_.tier_ns[rank] += bc.tier_ns[rank];
+        demand_.tier_read_bytes[rank] += bc.tier_read_bytes[rank];
+        demand_.tier_write_bytes[rank] += bc.tier_write_bytes[rank];
       }
       r.mem_ns += bc.total_ns();
     }
@@ -521,7 +535,7 @@ class PerPageVm {
   }
 
   const GuestMemory& memory() const { return memory_; }
-  const PagePlacement& placement() const { return placement_; }
+  const BurstCost& demand() const { return demand_; }
 
  private:
   struct Backing {
@@ -531,10 +545,19 @@ class PerPageVm {
     bool file_backed = false;
   };
 
+  bool cached(u64 file_id, u64 page) const {
+    const auto it = cache_.find(file_id);
+    return it != cache_.end() && page < it->second.size() && it->second[page];
+  }
+  void cache(u64 file_id, u64 page) {
+    std::vector<bool>& pages = cache_[file_id];
+    if (pages.size() <= page) pages.resize(page + 1, false);
+    pages[page] = true;
+  }
+
   Nanos fault_cost(u64 page, Pattern pattern, ExecutionResult& r) {
     const Backing& b = backing_[page];
-    if (!b.file_backed || b.dax ||
-        cache_.count({b.file_id, b.file_page}) > 0) {
+    if (!b.file_backed || b.dax || cached(b.file_id, b.file_page)) {
       ++r.minor_faults;
       return cfg_.vmm.minor_fault_ns;
     }
@@ -542,7 +565,7 @@ class PerPageVm {
         pattern == Pattern::kSequential ? store_.page_cache().readahead_pages()
                                         : 1;
     for (u64 p = b.file_page; p < b.file_page + readahead; ++p)
-      cache_.insert({b.file_id, p});
+      cache(b.file_id, p);
     ++r.major_faults;
     ++r.disk_pages;
     r.disk_ns += cfg_.disk.random_read_latency_ns;
@@ -557,7 +580,9 @@ class PerPageVm {
   std::vector<Backing> backing_;
   std::vector<bool> resident_;
   std::vector<bool> written_;
-  std::set<std::pair<u64, u64>> cache_;
+  /// One flag per page of each file id.
+  std::map<u64, std::vector<bool>> cache_;
+  BurstCost demand_;
 };
 
 bool same_bits(double a, double b) {
@@ -578,11 +603,6 @@ void expect_same_exec(const ExecutionResult& got, const ExecutionResult& want) {
   EXPECT_TRUE(same_bits(got.mem_ns, want.mem_ns));
   EXPECT_TRUE(same_bits(got.fault_ns, want.fault_ns));
   EXPECT_TRUE(same_bits(got.disk_ns, want.disk_ns));
-  for (size_t r = 0; r < kMaxTiers; ++r) {
-    EXPECT_TRUE(same_bits(got.mem_tier_ns[r], want.mem_tier_ns[r])) << r;
-    EXPECT_TRUE(same_bits(got.tier_read_bytes[r], want.tier_read_bytes[r]));
-    EXPECT_TRUE(same_bits(got.tier_write_bytes[r], want.tier_write_bytes[r]));
-  }
   EXPECT_EQ(got.minor_faults, want.minor_faults);
   EXPECT_EQ(got.major_faults, want.major_faults);
   EXPECT_EQ(got.cow_faults, want.cow_faults);
@@ -592,84 +612,204 @@ void expect_same_exec(const ExecutionResult& got, const ExecutionResult& want) {
   EXPECT_EQ(got.total_accesses, want.total_accesses);
 }
 
+void expect_same_demand(const BurstCost& got, const BurstCost& want) {
+  for (size_t r = 0; r < kMaxTiers; ++r) {
+    EXPECT_TRUE(same_bits(got.tier_ns[r], want.tier_ns[r])) << r;
+    EXPECT_TRUE(same_bits(got.tier_read_bytes[r], want.tier_read_bytes[r]))
+        << r;
+    EXPECT_TRUE(same_bits(got.tier_write_bytes[r], want.tier_write_bytes[r]))
+        << r;
+  }
+}
+
+/// `trace` with fewer accesses than pages in every burst, so each uniform
+/// burst's nonzero prefix ends mid-burst.
+BurstTrace thinned(const BurstTrace& trace) {
+  BurstTrace out;
+  for (AccessBurst b : trace.bursts()) {
+    b.accesses = b.page_count / 3 + 1;
+    out.push_back(b);
+  }
+  return out;
+}
+
+/// `trace` with every burst preceded by two copies of a variant differing
+/// in one field, cycling through the fields a repeat must match: a burst
+/// that equals its predecessor but for that field touches other pages, or
+/// the same pages with other counts or writes.
+BurstTrace field_variants(const BurstTrace& trace, u64 guest_pages) {
+  BurstTrace out;
+  int field = 0;
+  for (const AccessBurst& b : trace.bursts()) {
+    AccessBurst v = b;
+    switch (field++ % 6) {
+      case 0:
+        v.accesses = v.page_count / 3 + 1;
+        break;
+      case 1:
+        v.page_count = std::max<u64>(1, v.page_count / 2);
+        break;
+      case 2:
+        v.page_begin = std::min(v.page_begin + 7, guest_pages - v.page_count);
+        break;
+      case 3:
+        v.write_fraction = v.write_fraction > 0.0 ? 0.0 : 0.25;
+        break;
+      case 4:
+        v.zipf_theta = v.zipf_theta > 0.0 ? 0.0 : 0.9;
+        break;
+      default:
+        v.pattern = v.pattern == Pattern::kSequential ? Pattern::kRandom
+                                                      : Pattern::kSequential;
+    }
+    out.push_back(v);
+    out.push_back(v);
+    out.push_back(b);
+  }
+  return out;
+}
+
 class IntervalRestoreTest : public ::testing::Test {
  protected:
-  SystemConfig cfg = SystemConfig::paper_default();
-  SnapshotStore store{cfg};
   FunctionRegistry reg = FunctionRegistry::table1();
 
-  /// Restore `plan` into a MicroVm and the reference from a dropped cache,
-  /// then run `runs` through both; every result must agree bit for bit.
-  /// A second pass restores again over the cache the first one filled.
-  void expect_matches_reference(const RestorePlan& plan,
-                                const std::vector<Invocation>& runs) {
+  /// Restore `plan` into a MicroVm and the reference, from a dropped cache
+  /// that `warm` then fills (the same ranges in both), and run `runs`
+  /// through both; every result and per-rank demand must agree bit for
+  /// bit. A second pass restores again over the cache the first one
+  /// filled.
+  static void expect_matches_reference(
+      const SystemConfig& cfg, SnapshotStore& store, const RestorePlan& plan,
+      const std::vector<BurstTrace>& runs,
+      const std::vector<EagerLoad>& warm = {}) {
     store.drop_caches();
     PerPageVm ref(cfg, store);
+    for (const EagerLoad& w : warm) {
+      store.page_cache().fill_range(w.file_id, w.file_page, w.page_count);
+      ref.prewarm(w.file_id, w.file_page, w.page_count);
+    }
     for (int pass = 0; pass < 2; ++pass) {
       SCOPED_TRACE(pass);
       MicroVm vm(cfg, store);
       expect_same_setup(vm.restore(plan), ref.restore(plan));
       EXPECT_EQ(vm.memory(), ref.memory());
-      EXPECT_EQ(vm.placement(), ref.placement());
-      for (const Invocation& inv : runs)
-        expect_same_exec(vm.execute(inv.trace, inv.cpu_ns),
-                         ref.execute(inv.trace, inv.cpu_ns));
+      for (size_t i = 0; i < runs.size(); ++i) {
+        SCOPED_TRACE(i);
+        expect_same_exec(vm.execute(runs[i], 1000.0),
+                         ref.execute(runs[i], 1000.0));
+        expect_same_demand(vm.demand(), ref.demand());
+      }
     }
   }
-};
 
-TEST_F(IntervalRestoreTest, EveryPolicyMatchesThePerPageReference) {
-  for (const char* name : {"json_load_dump", "pyaes", "image_processing"}) {
-    SCOPED_TRACE(name);
-    const FunctionModel& m = *reg.find(name);
-    const std::vector<Invocation> runs = {m.invoke(2, 11), m.invoke(3, 12),
-                                          m.invoke(0, 13)};
+  /// Up to `count` random ranges inside `plan`'s file-backed mappings, as
+  /// eager loads (guest and file pages in step).
+  static std::vector<EagerLoad> random_ranges(const RestorePlan& plan,
+                                              Rng& rng, int count) {
+    std::vector<EagerLoad> out;
+    for (int k = 0; k < count && !plan.mappings.empty(); ++k) {
+      const RestoreMapping& m =
+          plan.mappings[rng.next_below(plan.mappings.size())];
+      if (!m.file_id || m.page_count == 0) continue;
+      const u64 off = rng.next_below(m.page_count);
+      const u64 len = 1 + rng.next_below(std::min<u64>(m.page_count - off, 300));
+      out.push_back(EagerLoad{m.guest_page + off, len, m.file_id,
+                              m.file_page + off});
+    }
+    return out;
+  }
+
+  /// `plan` with random eager loads inside its mappings, sorted and
+  /// disjoint as restore policies emit them.
+  static RestorePlan with_random_eager(RestorePlan plan, Rng& rng) {
+    std::vector<EagerLoad> ranges = random_ranges(plan, rng, 12);
+    std::sort(ranges.begin(), ranges.end(),
+              [](const EagerLoad& a, const EagerLoad& b) {
+                return a.guest_page < b.guest_page;
+              });
+    u64 covered = 0;
+    for (const EagerLoad& e : ranges) {
+      if (e.guest_page < covered) continue;
+      plan.eager.push_back(e);
+      covered = e.guest_page + e.page_count;
+    }
+    return plan;
+  }
+
+  /// Every restore policy on `cfg`'s ladder for `m`, against the
+  /// reference. The single-tier policies map rank 0 only, so they run on
+  /// the paper ladder alone (`single_tier`); the TOSS plans run a random
+  /// striped placement over every rung.
+  void expect_function_matches(const SystemConfig& cfg, const FunctionModel& m,
+                               bool single_tier) {
+    SnapshotStore store(cfg);
+    std::vector<Invocation> invs = {m.invoke(2, 11), m.invoke(3, 12),
+                                    m.invoke(0, 13)};
+    // The thinned trace runs first after each restore, so the pages past
+    // each prefix stay untouched through the whole execute.
+    std::vector<BurstTrace> runs = {
+        thinned(invs[0].trace),
+        field_variants(invs[0].trace, m.guest_pages())};
+    for (const Invocation& inv : invs) runs.push_back(inv.trace);
+
     // Step I: a written guest image, snapshotted.
     MicroVm boot(cfg, store);
     boot.boot(m.guest_bytes(), VmState{});
-    boot.execute(runs[0].trace, runs[0].cpu_ns);
-    boot.apply_writes(runs[0].trace);
+    boot.execute(invs[0].trace, invs[0].cpu_ns);
+    boot.apply_writes(invs[0].trace);
     const u64 snap_id = boot.take_snapshot();
     const SingleTierSnapshot& snap = *store.get_single_tier(snap_id);
     const u64 pages = snap.num_pages();
+    Rng rng(pages ^ cfg.tier_count());
 
-    expect_matches_reference(VanillaPolicy(store, snap_id).plan_restore(),
-                             runs);
-    expect_matches_reference(
-        VanillaPolicy(store, snap_id, /*eager=*/true).plan_restore(), runs);
-    expect_matches_reference(
-        ReapPolicy(store, snap_id,
-                   ReapPolicy::record_working_set(runs[0].trace, pages))
-            .plan_restore(),
-        runs);
-    const RestorePlan faasnap =
-        FaasnapPolicy(store, snap_id,
-                      FaasnapPolicy::record_working_set(
-                          runs[0].trace, pages,
-                          store.page_cache().readahead_pages()))
-            .plan_restore();
-    EXPECT_GT(faasnap.mapping_count(), 1u);  // gap mappings around the WS
-    EXPECT_GT(faasnap.eager_pages(), 0u);
-    expect_matches_reference(faasnap, runs);
+    if (single_tier) {
+      const RestorePlan vanilla = VanillaPolicy(store, snap_id).plan_restore();
+      expect_matches_reference(cfg, store, vanilla, runs);
+      expect_matches_reference(cfg, store, vanilla, runs,
+                               random_ranges(vanilla, rng, 8));
+      expect_matches_reference(
+          cfg, store,
+          VanillaPolicy(store, snap_id, /*eager=*/true).plan_restore(), runs);
+      expect_matches_reference(cfg, store,
+                               with_random_eager(vanilla, rng), runs,
+                               random_ranges(vanilla, rng, 8));
+      expect_matches_reference(
+          cfg, store,
+          ReapPolicy(store, snap_id,
+                     ReapPolicy::record_working_set(invs[0].trace, pages))
+              .plan_restore(),
+          runs);
+      const RestorePlan faasnap =
+          FaasnapPolicy(store, snap_id,
+                        FaasnapPolicy::record_working_set(
+                            invs[0].trace, pages,
+                            store.page_cache().readahead_pages()))
+              .plan_restore();
+      EXPECT_GT(faasnap.mapping_count(), 1u);  // gap mappings around the WS
+      EXPECT_GT(faasnap.eager_pages(), 0u);
+      expect_matches_reference(cfg, store, faasnap, runs);
+    }
 
-    // TOSS: a striped two-tier placement, restored through the policy (all
-    // DAX) and through a plan whose rank-0 mappings page through the cache.
+    // TOSS: a striped placement over every rung, restored through the
+    // policy (all DAX) and through a plan whose rank-0 mappings page
+    // through the cache.
     PagePlacement placement(pages, tier_index(0));
-    Rng rng(pages);
     for (u64 p = 0; p < pages;) {
       const u64 run = 1 + rng.next_below(512);
       placement.set_range(p, std::min(run, pages - p),
-                          tier_index(rng.next_below(2)));
+                          tier_index(rng.next_below(cfg.tier_count())));
       p += run;
     }
     const u64 tiered_id = tier_snapshot(store, snap, placement);
     const RestorePlan toss = TossPolicy(store, tiered_id).plan_restore();
     EXPECT_GT(toss.mapping_count(), 2u);
-    expect_matches_reference(toss, runs);
+    expect_matches_reference(cfg, store, toss, runs);
     RestorePlan paged = toss;
     for (RestoreMapping& mapping : paged.mappings)
       mapping.dax = tier_rank(mapping.tier) != 0;
-    expect_matches_reference(paged, runs);
+    expect_matches_reference(cfg, store, paged, runs,
+                             random_ranges(paged, rng, 8));
+    expect_matches_reference(cfg, store, with_random_eager(paged, rng), runs);
 
     // Holes no mapping covers are anonymous memory. Adjacent layout
     // entries alternate ranks, so dropping every third mapping leaves
@@ -678,7 +818,21 @@ TEST_F(IntervalRestoreTest, EveryPolicyMatchesThePerPageReference) {
     holes.mappings.clear();
     for (size_t i = 0; i < paged.mappings.size(); ++i)
       if (i % 3 != 1) holes.mappings.push_back(paged.mappings[i]);
-    expect_matches_reference(holes, runs);
+    expect_matches_reference(cfg, store, holes, runs,
+                             random_ranges(holes, rng, 8));
+  }
+};
+
+TEST_F(IntervalRestoreTest, EveryPolicyMatchesThePerPageReference) {
+  const SystemConfig ladders[] = {SystemConfig::paper_default(),
+                                  SystemConfig::cxl_host(),
+                                  SystemConfig::nvme_host()};
+  for (const SystemConfig& cfg : ladders) {
+    SCOPED_TRACE(cfg.tier_count());
+    for (const FunctionModel& m : reg.models()) {
+      SCOPED_TRACE(m.name());
+      expect_function_matches(cfg, m, cfg.tier_count() == 2);
+    }
   }
 }
 
