@@ -27,9 +27,8 @@
 //   stays within kSetupTailSlack x the fault-free run's worst p99 — the
 //   recovery ladder is allowed to cost time, never a tail collapse.
 //
-//   Determinism. The full cluster ledger (migration + failover + health +
-//   shed + arbiter + per-function stats) is bit-identical between a
-//   1-thread and a 4-thread run at every seed.
+//   Determinism. The whole ClusterReport (every ledger, stat, outcome and
+//   rollup) is `==` between a 1-thread and a 4-thread run at every seed.
 //
 // Without -DTOSS_FAULTS=ON every site compiles to a no-op: the bench says
 // so, skips the crash-dependent gates and degenerates to a second
@@ -238,7 +237,6 @@ int main(int argc, char** argv) {
       [&](u64 seed, int t) {
         return make_cluster(cfg, budget, seed)->run(t).value();
       },
-      bench::cluster_ledgers_equal,
       [&](u64 seed, const ClusterReport& report, bool match) {
         const SeedRow row = summarize(seed, report, match);
         std::printf(

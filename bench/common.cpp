@@ -181,27 +181,4 @@ void SoakFleet::add_to(ClusterEngine& cluster, u64 seed,
       .value();
 }
 
-bool cluster_ledgers_equal(const ClusterReport& a, const ClusterReport& b) {
-  if (a.migrations != b.migrations || a.failovers != b.failovers ||
-      a.health_events != b.health_events || a.hosts_lost != b.hosts_lost ||
-      a.epochs != b.epochs)
-    return false;
-  if (a.hosts.size() != b.hosts.size()) return false;
-  for (size_t h = 0; h < a.hosts.size(); ++h) {
-    const EngineReport& x = a.hosts[h].report;
-    const EngineReport& y = b.hosts[h].report;
-    if (x.arbiter.events != y.arbiter.events) return false;
-    if (x.functions.size() != y.functions.size()) return false;
-    for (size_t i = 0; i < x.functions.size(); ++i) {
-      const FunctionReport& f = x.functions[i];
-      const FunctionReport& g = y.functions[i];
-      if (f.name != g.name || f.stats.invocations != g.stats.invocations ||
-          f.stats.total_charge != g.stats.total_charge ||
-          !(f.overload == g.overload) || f.shed_events != g.shed_events)
-        return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace toss::bench

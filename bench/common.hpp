@@ -5,6 +5,7 @@
 // either all inputs or input IV only).
 #pragma once
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -91,6 +92,21 @@ std::string artifact_dir(int argc, char** argv);
 std::string artifact_path(int argc, char** argv,
                           const std::string& filename);
 
+/// Real elapsed time since construction. Reports hold simulated state
+/// only, so the scaling benches time their run() calls with this.
+class Stopwatch {
+ public:
+  double ms() const {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start_)
+        .count();
+  }
+
+ private:
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
+};
+
 /// The skewed fleet the cluster soaks (cluster_scale, cluster_chaos) run:
 /// `lanes` small TOSS lanes cycling the three smallest Table-I specs (lane
 /// i is "<spec>#i", converging after 4 stable of at most 16 profiled
@@ -115,30 +131,21 @@ struct SoakFleet {
               size_t hog_requests) const;
 };
 
-/// Deep equality over everything in a ClusterReport that falls under the
-/// determinism contract: migration/failover/health ledgers, hosts_lost,
-/// epoch count, per-host arbiter events and per-function invocation
-/// counts, charges, overload stats and shed ledgers. Shared by the
-/// cluster soaks (cluster_scale, cluster_chaos) so a new ledger added to
-/// the report is compared everywhere or nowhere — never silently skipped
-/// by one bench.
-bool cluster_ledgers_equal(const ClusterReport& a, const ClusterReport& b);
-
 /// The N-seed x {1, threads} determinism soak shared by the benches that
 /// gate on ledger bit-equality. For each seed, `run(seed, threads)` and
-/// `run(seed, 1)` produce two reports, `same(serial, parallel)` decides
-/// equality, and `observe(seed, parallel, match)` lets the caller log and
-/// collect rows from the parallel run. Returns true iff every seed
-/// matched. Single-configuration checks (overload_shed's heaviest-load
-/// gate) pass one dummy seed; the shape is the contract, not the count.
-template <typename RunFn, typename SameFn, typename ObserveFn>
+/// `run(seed, 1)` produce two whole reports, which must be `==`, and
+/// `observe(seed, parallel, match)` lets the caller log and collect rows
+/// from the parallel run. Returns true iff every seed matched.
+/// Single-configuration checks (overload_shed's heaviest-load gate) pass
+/// one dummy seed; the shape is the contract, not the count.
+template <typename RunFn, typename ObserveFn>
 bool ledger_equality_sweep(const std::vector<u64>& seeds, int threads,
-                           RunFn&& run, SameFn&& same, ObserveFn&& observe) {
+                           RunFn&& run, ObserveFn&& observe) {
   bool all_match = true;
   for (const u64 seed : seeds) {
     auto parallel = run(seed, threads);
     auto serial = run(seed, 1);
-    const bool match = same(serial, parallel);
+    const bool match = serial == parallel;
     observe(seed, parallel, match);
     all_match = all_match && match;
   }

@@ -8,9 +8,10 @@
 // overridable with --engine_threads=N) and, with --hosts=N, spreads the
 // same fleet over N simulated hosts behind the ClusterEngine so the
 // multi-host epoch loop is on the measured spine too. Every point must
-// reproduce the 1-thread run's per-function statistics (or, on the cluster
-// axis, the full cluster ledger) bit-for-bit — lanes share no mutable
-// state — so the only thing allowed to change is the wall clock.
+// reproduce the 1-thread run's whole report (on the cluster axis, the whole
+// cluster report) bit-for-bit — lanes share no mutable state — so the only
+// thing allowed to change is the wall clock, which the bench reads around
+// each run() call.
 //
 // Artifacts under the bench artifact directory (--out-dir=PATH, default
 // <build>/bench_artifacts): engine_metrics.json (counters + latency
@@ -93,24 +94,6 @@ std::unique_ptr<ClusterEngine> build_cluster_fleet(size_t hosts) {
   return cluster;
 }
 
-/// Per-function stat equality between two engine runs (the single-host
-/// determinism contract; the cluster axis uses cluster_ledgers_equal).
-size_t count_mismatches(const EngineReport& serial,
-                        const EngineReport& parallel) {
-  size_t mismatches = 0;
-  for (size_t i = 0; i < serial.functions.size(); ++i) {
-    const FunctionReport& s = serial.functions[i];
-    const FunctionReport& p = parallel.functions[i];
-    const bool same = s.name == p.name && s.stats == p.stats &&
-                      s.final_phase == p.final_phase;
-    if (!same) {
-      ++mismatches;
-      std::printf("MISMATCH: %s\n", s.name.c_str());
-    }
-  }
-  return mismatches;
-}
-
 struct ScalePoint {
   int threads = 1;
   double wall_ms = 0;
@@ -167,26 +150,29 @@ int run_sweep(int max_threads, size_t hosts, const std::string& metrics_path,
 
   if (hosts <= 1) {
     auto serial_engine = build_fleet();
+    const bench::Stopwatch serial_watch;
     const EngineReport serial = serial_engine->run(1).value();
+    const double serial_wall_ms = serial_watch.ms();
     EngineReport widest = serial;
     for (const int threads : axis) {
       ScalePoint point;
       point.threads = threads;
       if (threads == 1) {
-        point.wall_ms = to_ms(serial.wall_ns);
+        point.wall_ms = serial_wall_ms;
         point.deterministic = true;
       } else {
         auto engine = build_fleet();
+        const bench::Stopwatch watch;
         const EngineReport report = engine->run(threads).value();
-        point.wall_ms = to_ms(report.wall_ns);
-        point.deterministic = count_mismatches(serial, report) == 0 &&
+        point.wall_ms = watch.ms();
+        point.deterministic = report == serial &&
                               report.serialization_violations == 0;
         violations += report.serialization_violations;
         if (threads == axis.back()) widest = report;
       }
       deterministic = deterministic && point.deterministic;
       points.push_back(point);
-      std::printf("%2d threads: %8.1f ms wall, per-function stats %s\n",
+      std::printf("%2d threads: %8.1f ms wall, report %s\n",
                   threads, point.wall_ms,
                   point.deterministic ? "bit-identical" : "DIVERGED");
     }
@@ -208,22 +194,25 @@ int run_sweep(int max_threads, size_t hosts, const std::string& metrics_path,
     }
   } else {
     auto serial_cluster = build_cluster_fleet(hosts);
+    const bench::Stopwatch serial_watch;
     const ClusterReport serial = serial_cluster->run(1).value();
+    const double serial_wall_ms = serial_watch.ms();
     for (const int threads : axis) {
       ScalePoint point;
       point.threads = threads;
       if (threads == 1) {
-        point.wall_ms = to_ms(serial.wall_ns);
+        point.wall_ms = serial_wall_ms;
         point.deterministic = true;
       } else {
         auto cluster = build_cluster_fleet(hosts);
+        const bench::Stopwatch watch;
         const ClusterReport report = cluster->run(threads).value();
-        point.wall_ms = to_ms(report.wall_ns);
-        point.deterministic = bench::cluster_ledgers_equal(serial, report);
+        point.wall_ms = watch.ms();
+        point.deterministic = report == serial;
       }
       deterministic = deterministic && point.deterministic;
       points.push_back(point);
-      std::printf("%2d threads x %zu hosts: %8.1f ms wall, ledgers %s\n",
+      std::printf("%2d threads x %zu hosts: %8.1f ms wall, report %s\n",
                   threads, hosts, point.wall_ms,
                   point.deterministic ? "bit-identical" : "DIVERGED");
     }

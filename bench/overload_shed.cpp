@@ -17,15 +17,15 @@
 // are gold at a fixed 0.8x load, odd lanes bronze sweeping the same
 // multipliers, against a fast-tier budget barely above the gold demand.
 // The gates there are QoS ones — gold SLO attainment flat across the
-// sweep, bronze absorbing the shedding at the heaviest load, and the
-// QoS-aware ledgers bit-identical across thread counts over three seeds —
-// with results in overload_shed_qos.json.
+// sweep, bronze absorbing the shedding at the heaviest load, and whole
+// reports `==` across thread counts over three seeds — with results in
+// overload_shed_qos.json.
 //
 // Results land in overload_shed.json under the bench artifact directory
 // (--out-dir=PATH, default <build>/bench_artifacts). The process exits
 // nonzero — a CI gate, not just a plot — if any lane queue ever exceeded
-// its bound, if the shed ledgers differ between a serial and a 4-thread
-// drain at the heaviest load, or if goodput at 10x fell below 60% of the
+// its bound, if the reports differ between a serial and a 4-thread drain
+// at the heaviest load, or if goodput at 10x fell below 60% of the
 // peak across the sweep.
 #include <algorithm>
 #include <cstdio>
@@ -107,7 +107,7 @@ struct LoadRow {
 
 struct LoadRun {
   LoadRow row;
-  std::vector<std::vector<ShedEvent>> ledgers;  // per lane
+  EngineReport report;
 };
 
 LoadRun run_load(const SystemConfig& cfg, double multiplier,
@@ -128,17 +128,15 @@ LoadRun run_load(const SystemConfig& cfg, double multiplier,
   }
 
   auto engine = make_fleet(cfg, opts, streams);
-  const EngineReport report = engine->run(threads).value();
-
   LoadRun run;
+  run.report = engine->run(threads).value();
   run.row.multiplier = multiplier;
-  for (const FunctionReport& f : report.functions) {
+  for (const FunctionReport& f : run.report.functions) {
     run.row.offered += f.overload.offered;
     run.row.completed += f.overload.completed;
     run.row.shed += f.overload.total_shed();
     run.row.deadline_misses += f.overload.deadline_misses;
     run.row.queue_peak = std::max(run.row.queue_peak, f.overload.queue_peak);
-    run.ledgers.push_back(f.shed_events);
   }
   const double span_s = span / 1e9;
   run.row.offered_per_s = static_cast<double>(run.row.offered) / span_s;
@@ -213,7 +211,7 @@ struct QosRow {
 
 struct QosRun {
   QosRow row;
-  std::vector<std::vector<ShedEvent>> ledgers;  // per lane
+  EngineReport report;
 };
 
 QosRun run_qos_load(const SystemConfig& cfg, double bronze_multiplier,
@@ -240,12 +238,11 @@ QosRun run_qos_load(const SystemConfig& cfg, double bronze_multiplier,
   }
 
   auto engine = make_fleet(cfg, opts, streams, /*qos=*/true);
-  const EngineReport report = engine->run(threads).value();
-
   QosRun run;
+  run.report = engine->run(threads).value();
   run.row.multiplier = bronze_multiplier;
   size_t lane = 0;
-  for (const FunctionReport& f : report.functions) {
+  for (const FunctionReport& f : run.report.functions) {
     QosClassRow& c =
         lane_class(lane) == QosClass::kGold ? run.row.gold : run.row.bronze;
     c.offered += f.overload.offered;
@@ -253,7 +250,6 @@ QosRun run_qos_load(const SystemConfig& cfg, double bronze_multiplier,
     c.shed += f.overload.total_shed();
     c.deadline_misses += f.overload.deadline_misses;
     run.row.queue_peak = std::max(run.row.queue_peak, f.overload.queue_peak);
-    run.ledgers.push_back(f.shed_events);
     ++lane;
   }
   return run;
@@ -353,18 +349,17 @@ int run_qos_mode(int argc, char** argv, const SystemConfig& cfg) {
                 static_cast<unsigned long long>(heaviest_row.gold.shed));
     return 1;
   }
-  // Gate 4: the QoS-aware shed ledgers stay bit-identical between a serial
-  // and a 4-thread drain at the heaviest load, over three stream seeds.
+  // Gate 4: the QoS-aware reports stay `==` between a serial and a
+  // 4-thread drain at the heaviest load, over three stream seeds.
   const double heaviest = kMultipliers[std::size(kMultipliers) - 1];
   const bool ledgers_ok = toss::bench::ledger_equality_sweep(
       {41, 42, 43}, /*threads=*/4,
       [&](u64 seed, int threads) {
-        return run_qos_load(cfg, heaviest, mean_service, threads, seed);
+        return run_qos_load(cfg, heaviest, mean_service, threads, seed).report;
       },
-      [](const QosRun& s, const QosRun& p) { return s.ledgers == p.ledgers; },
-      [](u64, const QosRun&, bool) {});
+      [](u64, const EngineReport&, bool) {});
   if (!ledgers_ok) {
-    std::printf("FAIL: QoS shed ledgers diverged between 1 and 4 threads\n");
+    std::printf("FAIL: QoS reports diverged between 1 and 4 threads\n");
     return 1;
   }
   std::printf("gold SLO holds flat: %.4f .. %.4f across bronze %.2fx .. "
@@ -410,19 +405,18 @@ int main(int argc, char** argv) {
     std::printf("FAIL: a lane queue exceeded its bound of %zu\n", kQueueDepth);
     return 1;
   }
-  // Gate 2: the shed ledger at the heaviest load is bit-identical between
-  // a serial and a 4-thread drain (the determinism contract, soaked). One
-  // dummy seed: the sweep shape is shared with the cluster soaks.
+  // Gate 2: the report at the heaviest load is `==` between a serial and
+  // a 4-thread drain (the determinism contract, soaked). One dummy seed:
+  // the sweep shape is shared with the cluster soaks.
   const double heaviest = kMultipliers[std::size(kMultipliers) - 1];
   const bool ledgers_ok = toss::bench::ledger_equality_sweep(
       {0}, /*threads=*/4,
       [&](u64, int threads) {
-        return run_load(cfg, heaviest, mean_service, threads);
+        return run_load(cfg, heaviest, mean_service, threads).report;
       },
-      [](const LoadRun& s, const LoadRun& p) { return s.ledgers == p.ledgers; },
-      [](u64, const LoadRun&, bool) {});
+      [](u64, const EngineReport&, bool) {});
   if (!ledgers_ok) {
-    std::printf("FAIL: shed ledgers diverged between 1 and 4 threads\n");
+    std::printf("FAIL: reports diverged between 1 and 4 threads\n");
     return 1;
   }
   // Gate 3: goodput plateaus past saturation instead of collapsing.

@@ -207,7 +207,7 @@ int cmd_decide(const Args& args) {
                format_bytes(static_cast<u64>(
                    s.byte_fraction * static_cast<double>(m->guest_bytes()))),
                fmt_pct(s.marginal_slowdown), fmt_f(s.cumulative_cost),
-               d.offloaded[s.bin_index] ? "yes" : "no"});
+               d.bin_rank[s.bin_index] > 0 ? "yes" : "no"});
   }
   t.print();
   std::printf(

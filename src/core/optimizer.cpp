@@ -32,7 +32,6 @@ TieringDecision select_placement(const SystemConfig& cfg, BinProfile profile,
   const std::vector<double> ratios = cfg.rank_cost_ratios();
   TieringDecision d;
   d.profile = std::move(profile);
-  d.offloaded.assign(bins.size(), false);
   d.bin_rank.assign(bins.size(), 0);
 
   // Prefix 0 is the base placement; its per-rank page counts give the
@@ -125,7 +124,6 @@ TieringDecision select_placement(const SystemConfig& cfg, BinProfile profile,
   d.placement = d.profile.base_placement;
   for (size_t k = 0; k < best_prefix; ++k) {
     const BinStep& s = d.profile.steps[k];
-    d.offloaded[s.bin_index] = true;
     d.bin_rank[s.bin_index] = s.to_rank;
     for (const Region& r : bins[s.bin_index].regions)
       d.placement.set_range(r.page_begin, r.page_count,

@@ -52,8 +52,8 @@ struct TieringDecision {
   double expected_slowdown = 0;   ///< measured at the chosen configuration
   double normalized_cost = 1.0;   ///< Eq 1, normalized (DRAM-only = 1)
   double slow_fraction = 0;       ///< Table II's "slow tier percentage"
-  std::vector<bool> offloaded;    ///< per bin index: below rank 0?
-  std::vector<size_t> bin_rank;   ///< per bin index: chosen ladder rung
+  /// Per bin index: chosen ladder rung (> 0 = offloaded below rank 0).
+  std::vector<size_t> bin_rank;
   /// Descents actually applied (after the threshold sweep and the
   /// min_descent_prefix floor).
   size_t chosen_prefix = 0;

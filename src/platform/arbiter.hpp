@@ -93,6 +93,8 @@ struct ArbiterReport {
   bool admission_closed = false;  ///< state at the end of the run
   KeepAliveStats keepalive;
   u64 warm_count = 0;  ///< VMs still warm at the end of the run
+
+  bool operator==(const ArbiterReport&) const = default;
 };
 
 class FastTierArbiter {

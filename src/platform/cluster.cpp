@@ -1,7 +1,6 @@
 #include "platform/cluster.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "core/optimizer.hpp"
 #include "trace/pattern.hpp"
@@ -153,11 +152,12 @@ std::vector<u64> predicted_tier_demand(
     return demand;
   }
 
-  // TOSS: run the Step-III analysis offline, exactly as the function's
-  // own profiling phase will — unified (max-merged) pattern over every
-  // input at the registration seed, then the Step-IV placement's
-  // per-rank share. The estimate therefore matches the kTiered
-  // steady-state footprint the arbiter will see.
+  // TOSS: an offline Step-III analysis — the exact, unscaled counts of
+  // every input at the registration seed, max-merged and profiled against
+  // input 0 — then the Step-IV placement's per-rank share. A lane merges
+  // scaled DAMON records of its own requests and profiles against its
+  // largest invocation instead, so this is an estimate of its kTiered
+  // footprint, not that footprint.
   const FunctionModel model(registration.spec());
   PageAccessCounts unified(model.guest_pages());
   Invocation representative;
@@ -502,9 +502,6 @@ Result<ClusterReport> ClusterEngine::run(int threads) {
     return live;
   };
 
-  // Real elapsed time is a measurement channel (ClusterReport::wall_ns),
-  // not simulated state; the ledger-equality harness strips it.
-  const auto t0 = std::chrono::steady_clock::now();  // toss-lint: allow(det-wallclock)
   while (!live_hosts().empty()) {
     // Failure-domain barrier first: crashes and brownouts land at the
     // epoch boundary, before any host steps, in host index order. A crash
@@ -534,18 +531,14 @@ Result<ClusterReport> ClusterEngine::run(int threads) {
 #endif
     ++epochs_;
   }
-  const auto t1 = std::chrono::steady_clock::now();  // toss-lint: allow(det-wallclock)
-  wall_ns_ += static_cast<Nanos>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-
-  return report(threads);
+  return report();
 }
 
-ClusterReport ClusterEngine::report(int threads) const {
+ClusterReport ClusterEngine::report() const {
   ClusterReport out;
   out.hosts.reserve(hosts_.size());
   for (size_t i = 0; i < hosts_.size(); ++i) {
-    ClusterHostReport hr{hosts_[i]->name(), hosts_[i]->report(threads)};
+    ClusterHostReport hr{hosts_[i]->name(), hosts_[i]->report()};
     // Health rollup: the cluster is the only layer that knows a host's
     // failure-domain history, so it stamps the report here.
     HostHealthRollup& health = hr.report.metrics.health;
@@ -562,8 +555,6 @@ ClusterReport ClusterEngine::report(int threads) const {
   out.health_events = health_events_;
   out.hosts_lost = hosts_lost_;
   out.epochs = epochs_;
-  out.threads = threads;
-  out.wall_ns = wall_ns_;
   return out;
 }
 

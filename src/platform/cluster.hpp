@@ -3,23 +3,25 @@
 // fleet, epoch-barrier scheduler, bounded queues, fast-tier arbiter — and
 // the cluster adds the two decisions a fleet of hosts needs:
 //
-//   Placement. add() estimates the function's steady-state fast-tier
-//   demand by running the same Step-III analysis TOSS itself will run
-//   (profile the access pattern offline, take the Step-IV placement's
-//   fast-tier bytes) and bin-packs it greedily: worst-fit by predicted
-//   headroom against each host's fast-tier budget, ties toward the lowest
-//   host index. The estimate is exactly what the function converges to, so
-//   a fleet that fits on paper fits at steady state.
+//   Placement. add() estimates the function's fast-tier demand with an
+//   offline Step-III/IV analysis (predicted_tier_demand) and bin-packs it
+//   greedily: worst-fit by predicted headroom against each host's
+//   fast-tier budget, ties toward the lowest host index. The estimate is
+//   not what the lane converges to: it max-merges unscaled exact access
+//   counts of every input at the registration seed and profiles against
+//   input 0, while the lane merges DAMON records (scaled by count_scale)
+//   of its own requests and profiles against its largest invocation. The
+//   two can differ by an order of magnitude either way (DESIGN.md §10).
 //
-//   Migration. The estimate can still be wrong in aggregate (skewed load,
-//   keep-alive pressure). When a host's arbiter pins at the close-admission
-//   rung for K consecutive epochs, the cluster moves its largest tiered
-//   function to the host with the most predicted headroom. Lanes are fully
-//   isolated, so the move is the whole HostLane object; the simulated cost
-//   of copying the snapshot bytes out of the source SnapshotStore is
-//   charged to the lane's simulated clock before it re-joins on the
-//   destination. Every move lands in a MigrationEvent ledger with the same
-//   determinism contract as ShedEvents.
+//   Migration. The estimate can be wrong per function and in aggregate
+//   (skewed load, keep-alive pressure). When a host's arbiter pins at the
+//   close-admission rung for K consecutive epochs, the cluster moves its
+//   largest tiered function to the host with the most predicted headroom.
+//   Lanes are fully isolated, so the move is the whole HostLane object; the
+//   simulated cost of copying the snapshot bytes out of the source
+//   SnapshotStore is charged to the lane's simulated clock before it
+//   re-joins on the destination. Every move lands in a MigrationEvent
+//   ledger with the same determinism contract as ShedEvents.
 //
 //   Failure domains (DESIGN.md §13). The host itself can die (kHostCrash),
 //   straggle (kHostBrownout) or abort a cross-host transfer mid-copy
@@ -137,6 +139,8 @@ struct HostHealthEvent {
 struct ClusterHostReport {
   std::string host;
   EngineReport report;
+
+  bool operator==(const ClusterHostReport&) const = default;
 };
 
 struct ClusterReport {
@@ -146,8 +150,10 @@ struct ClusterReport {
   std::vector<HostHealthEvent> health_events;
   u64 hosts_lost = 0;
   u64 epochs = 0;
-  int threads = 1;
-  Nanos wall_ns = 0;
+
+  /// The determinism contract: equal for any thread count at a fixed seed
+  /// and fault plan.
+  bool operator==(const ClusterReport&) const = default;
 
   u64 total_invocations() const;
   u64 total_shed() const;
@@ -168,11 +174,12 @@ struct ClusterReport {
 size_t place_on_host(u64 demand_bytes, const std::vector<u64>& predicted_load,
                      u64 fast_budget_bytes);
 
-/// Predicted steady-state bytes per ladder rank for one registration
-/// (index 0 = fastest, sized cfg.tier_count()): baselines pin their whole
-/// guest image in DRAM (rank 0); TOSS functions get the Step-III analysis
-/// run offline (unified max-merged pattern over all inputs, then the
-/// Step-IV placement's per-rank share).
+/// Predicted bytes per ladder rank for one registration (index 0 =
+/// fastest, sized cfg.tier_count()): baselines pin their whole guest image
+/// in DRAM (rank 0); TOSS functions get the Step-IV placement's per-rank
+/// share of an offline Step-III analysis (unscaled exact counts of every
+/// input at the registration seed, max-merged, profiled against input 0).
+/// An estimate, not the lane's converged footprint (see the file comment).
 std::vector<u64> predicted_tier_demand(const SystemConfig& cfg,
                                        const FunctionRegistration& registration);
 
@@ -283,7 +290,7 @@ class ClusterEngine {
   /// skipped (npos = no exclusion). npos when no host is eligible.
   size_t pick_host(u64 demand_bytes, size_t exclude) const;
   void push_health_event(const std::string& host, HostHealthAction action);
-  ClusterReport report(int threads) const;
+  ClusterReport report() const;
 
   ClusterOptions options_;
   SystemConfig cfg_;
@@ -299,7 +306,6 @@ class ClusterEngine {
   std::vector<HostHealthEvent> health_events_;
   u64 hosts_lost_ = 0;
   u64 epochs_ = 0;
-  Nanos wall_ns_ = 0;
 };
 
 }  // namespace toss

@@ -21,7 +21,8 @@
 //     host page cache and RNG streams are all lane-local — and cross-lane
 //     decisions happen only at the barrier, so every outcome and ledger is
 //     bit-for-bit identical for any thread count, threads = 1 included.
-//     Only wall-clock time varies.
+//     A report holds simulated state only, so the whole contract is one
+//     EngineReport::operator==.
 //   - Exactly-once accounting. Requests flow through a per-lane
 //     simulated-time queue: arrivals are admitted when the lane's
 //     simulated clock reaches Request::arrival_ns, and each one is served

@@ -1,7 +1,6 @@
 #include "platform/host.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
 #include "util/contracts.hpp"
@@ -479,9 +478,6 @@ Result<EngineReport> Host::drain(int threads) {
   if (!status_.ok()) return {status_.code(), status_.message()};
   if (threads <= 0) threads = hardware_threads();
 
-  // Real elapsed time is a measurement channel (EngineReport::wall_ns),
-  // not simulated state; the ledger-equality harness strips it.
-  const auto t0 = std::chrono::steady_clock::now();  // toss-lint: allow(det-wallclock)
   Result<void> stepped;
   {
     // An epoch runs at most one index per lane, so participants beyond
@@ -491,18 +487,12 @@ Result<EngineReport> Host::drain(int threads) {
     const std::vector<Host*> self{this};
     while (stepped.ok() && !idle()) stepped = step_epoch(self, executor);
   }
-  const auto t1 = std::chrono::steady_clock::now();  // toss-lint: allow(det-wallclock)
-  wall_ns_ += static_cast<Nanos>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-
   if (!stepped.ok()) return {stepped.code(), stepped.message()};
-  return report(threads);
+  return report();
 }
 
-EngineReport Host::report(int threads) const {
+EngineReport Host::report() const {
   EngineReport report;
-  report.threads = threads;
-  report.wall_ns = wall_ns_;
   report.serialization_violations =
       serialization_violations_.load(std::memory_order_relaxed);
   report.functions.reserve(lanes_.size());

@@ -105,7 +105,8 @@ struct EngineOptions {
   /// Requests a lane serves per epoch (>= 1): the unit of work one
   /// executor index runs between two barriers.
   int chunk = 8;
-  /// Keep every InvocationOutcome in the report (in request order).
+  /// Keep every served request's InvocationOutcome in the report, in
+  /// service order (EDF pops); a shed request has no outcome.
   bool keep_outcomes = true;
   /// Fault plan for the chaos harness. Each lane derives an independent
   /// injector seeded by (fault_plan.seed, lane name), so the fault sequence
@@ -140,13 +141,16 @@ struct FunctionReport {
   QosSpec qos;
   FunctionStats stats;
   TossPhase final_phase = TossPhase::kInitial;  ///< kToss lanes only
-  /// Request-order outcomes; empty unless EngineOptions::keep_outcomes.
+  /// Outcomes in service order (EDF pops, not request order); a shed
+  /// request has none. Empty unless EngineOptions::keep_outcomes.
   std::vector<InvocationOutcome> outcomes;
   /// Admission/shedding ledger. With every knob at its default it only
   /// conserves: offered == admitted == completed, nothing shed.
   OverloadStats overload;
   /// Shed decisions in decision order.
   std::vector<ShedEvent> shed_events;
+
+  bool operator==(const FunctionReport&) const = default;
 };
 
 struct EngineReport {
@@ -155,8 +159,6 @@ struct EngineReport {
   static constexpr int kJsonSchemaVersion = 7;
 
   std::vector<FunctionReport> functions;  ///< registration order
-  Nanos wall_ns = 0;   ///< real elapsed drain time, summed over drains
-  int threads = 1;
   /// Times a lane was observed concurrently re-entered. Always 0; exposed
   /// so tests assert the serialization guarantee instead of trusting it.
   u64 serialization_violations = 0;
@@ -164,6 +166,9 @@ struct EngineReport {
   MetricsSnapshot metrics;
   /// Host arbiter ledger; all-default unless EngineOptions::arbiter.enabled.
   ArbiterReport arbiter;
+
+  /// The determinism contract: equal for any thread count at a fixed seed.
+  bool operator==(const EngineReport&) const = default;
 
   u64 total_invocations() const;
   u64 total_shed() const;
@@ -330,9 +335,8 @@ class Host {
   /// stats for chaos-suite introspection.
   const ServerlessPlatform* lane_host(const std::string& name) const;
 
-  /// Cumulative report without draining (what drain() returns, minus the
-  /// wall-clock update).
-  EngineReport report(int threads) const;
+  /// Cumulative report without draining (what drain() returns).
+  EngineReport report() const;
 
  private:
   HostLane* find_lane(const std::string& name);
@@ -387,7 +391,6 @@ class Host {
   std::unique_ptr<FastTierArbiter> arbiter_;
   u64 epoch_ = 0;
   int closed_streak_ = 0;
-  Nanos wall_ns_ = 0;  ///< real time spent draining, summed
   std::atomic<u64> serialization_violations_{0};
   /// Sticky host failure: the first failed lane a barrier reported.
   Result<void> status_;

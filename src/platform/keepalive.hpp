@@ -42,6 +42,8 @@ struct KeepAliveStats {
     return total ? static_cast<double>(hits) / static_cast<double>(total)
                  : 0.0;
   }
+
+  bool operator==(const KeepAliveStats&) const = default;
 };
 
 class KeepAliveCache {

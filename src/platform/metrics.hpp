@@ -54,6 +54,8 @@ struct TierRollup {
   u64 capacity_bytes = 0;  ///< TierSpec::capacity_bytes of the rank
   /// resident / capacity; 0 when the capacity is unknown or unbounded.
   double occupancy = 0;
+
+  bool operator==(const TierRollup&) const = default;
 };
 
 /// Per-host health rollup, filled by the cluster's health governance;
@@ -65,6 +67,8 @@ struct HostHealthRollup {
   u64 quarantines = 0;       ///< breaker open transitions
   u64 readmissions = 0;      ///< breaker half-open -> closed transitions
   u64 lanes_failed_over = 0;  ///< lanes re-placed off this host at crash
+
+  bool operator==(const HostHealthRollup&) const = default;
 };
 
 /// One QoS class's SLO-attainment rollup across a host's lanes. Only
@@ -73,6 +77,8 @@ struct HostHealthRollup {
 struct QosClassRollup {
   QosClass cls = QosClass::kNone;
   QosAttainment ledger;
+
+  bool operator==(const QosClassRollup&) const = default;
 };
 
 /// One entry of a "qos" rollup array, host or cluster:
@@ -89,6 +95,8 @@ struct MetricsSnapshot {
   /// Per-class SLO-attainment rollup in QosClass enum order; empty unless
   /// the host has QoS-classed lanes.
   std::vector<QosClassRollup> qos;
+
+  bool operator==(const MetricsSnapshot&) const = default;
 };
 
 }  // namespace toss

@@ -49,6 +49,8 @@ struct InvocationOutcome {
   double charge = 0;        ///< $ for this invocation
   /// Recovery ledger for this invocation; all-default when nothing failed.
   RecoveryInfo recovery;
+
+  bool operator==(const InvocationOutcome&) const = default;
 };
 
 /// What a function's invocations did, recorded once per invocation by

@@ -182,6 +182,8 @@ struct RecoveryInfo {
   bool engaged() const {
     return retries > 0 || fallback != FallbackLevel::kNone || quarantined;
   }
+
+  bool operator==(const RecoveryInfo&) const = default;
 };
 
 /// How one RetryPolicy::run ended.

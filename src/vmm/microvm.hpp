@@ -62,6 +62,8 @@ struct SetupResult {
   Nanos eager_load_ns = 0;
   u32 mappings = 0;
   u32 eager_pages = 0;
+
+  bool operator==(const SetupResult&) const = default;
 };
 
 struct ExecutionResult {
@@ -80,12 +82,16 @@ struct ExecutionResult {
   u32 touched_pages = 0;
   u64 slow_accesses = 0;    ///< LLC misses served below the fastest tier
   u64 total_accesses = 0;
+
+  bool operator==(const ExecutionResult&) const = default;
 };
 
 struct InvocationResult {
   SetupResult setup;
   ExecutionResult exec;
   Nanos total_ns() const { return setup.setup_ns + exec.exec_ns; }
+
+  bool operator==(const InvocationResult&) const = default;
 };
 
 class MicroVm {

@@ -102,28 +102,6 @@ Result<void> SnapshotStore::verify_tiered(u64 file_id) const {
   return {};
 }
 
-u64 SnapshotStore::resident_fast_bytes(u64 file_id) const {
-  if (const TieredSnapshot* t = get_tiered(file_id))
-    return bytes_for_pages(t->fast_pages());
-  if (const SingleTierSnapshot* s = get_single_tier(file_id))
-    return s->memory_bytes();
-  return 0;
-}
-
-u64 SnapshotStore::resident_slow_bytes(u64 file_id) const {
-  if (const TieredSnapshot* t = get_tiered(file_id))
-    return bytes_for_pages(t->slow_pages());
-  return 0;
-}
-
-u64 SnapshotStore::resident_tier_bytes(u64 file_id, size_t rank) const {
-  if (const TieredSnapshot* t = get_tiered(file_id))
-    return rank < t->tier_count() ? bytes_for_pages(t->tier_pages(rank)) : 0;
-  if (const SingleTierSnapshot* s = get_single_tier(file_id))
-    return rank == 0 ? s->memory_bytes() : 0;
-  return 0;
-}
-
 bool SnapshotStore::erase_tiered(u64 file_id) {
   const u64 fast_id = resolve_tiered(file_id);
   auto it = tiered_.find(fast_id);

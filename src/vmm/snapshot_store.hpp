@@ -81,16 +81,6 @@ class SnapshotStore {
   /// the first violation otherwise.
   Result<void> verify_tiered(u64 file_id) const;
 
-  /// Bytes a restore of this snapshot id pins resident, split by tier.
-  /// Tiered ids (any alias) report the per-tier file sizes — "fast" is the
-  /// rank-0 file, "slow" everything below it; single-tier ids pin the
-  /// whole image in DRAM; unknown ids report 0. Used by the overload
-  /// arbiter's fleet accounting.
-  u64 resident_fast_bytes(u64 file_id) const;
-  u64 resident_slow_bytes(u64 file_id) const;
-  /// Bytes resident in one specific ladder rank (metrics rollups).
-  u64 resident_tier_bytes(u64 file_id, size_t rank) const;
-
   /// Drop a superseded tiered artifact (any alias) and its rank aliases;
   /// callers erase the artifact a freshly built one replaced. Quarantined
   /// artifacts stay, so is_quarantined() and quarantine_count() keep

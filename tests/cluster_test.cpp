@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -544,25 +545,50 @@ TEST(Cluster, LedgersAreBitIdenticalAcrossThreadCounts) {
     PressureFleet parallel = pressure_cluster(budget, 3, true, seed);
     const ClusterReport p = parallel.cluster->run(4).value();
 
-    EXPECT_EQ(s.migrations, p.migrations) << "seed " << seed;
-    EXPECT_EQ(s.epochs, p.epochs) << "seed " << seed;
-    ASSERT_EQ(s.hosts.size(), p.hosts.size());
-    for (size_t h = 0; h < s.hosts.size(); ++h) {
-      const EngineReport& a = s.hosts[h].report;
-      const EngineReport& b = p.hosts[h].report;
-      EXPECT_EQ(a.serialization_violations, 0u);
-      EXPECT_EQ(b.serialization_violations, 0u);
-      EXPECT_EQ(a.arbiter.events, b.arbiter.events)
-          << "seed " << seed << " host " << h;
-      ASSERT_EQ(a.functions.size(), b.functions.size());
-      for (size_t i = 0; i < a.functions.size(); ++i) {
-        EXPECT_EQ(a.functions[i].name, b.functions[i].name);
-        EXPECT_TRUE(a.functions[i].stats == b.functions[i].stats);
-        EXPECT_EQ(a.functions[i].overload, b.functions[i].overload);
-        EXPECT_EQ(a.functions[i].shed_events, b.functions[i].shed_events);
-      }
-    }
+    EXPECT_TRUE(s == p) << "seed " << seed;
+    for (const ClusterHostReport& h : p.hosts)
+      EXPECT_EQ(h.report.serialization_violations, 0u) << h.host;
   }
+}
+
+TEST(Cluster, ReportEqualityComparesEveryNestedField) {
+  // The determinism contract is ClusterReport::operator==, so it must see a
+  // change anywhere in the report: change one field at a time, at each
+  // nesting level, in copies of a pressure-fleet report that migrated.
+  PressureFleet fleet =
+      pressure_cluster(3 * probe_tiered_fast_bytes(), 3, true, 9);
+  ClusterReport report = fleet.cluster->run(2).value();
+  const size_t h = fleet.hog_host;
+  EngineReport& hog_host = report.hosts[h].report;
+  ASSERT_FALSE(report.migrations.empty());
+  ASSERT_FALSE(hog_host.arbiter.events.empty());
+  ASSERT_FALSE(hog_host.metrics.tiers.empty());
+  ASSERT_FALSE(hog_host.functions.empty());
+  ASSERT_FALSE(hog_host.functions[0].outcomes.empty());
+  // The fleet sheds nothing, so both sides get one shed event to change.
+  ASSERT_EQ(report.total_shed(), 0u);
+  hog_host.functions[0].shed_events.push_back(
+      ShedEvent{0, ShedCause::kQueueFull, ms(1)});
+
+  const ClusterReport untouched = report;
+  EXPECT_TRUE(untouched == report);
+  const auto differs = [&](const std::function<void(EngineReport&)>& change) {
+    ClusterReport changed = report;
+    change(changed.hosts[h].report);
+    return !(changed == report);
+  };
+  EXPECT_TRUE(differs([](EngineReport& r) { ++r.arbiter.events[0].rung; }));
+  EXPECT_TRUE(
+      differs([](EngineReport& r) { ++r.metrics.tiers[0].resident_bytes; }));
+  EXPECT_TRUE(differs(
+      [](EngineReport& r) { r.functions[0].shed_events[0].sim_ns += 1; }));
+  EXPECT_TRUE(differs(
+      [](EngineReport& r) { ++r.functions[0].outcomes[0].recovery.retries; }));
+  EXPECT_TRUE(differs(
+      [](EngineReport& r) { r.functions[0].stats.total_ns.record(ms(1)); }));
+  ClusterReport moved = report;
+  moved.migrations[0].transfer_ns += 1;
+  EXPECT_FALSE(moved == report);
 }
 
 // ---------------------------------------------------------------------------

@@ -96,12 +96,12 @@ TEST_F(AnalysisTest, PlacementMatchesOffloadFlags) {
   const TieringDecision d = choose_placement(
       cfg, bins, zero_access_regions(merged), m.guest_pages(),
       m.invoke(3, 802), {});
-  ASSERT_EQ(d.offloaded.size(), bins.size());
+  ASSERT_EQ(d.bin_rank.size(), bins.size());
   for (size_t i = 0; i < bins.size(); ++i) {
     for (const Region& r : bins[i].regions) {
       const u64 slow =
           d.placement.count_in_range(r.page_begin, r.page_count, tier_index(1));
-      if (d.offloaded[i])
+      if (d.bin_rank[i] > 0)
         EXPECT_EQ(slow, r.page_count);
       else
         EXPECT_EQ(slow, 0u);
@@ -132,7 +132,7 @@ TEST_F(AnalysisTest, ThresholdZeroKeepsBinsInDram) {
       analyze_pattern(cfg, unified_for(m), m.invoke(3, 802), bounded);
   // Only zero-access regions may be offloaded.
   EXPECT_NEAR(d.expected_slowdown, 0.0, 1e-6);
-  for (bool off : d.offloaded) EXPECT_FALSE(off);
+  for (size_t rank : d.bin_rank) EXPECT_EQ(rank, 0u);
 }
 
 TEST_F(AnalysisTest, MemoryIntensivePagerankKeepsHotHalf) {
@@ -185,7 +185,7 @@ TEST_F(AnalysisTest, BinCountSweepStillValid) {
     TieringOptions opt;
     opt.bin_count = k;
     const TieringDecision d = analyze_pattern(cfg, unified, rep, opt);
-    EXPECT_EQ(d.offloaded.size(), static_cast<size_t>(k));
+    EXPECT_EQ(d.bin_rank.size(), static_cast<size_t>(k));
     EXPECT_LE(d.normalized_cost, 1.0);
   }
 }

@@ -926,7 +926,6 @@ TEST_F(SnapshotFailureTest, EraseTieredDropsTheArtifactAndItsAliases) {
   EXPECT_TRUE(store.erase_tiered(slow_id));  // any alias names the artifact
   EXPECT_EQ(store.get_tiered(fast_id), nullptr);
   EXPECT_EQ(store.get_tiered(slow_id), nullptr);
-  EXPECT_EQ(store.resident_fast_bytes(slow_id), 0u);
   EXPECT_FALSE(store.erase_tiered(fast_id));
   EXPECT_FALSE(store.is_quarantined(fast_id));
   EXPECT_NE(store.get_single_tier(single_id), nullptr);
@@ -967,33 +966,28 @@ TEST_F(SnapshotFailureTest, QuarantineHidesArtifactAndIsIdempotent) {
 }
 
 TEST_F(SnapshotFailureTest, ResidentBytesFollowTheAliasMap) {
-  // The arbiter's fleet accounting must see the same artifact through
-  // either file id of a tiered pair, pin the full image for single-tier
-  // generations, and charge nothing for unknown or quarantined ids.
+  // Either file id of a tiered pair resolves to the same artifact and its
+  // per-rank page counts; a single-tier generation pins its full image;
+  // unknown and quarantined ids resolve to nothing.
   const TieredSnapshot* tiered = store.get_tiered(fast_id);
   ASSERT_NE(tiered, nullptr);
-  const u64 fast = bytes_for_pages(tiered->fast_pages());
-  const u64 slow = bytes_for_pages(tiered->slow_pages());
-  EXPECT_GT(fast, 0u);
-  EXPECT_GT(slow, 0u);
-  EXPECT_EQ(store.resident_fast_bytes(fast_id), fast);
-  EXPECT_EQ(store.resident_fast_bytes(slow_id), fast);
-  EXPECT_EQ(store.resident_slow_bytes(fast_id), slow);
-  EXPECT_EQ(store.resident_slow_bytes(slow_id), slow);
+  EXPECT_EQ(store.get_tiered(slow_id), tiered);
+  ASSERT_EQ(tiered->tier_count(), 2u);
+  EXPECT_EQ(tiered->fast_pages(), 16u);
+  EXPECT_EQ(tiered->slow_pages(), 16u);
   // The per-rank view agrees with the rollups.
-  EXPECT_EQ(store.resident_tier_bytes(fast_id, 0), fast);
-  EXPECT_EQ(store.resident_tier_bytes(fast_id, 1), slow);
-  EXPECT_EQ(store.resident_tier_bytes(fast_id, 2), 0u);
+  EXPECT_EQ(tiered->tier_pages(0), tiered->fast_pages());
+  EXPECT_EQ(tiered->tier_pages(1), tiered->slow_pages());
 
-  EXPECT_EQ(store.resident_fast_bytes(single_id),
-            store.get_single_tier(single_id)->memory_bytes());
-  EXPECT_EQ(store.resident_slow_bytes(single_id), 0u);
-  EXPECT_EQ(store.resident_fast_bytes(999), 0u);
-  EXPECT_EQ(store.resident_slow_bytes(999), 0u);
+  EXPECT_EQ(store.get_single_tier(single_id)->memory_bytes(),
+            bytes_for_pages(32));
+  EXPECT_EQ(store.get_tiered(single_id), nullptr);
+  EXPECT_EQ(store.get_tiered(999), nullptr);
+  EXPECT_EQ(store.get_single_tier(999), nullptr);
 
   store.quarantine_tiered(slow_id);
-  EXPECT_EQ(store.resident_fast_bytes(fast_id), 0u);
-  EXPECT_EQ(store.resident_slow_bytes(slow_id), 0u);
+  EXPECT_EQ(store.get_tiered(fast_id), nullptr);
+  EXPECT_EQ(store.get_tiered(slow_id), nullptr);
 }
 
 TEST_F(SnapshotFailureTest, RepeatedChecksumFailuresQuarantineOnce) {
@@ -1040,11 +1034,11 @@ TEST_F(SnapshotFailureTest, RestoreOverrunMappingThrowsCorrupted) {
 
 TEST(SnapshotStore, PublishDamageChurnKeepsEveryIdReadable) {
   // The store's one owner keeps publishing, quarantining and truncating
-  // artifacts; after every round the read paths (resident-byte
-  // accounting, verification, quarantine checks) probe every id allocated
-  // so far. Puts are atomic, so an intact artifact — through its rank-0 id
-  // or its deep-rank alias — always verifies with its full accounting, and
-  // each damaged id reports its own failure mode.
+  // artifacts; after every round the read paths (lookups, verification,
+  // quarantine checks) probe every id allocated so far. Puts are atomic,
+  // so an intact artifact — through its rank-0 id or its deep-rank alias —
+  // always verifies with its full page counts, and each damaged id reports
+  // its own failure mode.
   enum class Kind { kSingle, kIntact, kQuarantined, kTruncated };
   const SystemConfig cfg = SystemConfig::paper_default();
   SnapshotStore store(cfg);
@@ -1077,14 +1071,17 @@ TEST(SnapshotStore, PublishDamageChurnKeepsEveryIdReadable) {
       const Result<void> verified = store.verify_tiered(id);
       switch (k) {
         case Kind::kSingle:
-          EXPECT_EQ(store.resident_fast_bytes(id), bytes_for_pages(32));
+          ASSERT_NE(store.get_single_tier(id), nullptr) << "id " << id;
+          EXPECT_EQ(store.get_single_tier(id)->memory_bytes(),
+                    bytes_for_pages(32));
           EXPECT_EQ(store.get_tiered(id), nullptr);
           EXPECT_EQ(verified.code(), ErrorCode::kSnapshotMissing);
           break;
         case Kind::kIntact:
           EXPECT_TRUE(verified.ok()) << "id " << id;
-          EXPECT_EQ(store.resident_fast_bytes(id), bytes_for_pages(16));
-          EXPECT_EQ(store.resident_slow_bytes(id), bytes_for_pages(16));
+          ASSERT_NE(store.get_tiered(id), nullptr) << "id " << id;
+          EXPECT_EQ(store.get_tiered(id)->fast_pages(), 16u);
+          EXPECT_EQ(store.get_tiered(id)->slow_pages(), 16u);
           break;
         case Kind::kQuarantined:
           EXPECT_TRUE(store.is_quarantined(id)) << "id " << id;
@@ -1101,8 +1098,9 @@ TEST(SnapshotStore, PublishDamageChurnKeepsEveryIdReadable) {
   EXPECT_EQ(store.quarantine_count(), quarantined);
   ASSERT_NE(newest, 0u);
   EXPECT_TRUE(store.verify_tiered(newest).ok());
-  EXPECT_GT(store.resident_fast_bytes(newest), 0u);
-  EXPECT_GT(store.resident_slow_bytes(newest), 0u);
+  ASSERT_NE(store.get_tiered(newest), nullptr);
+  EXPECT_GT(store.get_tiered(newest)->fast_pages(), 0u);
+  EXPECT_GT(store.get_tiered(newest)->slow_pages(), 0u);
 }
 
 TEST(SnapshotStoreFaults, TornPutLeavesPreviousGenerationReadable) {

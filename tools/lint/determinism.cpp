@@ -15,9 +15,9 @@
 //   det-wallclock       steady_clock / high_resolution_clock /
 //                       clock_gettime / gettimeofday anywhere outside
 //                       bench/ — simulated time comes from the virtual
-//                       clock; real time is allowed only in the bench
-//                       harness and in explicitly waived measurement
-//                       channels that the ledger-equality harness strips.
+//                       clock, and reports hold simulated state only;
+//                       real time is allowed only in the bench harness,
+//                       which times its own run() calls.
 //                       Under tools/ (which the src/-only nondeterminism
 //                       rule never covered) this also bans system_clock,
 //                       random_device, and rand/srand/time calls.
@@ -153,8 +153,7 @@ void check_wallclock(const SourceFile& f, std::vector<Finding>& findings) {
           {f.rel, t.line, "det-wallclock",
            "wall-clock source '" + t.text +
                "' outside bench/; simulated time comes from the virtual "
-               "clock — waive only for measurement channels the ledger "
-               "diff strips"});
+               "clock — time a run from bench/ instead"});
   }
   if (!f.under("tools/")) return;
   for (size_t i = 0; i < f.code.size(); ++i) {
