@@ -16,14 +16,11 @@ namespace {
 
 double min_cost_with(SimEnv& env, const FunctionModel& m,
                      std::vector<Bin> (*packer)(const RegionList&, int)) {
-  const double scale = DamonConfig{}.count_scale;
   PageAccessCounts unified(m.guest_pages());
   for (int input = 0; input < kNumInputs; ++input)
     unified.merge_max(PageAccessCounts::from_trace(
         m.invoke(input, 550).trace, m.guest_pages()));
-  for (u64 p = 0; p < unified.num_pages(); ++p)
-    unified.set(p,
-                static_cast<u64>(static_cast<double>(unified.at(p)) * scale));
+  unified.scale(DamonConfig{}.count_scale);
   const RegionList merged = regionize_and_merge(unified);
   const auto bins = packer(nonzero_access_regions(merged), 10);
   const TieringDecision d = choose_placement(

@@ -25,15 +25,12 @@ struct MergeOutcome {
 MergeOutcome run_with_threshold(SimEnv& env, const FunctionModel& m,
                                 u64 threshold) {
   // Idealized unified pattern.
-  const double scale = DamonConfig{}.count_scale;
   PageAccessCounts unified(m.guest_pages());
   for (int input = 0; input < kNumInputs; ++input)
     for (u64 rep = 0; rep < 2; ++rep)
       unified.merge_max(PageAccessCounts::from_trace(
           m.invoke(input, 660 + rep).trace, m.guest_pages()));
-  for (u64 p = 0; p < unified.num_pages(); ++p)
-    unified.set(p,
-                static_cast<u64>(static_cast<double>(unified.at(p)) * scale));
+  unified.scale(DamonConfig{}.count_scale);
 
   const RegionList merged = regionize_and_merge(unified, threshold);
   const auto bins = pack_equal_access(nonzero_access_regions(merged), 10);

@@ -55,15 +55,21 @@ void print_fig1() {
     const DamonOutput out = damon.monitor(true_counts, exec, rng);
 
     // uffd: touched/untouched only.
-    PageAccessCounts uffd(m.guest_pages());
     const WorkingSet ws = uffd_working_set(inv.trace, m.guest_pages());
-    for (u64 p = 0; p < m.guest_pages(); ++p)
-      if (ws.contains(p)) uffd.set(p, 1);
+    RegionList touched;
+    u64 next = 0;
+    for (const auto& [begin, count] : ws.touched_ranges()) {
+      if (begin > next) touched.push_back(Region{next, begin - next, 0});
+      touched.push_back(Region{begin, count, 1});
+      next = begin + count;
+    }
+    if (next < m.guest_pages())
+      touched.push_back(Region{next, m.guest_pages() - next, 0});
+    const PageAccessCounts uffd(m.guest_pages(), touched);
 
     const PageAccessCounts est = out.record.to_counts();
     u64 peak = 0;
-    for (u64 p = 0; p < est.num_pages(); ++p)
-      peak = std::max(peak, est.at(p));
+    for (const Region& r : est.runs()) peak = std::max(peak, r.accesses);
 
     std::printf("input %-3s  uffd  [%s]  WS=%s\n", roman(input),
                 strip(uffd, 1).c_str(), format_bytes(ws.size_bytes()).c_str());

@@ -64,13 +64,11 @@ void BM_analysis_stage(benchmark::State& state) {
   SimEnv env;
   const FunctionModel& m =
       *env.registry.find(state.range(0) == 0 ? "pyaes" : "pagerank");
-  const double scale = DamonConfig{}.count_scale;
   PageAccessCounts unified(m.guest_pages());
   for (int input = 0; input < kNumInputs; ++input)
     unified.merge_max(PageAccessCounts::from_trace(
         m.invoke(input, 60).trace, m.guest_pages()));
-  for (u64 p = 0; p < unified.num_pages(); ++p)
-    unified.set(p, static_cast<u64>(static_cast<double>(unified.at(p)) * scale));
+  unified.scale(DamonConfig{}.count_scale);
   const Invocation rep = m.invoke(3, 61);
   for (auto _ : state) {
     benchmark::DoNotOptimize(

@@ -25,15 +25,12 @@ void print_fig6() {
   for (const char* name : kWorstFive) {
     const FunctionModel& m = *env.registry.find(name);
     // Unified pattern over all inputs (idealized profiling output).
-    const double scale = DamonConfig{}.count_scale;
     PageAccessCounts unified(m.guest_pages());
     for (int input = 0; input < kNumInputs; ++input)
       for (u64 rep = 0; rep < 2; ++rep)
         unified.merge_max(PageAccessCounts::from_trace(
             m.invoke(input, 70 + rep).trace, m.guest_pages()));
-    for (u64 p = 0; p < unified.num_pages(); ++p)
-      unified.set(p, static_cast<u64>(
-                         static_cast<double>(unified.at(p)) * scale));
+    unified.scale(DamonConfig{}.count_scale);
 
     const RegionList merged = regionize_and_merge(unified);
     const auto bins = pack_equal_access(nonzero_access_regions(merged), 10);
@@ -62,13 +59,11 @@ void print_fig6() {
 void BM_bin_profile_sweep(benchmark::State& state) {
   SimEnv env;
   const FunctionModel& m = *env.registry.find("matmul");
-  const double scale = DamonConfig{}.count_scale;
   PageAccessCounts unified(m.guest_pages());
   for (int input = 0; input < kNumInputs; ++input)
     unified.merge_max(PageAccessCounts::from_trace(
         m.invoke(input, 70).trace, m.guest_pages()));
-  for (u64 p = 0; p < unified.num_pages(); ++p)
-    unified.set(p, static_cast<u64>(static_cast<double>(unified.at(p)) * scale));
+  unified.scale(DamonConfig{}.count_scale);
   const RegionList merged = regionize_and_merge(unified);
   const auto bins = pack_equal_access(nonzero_access_regions(merged), 10);
   const auto zeros = zero_access_regions(merged);

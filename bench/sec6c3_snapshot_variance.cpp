@@ -60,14 +60,11 @@ void print_sec6c3() {
     // (b) IV-derived placement vs per-input optimal placement.
     for (int e = 0; e < kNumInputs; ++e) {
       // Per-input optimum: analyze with that input as representative.
-      const double scale = DamonConfig{}.count_scale;
       PageAccessCounts unified(m.guest_pages());
       for (int input = 0; input < kNumInputs; ++input)
         unified.merge_max(PageAccessCounts::from_trace(
             m.invoke(input, 8900).trace, m.guest_pages()));
-      for (u64 p = 0; p < unified.num_pages(); ++p)
-        unified.set(p, static_cast<u64>(
-                           static_cast<double>(unified.at(p)) * scale));
+      unified.scale(DamonConfig{}.count_scale);
       const TieringDecision per_input =
           analyze_pattern(env.cfg, unified, m.invoke(e, 8901), {});
       const double c_iv = cost_of(env, m, e, toss_all->decision()->placement);

@@ -48,7 +48,6 @@ int main(int argc, char** argv) {
     // invocations of every input — what a long profiling phase converges
     // to. Counts are scaled to DAMON's nr_accesses units (see DamonConfig)
     // so the analysis thresholds apply on the same scale as the paper's.
-    const double count_scale = DamonConfig{}.count_scale;
     PageAccessCounts unified(model.guest_pages());
     for (int input = 0; input < kNumInputs; ++input) {
       for (u64 rep = 0; rep < 3; ++rep) {
@@ -57,9 +56,7 @@ int main(int argc, char** argv) {
             PageAccessCounts::from_trace(inv.trace, model.guest_pages()));
       }
     }
-    for (u64 p = 0; p < unified.num_pages(); ++p)
-      unified.set(p, static_cast<u64>(
-                         static_cast<double>(unified.at(p)) * count_scale));
+    unified.scale(DamonConfig{}.count_scale);
     const Invocation representative =
         model.invoke(kNumInputs - 1, /*seed=*/503);
     const TieringDecision d =

@@ -17,15 +17,12 @@ using namespace toss;
 namespace {
 
 PageAccessCounts unified_pattern(const FunctionModel& m) {
-  const double scale = DamonConfig{}.count_scale;
   PageAccessCounts unified(m.guest_pages());
   for (int input = 0; input < kNumInputs; ++input)
     for (u64 rep = 0; rep < 3; ++rep)
       unified.merge_max(PageAccessCounts::from_trace(
           m.invoke(input, 300 + rep).trace, m.guest_pages()));
-  for (u64 p = 0; p < unified.num_pages(); ++p)
-    unified.set(p,
-                static_cast<u64>(static_cast<double>(unified.at(p)) * scale));
+  unified.scale(DamonConfig{}.count_scale);
   return unified;
 }
 

@@ -184,15 +184,12 @@ int cmd_decide(const Args& args) {
   cfg.tiers[0].cost_per_mib = args.ratio;
   cfg.tiers[1].cost_per_mib = 1.0;
 
-  const double scale = DamonConfig{}.count_scale;
   PageAccessCounts unified(m->guest_pages());
   for (int input = 0; input < kNumInputs; ++input)
     for (u64 rep = 0; rep < 3; ++rep)
       unified.merge_max(PageAccessCounts::from_trace(
           m->invoke(input, args.seed + rep).trace, m->guest_pages()));
-  for (u64 p = 0; p < unified.num_pages(); ++p)
-    unified.set(p,
-                static_cast<u64>(static_cast<double>(unified.at(p)) * scale));
+  unified.scale(DamonConfig{}.count_scale);
 
   TieringOptions opt;
   opt.slowdown_threshold = args.threshold;

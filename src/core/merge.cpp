@@ -3,7 +3,7 @@
 namespace toss {
 
 RegionList regionize_and_merge(const PageAccessCounts& counts, u64 threshold) {
-  return merge_similar_regions(regions_from_counts(counts), threshold);
+  return merge_similar_regions(counts.runs(), threshold);
 }
 
 u64 mapping_count(const PagePlacement& placement) {

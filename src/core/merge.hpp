@@ -10,6 +10,7 @@
 #pragma once
 
 #include "mem/placement.hpp"
+#include "trace/pattern.hpp"
 #include "trace/region.hpp"
 
 namespace toss {

@@ -12,6 +12,7 @@
 #include <optional>
 
 #include "core/bin_profiler.hpp"
+#include "trace/pattern.hpp"
 
 namespace toss {
 

@@ -2,8 +2,9 @@
 //
 // TOSS merges every profiled invocation's DAMON record into one unified
 // per-page pattern (per-page max, so intensity stays representative and the
-// merge is idempotent). Profiling terminates once the unified pattern has
-// been stable for N consecutive invocations.
+// merge is idempotent), held as runs: a merge costs O(runs + regions).
+// Profiling terminates once the unified pattern has been stable for N
+// consecutive invocations.
 #pragma once
 
 #include "damon/record.hpp"

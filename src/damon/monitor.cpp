@@ -16,6 +16,29 @@ double noise_scale(u64 samples) {
   return 1.0 / std::sqrt(static_cast<double>(samples));
 }
 
+/// Append `r` to `merged`, folding it into the last region when their
+/// estimated frequencies are similar, the way DAMON's aggregation step
+/// does. Never merge zero with nonzero: the untouched/touched boundary is
+/// the signal TOSS needs most.
+void aggregate(RegionList& merged, const Region& r, double similarity) {
+  if (!merged.empty()) {
+    Region& last = merged.back();
+    const double a = static_cast<double>(last.accesses);
+    const double b = static_cast<double>(r.accesses);
+    const double denom = std::max(a, b);
+    const bool both_zero = last.accesses == 0 && r.accesses == 0;
+    const bool similar = both_zero || (last.accesses > 0 && r.accesses > 0 &&
+                                       std::abs(a - b) / denom <= similarity);
+    if (similar) {
+      const u64 pages = last.page_count + r.page_count;
+      last.accesses = (last.total_accesses() + r.total_accesses()) / pages;
+      last.page_count = pages;
+      return;
+    }
+  }
+  merged.push_back(r);
+}
+
 }  // namespace
 
 DamonOutput DamonMonitor::monitor(const PageAccessCounts& true_counts,
@@ -26,47 +49,42 @@ DamonOutput DamonMonitor::monitor(const PageAccessCounts& true_counts,
   const u64 samples = static_cast<u64>(
       std::max(1.0, exec_ns / std::max<Nanos>(cfg_.sampling_interval_ns, 1)));
 
-  // Pass 1: quantize to the minimum region size. Each chunk's frequency is
-  // the mean of its pages' true counts, perturbed with sampling noise.
-  RegionList regions;
-  regions.reserve(num_pages / quantum + 1);
-  for (u64 begin = 0; begin < num_pages; begin += quantum) {
-    const u64 count = std::min(quantum, num_pages - begin);
-    u64 mass = 0;
-    for (u64 p = begin; p < begin + count; ++p) mass += true_counts.at(p);
-    double est = static_cast<double>(mass) / static_cast<double>(count) *
-                 cfg_.count_scale;
-    if (est > 0.0) {
-      const double rel = noise_scale(samples) * 4.0;  // per-region samples
-      est *= rng.jitter(std::min(rel, 0.5));
-    }
-    regions.push_back(
-        Region{begin, count, static_cast<u64>(std::llround(est))});
-  }
-
-  // Pass 2: merge adjacent regions with similar estimated frequency, the
-  // way DAMON's aggregation step does. Never merge zero with nonzero: the
-  // untouched/touched boundary is the signal TOSS needs most.
+  // Passes 1 and 2, fused: quantize to the minimum region size, and
+  // aggregate each region as it is made. A quantum's frequency is the mean
+  // of its pages' true counts, perturbed with sampling noise: one draw per
+  // nonzero quantum, in address order. A quantum inside a zero run
+  // estimates 0 and draws nothing, and consecutive zero regions aggregate
+  // into one, so each zero stretch is emitted as one region.
+  const double rel = std::min(noise_scale(samples) * 4.0, 0.5);
+  const RegionList& runs = true_counts.runs();
   RegionList merged;
-  for (const Region& r : regions) {
-    if (!merged.empty()) {
-      Region& last = merged.back();
-      const double a = static_cast<double>(last.accesses);
-      const double b = static_cast<double>(r.accesses);
-      const double denom = std::max(a, b);
-      const bool both_zero = last.accesses == 0 && r.accesses == 0;
-      const bool similar =
-          both_zero ||
-          (last.accesses > 0 && r.accesses > 0 &&
-           std::abs(a - b) / denom <= cfg_.merge_similarity);
-      if (similar) {
-        const u64 pages = last.page_count + r.page_count;
-        last.accesses = (last.total_accesses() + r.total_accesses()) / pages;
-        last.page_count = pages;
+  size_t run = 0;  // the run holding page `begin`
+  for (u64 begin = 0; begin < num_pages;) {
+    while (runs[run].page_end() <= begin) ++run;
+    if (runs[run].accesses == 0) {
+      const u64 run_end = runs[run].page_end();
+      const u64 end =
+          run_end == num_pages ? num_pages : run_end / quantum * quantum;
+      if (end > begin) {
+        aggregate(merged, Region{begin, end - begin, 0},
+                  cfg_.merge_similarity);
+        begin = end;
         continue;
       }
     }
-    merged.push_back(r);
+    const u64 count = std::min(quantum, num_pages - begin);
+    const u64 end = begin + count;
+    u64 mass = 0;
+    for (size_t k = run; k < runs.size() && runs[k].page_begin < end; ++k)
+      mass += runs[k].accesses * (std::min(runs[k].page_end(), end) -
+                                  std::max(runs[k].page_begin, begin));
+    double est = static_cast<double>(mass) / static_cast<double>(count) *
+                 cfg_.count_scale;
+    if (est > 0.0) est *= rng.jitter(rel);
+    aggregate(merged,
+              Region{begin, count, static_cast<u64>(std::llround(est))},
+              cfg_.merge_similarity);
+    begin = end;
   }
 
   // Pass 3: if still above max_regions, force-merge the most similar

@@ -50,7 +50,9 @@ class DamonMonitor {
 
   /// Monitor one invocation. `true_counts` is the invocation's exact
   /// per-page access pattern, `exec_ns` its execution time (which bounds
-  /// how many samples DAMON can take), `rng` drives sampling noise.
+  /// how many samples DAMON can take), `rng` drives sampling noise: one
+  /// draw per nonzero quantum, in address order. The cost is O(runs of
+  /// `true_counts` + nonzero quanta), not O(guest pages).
   DamonOutput monitor(const PageAccessCounts& true_counts, Nanos exec_ns,
                       Rng& rng) const;
 

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 
+#include "trace/pattern.hpp"
 #include "trace/region.hpp"
 
 namespace toss {
@@ -20,7 +21,7 @@ class DamonRecord {
   const RegionList& regions() const { return regions_; }
   size_t region_count() const { return regions_.size(); }
 
-  /// Expand to a per-page view (each page gets its region's accesses).
+  /// The per-page view: each page counts its region's accesses.
   PageAccessCounts to_counts() const;
 
  private:

@@ -97,26 +97,66 @@ BurstSpread::BurstSpread(const AccessBurst& b) {
     return;
   }
   // Shares never rise with the page index, so the first empty page ends
-  // the nonzero prefix; page 0 holds the drift and is never empty.
+  // the nonzero prefix (a binary search finds it); page 0 holds the drift
+  // and is never empty.
   const ZipfTable& table = zipf_table(b.zipf_theta, b.page_count);
   table_generation_ = zipf_generation;
   weight_ = table.weight.data();
   accesses_ = static_cast<double>(b.accesses);
   z_ = table.running_sum[b.page_count - 1];
+  u64 lo = 1, hi = b.page_count;
+  while (lo < hi) {
+    const u64 mid = lo + (hi - lo) / 2;
+    if (zipf_share(mid) == 0)
+      hi = mid;
+    else
+      lo = mid + 1;
+  }
+  nonzero_ = lo;
   const u64 first = static_cast<u64>(accesses_ * weight_[0] / z_);
   u64 assigned = first;
-  u64 i = 1;
-  for (; i < b.page_count; ++i) {
-    const u64 share = zipf_share(i);
-    if (share == 0) break;
-    assigned += share;
+  for (u64 i = 1; i < nonzero_;) {
+    const u64 end = zipf_run_end(i);
+    assigned += zipf_share(i) * (end - i);
+    i = end;
   }
-  nonzero_ = i;
   head_ = first + (b.accesses - assigned);
 }
 
 bool BurstSpread::table_live() const {
   return table_generation_ == zipf_generation;
+}
+
+u64 BurstSpread::zipf_run_end(u64 i) const {
+  // Gallop until a page falls below page i's share, then bisect the last
+  // step: O(log length) shares per run.
+  const u64 share = zipf_share(i);
+  u64 in = i;          // last page known to hold `share`
+  u64 out = nonzero_;  // first page known not to (or the prefix end)
+  for (u64 step = 1; in + step < out; step *= 2) {
+    if (zipf_share(in + step) != share) {
+      out = in + step;
+      break;
+    }
+    in += step;
+  }
+  while (out - in > 1) {
+    const u64 mid = in + (out - in) / 2;
+    if (zipf_share(mid) == share)
+      in = mid;
+    else
+      out = mid;
+  }
+  return out;
+}
+
+u64 BurstSpread::run_end(u64 i) const {
+  TOSS_REQUIRE(i < nonzero_);
+  if (weight_ == nullptr) return i < rem_ ? rem_ : nonzero_;
+  TOSS_ASSERT(table_live(), "BurstSpread outlived its Zipf table");
+  if (i > 0) return zipf_run_end(i);
+  // Page 0 carries the drift, so it joins page 1's run only on a tie.
+  return nonzero_ > 1 && head_ == zipf_share(1) ? zipf_run_end(1) : 1;
 }
 
 u64 BurstSpread::sum(u64 lo, u64 hi) const {

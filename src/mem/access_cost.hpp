@@ -54,9 +54,12 @@ std::vector<u64> expand_burst_counts(const AccessBurst& burst);
 /// at(i) is expand_burst_counts(b)[i] and sum(lo, hi) its sum over burst
 /// pages [lo, hi), exactly. The nonzero pages are exactly the prefix
 /// [0, nonzero_pages()): the uniform remainder goes to the leading pages,
-/// and Zipf weights fall with the page index. Uniform bursts answer in
-/// closed form; a Zipf burst finds its prefix in one pass over it on its
-/// theta's weight table and sums a range page by page.
+/// and Zipf weights fall with the page index. Counts never rise with the
+/// page index past page 0, so equal counts form runs. Uniform bursts
+/// answer in closed form. A Zipf burst finds its prefix end by binary
+/// search on its theta's weight table, and its page-0 drift by summing
+/// its runs, each found by a galloping search; it sums a range page by
+/// page.
 ///
 /// A Zipf spread reads its thread's table for that theta, so it must not
 /// outlive a later BurstSpread or expand_burst_counts on the same thread,
@@ -75,12 +78,18 @@ class BurstSpread {
     return i == 0 ? head_ : zipf_share(i);
   }
   u64 sum(u64 lo, u64 hi) const;
+  /// End of the maximal run of equal counts that holds page
+  /// i < nonzero_pages(): every page of [i, run_end(i)) counts at(i).
+  u64 run_end(u64 i) const;
 
  private:
   /// Page i >= 1 of a Zipf burst: its share of the accesses, rounded down.
   u64 zipf_share(u64 i) const {
     return static_cast<u64>(accesses_ * weight_[i] / z_);
   }
+  /// The first page after i (1 <= i < nonzero_) whose share differs from
+  /// page i's, or nonzero_.
+  u64 zipf_run_end(u64 i) const;
   /// No table of this thread has grown or been cleared since construction.
   bool table_live() const;
 

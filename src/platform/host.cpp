@@ -102,7 +102,6 @@ Result<void> Host::add(const FunctionRegistration& registration,
       !reg.ok())
     return reg;
   lane->requests = std::move(requests);
-  if (options_.keep_outcomes) lane->outcomes.reserve(lane->requests.size());
   lane->qos = registration.qos_spec();
   lanes_.push_back(std::move(lane));
   return {};
@@ -125,8 +124,6 @@ Result<void> Host::enqueue(const std::string& function,
   // The lane is live again: the next time it drains counts as a fresh
   // finish for the keep-alive accounting.
   lane->finish_reported = false;
-  if (options_.keep_outcomes)
-    lane->outcomes.reserve(lane->outcomes.size() + requests.size());
   lane->requests.insert(lane->requests.end(),
                         std::make_move_iterator(requests.begin()),
                         std::make_move_iterator(requests.end()));
@@ -507,7 +504,7 @@ EngineReport Host::report() const {
       f.final_phase = toss->phase();
     // Copied, not moved: the lanes stay serviceable and the next drain's
     // report must still be cumulative.
-    f.outcomes = lane->outcomes;
+    f.outcomes.assign(lane->outcomes.begin(), lane->outcomes.end());
     f.overload = lane->overload;
     f.shed_events = lane->shed_events;
     report.functions.push_back(std::move(f));

@@ -199,7 +199,8 @@ struct HostLane {
   /// no cross-lane state can make results depend on scheduling.
   std::unique_ptr<ServerlessPlatform> host;
   std::vector<Request> requests;
-  std::vector<InvocationOutcome> outcomes;
+  /// A deque, so an append never copies the history (Host::report does).
+  std::deque<InvocationOutcome> outcomes;
   std::atomic<int> in_flight{0};
   /// First invocation failure, recorded lane-locally by the worker that
   /// hit it; the next barrier reports the first failed lane in slot order.

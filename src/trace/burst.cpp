@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "trace/pattern.hpp"
 #include "util/contracts.hpp"
 
 namespace toss {
@@ -37,14 +36,6 @@ u64 BurstTrace::footprint_pages(u64 num_guest_pages) const {
     }
   }
   return n;
-}
-
-void BurstTrace::accumulate_counts(PageAccessCounts& out) const {
-  for (const auto& b : bursts_) {
-    const BurstSpread spread(b);
-    for (u64 j = 0; j < spread.nonzero_pages(); ++j)
-      out.add(b.page_begin + j, spread.at(j));
-  }
 }
 
 Nanos BurstTrace::time_under(const AccessCostModel& model,

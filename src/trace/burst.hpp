@@ -1,6 +1,7 @@
 // BurstTrace: an invocation's memory activity as an ordered list of access
 // bursts. A trace keeps no per-page counts: readers go through
-// BurstSpread, or expand_burst_counts for the materialised reference.
+// BurstSpread (PageAccessCounts::from_trace sums its runs), or
+// expand_burst_counts for the materialised reference.
 #pragma once
 
 #include <vector>
@@ -8,8 +9,6 @@
 #include "mem/access_cost.hpp"
 
 namespace toss {
-
-class PageAccessCounts;
 
 class BurstTrace {
  public:
@@ -30,10 +29,6 @@ class BurstTrace {
 
   /// Highest page index touched, +1 (0 for an empty trace).
   u64 max_page_end() const;
-
-  /// Accumulate this trace's per-page counts into `out` (out must cover
-  /// every burst's pages).
-  void accumulate_counts(PageAccessCounts& out) const;
 
   /// Memory time of the whole trace under a placement, from each burst's
   /// materialised expansion (the warm-time reference the oracles replay).

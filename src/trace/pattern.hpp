@@ -1,11 +1,13 @@
-// Per-page access counts over a guest address space.
+// Per-page access counts over a guest address space, held as runs.
 //
 // This is the common currency between the profilers (DAMON, userfaultfd,
 // mincore), the unified access pattern of TOSS, and the region/bin pipeline.
+// It keeps no per-page array: the counts are the maximal runs of equal
+// count that tile [0, num_pages), so every operation here costs O(runs)
+// whatever the guest size.
 #pragma once
 
-#include <vector>
-
+#include "trace/region.hpp"
 #include "util/units.hpp"
 
 namespace toss {
@@ -15,15 +17,20 @@ class BurstTrace;
 class PageAccessCounts {
  public:
   PageAccessCounts() = default;
-  explicit PageAccessCounts(u64 num_pages) : counts_(num_pages, 0) {}
+  /// Every page at zero.
+  explicit PageAccessCounts(u64 num_pages);
+  /// The counts of `regions`, which must tile [0, num_pages)
+  /// (regions_cover_space); adjacent regions of equal count coalesce.
+  PageAccessCounts(u64 num_pages, const RegionList& regions);
 
-  u64 num_pages() const { return static_cast<u64>(counts_.size()); }
+  u64 num_pages() const { return num_pages_; }
 
-  u64 at(u64 page) const { return counts_[page]; }
-  void set(u64 page, u64 count) { counts_[page] = count; }
-  void add(u64 page, u64 count) { counts_[page] += count; }
+  /// The maximal runs of equal count, in page order, tiling
+  /// [0, num_pages).
+  const RegionList& runs() const { return runs_; }
 
-  const std::vector<u64>& raw() const { return counts_; }
+  /// One page's count (a binary search over the runs).
+  u64 at(u64 page) const;
 
   /// Number of pages with a nonzero count.
   u64 touched_pages() const;
@@ -37,20 +44,20 @@ class PageAccessCounts {
   /// well-defined), unlike a sum which grows forever.
   void merge_max(const PageAccessCounts& other);
 
-  /// Merge by per-page sum (used for aggregate statistics).
-  void merge_sum(const PageAccessCounts& other);
-
-  /// L1 distance between two patterns, normalized by this pattern's total
-  /// accesses (0 = identical). Used for convergence/drift detection.
-  double normalized_distance(const PageAccessCounts& other) const;
+  /// Scale every count by `factor`, rounding down:
+  /// count -> static_cast<u64>(static_cast<double>(count) * factor).
+  /// DamonConfig::count_scale takes exact counts to DAMON's units this way.
+  void scale(double factor);
 
   bool operator==(const PageAccessCounts&) const = default;
 
-  /// Build counts from a trace (guest size = num_pages).
+  /// Build counts from a trace (guest size = num_pages): a sweep over the
+  /// bursts' runs of equal count, summing where bursts overlap.
   static PageAccessCounts from_trace(const BurstTrace& trace, u64 num_pages);
 
  private:
-  std::vector<u64> counts_;
+  u64 num_pages_ = 0;
+  RegionList runs_;
 };
 
 }  // namespace toss

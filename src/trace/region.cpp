@@ -4,20 +4,6 @@
 
 namespace toss {
 
-RegionList regions_from_counts(const PageAccessCounts& counts) {
-  RegionList regions;
-  const u64 n = counts.num_pages();
-  u64 begin = 0;
-  while (begin < n) {
-    const u64 c = counts.at(begin);
-    u64 end = begin + 1;
-    while (end < n && counts.at(end) == c) ++end;
-    regions.push_back(Region{begin, end - begin, c});
-    begin = end;
-  }
-  return regions;
-}
-
 RegionList merge_similar_regions(const RegionList& regions, u64 threshold) {
   RegionList merged;
   for (const Region& r : regions) {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "mem/tier.hpp"
-#include "trace/pattern.hpp"
 #include "util/units.hpp"
 
 namespace toss {
@@ -28,10 +27,6 @@ struct Region {
 };
 
 using RegionList = std::vector<Region>;
-
-/// Build maximal contiguous regions of pages with *identical* access counts,
-/// covering the full address space (zero-count regions included).
-RegionList regions_from_counts(const PageAccessCounts& counts);
 
 /// Merge adjacent regions whose per-page access counts differ by less than
 /// `threshold` (the paper's "Access count Merging" with threshold 100). The

@@ -41,15 +41,12 @@ class CalibrationTest : public ::testing::TestWithParam<Expectation> {
   FunctionRegistry reg = FunctionRegistry::table1();
 
   TieringDecision decide(const FunctionModel& m) {
-    const double scale = DamonConfig{}.count_scale;
     PageAccessCounts unified(m.guest_pages());
     for (int input = 0; input < kNumInputs; ++input)
       for (u64 rep = 0; rep < 3; ++rep)
         unified.merge_max(PageAccessCounts::from_trace(
             m.invoke(input, 4000 + rep).trace, m.guest_pages()));
-    for (u64 p = 0; p < unified.num_pages(); ++p)
-      unified.set(p, static_cast<u64>(
-                         static_cast<double>(unified.at(p)) * scale));
+    unified.scale(DamonConfig{}.count_scale);
     return analyze_pattern(cfg, unified, m.invoke(3, 4003), {});
   }
 };
@@ -98,14 +95,11 @@ TEST(CalibrationAggregate, AverageOffloadNearPaper) {
   OnlineStats offload;
   for (const Expectation& e : kExpectations) {
     const FunctionModel& m = *reg.find(e.name);
-    const double scale = DamonConfig{}.count_scale;
     PageAccessCounts unified(m.guest_pages());
     for (int input = 0; input < kNumInputs; ++input)
       unified.merge_max(PageAccessCounts::from_trace(
           m.invoke(input, 4200).trace, m.guest_pages()));
-    for (u64 p = 0; p < unified.num_pages(); ++p)
-      unified.set(p, static_cast<u64>(
-                         static_cast<double>(unified.at(p)) * scale));
+    unified.scale(DamonConfig{}.count_scale);
     offload.add(
         analyze_pattern(cfg, unified, m.invoke(3, 4201), {}).slow_fraction);
   }
@@ -120,14 +114,11 @@ TEST(CalibrationAggregate, AverageCostNearPaper) {
   OnlineStats cost;
   for (const Expectation& e : kExpectations) {
     const FunctionModel& m = *reg.find(e.name);
-    const double scale = DamonConfig{}.count_scale;
     PageAccessCounts unified(m.guest_pages());
     for (int input = 0; input < kNumInputs; ++input)
       unified.merge_max(PageAccessCounts::from_trace(
           m.invoke(input, 4300).trace, m.guest_pages()));
-    for (u64 p = 0; p < unified.num_pages(); ++p)
-      unified.set(p, static_cast<u64>(
-                         static_cast<double>(unified.at(p)) * scale));
+    unified.scale(DamonConfig{}.count_scale);
     cost.add(
         analyze_pattern(cfg, unified, m.invoke(3, 4301), {}).normalized_cost);
   }

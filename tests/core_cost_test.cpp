@@ -111,16 +111,13 @@ TEST(Ladder, ThreeRungEndpointsAndMonotonicity) {
 class LadderSweepTest : public ::testing::Test {
  protected:
   PageAccessCounts unified_for(const FunctionModel& m) {
-    const double scale = DamonConfig{}.count_scale;
     PageAccessCounts unified(m.guest_pages());
     for (int input = 0; input < kNumInputs; ++input) {
       const Invocation inv = m.invoke(input, 900);
       unified.merge_max(
           PageAccessCounts::from_trace(inv.trace, m.guest_pages()));
     }
-    for (u64 p = 0; p < unified.num_pages(); ++p)
-      unified.set(p, static_cast<u64>(
-                         static_cast<double>(unified.at(p)) * scale));
+    unified.scale(DamonConfig{}.count_scale);
     return unified;
   }
 

@@ -52,6 +52,15 @@ TEST(UnifiedPattern, EpsilonAbsorbsNoise) {
   EXPECT_TRUE(up.add_record(record_of(100, {{0, 100, 1500}})));
 }
 
+TEST(UnifiedPattern, DistanceIsNormalizedByTheMergedTotal) {
+  // 1000 -> 1800 on every page moves the pattern by 800 per page: 0.44 of
+  // the merged total, under the 0.45 epsilon (0.8 of the old total).
+  UnifiedPattern up(100, 0.45);
+  up.add_record(record_of(100, {{0, 100, 1000}}));
+  EXPECT_FALSE(up.add_record(record_of(100, {{0, 100, 1800}})));
+  EXPECT_EQ(up.counts().at(0), 1800u);
+}
+
 TEST(UnifiedPattern, SmallerPatternsNeverChangeIt) {
   UnifiedPattern up(100, 0.01);
   up.add_record(record_of(100, {{0, 100, 500}}));
@@ -61,18 +70,17 @@ TEST(UnifiedPattern, SmallerPatternsNeverChangeIt) {
 }
 
 TEST(RegionizeAndMerge, CollapsesSimilarNeighbors) {
-  PageAccessCounts counts(100);
-  for (u64 p = 0; p < 50; ++p) counts.set(p, 1000 + p);  // drifts by 1
-  for (u64 p = 50; p < 100; ++p) counts.set(p, 5000);
+  RegionList pages;
+  for (u64 p = 0; p < 50; ++p) pages.push_back({p, 1, 1000 + p});  // drifts
+  pages.push_back({50, 50, 5000});
+  const PageAccessCounts counts(100, pages);
   const RegionList merged = regionize_and_merge(counts, 100);
   EXPECT_TRUE(regions_cover_space(merged, 100));
   EXPECT_LE(merged.size(), 3u);
 }
 
 TEST(RegionizeAndMerge, KeepsDistinctPhases) {
-  PageAccessCounts counts(100);
-  for (u64 p = 0; p < 50; ++p) counts.set(p, 100);
-  for (u64 p = 50; p < 100; ++p) counts.set(p, 100000);
+  const PageAccessCounts counts(100, {{0, 50, 100}, {50, 50, 100000}});
   const RegionList merged = regionize_and_merge(counts, 100);
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_EQ(merged[0].accesses, 100u);

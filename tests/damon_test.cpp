@@ -21,10 +21,11 @@ class DamonMonitorTest : public ::testing::Test {
   Rng rng{42};
 
   PageAccessCounts pattern_with_hot_region(u64 pages) {
-    PageAccessCounts counts(pages);
-    for (u64 p = 100; p < 300; ++p) counts.set(p, 50);
-    for (u64 p = 1000; p < 1020; ++p) counts.set(p, 2000);
-    return counts;
+    return PageAccessCounts(pages, {{0, 100, 0},
+                                    {100, 200, 50},
+                                    {300, 700, 0},
+                                    {1000, 20, 2000},
+                                    {1020, pages - 1020, 0}});
   }
 };
 
@@ -87,9 +88,11 @@ TEST_F(DamonMonitorTest, MaxRegionsCapRespected) {
   small.max_regions = 8;
   DamonMonitor monitor(small);
   // Highly fragmented pattern: alternating intensities.
-  PageAccessCounts counts(1024);
+  RegionList pages;
   Rng local(3);
-  for (u64 p = 0; p < 1024; ++p) counts.set(p, 1 + local.next_below(1000));
+  for (u64 p = 0; p < 1024; ++p)
+    pages.push_back(Region{p, 1, 1 + local.next_below(1000)});
+  const PageAccessCounts counts(1024, pages);
   const auto out = monitor.monitor(counts, ms(10), rng);
   EXPECT_LE(out.record.region_count(), 8u);
   EXPECT_TRUE(regions_cover_space(out.record.regions(), 1024));
@@ -116,8 +119,7 @@ TEST_F(DamonMonitorTest, SamplesScaleWithExecTime) {
 TEST_F(DamonMonitorTest, SimilarNeighborsMerged) {
   DamonMonitor monitor(cfg);
   // One flat plateau: should collapse into very few regions.
-  PageAccessCounts counts(4096);
-  for (u64 p = 0; p < 4096; ++p) counts.set(p, 100);
+  const PageAccessCounts counts(4096, {{0, 4096, 100}});
   const auto out = monitor.monitor(counts, sec(1), rng);
   EXPECT_LT(out.record.region_count(), 200u);  // far fewer than 1024 chunks
 }

@@ -229,10 +229,27 @@ TEST(ExpandBurst, MemoizedZipfMatchesDirectLoopBitForBit) {
 // BurstSpread against the materialised expansion it replaces.
 // ---------------------------------------------------------------------------
 
+/// `spread`'s runs must be the expansion's maximal runs of equal count
+/// over the prefix: walked from page 0, and from `probes` random pages.
+void expect_runs_match(const BurstSpread& spread,
+                       const std::vector<u64>& counts, Rng& rng,
+                       int probes) {
+  const u64 nz = spread.nonzero_pages();
+  std::vector<u64> end(nz);  // the expansion's run end for each page
+  for (u64 i = nz; i-- > 0;)
+    end[i] = i + 1 < nz && counts[i + 1] == counts[i] ? end[i + 1] : i + 1;
+  for (u64 i = 0; i < nz; i = end[i])
+    ASSERT_EQ(spread.run_end(i), end[i]) << "run at page " << i;
+  for (int k = 0; k < probes && nz > 0; ++k) {
+    const u64 i = rng.next_below(nz);
+    EXPECT_EQ(spread.run_end(i), end[i]) << "page " << i;
+  }
+}
+
 /// `b`'s spread must mark exactly the expansion's nonzero pages as its
-/// prefix [0, nonzero_pages()), give each page's count, and sum any range
-/// as the expansion does: the whole burst, cuts at the prefix end and at
-/// the uniform remainder, and `cuts` random ranges.
+/// prefix [0, nonzero_pages()), give each page's count, find its runs,
+/// and sum any range as the expansion does: the whole burst, cuts at the
+/// prefix end and at the uniform remainder, and `cuts` random ranges.
 void expect_spread_matches(const AccessBurst& b, Rng& rng, int cuts = 16) {
   const std::vector<u64> counts =
       b.page_count > 0 ? expand_burst_counts(b) : std::vector<u64>{};
@@ -251,6 +268,7 @@ void expect_spread_matches(const AccessBurst& b, Rng& rng, int cuts = 16) {
       << "page " << first_bad << " of " << b.page_count << ", prefix "
       << spread.nonzero_pages();
   EXPECT_EQ(spread.total(), prefix[b.page_count]);
+  if (first_bad == b.page_count) expect_runs_match(spread, counts, rng, cuts);
   const u64 n = b.page_count;
   const u64 nz = spread.nonzero_pages();
   const u64 rem = n > 0 ? b.accesses % n : 0;

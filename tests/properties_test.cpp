@@ -41,8 +41,9 @@ TEST_P(SuiteProperty, TieredSnapshotRoundTripsForAnyPlacement) {
   const PageAccessCounts counts =
       PageAccessCounts::from_trace(inv.trace, m.guest_pages());
   PagePlacement placement(m.guest_pages(), tier_index(1));
-  for (u64 p = 0; p < m.guest_pages(); ++p)
-    if (counts.at(p) > 20) placement.set(p, tier_index(0));
+  for (const Region& r : counts.runs())
+    if (r.accesses > 20) placement.set_range(r.page_begin, r.page_count,
+                                             tier_index(0));
 
   const u64 tiered_id = tier_snapshot(store, *snap, placement);
   const TieredSnapshot* tiered = store.get_tiered(tiered_id);
@@ -118,15 +119,12 @@ class TossDecisionProperty : public ::testing::TestWithParam<int> {
 TEST_P(TossDecisionProperty, DecisionInvariants) {
   const FunctionModel& m =
       reg.models()[static_cast<size_t>(GetParam())];
-  const double scale = DamonConfig{}.count_scale;
   PageAccessCounts unified(m.guest_pages());
   for (int input = 0; input < kNumInputs; ++input)
     unified.merge_max(PageAccessCounts::from_trace(
         m.invoke(input, 900 + static_cast<u64>(input)).trace,
         m.guest_pages()));
-  for (u64 p = 0; p < unified.num_pages(); ++p)
-    unified.set(p,
-                static_cast<u64>(static_cast<double>(unified.at(p)) * scale));
+  unified.scale(DamonConfig{}.count_scale);
 
   const TieringDecision d =
       analyze_pattern(cfg, unified, m.invoke(3, 903), {});

@@ -106,7 +106,6 @@ class QosAnalysisTest : public ::testing::Test {
   FunctionRegistry reg = FunctionRegistry::table1();
 
   PageAccessCounts unified_for(const FunctionModel& m) {
-    const double scale = DamonConfig{}.count_scale;
     PageAccessCounts unified(m.guest_pages());
     for (int input = 0; input < kNumInputs; ++input) {
       for (u64 rep = 0; rep < 2; ++rep) {
@@ -115,9 +114,7 @@ class QosAnalysisTest : public ::testing::Test {
             PageAccessCounts::from_trace(inv.trace, m.guest_pages()));
       }
     }
-    for (u64 p = 0; p < unified.num_pages(); ++p)
-      unified.set(p, static_cast<u64>(
-                         static_cast<double>(unified.at(p)) * scale));
+    unified.scale(DamonConfig{}.count_scale);
     return unified;
   }
 

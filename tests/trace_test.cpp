@@ -31,10 +31,9 @@ TEST(BurstTrace, OverlappingBurstsCountedOnceInFootprint) {
   EXPECT_EQ(t.footprint_pages(32), 15u);
 }
 
-TEST(BurstTrace, AccumulateCounts) {
+TEST(PageAccessCounts, FromTraceSumsTheBursts) {
   const BurstTrace t = two_burst_trace();
-  PageAccessCounts counts(32);
-  t.accumulate_counts(counts);
+  const PageAccessCounts counts = PageAccessCounts::from_trace(t, 32);
   EXPECT_EQ(counts.total_accesses(), 1200u);
   EXPECT_EQ(counts.at(0), 100u);   // 800 uniform over 8 pages
   EXPECT_EQ(counts.at(16), 100u);  // 400 uniform over 4 pages
@@ -54,55 +53,45 @@ TEST(BurstTrace, TimeUnderPlacementConsistent) {
 }
 
 TEST(PageAccessCounts, MergeMaxIdempotent) {
-  PageAccessCounts a(8), b(8);
-  a.set(0, 5);
-  b.set(0, 3);
-  b.set(1, 7);
+  PageAccessCounts a(8, {{0, 1, 5}, {1, 7, 0}});
+  const PageAccessCounts b(8, {{0, 1, 3}, {1, 1, 7}, {2, 6, 0}});
   a.merge_max(b);
   EXPECT_EQ(a.at(0), 5u);
   EXPECT_EQ(a.at(1), 7u);
+  EXPECT_EQ(a.at(2), 0u);
   const PageAccessCounts before = a;
   a.merge_max(b);  // merging the same record again changes nothing
   EXPECT_EQ(a, before);
 }
 
-TEST(PageAccessCounts, MergeSumAdds) {
-  PageAccessCounts a(4), b(4);
-  a.set(2, 5);
-  b.set(2, 3);
-  a.merge_sum(b);
-  EXPECT_EQ(a.at(2), 8u);
-}
-
-TEST(PageAccessCounts, NormalizedDistance) {
-  PageAccessCounts a(4), b(4);
-  a.set(0, 100);
-  b.set(0, 100);
-  EXPECT_DOUBLE_EQ(a.normalized_distance(b), 0.0);
-  b.set(1, 50);
-  EXPECT_DOUBLE_EQ(a.normalized_distance(b), 0.5);
-}
-
 TEST(PageAccessCounts, TouchedPages) {
-  PageAccessCounts c(10);
-  c.set(3, 1);
-  c.set(7, 9);
+  const PageAccessCounts c(10, {{0, 3, 0}, {3, 1, 1}, {4, 3, 0}, {7, 1, 9},
+                               {8, 2, 0}});
   EXPECT_EQ(c.touched_pages(), 2u);
   EXPECT_EQ(c.total_accesses(), 10u);
 }
 
-TEST(Regions, FromCountsCoversSpace) {
-  PageAccessCounts c(10);
-  c.set(2, 5);
-  c.set(3, 5);
-  c.set(7, 9);
-  const RegionList regions = regions_from_counts(c);
-  EXPECT_TRUE(regions_cover_space(regions, 10));
+TEST(PageAccessCounts, RegionsCoalesceIntoMaximalRuns) {
+  // Pages 2 and 3 arrive as two regions of the same count.
+  const PageAccessCounts c(10, {{0, 2, 0}, {2, 1, 5}, {3, 1, 5}, {4, 3, 0},
+                               {7, 1, 9}, {8, 2, 0}});
+  const RegionList& runs = c.runs();
+  EXPECT_TRUE(regions_cover_space(runs, 10));
   // 0-1 (0), 2-3 (5), 4-6 (0), 7 (9), 8-9 (0)
-  ASSERT_EQ(regions.size(), 5u);
-  EXPECT_EQ(regions[1].page_begin, 2u);
-  EXPECT_EQ(regions[1].page_count, 2u);
-  EXPECT_EQ(regions[1].accesses, 5u);
+  ASSERT_EQ(runs.size(), 5u);
+  EXPECT_EQ(runs[1], (Region{2, 2, 5}));
+  EXPECT_EQ(c.at(3), 5u);
+  EXPECT_EQ(c.at(9), 0u);
+  EXPECT_EQ(PageAccessCounts(10).runs(), (RegionList{{0, 10, 0}}));
+  EXPECT_TRUE(PageAccessCounts(0).runs().empty());
+}
+
+TEST(PageAccessCounts, ScaleRoundsEachRunDownAndCoalesces) {
+  PageAccessCounts c(6, {{0, 2, 2}, {2, 2, 3}, {4, 2, 9}});
+  c.scale(0.5);  // 2 -> 1 and 3 -> 1 tie; 9 -> 4
+  EXPECT_EQ(c.runs(), (RegionList{{0, 4, 1}, {4, 2, 4}}));
+  c.scale(16.0);
+  EXPECT_EQ(c.runs(), (RegionList{{0, 4, 16}, {4, 2, 64}}));
 }
 
 TEST(Regions, MergeSimilarRespectsThreshold) {
