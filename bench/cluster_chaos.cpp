@@ -30,10 +30,6 @@
 //   Determinism. The whole ClusterReport (every ledger, stat, outcome and
 //   rollup) is `==` between a 1-thread and a 4-thread run at every seed.
 //
-// Without -DTOSS_FAULTS=ON every site compiles to a no-op: the bench says
-// so, skips the crash-dependent gates and degenerates to a second
-// determinism soak over the same fleet.
-//
 // `--calibrate=N` sweeps cluster seeds 1..N printing hosts_lost and the
 // crash epochs per seed (for re-curating kSeeds after a change to the
 // epoch schedule), then exits without gating. `--threads=N` sets the
@@ -152,13 +148,12 @@ void write_json(const std::string& path, u64 budget,
     return;
   }
   std::fprintf(out,
-               "{\"bench\":\"cluster_chaos\",\"faults_enabled\":%s,"
-               "\"hosts\":%zu,\"lanes\":%zu,\"requests_per_lane\":%zu,"
-               "\"hog_requests\":%zu,\"expected_hosts_lost\":%zu,"
-               "\"fast_budget_bytes\":%llu,\"seeds\":[",
-               fault_injection_enabled() ? "true" : "false", kHosts,
-               kLanes + 1, kRequestsPerLane, kHogRequests, kExpectedHostsLost,
-               static_cast<unsigned long long>(budget));
+               "{\"bench\":\"cluster_chaos\",\"hosts\":%zu,\"lanes\":%zu,"
+               "\"requests_per_lane\":%zu,\"hog_requests\":%zu,"
+               "\"expected_hosts_lost\":%zu,\"fast_budget_bytes\":%llu,"
+               "\"seeds\":[",
+               kHosts, kLanes + 1, kRequestsPerLane, kHogRequests,
+               kExpectedHostsLost, static_cast<unsigned long long>(budget));
   for (size_t i = 0; i < rows.size(); ++i) {
     const SeedRow& r = rows[i];
     std::fprintf(out,
@@ -213,11 +208,6 @@ int calibrate(const SystemConfig& cfg, u64 budget, u64 max_seed) {
 int main(int argc, char** argv) {
   const SystemConfig cfg = bench::ladder_config_from_args(argc, argv);
   const u64 budget = kFleet.host_budget(cfg);
-  const bool faults = fault_injection_enabled();
-  if (!faults)
-    std::printf(
-        "note: built without -DTOSS_FAULTS=ON; no host ever crashes and the "
-        "bench degenerates to a determinism soak.\n");
 
   int threads = 4;
   for (int i = 1; i < argc; ++i) {
@@ -260,15 +250,13 @@ int main(int argc, char** argv) {
   // Fault-free tail baseline for the setup-time gate (one seed is enough:
   // the clean runs differ only in arrival jitter, not in tier layout).
   double clean_p99_ms = 0;
-  if (faults) {
-    auto baseline = make_cluster(cfg, budget, kSeeds[0], /*with_faults=*/false);
-    const ClusterReport clean_report = baseline->run(threads).value();
-    for (const ClusterHostReport& host : clean_report.hosts)
-      for (const FunctionReport& f : host.report.functions)
-        clean_p99_ms =
-            std::max(clean_p99_ms, to_ms(f.stats.setup_ns.percentile(99)));
-    std::printf("fault-free baseline p99 setup: %.3f ms\n", clean_p99_ms);
-  }
+  auto baseline = make_cluster(cfg, budget, kSeeds[0], /*with_faults=*/false);
+  const ClusterReport clean_report = baseline->run(threads).value();
+  for (const ClusterHostReport& host : clean_report.hosts)
+    for (const FunctionReport& f : host.report.functions)
+      clean_p99_ms =
+          std::max(clean_p99_ms, to_ms(f.stats.setup_ns.percentile(99)));
+  std::printf("fault-free baseline p99 setup: %.3f ms\n", clean_p99_ms);
 
   write_json(bench::artifact_path(argc, argv, "cluster_chaos.json"), budget,
              rows);
@@ -278,18 +266,12 @@ int main(int argc, char** argv) {
   for (const SeedRow& r : rows) {
     exactly_once = exactly_once && r.offered == kExpected &&
                    r.completed + r.shed == r.offered;
-    if (faults) {
-      crashes_ok = crashes_ok && r.hosts_lost == kExpectedHostsLost;
-      for (const u64 epoch : r.crash_epochs)
-        crashes_ok = crashes_ok && epoch > 0;
-      const u64 floor =
-          kExpected * (kHosts - kExpectedHostsLost) / kHosts;
-      proportional = proportional && r.completed >= floor;
-      tail_ok =
-          tail_ok && r.p99_setup_ms <= kSetupTailSlack * clean_p99_ms;
-    } else {
-      crashes_ok = crashes_ok && r.hosts_lost == 0 && r.shed == 0;
-    }
+    crashes_ok = crashes_ok && r.hosts_lost == kExpectedHostsLost;
+    for (const u64 epoch : r.crash_epochs)
+      crashes_ok = crashes_ok && epoch > 0;
+    const u64 floor = kExpected * (kHosts - kExpectedHostsLost) / kHosts;
+    proportional = proportional && r.completed >= floor;
+    tail_ok = tail_ok && r.p99_setup_ms <= kSetupTailSlack * clean_p99_ms;
   }
 
   if (!exactly_once) {
@@ -298,10 +280,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!crashes_ok) {
-    std::printf(faults ? "FAIL: a seed did not kill exactly %zu hosts "
-                         "mid-soak (re-curate kSeeds)\n"
-                       : "FAIL: hosts died or work was shed without "
-                         "-DTOSS_FAULTS=ON\n",
+    std::printf("FAIL: a seed did not kill exactly %zu hosts mid-soak "
+                "(re-curate kSeeds)\n",
                 kExpectedHostsLost);
     return 1;
   }
@@ -320,9 +300,8 @@ int main(int argc, char** argv) {
                 threads);
     return 1;
   }
-  std::printf(faults ? "chaos gates hold: %zu/%zu hosts lost per seed, "
-                       "exactly-once accounting intact\n"
-                     : "determinism gates hold (faults disabled)\n",
+  std::printf("chaos gates hold: %zu/%zu hosts lost per seed, "
+              "exactly-once accounting intact\n",
               kExpectedHostsLost, kHosts);
   return 0;
 }

@@ -12,10 +12,10 @@
 //
 // Every seed runs at worker threads {1, 4, T} (T = 8, or --threads=N),
 // with faults off and again with a brownout + migration-abort fault plan
-// armed (when the build carries -DTOSS_FAULTS=ON). The 1-thread run is the
-// reference; every other thread count's whole ClusterReport must be `==`
-// to it. The bench times each fault-free run() call; those wall times
-// become the scaling curve in the JSON artifact.
+// armed. The 1-thread run is the reference; every other thread count's
+// whole ClusterReport must be `==` to it. The bench times each fault-free
+// run() call; those wall times become the scaling curve in the JSON
+// artifact.
 //
 // Results land in cluster_scale.json under the bench artifact directory
 // (--out-dir=PATH, default <build>/bench_artifacts). The process exits
@@ -112,11 +112,10 @@ void write_json(const std::string& path, u64 budget,
                "{\"bench\":\"cluster_scale\",\"hosts\":%zu,\"lanes\":%zu,"
                "\"requests_per_lane\":%zu,\"hog_requests\":%zu,"
                "\"pinned_epochs\":%d,\"fast_budget_bytes\":%llu,"
-               "\"hardware_threads\":%d,\"faults_enabled\":%s,\"seeds\":[",
+               "\"hardware_threads\":%d,\"seeds\":[",
                kHosts, kLanes + 1, kRequestsPerLane, kHogRequests,
                kPinnedEpochs, static_cast<unsigned long long>(budget),
-               hardware_threads(),
-               fault_injection_enabled() ? "true" : "false");
+               hardware_threads());
   for (size_t i = 0; i < rows.size(); ++i) {
     const SeedRow& r = rows[i];
     std::fprintf(out,
@@ -195,11 +194,6 @@ int main(int argc, char** argv) {
   bool ledgers_ok = true;
 
   for (const bool faults : {false, true}) {
-    if (faults && !fault_injection_enabled()) {
-      std::printf("note: built without -DTOSS_FAULTS=ON; skipping the "
-                  "faults-on ledger sweep.\n");
-      continue;
-    }
     for (const u64 seed : kSeeds) {
       // Every thread count runs the same cluster; the first (1 worker) is
       // the reference each later ledger must reproduce.

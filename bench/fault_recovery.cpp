@@ -11,9 +11,7 @@
 // never correctness.
 //
 // Results land in fault_recovery.json under the bench artifact directory
-// (--out-dir=PATH, default <build>/bench_artifacts). In builds without
-// -DTOSS_FAULTS=ON the probes compile to no-ops, so every rate degenerates
-// to the fault-free row; the bench says so instead of plotting noise.
+// (--out-dir=PATH, default <build>/bench_artifacts).
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -123,10 +121,9 @@ void write_json(const std::string& path, const std::vector<RateRow>& rows) {
     return;
   }
   std::fprintf(out,
-               "{\"bench\":\"fault_recovery\",\"faults_enabled\":%s,"
-               "\"fleet\":%zu,\"requests_per_function\":%zu,\"rates\":[",
-               fault_injection_enabled() ? "true" : "false", kFleetSize,
-               kRequestsPerFunction);
+               "{\"bench\":\"fault_recovery\",\"fleet\":%zu,"
+               "\"requests_per_function\":%zu,\"rates\":[",
+               kFleetSize, kRequestsPerFunction);
   for (size_t i = 0; i < rows.size(); ++i) {
     const RateRow& r = rows[i];
     std::fprintf(
@@ -153,10 +150,6 @@ void write_json(const std::string& path, const std::vector<RateRow>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!fault_injection_enabled())
-    std::printf(
-        "note: built without -DTOSS_FAULTS=ON; probes are no-ops and every "
-        "rate reduces to the fault-free baseline.\n");
   std::printf(
       "%6s %8s %8s %8s %7s %7s %6s %6s %6s %6s %7s\n", "rate", "p50ms",
       "p99ms", "meanms", "faults", "retries", "fallbk", "quar", "regen",

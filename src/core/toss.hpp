@@ -188,7 +188,7 @@ class TossFunction {
   /// Jitter stream for retry backoff. Deliberately separate from rng_: the
   /// fault-free path must never advance rng_ differently than the pre-fault
   /// code did, or DAMON sampling (and thus every downstream decision) would
-  /// change even with injection compiled out.
+  /// change even with no plan armed.
   Rng recovery_rng_;
 
   TossPhase phase_ = TossPhase::kInitial;

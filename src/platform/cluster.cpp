@@ -234,6 +234,9 @@ Result<void> ClusterEngine::add(const FunctionRegistration& registration,
   const std::string& name = registration.spec().name;
   if (host_of(name) != npos)
     return {ErrorCode::kDuplicateFunction, name + " is already registered"};
+  // The demand estimate runs an offline Step III on these options, so
+  // they are validated before it, not only when the host registers them.
+  if (Result<void> valid = registration.validate(); !valid.ok()) return valid;
   // Placement binds on rank 0 only: the fast tier is the arbiter-defended
   // scarce resource; deeper rungs are modelled as abundant. Dead and
   // quarantined hosts are not eligible targets.
@@ -257,8 +260,8 @@ Result<void> ClusterEngine::enqueue(const std::string& function,
     return {ErrorCode::kUnknownFunction,
             function + " is not registered on any host"};
   // A placement still pointing at a dead host means the lane could not be
-  // failed over (no survivors / failover disabled): the loss is typed, not
-  // silently queued into the void.
+  // failed over (no survivors): the loss is typed, not silently queued
+  // into the void.
   if (health_[target].dead)
     return {ErrorCode::kHostLost,
             function + " was lost with host " + hosts_[target]->name()};
@@ -335,7 +338,7 @@ ClusterEngine::LaneTransfer ClusterEngine::transfer_lane(size_t from,
 }
 
 void ClusterEngine::maybe_migrate() {
-  if (!options_.enable_migration || hosts_.size() < 2) return;
+  if (hosts_.size() < 2) return;
   for (size_t s = 0; s < hosts_.size(); ++s) {
     if (health_[s].dead) continue;
     Host& src = *hosts_[s];
@@ -392,10 +395,10 @@ void ClusterEngine::maybe_migrate() {
 }
 
 void ClusterEngine::inject_failure_domains() {
-  // Without -DTOSS_FAULTS=ON no site can ever fire and no breaker can ever
-  // observe a degraded epoch: skipping the whole barrier keeps production
+  // Without an armed plan no site can ever fire and no breaker can ever
+  // observe a degraded epoch: skipping the whole barrier keeps fault-free
   // cluster ledgers bit-identical to the pre-failure-domain behaviour.
-  if constexpr (!kFaultInjectionEnabled) return;
+  if (!options_.cluster_fault_plan.armed()) return;
   for (size_t i = 0; i < hosts_.size(); ++i) {
     HostHealth& h = health_[i];
     if (h.dead) continue;
@@ -458,14 +461,12 @@ void ClusterEngine::fail_over(size_t dead_host) {
   for (size_t li : order) {
     const HostLane* view = dead.lane_at(li);
     const std::string fn = view->name;
-    const size_t dst = options_.enable_failover
-                           ? pick_host(placement_of(fn).demand, dead_host)
-                           : npos;
+    const size_t dst = pick_host(placement_of(fn).demand, dead_host);
     if (dst == npos) {
-      // No survivor (or failover disabled): every pending request on this
-      // lane resolves as kHostLost via abandon_pending() below, and the
-      // placement stays on the dead host so enqueue() reports the loss
-      // with a typed error instead of queueing into the void.
+      // No survivor: every pending request on this lane resolves as
+      // kHostLost via abandon_pending() below, and the placement stays on
+      // the dead host so enqueue() reports the loss with a typed error
+      // instead of queueing into the void.
       const u64 pending = view->queue.size() +
                           (view->requests.size() - view->arrived);
       failovers_.push_back(

@@ -64,15 +64,12 @@ struct ClusterOptions {
   /// K: consecutive epochs a host's arbiter must hold admission closed
   /// before the cluster migrates a function away (hysteresis).
   int migrate_after_pinned_epochs = 4;
-  bool enable_migration = true;
   /// Cluster-level fault plan (kHostCrash / kHostBrownout /
   /// kMigrationAbort). Each host derives an independent injector seeded by
   /// (seed, host name) — distinct from host_options.fault_plan, which
-  /// drives the per-lane snapshot sites. Inert without -DTOSS_FAULTS=ON.
+  /// drives the per-lane snapshot sites. Unless it is armed, the cluster
+  /// skips its failure-domain barrier.
   FaultPlan cluster_fault_plan;
-  /// Survive host crashes by re-placing the dead host's lanes onto
-  /// survivors; when off, a crash sheds everything pending as kHostLost.
-  bool enable_failover = true;
   /// Per-host health breaker: consecutive browned-out epochs open it
   /// (quarantine), a clean cooldown closes it (readmission).
   CircuitBreakerOptions health_breaker;
@@ -201,8 +198,9 @@ class ClusterEngine {
   ClusterEngine(const ClusterEngine&) = delete;
   ClusterEngine& operator=(const ClusterEngine&) = delete;
 
-  /// Register a function cluster-wide: estimate its fast-tier demand,
-  /// bin-pack it onto a host, and bind its request stream there.
+  /// Register a function cluster-wide: validate it, estimate its
+  /// fast-tier demand, bin-pack it onto a host, and bind its request
+  /// stream there. On failure nothing is placed.
   Result<void> add(const FunctionRegistration& registration,
                    std::vector<Request> requests);
 

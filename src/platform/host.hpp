@@ -110,8 +110,8 @@ struct EngineOptions {
   bool keep_outcomes = true;
   /// Fault plan for the chaos harness. Each lane derives an independent
   /// injector seeded by (fault_plan.seed, lane name), so the fault sequence
-  /// a lane sees is identical for any thread count. Inert unless the build
-  /// sets -DTOSS_FAULTS=ON.
+  /// a lane sees is identical for any thread count. An unarmed plan (the
+  /// default) attaches no injector.
   FaultPlan fault_plan;
 
   // ---- Overload protection (DESIGN.md §9). All defaults = unbounded:

@@ -68,9 +68,9 @@ ServerlessPlatform::ServerlessPlatform(SystemConfig cfg, PricingPlan pricing,
                                        FaultPlan faults)
     : cfg_(std::move(cfg)), pricing_(pricing), store_(cfg_),
       invoker_(cfg_, store_) {
-  // Attach the injector only when a plan is armed in a faults-enabled
-  // build, so the production path keeps a null probe pointer everywhere.
-  if (fault_injection_enabled() && faults.armed()) {
+  // Attach the injector only when a plan is armed, so a fault-free run
+  // keeps a null probe pointer everywhere.
+  if (faults.armed()) {
     injector_ = std::make_unique<FaultInjector>(std::move(faults), /*salt=*/0);
     store_.attach_faults(injector_.get());
   }

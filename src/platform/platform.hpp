@@ -158,8 +158,8 @@ class FunctionRegistration {
 class ServerlessPlatform {
  public:
   /// `faults` arms deterministic fault injection against this host's
-  /// snapshot store. An empty plan (the default) attaches nothing; in
-  /// builds without -DTOSS_FAULTS=ON any plan is inert.
+  /// snapshot store. Only an armed plan attaches an injector; an unarmed
+  /// one (the default) leaves store().faults() null.
   explicit ServerlessPlatform(SystemConfig cfg = SystemConfig::paper_default(),
                               PricingPlan pricing = {}, FaultPlan faults = {});
 

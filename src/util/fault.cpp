@@ -14,7 +14,6 @@ FaultInjector::FaultInjector(FaultPlan plan, u64 salt) {
 }
 
 bool FaultInjector::should_fire(FaultSite site) {
-  if constexpr (!kFaultInjectionEnabled) return false;
   SiteState& s = sites_[static_cast<size_t>(site)];
   const u64 arm = s.arms++;
   if (!s.config.armed() || s.fires >= s.config.max_fires) return false;

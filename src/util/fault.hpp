@@ -12,11 +12,14 @@
 // all state is lane-local, so the same seed produces the same fault
 // sequence for any thread count.
 //
-// The whole subsystem compiles to no-ops unless the build sets
-// -DTOSS_FAULTS=ON: should_fire() returns false before touching any state,
-// so production binaries carry zero probes and bit-identical behaviour.
+// The probes are always compiled; a FaultPlan alone decides whether
+// anything fires. A run with no armed plan has no injector on its
+// snapshot stores, and every snapshot-path probe sits behind a null check
+// on that injector, so it runs no probe there. The cluster skips its
+// failure-domain barrier unless its plan is armed; a migration still arms
+// kMigrationAbort, which on an unarmed site only counts the arm.
 //
-// Recovery vocabulary (used even when injection is compiled out):
+// Recovery vocabulary (used whether or not a plan is armed):
 //   FallbackLevel  how far down the degradation ladder an invocation fell
 //   RecoveryInfo   per-invocation ledger of faults seen, retries spent,
 //                  fallback taken and quarantine/regeneration events
@@ -36,15 +39,6 @@
 #include "util/units.hpp"
 
 namespace toss {
-
-#ifdef TOSS_FAULTS
-inline constexpr bool kFaultInjectionEnabled = true;
-#else
-inline constexpr bool kFaultInjectionEnabled = false;
-#endif
-
-/// True in builds compiled with -DTOSS_FAULTS=ON.
-constexpr bool fault_injection_enabled() { return kFaultInjectionEnabled; }
 
 /// Injection sites: one per failure domain of the snapshot path, plus the
 /// cluster-level domains (whole-host death, host slowdown, cross-host
@@ -132,7 +126,6 @@ class FaultInjector {
 
   /// Called once per arm point. Advances the site's arm counter and
   /// decides — by schedule, then by probability — whether this arm faults.
-  /// Compiled builds without TOSS_FAULTS return false unconditionally.
   bool should_fire(FaultSite site);
 
   /// Deterministic draw from the site's stream in [0, bound); used to pick

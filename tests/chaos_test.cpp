@@ -7,10 +7,6 @@
 // time (retry backoff, a slower rung), never correctness. On top of that,
 // the whole cascade must be deterministic: the same fault-plan seed yields
 // bit-identical outcomes, ledgers and counters for any thread count.
-//
-// Fault-dependent tests skip themselves unless the build sets
-// -DTOSS_FAULTS=ON (the CI `chaos` job); the fault-free ledger test runs —
-// and must pass — in every build.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -76,10 +72,8 @@ u64 ledger_weight(const RecoveryInfo& r) {
          (r.completed ? 0 : 1);
 }
 
-// An unarmed plan must leave no recovery trace in any build — and in a
-// TOSS_FAULTS build specifically, arming the subsystem without a plan must
-// not perturb results (the acceptance criterion's "bit-identical" half is
-// engine_test; this is the ledger half).
+// An unarmed plan must leave no recovery trace (the acceptance criterion's
+// "bit-identical" half is engine_test; this is the ledger half).
 TEST(Chaos, FaultFreeRunHasCleanLedger) {
   auto engine = make_chaos_fleet(4, 24, FaultPlan{});
   const EngineReport report = engine->run(4).value();
@@ -100,12 +94,34 @@ TEST(Chaos, FaultFreeRunHasCleanLedger) {
   }
 }
 
+// A fault-free run executes no snapshot-path probe: each one sits behind
+// the store's injector, and only an armed plan attaches one. A plan whose
+// sites all carry probability 0 and an empty schedule is unarmed, whatever
+// its seed, fire cap or stall magnitude.
+TEST(Chaos, OnlyAnArmedPlanAttachesAnInjector) {
+  const SystemConfig cfg = SystemConfig::paper_default();
+  EXPECT_EQ(ServerlessPlatform(cfg, {}, FaultPlan{}).store().faults(),
+            nullptr);
+
+  FaultPlan idle;
+  idle.seed = 17;
+  for (size_t i = 0; i < kFaultSiteCount; ++i)
+    idle.set(static_cast<FaultSite>(i),
+             {.probability = 0.0, .schedule = {}, .max_fires = 1,
+              .delay_ns = ms(2)});
+  EXPECT_FALSE(idle.armed());
+  EXPECT_EQ(ServerlessPlatform(cfg, {}, idle).store().faults(), nullptr);
+
+  FaultPlan armed = idle;
+  armed.set(FaultSite::kExecCrash, {.schedule = {0}});
+  EXPECT_TRUE(armed.armed());
+  EXPECT_NE(ServerlessPlatform(cfg, {}, armed).store().faults(), nullptr);
+}
+
 // The oracle: across several seeds, with every site armed, no completed
 // invocation ever observes wrong memory. Faults must actually bite (the
 // plan is not vacuous) and the lanes stay serialized.
 TEST(Chaos, OracleHoldsUnderFaultsAcrossSeeds) {
-  if (!fault_injection_enabled())
-    GTEST_SKIP() << "requires -DTOSS_FAULTS=ON";
   for (const u64 seed : {u64{11}, u64{23}, u64{47}}) {
     auto engine = make_chaos_fleet(6, 40, chaos_plan(seed));
     const EngineReport report = engine->run(4).value();
@@ -132,8 +148,6 @@ TEST(Chaos, OracleHoldsUnderFaultsAcrossSeeds) {
 // ledgers, latencies and aggregate counters, for 1 worker vs 4 and across
 // repeated runs.
 TEST(Chaos, RecoveryIsDeterministicPerSeedAndThreadCount) {
-  if (!fault_injection_enabled())
-    GTEST_SKIP() << "requires -DTOSS_FAULTS=ON";
   const FaultPlan plan = chaos_plan(99);
   auto serial = make_chaos_fleet(5, 32, plan);
   const EngineReport s = serial->run(1).value();
@@ -184,8 +198,6 @@ struct ScheduledScenario {
 // single-tier snapshot, and let Step V regenerate a fresh tiered artifact
 // that subsequent invocations restore from cleanly.
 TEST(Chaos, ChecksumFailureQuarantinesThenRegenerates) {
-  if (!fault_injection_enabled())
-    GTEST_SKIP() << "requires -DTOSS_FAULTS=ON";
   FaultPlan plan;
   plan.seed = 3;
   plan.set(FaultSite::kTierBitrot, {.schedule = {0}});  // first tiered read
@@ -218,8 +230,6 @@ TEST(Chaos, ChecksumFailureQuarantinesThenRegenerates) {
 // double crash completes on the third attempt with the backoff charged to
 // simulated setup time.
 TEST(Chaos, ExecCrashRetriesThenCompletes) {
-  if (!fault_injection_enabled())
-    GTEST_SKIP() << "requires -DTOSS_FAULTS=ON";
   FaultPlan plan;
   plan.seed = 4;
   plan.set(FaultSite::kExecCrash, {.schedule = {0, 1}});
@@ -240,8 +250,6 @@ TEST(Chaos, ExecCrashRetriesThenCompletes) {
 // suspends the tiered path instead of hammering it; every invocation still
 // completes (cold boot is the terminal rung) with correct memory.
 TEST(Chaos, BreakerOpensUnderPersistentRestoreFailure) {
-  if (!fault_injection_enabled())
-    GTEST_SKIP() << "requires -DTOSS_FAULTS=ON";
   FaultPlan plan;
   plan.seed = 5;
   plan.set(FaultSite::kRestoreMapping, {.probability = 1.0});

@@ -278,6 +278,37 @@ TEST(Cluster, SpreadsEqualFunctionsAcrossHosts) {
   EXPECT_EQ(report.find("float_operation#3")->stats.invocations, 4u);
 }
 
+TEST(Cluster, InvalidRegistrationIsRejectedBeforePlacement) {
+  // The demand estimate runs Step III on the registration's options, so
+  // add() must validate them first: a bin count Step III cannot pack is a
+  // typed error, as it is for PlatformEngine, and nothing is placed.
+  ClusterOptions opts;
+  opts.hosts = 2;
+  ClusterEngine cluster(opts);
+  ASSERT_TRUE(cluster
+                  .add(FunctionRegistration(workloads::all_functions()[0])
+                           .policy(PolicyKind::kToss)
+                           .toss(fast_toss()),
+                       RequestGenerator::round_robin(2, 5))
+                  .ok());
+  const std::vector<u64> load = cluster.predicted_load();
+  for (const int bins : {0, -1}) {
+    TossOptions bad = fast_toss();
+    bad.bin_count = bins;
+    const FunctionRegistration reg =
+        FunctionRegistration(workloads::all_functions()[1])
+            .policy(PolicyKind::kToss)
+            .toss(bad);
+    EXPECT_EQ(cluster.add(reg, RequestGenerator::round_robin(2, 5)).code(),
+              ErrorCode::kInvalidOptions)
+        << bins;
+    EXPECT_EQ(PlatformEngine().add(reg, {}).code(), ErrorCode::kInvalidOptions)
+        << bins;
+    EXPECT_EQ(cluster.function_count(), 1u);
+    EXPECT_EQ(cluster.predicted_load(), load);
+  }
+}
+
 /// Probe the unconstrained tiered fast-tier footprint of the shared spec,
 /// so budgets scale with the workload instead of hard-coding bytes.
 u64 probe_tiered_fast_bytes() {
@@ -310,12 +341,10 @@ struct PressureFleet {
   std::string candidate;      ///< the tiered function expected to migrate
 };
 
-PressureFleet pressure_cluster(u64 budget, int pinned_epochs,
-                               bool enable_migration, u64 seed) {
+PressureFleet pressure_cluster(u64 budget, int pinned_epochs, u64 seed) {
   ClusterOptions opts;
   opts.hosts = 2;
   opts.migrate_after_pinned_epochs = pinned_epochs;
-  opts.enable_migration = enable_migration;
   opts.host_options.chunk = 2;
   opts.host_options.arbiter.enabled = true;
   opts.host_options.arbiter.fast_budget_bytes = budget;
@@ -357,7 +386,7 @@ TEST(Cluster, MigratesLargestTieredFunctionAfterKPinnedEpochs) {
   const u64 budget = 3 * tiered;  // fits 2 steady lanes, not a profiling one
   constexpr int kPinned = 3;
 
-  PressureFleet fleet = pressure_cluster(budget, kPinned, true, 9);
+  PressureFleet fleet = pressure_cluster(budget, kPinned, 9);
   const ClusterReport report = fleet.cluster->run(2).value();
   const size_t dest = 1 - fleet.hog_host;
 
@@ -456,11 +485,8 @@ TEST(Cluster, HysteresisHoldsMigrationBelowKPinnedEpochs) {
   const u64 budget = 3 * probe_tiered_fast_bytes();
   // Same pressure, but K larger than the run: the cluster must ride out
   // the closure without moving anyone.
-  PressureFleet patient = pressure_cluster(budget, 100000, true, 9);
-  EXPECT_TRUE(patient.cluster->run(2).value().migrations.empty());
-  // And with migration disabled outright, pressure never moves a lane.
-  PressureFleet frozen = pressure_cluster(budget, 1, false, 9);
-  const ClusterReport report = frozen.cluster->run(2).value();
+  PressureFleet patient = pressure_cluster(budget, 100000, 9);
+  const ClusterReport report = patient.cluster->run(2).value();
   EXPECT_TRUE(report.migrations.empty());
   EXPECT_EQ(report.total_invocations(), 60u + 60u + 80u);
 }
@@ -472,7 +498,7 @@ TEST(Cluster, MigratingTheLastTieredLaneLeavesNoCandidateBehind) {
   // the host stays pinned (the hog keeps profiling past the budget) but
   // has no candidate left: the cluster must ride the pressure out without
   // inventing moves, losing the hog's work, or wedging the epoch loop.
-  PressureFleet fleet = pressure_cluster(3 * tiered, 2, true, 9);
+  PressureFleet fleet = pressure_cluster(3 * tiered, 2, 9);
   const ClusterReport report = fleet.cluster->run(2).value();
   const size_t dest = 1 - fleet.hog_host;
 
@@ -540,9 +566,9 @@ TEST(Cluster, MigrationLandsOnHostThatClosesAdmissionSameEpoch) {
 TEST(Cluster, LedgersAreBitIdenticalAcrossThreadCounts) {
   const u64 budget = 3 * probe_tiered_fast_bytes();
   for (u64 seed = 9; seed <= 11; ++seed) {
-    PressureFleet serial = pressure_cluster(budget, 3, true, seed);
+    PressureFleet serial = pressure_cluster(budget, 3, seed);
     const ClusterReport s = serial.cluster->run(1).value();
-    PressureFleet parallel = pressure_cluster(budget, 3, true, seed);
+    PressureFleet parallel = pressure_cluster(budget, 3, seed);
     const ClusterReport p = parallel.cluster->run(4).value();
 
     EXPECT_TRUE(s == p) << "seed " << seed;
@@ -556,7 +582,7 @@ TEST(Cluster, ReportEqualityComparesEveryNestedField) {
   // change anywhere in the report: change one field at a time, at each
   // nesting level, in copies of a pressure-fleet report that migrated.
   PressureFleet fleet =
-      pressure_cluster(3 * probe_tiered_fast_bytes(), 3, true, 9);
+      pressure_cluster(3 * probe_tiered_fast_bytes(), 3, 9);
   ClusterReport report = fleet.cluster->run(2).value();
   const size_t h = fleet.hog_host;
   EngineReport& hog_host = report.hosts[h].report;

@@ -3,8 +3,7 @@
 // outcomes, transactional migration (abort -> retry -> commit, and
 // exhaustion keeping the source authoritative), brownout quarantine with
 // hysteresis readmission, and chaos-grade ledger determinism across
-// thread counts. Fault-dependent cases skip unless the build sets
-// -DTOSS_FAULTS=ON — the CI `cluster-chaos` job runs that configuration.
+// thread counts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -28,7 +27,7 @@ TossOptions fast_toss() {
 }
 
 // ---------------------------------------------------------------------------
-// Vocabulary available in every build (no injection required).
+// Vocabulary and the fault-free baseline (no plan armed).
 // ---------------------------------------------------------------------------
 
 TEST(FailureDomains, NamesAreStable) {
@@ -79,19 +78,17 @@ TEST(FailureDomains, FaultFreeClusterReportsNoFailureActivity) {
 }
 
 // ---------------------------------------------------------------------------
-// Injection-dependent scenarios.
+// Scenarios under an armed cluster fault plan.
 // ---------------------------------------------------------------------------
 
 /// Small crash-prone fleet: `lanes` vanilla clones over `hosts` hosts, each
 /// with a short stream, under the given cluster fault plan.
 std::unique_ptr<ClusterEngine> crash_fleet(size_t hosts, size_t lanes,
                                            size_t requests,
-                                           const FaultPlan& plan,
-                                           bool enable_failover = true) {
+                                           const FaultPlan& plan) {
   ClusterOptions opts;
   opts.hosts = hosts;
   opts.cluster_fault_plan = plan;
-  opts.enable_failover = enable_failover;
   opts.host_options.chunk = 2;
   auto cluster = std::make_unique<ClusterEngine>(opts);
   for (size_t i = 0; i < lanes; ++i) {
@@ -126,8 +123,6 @@ Accounting account(const ClusterReport& report) {
 }
 
 TEST(FailureDomains, CrashFailsOverLanesOntoSurvivors) {
-  if (!fault_injection_enabled())
-    GTEST_SKIP() << "requires -DTOSS_FAULTS=ON";
   // Probability-armed crashes: each host draws from an independent
   // (seed, host-name) stream, so sweep seeds for the single-crash case
   // (every candidate run is fully deterministic; the sweep is just seed
@@ -180,8 +175,6 @@ TEST(FailureDomains, CrashFailsOverLanesOntoSurvivors) {
 }
 
 TEST(FailureDomains, NoSurvivorShedsEverythingAsHostLost) {
-  if (!fault_injection_enabled())
-    GTEST_SKIP() << "requires -DTOSS_FAULTS=ON";
   // A scheduled crash fires at the same arm index on every host's
   // independent injector, so both hosts die at the same epoch barrier:
   // the first host's lanes briefly fail over to the second, then the
@@ -197,10 +190,15 @@ TEST(FailureDomains, NoSurvivorShedsEverythingAsHostLost) {
   EXPECT_TRUE(cluster->host_dead(0));
   EXPECT_TRUE(cluster->host_dead(1));
 
-  // The abandoned lanes' events carry an empty destination.
+  // The abandoned lanes' events carry an empty destination and moved and
+  // re-queued nothing.
   bool abandoned = false;
-  for (const FailoverEvent& f : report.failovers)
-    abandoned = abandoned || f.to_host.empty();
+  for (const FailoverEvent& f : report.failovers) {
+    if (!f.to_host.empty()) continue;
+    abandoned = true;
+    EXPECT_EQ(f.moved_bytes, 0u) << f.function;
+    EXPECT_EQ(f.requeued, 0u) << f.function;
+  }
   EXPECT_TRUE(abandoned);
 
   // Every request still resolves exactly once, the losses typed kHostLost.
@@ -225,25 +223,6 @@ TEST(FailureDomains, NoSurvivorShedsEverythingAsHostLost) {
                       RequestGenerator::round_robin(1, 3))
                 .code(),
             ErrorCode::kHostLost);
-}
-
-TEST(FailureDomains, FailoverDisabledAbandonsInsteadOfReplacing) {
-  if (!fault_injection_enabled())
-    GTEST_SKIP() << "requires -DTOSS_FAULTS=ON";
-  FaultPlan plan;
-  plan.seed = 11;
-  plan.set(FaultSite::kHostCrash, {.schedule = {2}});
-  auto cluster = crash_fleet(2, 4, 12, plan, /*enable_failover=*/false);
-  const ClusterReport report = cluster->run(2).value();
-  EXPECT_EQ(report.hosts_lost, 2u);
-  for (const FailoverEvent& f : report.failovers) {
-    EXPECT_TRUE(f.to_host.empty());
-    EXPECT_EQ(f.moved_bytes, 0u);
-    EXPECT_EQ(f.requeued, 0u);
-  }
-  const Accounting a = account(report);
-  EXPECT_EQ(a.completed + a.shed, a.offered);
-  EXPECT_GT(a.shed_host_lost, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -316,8 +295,6 @@ PressureFleet pressure_cluster(u64 budget, std::vector<u64> abort_schedule) {
 }
 
 TEST(FailureDomains, MigrationAbortRetriesThenCommits) {
-  if (!fault_injection_enabled())
-    GTEST_SKIP() << "requires -DTOSS_FAULTS=ON";
   const u64 budget = 3 * probe_tiered_fast_bytes();
   // Arm 0 aborts the first transfer attempt; the bounded retry commits on
   // attempt 2 with the backoff charged to the lane.
@@ -336,8 +313,6 @@ TEST(FailureDomains, MigrationAbortRetriesThenCommits) {
 }
 
 TEST(FailureDomains, MigrationAbortExhaustionKeepsSourceAuthoritative) {
-  if (!fault_injection_enabled())
-    GTEST_SKIP() << "requires -DTOSS_FAULTS=ON";
   const u64 budget = 3 * probe_tiered_fast_bytes();
   // Arms 0..2 abort all three attempts of the first migration: the
   // transaction rolls back, the source keeps the lane (no split
@@ -369,8 +344,6 @@ TEST(FailureDomains, MigrationAbortExhaustionKeepsSourceAuthoritative) {
 // ---------------------------------------------------------------------------
 
 TEST(FailureDomains, BrownoutQuarantineReadmitsAfterCleanCooldown) {
-  if (!fault_injection_enabled())
-    GTEST_SKIP() << "requires -DTOSS_FAULTS=ON";
   // Brownouts at arms 0 and 1 (epochs 1-2 of each host's stream) trip the
   // threshold-2 breaker; every later epoch is clean, so the cooldown
   // half-opens it and the clean probe readmits the host.
@@ -436,8 +409,6 @@ TEST(FailureDomains, BrownoutQuarantineReadmitsAfterCleanCooldown) {
 // ---------------------------------------------------------------------------
 
 TEST(FailureDomains, ChaosLedgersAreBitIdenticalAcrossThreadCounts) {
-  if (!fault_injection_enabled())
-    GTEST_SKIP() << "requires -DTOSS_FAULTS=ON";
   for (u64 seed = 21; seed <= 23; ++seed) {
     FaultPlan plan;
     plan.seed = seed;

@@ -856,9 +856,9 @@ TEST(MicroVmDeathTest, UnsortedOrOverlappingMappingsAreRejected) {
 
 // ---------------------------------------------------------------------------
 // Failure domains: typed errors, verification, quarantine, atomic puts.
-// Everything except the injected-fault test is valid in every build; the
-// corruption hooks (corrupt_tiered_page / truncate_tiered) work without
-// TOSS_FAULTS precisely so these paths stay covered in the default config.
+// The corruption hooks (corrupt_tiered_page / truncate_tiered) damage the
+// store directly, so these paths are covered without an injector; the
+// torn-put test attaches one.
 // ---------------------------------------------------------------------------
 
 /// Runs `f`, which must throw toss::Error, and returns the carried code.
@@ -1104,8 +1104,6 @@ TEST(SnapshotStore, PublishDamageChurnKeepsEveryIdReadable) {
 }
 
 TEST(SnapshotStoreFaults, TornPutLeavesPreviousGenerationReadable) {
-  if (!fault_injection_enabled())
-    GTEST_SKIP() << "requires -DTOSS_FAULTS=ON";
   const SystemConfig cfg = SystemConfig::paper_default();
   SnapshotStore store(cfg);
 
