@@ -1,43 +1,172 @@
 #include "vmm/guest_memory.hpp"
 
-#include <algorithm>
-
-#include "util/contracts.hpp"
+#include <iterator>
+#include <utility>
 
 namespace toss {
 
-GuestMemory::GuestMemory(u64 bytes) : versions_(pages_for_bytes(bytes), 0) {}
+namespace {
 
-void GuestMemory::copy_versions(u64 page, const std::vector<u32>& file,
-                                u64 file_page, u64 count) {
-  TOSS_REQUIRE(page + count <= num_pages() && file_page + count <= file.size());
-  const auto first = file.begin() + static_cast<std::ptrdiff_t>(file_page);
-  std::copy(first, first + static_cast<std::ptrdiff_t>(count),
-            versions_.begin() + static_cast<std::ptrdiff_t>(page));
+/// Appends `page_count` pages at `version`, extending the last run on a
+/// tie, so the list stays maximal.
+void push_run(std::vector<VersionRun>& runs, u64 page_count, u32 version) {
+  if (page_count == 0) return;
+  if (!runs.empty() && runs.back().version == version) {
+    runs.back().page_count += page_count;
+    return;
+  }
+  const u64 begin = runs.empty() ? 0 : runs.back().page_end();
+  runs.push_back(VersionRun{begin, page_count, version});
 }
 
-u64 region_checksum(const std::vector<u32>& versions, u64 first_page,
-                    u64 page_count) {
-  u64 h = 0xcbf29ce484222325ULL;
-  for (u64 p = first_page; p < first_page + page_count; ++p) {
-    const u32 v = versions[p];
-    for (int b = 0; b < 4; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
+constexpr u64 kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr u64 kFnvPrime = 0x100000001b3ULL;
+constexpr u64 kFnvPrime4 = kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime;
+
+/// One page of FNV-1a: the version's four bytes, low byte first.
+u64 fold_page(u64 h, u32 version) {
+  for (int b = 0; b < 4; ++b) {
+    h ^= (version >> (8 * b)) & 0xff;
+    h *= kFnvPrime;
   }
   return h;
 }
 
+/// h -> a·h + b (mod 2^64).
+struct Affine {
+  u64 a = 1;
+  u64 b = 0;
+
+  u64 operator()(u64 h) const { return a * h + b; }
+  /// This map applied after `first`.
+  Affine after(const Affine& first) const {
+    return Affine{a * first.a, a * first.b + b};
+  }
+};
+
+/// `map` applied `n` times, by squaring.
+Affine power(Affine map, u64 n) {
+  Affine out;
+  for (; n != 0; n >>= 1) {
+    if ((n & 1) != 0) out = map.after(out);
+    map = map.after(map);
+  }
+  return out;
+}
+
+/// fold_page applied `pages` times at `version`, in O(256 + log pages).
+u64 fold_run(u64 h, u32 version, u64 pages) {
+  // A zero byte leaves h alone, so a zero page is four multiplies.
+  if (version == 0) return power(Affine{kFnvPrime4, 0}, pages)(h);
+  // Each XOR touches only the low byte, and the odd prime maps low bytes
+  // to low bytes. So a page maps h -> P^4·h + c(l), where c depends on h's
+  // low byte l alone, and l steps through a permutation of the 256 byte
+  // values. Walk pages until l returns: from then on, every `cycle`
+  // pages compose into the same affine map.
+  const u64 start = h;
+  u64 cycle = 0;
+  u64 scale = 1;
+  while (cycle < pages) {
+    h = fold_page(h, version);
+    scale *= kFnvPrime4;
+    ++cycle;
+    if ((h & 0xff) == (start & 0xff)) break;
+  }
+  if (cycle == pages) return h;
+  const u64 rest = pages - cycle;
+  h = power(Affine{scale, h - scale * start}, rest / cycle)(h);
+  for (u64 i = 0; i < rest % cycle; ++i) h = fold_page(h, version);
+  return h;
+}
+
+}  // namespace
+
+PageVersions::PageVersions(u64 num_pages) { push_run(runs_, num_pages, 0); }
+
+size_t PageVersions::run_of(u64 page) const {
+  const auto after = std::upper_bound(
+      runs_.begin(), runs_.end(), page,
+      [](u64 p, const VersionRun& r) { return p < r.page_begin; });
+  return static_cast<size_t>(std::prev(after) - runs_.begin());
+}
+
+u32 PageVersions::at(u64 page) const {
+  TOSS_REQUIRE(page < num_pages());
+  return runs_[run_of(page)].version;
+}
+
+bool PageVersions::canonical() const {
+  u64 end = 0;
+  for (size_t i = 0; i < runs_.size(); ++i) {
+    const VersionRun& r = runs_[i];
+    if (r.page_begin != end || r.page_count == 0) return false;
+    if (i > 0 && runs_[i - 1].version == r.version) return false;
+    end = r.page_end();
+  }
+  return true;
+}
+
+void PageVersions::append(u64 page_count, u32 version) {
+  push_run(runs_, page_count, version);
+  TOSS_ASSERT(canonical());
+}
+
+void PageVersions::append(const PageVersions& source, u64 first_page,
+                          u64 page_count) {
+  TOSS_REQUIRE(&source != this);
+  source.for_each_in(first_page, page_count, [&](u32 version, u64 pages) {
+    push_run(runs_, pages, version);
+  });
+  TOSS_ASSERT(canonical());
+}
+
+void PageVersions::bump(u64 first_page, u64 page_count) {
+  TOSS_REQUIRE(first_page + page_count <= num_pages());
+  const u64 end = first_page + page_count;
+  std::vector<VersionRun> out;
+  out.reserve(runs_.size() + 2);
+  for (const VersionRun& r : runs_) {
+    const u64 lo = std::clamp(first_page, r.page_begin, r.page_end());
+    const u64 hi = std::clamp(end, r.page_begin, r.page_end());
+    push_run(out, lo - r.page_begin, r.version);
+    push_run(out, hi - lo, r.version + 1);
+    push_run(out, r.page_end() - hi, r.version);
+  }
+  runs_ = std::move(out);
+  TOSS_ASSERT(canonical());
+}
+
+void PageVersions::truncate(u64 num_pages) {
+  TOSS_REQUIRE(num_pages <= this->num_pages());
+  while (!runs_.empty() && runs_.back().page_begin >= num_pages)
+    runs_.pop_back();
+  if (!runs_.empty())
+    runs_.back().page_count = num_pages - runs_.back().page_begin;
+  TOSS_ASSERT(canonical());
+}
+
+GuestMemory::GuestMemory(u64 bytes) : contents_(pages_for_bytes(bytes)) {}
+
+GuestMemory::GuestMemory(PageVersions contents)
+    : contents_(std::move(contents)) {}
+
+u64 region_checksum(const PageVersions& versions, u64 first_page,
+                    u64 page_count) {
+  u64 h = kFnvOffset;
+  versions.for_each_in(first_page, page_count, [&](u32 version, u64 pages) {
+    h = fold_run(h, version, pages);
+  });
+  return h;
+}
+
 u64 hash_memory(const GuestMemory& memory) {
-  return region_checksum(memory.versions(), 0, memory.num_pages());
+  return region_checksum(memory.page_versions(), 0, memory.num_pages());
 }
 
 u64 hash_memory_against(const GuestMemory& memory,
-                        const std::vector<u32>& authority,
-                        u64 authority_hash) {
-  return memory.versions() == authority ? authority_hash
-                                        : hash_memory(memory);
+                        const PageVersions& authority, u64 authority_hash) {
+  return memory.page_versions() == authority ? authority_hash
+                                             : hash_memory(memory);
 }
 
 }  // namespace toss

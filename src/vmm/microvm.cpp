@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "util/bitmap.hpp"
 #include "util/contracts.hpp"
@@ -48,7 +49,6 @@ SetupResult MicroVm::restore(const RestorePlan& plan) {
   vm_state_ = plan.vm_state;
   const u64 n = plan.guest_pages;
   TOSS_REQUIRE(n < (u64{1} << 32), "guest too large for u32 page counts");
-  memory_ = GuestMemory(bytes_for_pages(n));
   mappings_ = plan.mappings;
   resident_.assign(bitmap_words(n), 0);
   written_.assign(bitmap_words(n), 0);
@@ -90,13 +90,19 @@ SetupResult MicroVm::restore(const RestorePlan& plan) {
     r.eager_pages += static_cast<u32>(e.page_count);
   }
 
-  // Materialize contents for integrity checking: guest memory versions come
-  // from the backing snapshot files, one bulk copy per mapping. A mapping
-  // over a file the store cannot resolve (deleted, quarantined, or never
-  // written) is a hard restore failure, not a silent zero-fill.
+  // Materialize contents for integrity checking, in guest order: a zero
+  // run for each hole and each anonymous mapping, and each file-backed
+  // mapping's slice of its snapshot file's version runs. A mapping over a
+  // file the store cannot resolve (deleted, quarantined, or never written)
+  // is a hard restore failure, not a silent zero-fill.
+  PageVersions contents;
   for (const auto& m : plan.mappings) {
-    if (!m.file_id) continue;
-    const std::vector<u32>* file = nullptr;
+    contents.append(m.guest_page - contents.num_pages(), 0);
+    if (!m.file_id) {
+      contents.append(m.page_count, 0);
+      continue;
+    }
+    const PageVersions* file = nullptr;
     const char* kind = "snapshot";
     if (const SingleTierSnapshot* snap = store_->get_single_tier(m.file_id)) {
       file = &snap->page_versions();
@@ -109,15 +115,17 @@ SetupResult MicroVm::restore(const RestorePlan& plan) {
                   "restore mapping references missing snapshot file " +
                       std::to_string(m.file_id));
     }
-    const u64 file_pages = static_cast<u64>(file->size());
+    const u64 file_pages = file->num_pages();
     if (m.file_page + m.page_count > file_pages)
       throw Error(ErrorCode::kSnapshotCorrupted,
                   std::string("restore mapping overruns ") + kind + " file " +
                       std::to_string(m.file_id) + " (" +
                       std::to_string(m.file_page + m.page_count) + " > " +
                       std::to_string(file_pages) + " pages)");
-    memory_.copy_versions(m.guest_page, *file, m.file_page, m.page_count);
+    contents.append(*file, m.file_page, m.page_count);
   }
+  contents.append(n - contents.num_pages(), 0);
+  memory_ = GuestMemory(std::move(contents));
 
   r.setup_ns = r.vm_state_ns + r.mmap_ns + r.eager_load_ns;
   return r;
@@ -261,11 +269,8 @@ ExecutionResult MicroVm::execute(const BurstTrace& trace, Nanos cpu_ns,
 }
 
 void MicroVm::apply_writes(const BurstTrace& trace) {
-  for (const auto& b : trace.bursts()) {
-    if (b.write_fraction <= 0.0) continue;
-    for (u64 p = b.page_begin; p < b.page_end(); ++p)
-      memory_.bump_version(p);
-  }
+  for (const auto& b : trace.bursts())
+    if (b.write_fraction > 0.0) memory_.bump(b.page_begin, b.page_count);
 }
 
 u64 MicroVm::take_snapshot() {

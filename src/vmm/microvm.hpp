@@ -103,7 +103,8 @@ class MicroVm {
 
   /// Restore from a plan. Establishes mappings, performs eager loads.
   /// Host cost follows the plan's mappings and eager loads: the VM keeps
-  /// the mappings, and places and copies contents one mapping at a time.
+  /// the mappings, and builds its contents in guest order from a zero run
+  /// per hole and each mapping's slice of its file's version runs.
   SetupResult restore(const RestorePlan& plan);
 
   /// Execute one invocation: `trace` is its memory activity, `cpu_ns` the
@@ -126,7 +127,8 @@ class MicroVm {
   const BurstCost& demand() const { return demand_; }
 
   /// Write-back of the workload's dirty pages into guest memory versions,
-  /// so a snapshot taken after execution reflects the run.
+  /// so a snapshot taken after execution reflects the run: one range bump
+  /// per writing burst.
   void apply_writes(const BurstTrace& trace);
 
   /// Snapshot current guest memory (single tier); returns file id.

@@ -1,5 +1,7 @@
 #include "vmm/tiered_snapshot.hpp"
 
+#include <utility>
+
 #include "util/contracts.hpp"
 
 namespace toss {
@@ -14,7 +16,7 @@ TieredSnapshot TieredSnapshot::build(const SingleTierSnapshot& snap,
   out.vm_state_ = snap.vm_state();
   out.file_ids_ = std::move(file_ids);
   const size_t ranks = out.file_ids_.size();
-  out.tier_versions_.resize(ranks);
+  out.tier_files_.resize(ranks);
 
   std::vector<LayoutEntry> entries;
   const u64 n = snap.num_pages();
@@ -36,11 +38,8 @@ TieredSnapshot TieredSnapshot::build(const SingleTierSnapshot& snap,
 
     // Serial copy of the region's contents into the tier file, then seal
     // the region with its content checksum (verified again at restore).
-    auto& file = out.tier_versions_[rank];
-    const auto& source = snap.page_versions();
-    file.insert(file.end(),
-                source.begin() + static_cast<std::ptrdiff_t>(begin),
-                source.begin() + static_cast<std::ptrdiff_t>(end));
+    PageVersions& file = out.tier_files_[rank];
+    file.append(snap.page_versions(), begin, e.page_count);
     entries.back().checksum =
         region_checksum(file, entries.back().file_page, e.page_count);
     begin = end;
@@ -65,15 +64,14 @@ TieredSnapshot::Location TieredSnapshot::locate(u64 guest_page) const {
 
 std::optional<std::string> TieredSnapshot::verify() const {
   if (const auto structural = validate_layout(layout_)) return structural;
-  if (layout_.tier_count() != tier_versions_.size())
+  if (layout_.tier_count() != tier_files_.size())
     return "ladder depth mismatch: layout records " +
            std::to_string(layout_.tier_count()) + " tiers, artifact has " +
-           std::to_string(tier_versions_.size()) + " files";
-  for (size_t r = 0; r < tier_versions_.size(); ++r) {
-    if (tier_versions_[r].size() != layout_.pages_in(tier_index(r)))
+           std::to_string(tier_files_.size()) + " files";
+  for (size_t r = 0; r < tier_files_.size(); ++r) {
+    if (tier_pages(r) != layout_.pages_in(tier_index(r)))
       return std::string(tier_name(tier_index(r))) +
-             " tier file truncated: " +
-             std::to_string(tier_versions_[r].size()) +
+             " tier file truncated: " + std::to_string(tier_pages(r)) +
              " pages, layout expects " +
              std::to_string(layout_.pages_in(tier_index(r)));
   }
@@ -81,7 +79,7 @@ std::optional<std::string> TieredSnapshot::verify() const {
   const auto& entries = layout_.entries();
   for (size_t i = 0; i < entries.size(); ++i) {
     const LayoutEntry& e = entries[i];
-    const auto& file = tier_versions_[tier_rank(e.tier)];
+    const PageVersions& file = tier_files_[tier_rank(e.tier)];
     if (region_checksum(file, e.file_page, e.page_count) != e.checksum)
       return "entry " + std::to_string(i) + ": checksum mismatch over " +
              std::to_string(e.page_count) + " pages at file page " +
@@ -91,25 +89,25 @@ std::optional<std::string> TieredSnapshot::verify() const {
 }
 
 void TieredSnapshot::corrupt_fast_page(u64 file_page) {
-  if (file_page < tier_versions_.front().size()) {
-    ++tier_versions_.front()[file_page];
+  if (file_page < fast_pages()) {
+    tier_files_.front().bump(file_page, 1);
     sealed_ = false;
   }
 }
 
 void TieredSnapshot::truncate_fast_file() {
-  if (!tier_versions_.front().empty()) {
-    tier_versions_.front().pop_back();
+  if (fast_pages() > 0) {
+    tier_files_.front().truncate(fast_pages() - 1);
     sealed_ = false;
   }
 }
 
 GuestMemory TieredSnapshot::materialize() const {
-  GuestMemory mem(bytes_for_pages(guest_pages()));
+  // Layout entries tile the guest in guest order.
+  PageVersions contents;
   for (const auto& e : layout_.entries())
-    mem.copy_versions(e.guest_page, tier_versions_[tier_rank(e.tier)],
-                      e.file_page, e.page_count);
-  return mem;
+    contents.append(tier_files_[tier_rank(e.tier)], e.file_page, e.page_count);
+  return GuestMemory(std::move(contents));
 }
 
 }  // namespace toss

@@ -1,6 +1,7 @@
 // Tiered snapshot: one memory file per ladder rank plus the memory layout
 // file (Section V-D). Built by serially copying each region of the
-// single-tier snapshot into the file of its assigned tier.
+// single-tier snapshot into the file of its assigned tier; each file holds
+// the page-version runs of its regions, in file order.
 //
 // At restore time the rank-0 (fastest-tier) file behaves like a normal disk
 // file (pages are demand-loaded into DRAM through the host page cache),
@@ -37,15 +38,13 @@ class TieredSnapshot {
   const std::vector<u64>& file_ids() const { return file_ids_; }
 
   u64 guest_pages() const { return layout_.guest_pages(); }
-  u64 tier_pages(size_t rank) const {
-    return static_cast<u64>(tier_versions_[rank].size());
-  }
+  u64 tier_pages(size_t rank) const { return tier_files_[rank].num_pages(); }
   u32 tier_page_version(size_t rank, u64 file_page) const {
-    return tier_versions_[rank][file_page];
+    return tier_files_[rank].at(file_page);
   }
-  /// One rank's whole tier file (page versions in file order).
-  const std::vector<u32>& tier_file(size_t rank) const {
-    return tier_versions_[rank];
+  /// One rank's whole tier file (its version runs, in file order).
+  const PageVersions& tier_file(size_t rank) const {
+    return tier_files_[rank];
   }
 
   /// Convenience rollups: the fastest rank, and everything below it.
@@ -53,7 +52,7 @@ class TieredSnapshot {
   u64 fast_pages() const { return tier_pages(0); }
   u64 slow_pages() const {
     u64 n = 0;
-    for (size_t r = 1; r < tier_versions_.size(); ++r) n += tier_pages(r);
+    for (size_t r = 1; r < tier_files_.size(); ++r) n += tier_pages(r);
     return n;
   }
 
@@ -91,8 +90,8 @@ class TieredSnapshot {
  private:
   MemoryLayoutFile layout_;
   VmState vm_state_;
-  std::vector<u64> file_ids_;                  ///< one per rank, 0 = fastest
-  std::vector<std::vector<u32>> tier_versions_;  ///< page contents per rank
+  std::vector<u64> file_ids_;             ///< one per rank, 0 = fastest
+  std::vector<PageVersions> tier_files_;  ///< page contents per rank
   bool sealed_ = false;
 };
 

@@ -36,8 +36,9 @@ TEST_F(DamonMonitorTest, RecordCoversSpaceAndQuantized) {
   EXPECT_TRUE(regions_cover_space(out.record.regions(), 4096));
   for (const auto& r : out.record.regions()) {
     // Regions never smaller than the 16 KiB minimum (except trailing).
-    if (r.page_end() != 4096)
+    if (r.page_end() != 4096) {
       EXPECT_GE(r.page_count, cfg.min_region_pages);
+    }
   }
 }
 

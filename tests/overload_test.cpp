@@ -445,9 +445,11 @@ TEST(Overload, ArbiterDemotesUntilFleetFitsAndRecovers) {
     if (e.action == ArbiterAction::kPromote) ++promotes;
     if (e.action == ArbiterAction::kEvictWarm) {
       ++evictions;
-      for (size_t j = 0; j < i; ++j)
-        if (arb.events[j].epoch == e.epoch)
+      for (size_t j = 0; j < i; ++j) {
+        if (arb.events[j].epoch == e.epoch) {
           EXPECT_NE(arb.events[j].action, ArbiterAction::kDemote);
+        }
+      }
     }
   }
   EXPECT_EQ(demotes, arb.demotions);

@@ -24,11 +24,22 @@
 namespace toss {
 namespace {
 
+/// A guest whose page versions are `dense`, one per page: one append per
+/// stretch of equal versions.
+GuestMemory from_dense(const std::vector<u32>& dense) {
+  PageVersions contents;
+  for (u64 p = 0, q = 0; p < dense.size(); p = q) {
+    while (q < dense.size() && dense[q] == dense[p]) ++q;
+    contents.append(q - p, dense[p]);
+  }
+  return GuestMemory(std::move(contents));
+}
+
+/// Every page at its own version: runs one page long.
 GuestMemory patterned_memory(u64 pages) {
-  GuestMemory mem(bytes_for_pages(pages));
-  for (u64 p = 0; p < pages; ++p)
-    mem.set_version(p, static_cast<u32>(p * 2654435761u));
-  return mem;
+  std::vector<u32> dense(pages);
+  for (u64 p = 0; p < pages; ++p) dense[p] = static_cast<u32>(p * 2654435761u);
+  return from_dense(dense);
 }
 
 TEST(SingleTierSnapshot, MaterializeMatchesSource) {
@@ -56,7 +67,7 @@ TEST(Oracle, ComparesVersionsFirstAndHashesOnlyAMismatch) {
   // A guest whose versions differ reports its own hash, which the oracle
   // then sees differ from the expected one.
   GuestMemory drifted = authority.materialize();
-  drifted.bump_version(17);
+  drifted.bump(17, 1);
   EXPECT_EQ(observed_hash(drifted), hash_memory(drifted));
   EXPECT_NE(observed_hash(drifted), authority.content_hash());
   const GuestMemory shorter = patterned_memory(95);
@@ -445,7 +456,7 @@ class PerPageVm {
 
   SetupResult restore(const RestorePlan& plan) {
     const u64 n = plan.guest_pages;
-    memory_ = GuestMemory(bytes_for_pages(n));
+    memory_.assign(n, 0);
     placement_ = PagePlacement(n, tier_index(0));
     backing_.assign(n, Backing{});
     resident_.assign(n, false);
@@ -480,11 +491,10 @@ class PerPageVm {
       const TieredSnapshot* tiered = store_.get_tiered(m.file_id);
       for (u64 i = 0; i < m.page_count; ++i) {
         const u64 fp = m.file_page + i;
-        memory_.set_version(
-            m.guest_page + i,
+        memory_[m.guest_page + i] =
             single != nullptr
                 ? single->page_version(fp)
-                : tiered->tier_page_version(tier_rank(m.tier), fp));
+                : tiered->tier_page_version(tier_rank(m.tier), fp);
       }
     }
     r.setup_ns = r.vm_state_ns + r.mmap_ns + r.eager_load_ns;
@@ -534,7 +544,7 @@ class PerPageVm {
     return r;
   }
 
-  const GuestMemory& memory() const { return memory_; }
+  GuestMemory memory() const { return from_dense(memory_); }
   const BurstCost& demand() const { return demand_; }
 
  private:
@@ -575,7 +585,7 @@ class PerPageVm {
   const SystemConfig& cfg_;
   const SnapshotStore& store_;
   AccessCostModel model_;
-  GuestMemory memory_{0};
+  std::vector<u32> memory_;  ///< one version per guest page
   PagePlacement placement_;
   std::vector<Backing> backing_;
   std::vector<bool> resident_;
