@@ -46,7 +46,7 @@ MergeOutcome run_with_threshold(SimEnv& env, const FunctionModel& m,
   MicroVm vm(env.cfg, env.store);
   const auto setup = vm.restore(TossPolicy(env.store, tiered_id).plan_restore());
 
-  return MergeOutcome{mapping_count(d.placement), setup.setup_ns,
+  return MergeOutcome{d.placement.runs().size(), setup.setup_ns,
                       d.expected_slowdown};
 }
 

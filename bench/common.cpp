@@ -36,7 +36,7 @@ SnapshotWithWs make_snapshot(SimEnv& env, const FunctionModel& model,
   const Invocation inv = model.invoke(input, seed);
   SnapshotWithWs out;
   out.snapshot_id = env.invoker.initial_execution(model, inv);
-  out.ws = ReapPolicy::record_working_set(inv.trace, model.guest_pages());
+  out.ws = uffd_working_set(inv.trace, model.guest_pages());
   return out;
 }
 

@@ -61,12 +61,9 @@ int main(int argc, char** argv) {
         model.invoke(kNumInputs - 1, /*seed=*/503);
     const TieringDecision d =
         analyze_pattern(cfg, unified, representative, TieringOptions{});
-    u64 mappings = 1;
-    for (u64 p = 1; p < d.placement.num_pages(); ++p)
-      if (d.placement.tier_of(p) != d.placement.tier_of(p - 1)) ++mappings;
     decisions.add_row({model.name(), fmt_pct(d.slow_fraction),
                        fmt_pct(d.expected_slowdown), fmt_f(d.normalized_cost),
-                       std::to_string(mappings)});
+                       std::to_string(d.placement.runs().size())});
   }
 
   std::puts("Per-input behaviour (Fig 2 view):");

@@ -34,10 +34,4 @@ RestorePlan FaasnapPolicy::plan_restore() const {
   return plan;
 }
 
-WorkingSet FaasnapPolicy::record_working_set(
-    const BurstTrace& first_invocation, u64 guest_pages,
-    u64 readahead_pages) {
-  return mincore_working_set(first_invocation, guest_pages, readahead_pages);
-}
-
 }  // namespace toss

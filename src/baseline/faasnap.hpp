@@ -13,19 +13,12 @@ namespace toss {
 
 class FaasnapPolicy final : public RestorePolicy {
  public:
+  /// `ws` is the working set recorded with mincore() on the guest memory
+  /// file after the first invocation (mincore_working_set).
   FaasnapPolicy(const SnapshotStore& store, u64 snapshot_file_id,
                 WorkingSet ws);
 
-  std::string name() const override { return "faasnap"; }
   RestorePlan plan_restore() const override;
-
-  const WorkingSet& working_set() const { return ws_; }
-
-  /// Record the WS the way FaaSnap does: mincore() on the guest memory
-  /// file after the first invocation.
-  static WorkingSet record_working_set(const BurstTrace& first_invocation,
-                                       u64 guest_pages,
-                                       u64 readahead_pages = 32);
 
  private:
   const SnapshotStore* store_;

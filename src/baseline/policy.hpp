@@ -4,8 +4,6 @@
 // loading, and TOSS tiered restore (in src/core/tierer.hpp).
 #pragma once
 
-#include <string>
-
 #include "vmm/microvm.hpp"
 
 namespace toss {
@@ -13,8 +11,6 @@ namespace toss {
 class RestorePolicy {
  public:
   virtual ~RestorePolicy() = default;
-
-  virtual std::string name() const = 0;
 
   /// Build the restore plan for the next invocation.
   virtual RestorePlan plan_restore() const = 0;

@@ -30,9 +30,4 @@ RestorePlan ReapPolicy::plan_restore() const {
   return plan;
 }
 
-WorkingSet ReapPolicy::record_working_set(const BurstTrace& first_invocation,
-                                          u64 guest_pages) {
-  return uffd_working_set(first_invocation, guest_pages);
-}
-
 }  // namespace toss

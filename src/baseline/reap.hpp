@@ -18,17 +18,10 @@ namespace toss {
 class ReapPolicy final : public RestorePolicy {
  public:
   /// `ws` is the working set recorded with userfaultfd() during the first
-  /// (snapshot-input) invocation.
+  /// (snapshot-input) invocation (uffd_working_set).
   ReapPolicy(const SnapshotStore& store, u64 snapshot_file_id, WorkingSet ws);
 
-  std::string name() const override { return "reap"; }
   RestorePlan plan_restore() const override;
-
-  const WorkingSet& working_set() const { return ws_; }
-
-  /// Record the WS of an invocation trace the way REAP does (userfaultfd).
-  static WorkingSet record_working_set(const BurstTrace& first_invocation,
-                                       u64 guest_pages);
 
  private:
   const SnapshotStore* store_;

@@ -19,7 +19,6 @@ class VanillaPolicy final : public RestorePolicy {
   VanillaPolicy(const SnapshotStore& store, u64 snapshot_file_id,
                 bool eager = false);
 
-  std::string name() const override { return eager_ ? "dram" : "vanilla"; }
   RestorePlan plan_restore() const override;
 
  private:

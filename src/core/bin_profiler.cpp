@@ -125,8 +125,7 @@ BinProfile BinProfiler::profile(const std::vector<Bin>& bins,
   const std::vector<double> ratios = cfg_->rank_cost_ratios();
   const double guest_bytes = static_cast<double>(bytes_for_pages(guest_pages));
   const double pages = static_cast<double>(guest_pages);
-  out.base_rank_pages = out.base_placement.pages_per_rank(ranks);
-  std::vector<u64> rank_pages = out.base_rank_pages;
+  std::vector<u64> rank_pages = out.base_placement.pages_per_rank(ranks);
   std::vector<double> deep(ranks > 0 ? ranks - 1 : 0, 0.0);
 
   // Pass p (p = 1 .. ranks-1) pushes each bin from rank p-1 to rank p,

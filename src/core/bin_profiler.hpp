@@ -47,9 +47,6 @@ struct BinProfile {
   std::vector<BinStep> steps;
   /// Zero-access regions at the deepest rung, all bins in the fastest tier.
   PagePlacement base_placement;
-  /// base_placement's pages per ladder rank (pages_per_rank), so a re-pick
-  /// reads its prefix-0 fractions without a pass over the guest.
-  std::vector<u64> base_rank_pages;
 
   double full_slow_slowdown() const {
     return base_exec_ns > 0 ? full_slow_exec_ns / base_exec_ns : 1.0;

@@ -36,8 +36,8 @@ TieringDecision select_placement(const SystemConfig& cfg, BinProfile profile,
 
   // Prefix 0 is the base placement; its per-rank page counts give the
   // fractions PagePlacement::deep_fractions and slow_fraction would.
-  const std::vector<u64>& base_pages = d.profile.base_rank_pages;
-  TOSS_REQUIRE(base_pages.size() == ranks);
+  const std::vector<u64> base_pages =
+      d.profile.base_placement.pages_per_rank(ranks);
   const u64 guest_pages = d.profile.base_placement.num_pages();
   const auto fraction = [&](u64 pages) {
     return guest_pages > 0 ? static_cast<double>(pages) /
@@ -120,15 +120,33 @@ TieringDecision select_placement(const SystemConfig& cfg, BinProfile profile,
   }
 
   // Apply: zero regions at the deepest rung, each bin on the rung its last
-  // applied descent reached, the rest at rank 0.
-  d.placement = d.profile.base_placement;
-  for (size_t k = 0; k < best_prefix; ++k) {
-    const BinStep& s = d.profile.steps[k];
-    d.bin_rank[s.bin_index] = s.to_rank;
-    for (const Region& r : bins[s.bin_index].regions)
-      d.placement.set_range(r.page_begin, r.page_count,
-                            tier_index(s.to_rank));
+  // applied descent reached, the rest at rank 0. The zero regions are the
+  // base placement's runs below rank 0; bins are disjoint from them and
+  // from each other, so these runs and the descended bins' regions,
+  // sorted by page, build the placement in one pass.
+  for (size_t k = 0; k < best_prefix; ++k)
+    d.bin_rank[d.profile.steps[k].bin_index] = d.profile.steps[k].to_rank;
+  size_t region_count = d.profile.base_placement.runs().size();
+  for (const Bin& bin : bins) region_count += bin.regions.size();
+  std::vector<PageRun<Tier>> deep_runs;
+  deep_runs.reserve(region_count);
+  for (const PageRun<Tier>& r : d.profile.base_placement.runs())
+    if (tier_rank(r.value) != 0) deep_runs.push_back(r);
+  for (size_t b = 0; b < bins.size(); ++b)
+    if (d.bin_rank[b] != 0)
+      for (const Region& r : bins[b].regions)
+        deep_runs.push_back(PageRun<Tier>{r.page_begin, r.page_count,
+                                          tier_index(d.bin_rank[b])});
+  std::ranges::sort(deep_runs, {}, &PageRun<Tier>::page_begin);
+  PageRuns<Tier> tiers;
+  for (const PageRun<Tier>& r : deep_runs) {
+    TOSS_REQUIRE(r.page_begin >= tiers.num_pages(),
+                 "bins and zero regions must be pairwise disjoint");
+    tiers.append(r.page_begin - tiers.num_pages(), tier_index(0));
+    tiers.append(r.page_count, r.value);
   }
+  tiers.append(guest_pages - tiers.num_pages(), tier_index(0));
+  d.placement = PagePlacement(std::move(tiers));
 
   // The placement is the sweep's prefix placement, so the profile already
   // measured it: prefix 0 is the base configuration, any other prefix its

@@ -24,7 +24,6 @@ class TossPolicy final : public RestorePolicy {
  public:
   TossPolicy(const SnapshotStore& store, u64 tiered_id);
 
-  std::string name() const override { return "toss"; }
   RestorePlan plan_restore() const override;
 
  private:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <numeric>
 
 #include "util/contracts.hpp"
 
@@ -206,11 +208,14 @@ BurstCost AccessCostModel::burst_cost(const AccessBurst& b,
   TOSS_REQUIRE(b.page_end() <= placement.num_pages());
   const size_t ranks = cfg_->tier_count();
   RankAccesses accesses{};
-  for (u64 i = 0; i < b.page_count; ++i) {
-    const size_t rank = placement.rank_of(b.page_begin + i);
+  auto next = counts.begin();
+  placement.for_each_in(b.page_begin, b.page_count, [&](Tier t, u64 pages) {
+    const size_t rank = tier_rank(t);
     TOSS_ASSERT(rank < ranks, "placement rank outside the ladder");
-    accesses[rank] += counts[i];
-  }
+    const auto end = next + static_cast<std::ptrdiff_t>(pages);
+    accesses[rank] = std::accumulate(next, end, accesses[rank]);
+    next = end;
+  });
   return cost_of(b, accesses);
 }
 

@@ -140,7 +140,7 @@ class AccessCostModel {
   /// Time for a burst when every page of it lives in tier `t`.
   Nanos burst_time_uniform(const AccessBurst& b, Tier t) const;
 
-  /// Time for a burst under a per-page placement. `counts` must be the
+  /// Time for a burst under a placement. `counts` must be the
   /// expansion of `b` (expand_burst_counts): the materialised reference
   /// path the oracles and BurstTrace::time_under use.
   Nanos burst_time(const AccessBurst& b, const std::vector<u64>& counts,

@@ -1,15 +1,18 @@
-// Per-page tier placement map for a guest address space.
+// Tier placement of a guest address space, as the maximal runs of pages
+// that share a tier.
 //
-// The optimizer produces a PagePlacement; the tiered snapshot turns its
-// same-tier runs into layout entries; the access-cost model consults it per
-// burst. Pages hold a tier *rank* (index into the SystemConfig ladder), so
-// the map works unchanged for any ladder depth.
+// The optimizer produces a PagePlacement; the tiered snapshot turns each of
+// its runs into a layout entry; the access-cost model sums a burst's
+// accesses per run. Pages hold a tier *rank* (index into the SystemConfig
+// ladder), so the map works unchanged for any ladder depth. Placements
+// hold a few dozen runs, so every read and write costs O(runs).
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "mem/tier.hpp"
-#include "util/units.hpp"
+#include "util/page_runs.hpp"
 
 namespace toss {
 
@@ -18,19 +21,29 @@ class PagePlacement {
   PagePlacement() = default;
 
   /// All pages start in `initial` (DRAM-only guest by default).
-  explicit PagePlacement(u64 num_pages, Tier initial = tier_index(0));
+  explicit PagePlacement(u64 num_pages, Tier initial = tier_index(0))
+      : tiers_(num_pages, initial) {}
+  /// The placement whose pages are at `tiers`.
+  explicit PagePlacement(PageRuns<Tier> tiers) : tiers_(std::move(tiers)) {}
 
-  u64 num_pages() const { return static_cast<u64>(tiers_.size()); }
-  u64 num_bytes() const { return bytes_for_pages(num_pages()); }
+  u64 num_pages() const { return tiers_.num_pages(); }
 
-  Tier tier_of(u64 page) const { return static_cast<Tier>(tiers_[page]); }
-  size_t rank_of(u64 page) const { return tiers_[page]; }
-  void set(u64 page, Tier t) { tiers_[page] = static_cast<u8>(t); }
-  void set_range(u64 page_begin, u64 page_count, Tier t);
-  void set_all(Tier t);
+  /// The maximal same-tier runs, in page order: one memory mapping each.
+  const std::vector<PageRun<Tier>>& runs() const { return tiers_.runs(); }
 
-  /// Number of pages currently in tier `t`.
-  u64 pages_in(Tier t) const;
+  /// One page's rank (a binary search over the runs).
+  size_t rank_of(u64 page) const { return tier_rank(tiers_.at(page)); }
+
+  /// Calls f(tier, pages) for each run's part inside
+  /// [page_begin, page_begin + page_count), in page order.
+  template <class F>
+  void for_each_in(u64 page_begin, u64 page_count, F&& f) const {
+    tiers_.for_each_in(page_begin, page_count, f);
+  }
+
+  void set_range(u64 page_begin, u64 page_count, Tier t) {
+    tiers_.assign(page_begin, page_count, t);
+  }
 
   /// Per-rank page counts, ascending rank order; sized `tier_count`.
   std::vector<u64> pages_per_rank(size_t tier_count) const;
@@ -43,16 +56,10 @@ class PagePlacement {
   /// holds rank 1's fraction) — the shape ladder_normalized_cost consumes.
   std::vector<double> deep_fractions(size_t tier_count) const;
 
-  /// Pages of [page_begin, page_begin+page_count) that are in tier `t`.
-  u64 count_in_range(u64 page_begin, u64 page_count, Tier t) const;
-
-  /// Fraction of the range not in the fastest tier.
-  double slow_fraction_in_range(u64 page_begin, u64 page_count) const;
-
   bool operator==(const PagePlacement&) const = default;
 
  private:
-  std::vector<u8> tiers_;
+  PageRuns<Tier> tiers_;
 };
 
 }  // namespace toss

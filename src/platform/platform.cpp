@@ -178,10 +178,9 @@ InvocationOutcome ServerlessPlatform::invoke_baseline(FunctionRuntime& rt,
       return out;
     }
     if (rt.kind == PolicyKind::kReap) {
-      rt.ws = ReapPolicy::record_working_set(inv.trace, rt.model.guest_pages());
+      rt.ws = uffd_working_set(inv.trace, rt.model.guest_pages());
     } else if (rt.kind == PolicyKind::kFaasnap) {
-      rt.ws = FaasnapPolicy::record_working_set(inv.trace,
-                                                rt.model.guest_pages());
+      rt.ws = mincore_working_set(inv.trace, rt.model.guest_pages());
     }
     out.result.setup.setup_ns += rc.overhead_ns;
     return out;

@@ -7,22 +7,27 @@
 // Section III-C.
 #pragma once
 
+#include <utility>
 #include <vector>
 
-#include "mem/page_cache.hpp"
 #include "trace/burst.hpp"
+#include "util/page_runs.hpp"
 
 namespace toss {
 
-/// A working set is just the set of touched guest pages.
+/// A working set is just the set of touched guest pages, held as the runs
+/// of touched and untouched pages: a few ranges per guest.
 class WorkingSet {
  public:
   WorkingSet() = default;
   explicit WorkingSet(u64 num_pages) : touched_(num_pages, false) {}
 
-  u64 num_pages() const { return static_cast<u64>(touched_.size()); }
-  bool contains(u64 page) const { return touched_[page]; }
-  void insert(u64 page) { touched_[page] = true; }
+  u64 num_pages() const { return touched_.num_pages(); }
+  bool contains(u64 page) const { return touched_.at(page); }
+  /// Adds pages [first_page, first_page + page_count).
+  void insert(u64 first_page, u64 page_count) {
+    touched_.assign(first_page, page_count, true);
+  }
 
   u64 size_pages() const;
   u64 size_bytes() const { return bytes_for_pages(size_pages()); }
@@ -38,16 +43,15 @@ class WorkingSet {
   bool operator==(const WorkingSet&) const = default;
 
  private:
-  std::vector<bool> touched_;
+  PageRuns<bool> touched_;
 };
 
 /// userfaultfd() model: exact first-touch working set of a trace.
 WorkingSet uffd_working_set(const BurstTrace& trace, u64 num_pages);
 
 /// mincore() model: pages resident in the host page cache after the
-/// invocation — i.e. the true working set inflated by readahead. The guest
-/// memory file is `file_id` in the (freshly dropped) page cache, and pages
-/// are faulted in trace order.
+/// invocation — i.e. the true working set inflated by readahead. The cache
+/// starts empty (freshly dropped), and the trace's pages fault in order.
 WorkingSet mincore_working_set(const BurstTrace& trace, u64 num_pages,
                                u64 readahead_pages = 32);
 

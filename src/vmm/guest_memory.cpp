@@ -1,23 +1,10 @@
 #include "vmm/guest_memory.hpp"
 
-#include <iterator>
 #include <utility>
 
 namespace toss {
 
 namespace {
-
-/// Appends `page_count` pages at `version`, extending the last run on a
-/// tie, so the list stays maximal.
-void push_run(std::vector<VersionRun>& runs, u64 page_count, u32 version) {
-  if (page_count == 0) return;
-  if (!runs.empty() && runs.back().version == version) {
-    runs.back().page_count += page_count;
-    return;
-  }
-  const u64 begin = runs.empty() ? 0 : runs.back().page_end();
-  runs.push_back(VersionRun{begin, page_count, version});
-}
 
 constexpr u64 kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr u64 kFnvPrime = 0x100000001b3ULL;
@@ -81,71 +68,7 @@ u64 fold_run(u64 h, u32 version, u64 pages) {
 
 }  // namespace
 
-PageVersions::PageVersions(u64 num_pages) { push_run(runs_, num_pages, 0); }
-
-size_t PageVersions::run_of(u64 page) const {
-  const auto after = std::upper_bound(
-      runs_.begin(), runs_.end(), page,
-      [](u64 p, const VersionRun& r) { return p < r.page_begin; });
-  return static_cast<size_t>(std::prev(after) - runs_.begin());
-}
-
-u32 PageVersions::at(u64 page) const {
-  TOSS_REQUIRE(page < num_pages());
-  return runs_[run_of(page)].version;
-}
-
-bool PageVersions::canonical() const {
-  u64 end = 0;
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    const VersionRun& r = runs_[i];
-    if (r.page_begin != end || r.page_count == 0) return false;
-    if (i > 0 && runs_[i - 1].version == r.version) return false;
-    end = r.page_end();
-  }
-  return true;
-}
-
-void PageVersions::append(u64 page_count, u32 version) {
-  push_run(runs_, page_count, version);
-  TOSS_ASSERT(canonical());
-}
-
-void PageVersions::append(const PageVersions& source, u64 first_page,
-                          u64 page_count) {
-  TOSS_REQUIRE(&source != this);
-  source.for_each_in(first_page, page_count, [&](u32 version, u64 pages) {
-    push_run(runs_, pages, version);
-  });
-  TOSS_ASSERT(canonical());
-}
-
-void PageVersions::bump(u64 first_page, u64 page_count) {
-  TOSS_REQUIRE(first_page + page_count <= num_pages());
-  const u64 end = first_page + page_count;
-  std::vector<VersionRun> out;
-  out.reserve(runs_.size() + 2);
-  for (const VersionRun& r : runs_) {
-    const u64 lo = std::clamp(first_page, r.page_begin, r.page_end());
-    const u64 hi = std::clamp(end, r.page_begin, r.page_end());
-    push_run(out, lo - r.page_begin, r.version);
-    push_run(out, hi - lo, r.version + 1);
-    push_run(out, r.page_end() - hi, r.version);
-  }
-  runs_ = std::move(out);
-  TOSS_ASSERT(canonical());
-}
-
-void PageVersions::truncate(u64 num_pages) {
-  TOSS_REQUIRE(num_pages <= this->num_pages());
-  while (!runs_.empty() && runs_.back().page_begin >= num_pages)
-    runs_.pop_back();
-  if (!runs_.empty())
-    runs_.back().page_count = num_pages - runs_.back().page_begin;
-  TOSS_ASSERT(canonical());
-}
-
-GuestMemory::GuestMemory(u64 bytes) : contents_(pages_for_bytes(bytes)) {}
+GuestMemory::GuestMemory(u64 bytes) : contents_(pages_for_bytes(bytes), 0) {}
 
 GuestMemory::GuestMemory(PageVersions contents)
     : contents_(std::move(contents)) {}

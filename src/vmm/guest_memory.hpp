@@ -9,81 +9,12 @@
 // the guest size.
 #pragma once
 
-#include <algorithm>
-#include <vector>
-
-#include "util/contracts.hpp"
-#include "util/units.hpp"
+#include "util/page_runs.hpp"
 
 namespace toss {
 
-/// Pages [page_begin, page_begin + page_count), all at `version`.
-struct VersionRun {
-  u64 page_begin = 0;
-  u64 page_count = 0;
-  u32 version = 0;
-
-  u64 page_end() const { return page_begin + page_count; }
-  bool operator==(const VersionRun&) const = default;
-};
-
-/// Per-page content versions over [0, num_pages), held as runs. Every
-/// mutator keeps the list canonical (runs are nonempty, maximal and tile
-/// the range), so the defaulted == is content equality.
-class PageVersions {
- public:
-  PageVersions() = default;
-  /// `num_pages` pages at version 0.
-  explicit PageVersions(u64 num_pages);
-
-  u64 num_pages() const { return runs_.empty() ? 0 : runs_.back().page_end(); }
-
-  /// The maximal runs of equal version, in page order.
-  const std::vector<VersionRun>& runs() const { return runs_; }
-
-  /// One page's version (a binary search over the runs).
-  u32 at(u64 page) const;
-
-  /// Calls f(version, pages) for each run's part inside
-  /// [first_page, first_page + page_count), in page order.
-  template <class F>
-  void for_each_in(u64 first_page, u64 page_count, F&& f) const;
-
-  /// Extends the range by `page_count` pages at `version`.
-  void append(u64 page_count, u32 version);
-  /// Extends the range by pages [first_page, first_page + page_count) of
-  /// `source`.
-  void append(const PageVersions& source, u64 first_page, u64 page_count);
-  /// Adds one (wrapping) to every page of [first_page, first_page +
-  /// page_count).
-  void bump(u64 first_page, u64 page_count);
-  /// Drops every page from `num_pages` on.
-  void truncate(u64 num_pages);
-
-  bool operator==(const PageVersions&) const = default;
-
- private:
-  /// Index of the run holding `page` (< num_pages()).
-  size_t run_of(u64 page) const;
-  /// Runs are nonempty, tile [0, num_pages) and differ from their
-  /// neighbours.
-  bool canonical() const;
-
-  std::vector<VersionRun> runs_;
-};
-
-template <class F>
-void PageVersions::for_each_in(u64 first_page, u64 page_count, F&& f) const {
-  TOSS_REQUIRE(first_page + page_count <= num_pages());
-  if (page_count == 0) return;
-  const u64 end = first_page + page_count;
-  for (size_t i = run_of(first_page);
-       i < runs_.size() && runs_[i].page_begin < end; ++i) {
-    const VersionRun& r = runs_[i];
-    f(r.version, std::min(end, r.page_end()) -
-                     std::max(first_page, r.page_begin));
-  }
-}
+/// Per-page content versions over [0, num_pages), as maximal runs.
+using PageVersions = PageRuns<u32>;
 
 class GuestMemory {
  public:
@@ -97,9 +28,10 @@ class GuestMemory {
   u32 version(u64 page) const { return contents_.at(page); }
   const PageVersions& page_versions() const { return contents_; }
 
-  /// A workload write over pages [first_page, first_page + page_count).
+  /// A workload write over pages [first_page, first_page + page_count):
+  /// each page's version goes up by one, wrapping.
   void bump(u64 first_page, u64 page_count) {
-    contents_.bump(first_page, page_count);
+    contents_.update(first_page, page_count, [](u32 v) { return v + 1; });
   }
 
   bool operator==(const GuestMemory&) const = default;

@@ -18,48 +18,35 @@ TieredSnapshot TieredSnapshot::build(const SingleTierSnapshot& snap,
   const size_t ranks = out.file_ids_.size();
   out.tier_files_.resize(ranks);
 
+  // One layout entry per placement run: the runs are maximal, so
+  // neighbouring entries always differ in tier.
   std::vector<LayoutEntry> entries;
-  const u64 n = snap.num_pages();
-  u64 begin = 0;
+  entries.reserve(placement.runs().size());
   std::vector<u64> file_cursor(ranks, 0);
-  while (begin < n) {
-    const Tier t = placement.tier_of(begin);
-    const size_t rank = tier_rank(t);
+  for (const PageRun<Tier>& run : placement.runs()) {
+    const size_t rank = tier_rank(run.value);
     TOSS_REQUIRE(rank < ranks, "placement rank outside the artifact ladder");
-    u64 end = begin + 1;
-    while (end < n && placement.tier_of(end) == t) ++end;
     LayoutEntry e;
-    e.tier = t;
-    e.guest_page = begin;
-    e.page_count = end - begin;
+    e.tier = run.value;
+    e.guest_page = run.page_begin;
+    e.page_count = run.page_count;
     e.file_page = file_cursor[rank];
     file_cursor[rank] += e.page_count;
-    entries.push_back(e);
 
     // Serial copy of the region's contents into the tier file, then seal
     // the region with its content checksum (verified again at restore).
     PageVersions& file = out.tier_files_[rank];
-    file.append(snap.page_versions(), begin, e.page_count);
-    entries.back().checksum =
-        region_checksum(file, entries.back().file_page, e.page_count);
-    begin = end;
+    file.append(snap.page_versions(), e.guest_page, e.page_count);
+    e.checksum = region_checksum(file, e.file_page, e.page_count);
+    entries.push_back(e);
   }
-  out.layout_ = MemoryLayoutFile(n, std::move(entries), ranks);
+  out.layout_ = MemoryLayoutFile(snap.num_pages(), std::move(entries), ranks);
   // Step IV seam: the layout a restore will mmap from must tile guest
   // memory exactly; a violation here means corrupted restores later.
   TOSS_VALIDATE(validate_layout(out.layout_));
   // Every checksum above was computed from the contents held here.
   out.sealed_ = true;
   return out;
-}
-
-TieredSnapshot::Location TieredSnapshot::locate(u64 guest_page) const {
-  for (const auto& e : layout_.entries()) {
-    if (guest_page >= e.guest_page && guest_page < e.guest_page_end())
-      return Location{e.tier, e.file_page + (guest_page - e.guest_page)};
-  }
-  TOSS_ASSERT(false, "guest page outside layout");
-  return Location{tier_index(0), 0};
 }
 
 std::optional<std::string> TieredSnapshot::verify() const {
@@ -90,7 +77,7 @@ std::optional<std::string> TieredSnapshot::verify() const {
 
 void TieredSnapshot::corrupt_fast_page(u64 file_page) {
   if (file_page < fast_pages()) {
-    tier_files_.front().bump(file_page, 1);
+    tier_files_.front().update(file_page, 1, [](u32 v) { return v + 1; });
     sealed_ = false;
   }
 }

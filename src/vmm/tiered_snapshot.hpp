@@ -19,9 +19,8 @@ class TieredSnapshot {
  public:
   TieredSnapshot() = default;
 
-  /// Partition `snap` by per-page `placement`. Consecutive pages in the same
-  /// tier become one layout entry (the paper's "Bins Merging" guarantees the
-  /// optimizer already merged same-tier neighbors; this copy is agnostic).
+  /// Partition `snap` by `placement`: each of its maximal same-tier runs
+  /// becomes one layout entry (the paper's "Bins Merging").
   /// `file_ids` identifies one file per ladder rank (index 0 = fastest) for
   /// page-cache accounting; its length fixes the artifact's ladder depth.
   static TieredSnapshot build(const SingleTierSnapshot& snap,
@@ -55,13 +54,6 @@ class TieredSnapshot {
     for (size_t r = 1; r < tier_files_.size(); ++r) n += tier_pages(r);
     return n;
   }
-
-  /// Look up where a guest page lives: (tier, file page index).
-  struct Location {
-    Tier tier;
-    u64 file_page;
-  };
-  Location locate(u64 guest_page) const;
 
   /// Reassemble the guest memory image from the tier files + layout; must be
   /// identical to the original snapshot's memory (tested invariant).

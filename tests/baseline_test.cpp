@@ -39,8 +39,7 @@ TEST_F(BaselineTest, VanillaSingleMapping) {
 TEST_F(BaselineTest, ReapEagerLoadsRecordedWorkingSet) {
   const Invocation first = model.invoke(2, 7);
   const u64 snap_id = snapshot_for(first);
-  const WorkingSet ws =
-      ReapPolicy::record_working_set(first.trace, model.guest_pages());
+  const WorkingSet ws = uffd_working_set(first.trace, model.guest_pages());
   ReapPolicy policy(store, snap_id, ws);
   const RestorePlan plan = policy.plan_restore();
   EXPECT_EQ(plan.eager_pages(), ws.size_pages());
@@ -50,8 +49,7 @@ TEST_F(BaselineTest, ReapEagerLoadsRecordedWorkingSet) {
 TEST_F(BaselineTest, ReapSameInputFewFaults) {
   const Invocation first = model.invoke(2, 7);
   const u64 snap_id = snapshot_for(first);
-  const WorkingSet ws =
-      ReapPolicy::record_working_set(first.trace, model.guest_pages());
+  const WorkingSet ws = uffd_working_set(first.trace, model.guest_pages());
   ReapPolicy policy(store, snap_id, ws);
 
   // Same input, different seed: slight jitter, most of the WS overlaps.
@@ -66,15 +64,13 @@ TEST_F(BaselineTest, ReapInputMismatchManyFaults) {
   // misses most of the large input's footprint (Observation #3 / Fig 3).
   const Invocation small = model.invoke(0, 7);
   const u64 snap_id = snapshot_for(small);
-  const WorkingSet ws =
-      ReapPolicy::record_working_set(small.trace, model.guest_pages());
+  const WorkingSet ws = uffd_working_set(small.trace, model.guest_pages());
   ReapPolicy policy(store, snap_id, ws);
 
   const Invocation big = model.invoke(3, 9);
   const InvocationResult mismatch = invoker.invoke(policy, big);
 
-  const WorkingSet big_ws =
-      ReapPolicy::record_working_set(big.trace, model.guest_pages());
+  const WorkingSet big_ws = uffd_working_set(big.trace, model.guest_pages());
   ReapPolicy matched(store, snap_id, big_ws);
   const InvocationResult match = invoker.invoke(matched, model.invoke(3, 9));
 
@@ -86,10 +82,10 @@ TEST_F(BaselineTest, ReapSetupScalesWithWorkingSet) {
   const Invocation small = model.invoke(0, 7);
   const Invocation big = model.invoke(3, 7);
   const u64 snap_id = snapshot_for(big);
-  ReapPolicy small_ws(store, snap_id, ReapPolicy::record_working_set(
-                                          small.trace, model.guest_pages()));
-  ReapPolicy big_ws(store, snap_id, ReapPolicy::record_working_set(
-                                        big.trace, model.guest_pages()));
+  ReapPolicy small_ws(store, snap_id,
+                      uffd_working_set(small.trace, model.guest_pages()));
+  ReapPolicy big_ws(store, snap_id,
+                    uffd_working_set(big.trace, model.guest_pages()));
   store.drop_caches();
   MicroVm vm1(cfg, store);
   const auto s_small = vm1.restore(small_ws.plan_restore());
@@ -102,10 +98,9 @@ TEST_F(BaselineTest, ReapSetupScalesWithWorkingSet) {
 
 TEST_F(BaselineTest, FaasnapUsesInflatedWorkingSet) {
   const Invocation first = model.invoke(1, 7);
-  const WorkingSet uffd =
-      ReapPolicy::record_working_set(first.trace, model.guest_pages());
+  const WorkingSet uffd = uffd_working_set(first.trace, model.guest_pages());
   const WorkingSet mincore =
-      FaasnapPolicy::record_working_set(first.trace, model.guest_pages());
+      mincore_working_set(first.trace, model.guest_pages());
   EXPECT_GE(mincore.size_pages(), uffd.size_pages());
 }
 
@@ -113,8 +108,7 @@ TEST_F(BaselineTest, FaasnapMappingsCoverGuest) {
   const Invocation first = model.invoke(1, 7);
   const u64 snap_id = snapshot_for(first);
   FaasnapPolicy policy(store, snap_id,
-                       FaasnapPolicy::record_working_set(
-                           first.trace, model.guest_pages()));
+                       mincore_working_set(first.trace, model.guest_pages()));
   const RestorePlan plan = policy.plan_restore();
   u64 covered = 0;
   for (const auto& m : plan.mappings) covered += m.page_count;

@@ -10,6 +10,15 @@
 namespace toss {
 namespace {
 
+/// Pages of `r` that `placement` puts at `rank`.
+u64 pages_at(const PagePlacement& placement, const Region& r, size_t rank) {
+  u64 n = 0;
+  placement.for_each_in(r.page_begin, r.page_count, [&](Tier t, u64 pages) {
+    if (tier_rank(t) == rank) n += pages;
+  });
+  return n;
+}
+
 class AnalysisTest : public ::testing::Test {
  protected:
   SystemConfig cfg = SystemConfig::paper_default();
@@ -66,11 +75,8 @@ TEST_F(AnalysisTest, BasePlacementPutsZeroRegionsSlow) {
       profiler.profile(pack_equal_access(nonzero_access_regions(merged), 10),
                        zero_access_regions(merged), m.guest_pages(),
                        m.invoke(3, 802));
-  for (const Region& r : zero_access_regions(merged)) {
-    EXPECT_EQ(profile.base_placement.count_in_range(r.page_begin,
-                                                    r.page_count, tier_index(1)),
-              r.page_count);
-  }
+  for (const Region& r : zero_access_regions(merged))
+    EXPECT_EQ(pages_at(profile.base_placement, r, 1), r.page_count);
 }
 
 TEST_F(AnalysisTest, ChosenPrefixIsCostMinimal) {
@@ -96,8 +102,7 @@ TEST_F(AnalysisTest, PlacementMatchesOffloadFlags) {
   ASSERT_EQ(d.bin_rank.size(), bins.size());
   for (size_t i = 0; i < bins.size(); ++i) {
     for (const Region& r : bins[i].regions) {
-      const u64 slow =
-          d.placement.count_in_range(r.page_begin, r.page_count, tier_index(1));
+      const u64 slow = pages_at(d.placement, r, 1);
       if (d.bin_rank[i] > 0)
         EXPECT_EQ(slow, r.page_count);
       else

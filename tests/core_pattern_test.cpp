@@ -86,15 +86,5 @@ TEST(RegionizeAndMerge, KeepsDistinctPhases) {
   EXPECT_EQ(merged[0].accesses, 100u);
 }
 
-TEST(MappingCount, CountsTierRuns) {
-  PagePlacement p(10, tier_index(0));
-  EXPECT_EQ(mapping_count(p), 1u);
-  p.set_range(2, 3, tier_index(1));
-  EXPECT_EQ(mapping_count(p), 3u);  // fast, slow, fast
-  p.set_range(0, 2, tier_index(1));
-  EXPECT_EQ(mapping_count(p), 2u);  // slow, fast
-  EXPECT_EQ(mapping_count(PagePlacement{}), 0u);
-}
-
 }  // namespace
 }  // namespace toss

@@ -39,8 +39,8 @@ u64 dense_checksum(const Dense& dense, u64 first_page, u64 page_count) {
 
 Dense expand(const PageVersions& versions) {
   Dense dense;
-  for (const VersionRun& r : versions.runs())
-    dense.insert(dense.end(), r.page_count, r.version);
+  for (const PageRun<u32>& r : versions.runs())
+    dense.insert(dense.end(), r.page_count, r.value);
   return dense;
 }
 
@@ -119,6 +119,11 @@ TEST(RunFold, FreshGuestHashesAsThePerPageLoop) {
   EXPECT_EQ(hash_memory(GuestMemory(0)), dense_checksum({}, 0, 0));
 }
 
+/// A workload write: every page of the range up one version, wrapping.
+void bump(PageVersions& versions, u64 first_page, u64 page_count) {
+  versions.update(first_page, page_count, [](u32 v) { return v + 1; });
+}
+
 TEST(PageVersionsRuns, MutatorsKeepRunsMaximal) {
   PageVersions runs;
   runs.append(10, 1);
@@ -127,23 +132,23 @@ TEST(PageVersionsRuns, MutatorsKeepRunsMaximal) {
   ASSERT_EQ(runs.runs().size(), 2u);
   EXPECT_EQ(runs.at(19), 2u);
   // A bump that makes a run equal to its neighbour merges the two.
-  runs.bump(0, 10);
+  bump(runs, 0, 10);
   ASSERT_EQ(runs.runs().size(), 1u);
-  EXPECT_EQ(runs.runs().front(), (VersionRun{0, 25, 2}));
+  EXPECT_EQ(runs.runs().front(), (PageRun<u32>{0, 25, 2}));
   // A bump in the middle of a run splits it in three.
-  runs.bump(3, 4);
+  bump(runs, 3, 4);
   EXPECT_EQ(runs, from_dense({2, 2, 2, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2,
                               2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}));
   // Versions wrap: the top version bumps to zero and joins a zero run.
   PageVersions wrap;
   wrap.append(4, 0);
   wrap.append(4, 0xffffffffu);
-  wrap.bump(4, 4);
-  EXPECT_EQ(wrap, PageVersions(8));
+  bump(wrap, 4, 4);
+  EXPECT_EQ(wrap, PageVersions(8, 0));
   // Truncation inside the last run shortens it; at a run boundary it
   // drops the run.
   wrap.truncate(5);
-  EXPECT_EQ(wrap, PageVersions(5));
+  EXPECT_EQ(wrap, PageVersions(5, 0));
   runs.truncate(7);
   EXPECT_EQ(runs, from_dense({2, 2, 2, 3, 3, 3, 3}));
   runs.truncate(4);
@@ -182,18 +187,16 @@ class LongRunsTest : public ::testing::Test {
     placement.set_range(3000, 500, tier_index(1));
     return placement;
   }
-
-  /// The file page of rank 0 that holds guest page `g`.
-  static u64 fast_file_page(const TieredSnapshot& tiered, u64 g) {
-    const TieredSnapshot::Location loc = tiered.locate(g);
-    EXPECT_EQ(tier_rank(loc.tier), 0u);
-    return loc.file_page;
-  }
 };
 
 TEST_F(LongRunsTest, BuildCutsRunsAndMaterializesTheSnapshot) {
   const TieredSnapshot tiered =
       TieredSnapshot::build(snap, cut_placement(), {2, 3});
+  // One layout entry per placement run.
+  std::vector<PageRun<Tier>> entries;
+  for (const LayoutEntry& e : tiered.layout().entries())
+    entries.push_back(PageRun<Tier>{e.guest_page, e.page_count, e.tier});
+  EXPECT_EQ(entries, cut_placement().runs());
   EXPECT_EQ(tiered.layout().entry_count(), 5u);
   EXPECT_EQ(tiered.materialize(), mem);
   EXPECT_EQ(tiered.verify(), std::nullopt);
@@ -225,8 +228,12 @@ TEST_F(LongRunsTest, BitrotAnywhereInALongRunIsCaught) {
       TieredSnapshot::build(snap, cut_placement(), {2, 3});
   // Guest pages 3500..5999 are the fast file's last entry (entry 4): 500
   // zero pages, then the 2000-page run of 0x01010101.
-  const u64 run_first = fast_file_page(tiered, 4000);
-  const u64 run_last = fast_file_page(tiered, kPages - 1);
+  const LayoutEntry& last = tiered.layout().entries().back();
+  ASSERT_EQ(tiered.layout().entry_count(), 5u);
+  ASSERT_EQ(tier_rank(last.tier), 0u);
+  ASSERT_EQ(last.guest_page, 3500u);
+  const u64 run_first = last.file_page + 500;
+  const u64 run_last = last.file_page + last.page_count - 1;
   for (const u64 file_page :
        {run_first, (run_first + run_last) / 2, run_last}) {
     SCOPED_TRACE(file_page);
@@ -247,12 +254,12 @@ TEST_F(LongRunsTest, BitrotAnywhereInALongRunIsCaught) {
 TEST_F(LongRunsTest, TruncationShortensTheLongLastRun) {
   TieredSnapshot tiered = TieredSnapshot::build(snap, cut_placement(), {2, 3});
   const u64 fast = tiered.fast_pages();
-  const VersionRun last = tiered.tier_file(0).runs().back();
+  const PageRun<u32> last = tiered.tier_file(0).runs().back();
   tiered.truncate_fast_file();
   EXPECT_FALSE(tiered.sealed());
   EXPECT_EQ(tiered.fast_pages(), fast - 1);
   EXPECT_EQ(tiered.tier_file(0).runs().back(),
-            (VersionRun{last.page_begin, last.page_count - 1, last.version}));
+            (PageRun<u32>{last.page_begin, last.page_count - 1, last.value}));
   const auto violation = tiered.verify();
   ASSERT_TRUE(violation.has_value());
   EXPECT_NE(violation->find("tier file truncated"), std::string::npos)

@@ -78,8 +78,7 @@ TEST(Integration, TossSetupBeatsReapForLargeFunctions) {
   Invoker invoker(cfg, store);
   const u64 snap_id = invoker.initial_execution(m, first);
   ReapPolicy reap(store, snap_id,
-                  ReapPolicy::record_working_set(first.trace,
-                                                 m.guest_pages()));
+                  uffd_working_set(first.trace, m.guest_pages()));
   store.drop_caches();
   MicroVm vm(cfg, store);
   const Nanos reap_setup = vm.restore(reap.plan_restore()).setup_ns;
@@ -137,7 +136,7 @@ TEST(Integration, ConcurrencyOrderingMatchesFig9) {
   const u64 snap_id = invoker.initial_execution(m, first_small);
   const SoloRun reap_solo = solo_run(ReapPolicy(
       store, snap_id,
-      ReapPolicy::record_working_set(first_small.trace, m.guest_pages())));
+      uffd_working_set(first_small.trace, m.guest_pages())));
 
   MicroVm warm_vm(cfg, store);
   warm_vm.boot(m.guest_bytes(), VmState{});

@@ -105,28 +105,32 @@ TEST(TierSpec, CxlHostIsGentlerSlowTier) {
 
 TEST(Placement, DefaultsToFast) {
   PagePlacement p(100);
-  EXPECT_EQ(p.pages_in(tier_index(0)), 100u);
-  EXPECT_EQ(p.pages_in(tier_index(1)), 0u);
+  EXPECT_EQ(p.runs(), (std::vector<PageRun<Tier>>{{0, 100, tier_index(0)}}));
+  EXPECT_EQ(p.pages_per_rank(2), (std::vector<u64>{100, 0}));
   EXPECT_DOUBLE_EQ(p.slow_fraction(), 0.0);
 }
 
 TEST(Placement, SetRangeAndCount) {
   PagePlacement p(100);
   p.set_range(10, 30, tier_index(1));
-  EXPECT_EQ(p.pages_in(tier_index(1)), 30u);
-  EXPECT_EQ(p.count_in_range(0, 100, tier_index(1)), 30u);
-  EXPECT_EQ(p.count_in_range(0, 10, tier_index(1)), 0u);
-  EXPECT_EQ(p.count_in_range(20, 10, tier_index(1)), 10u);
-  EXPECT_DOUBLE_EQ(p.slow_fraction_in_range(10, 30), 1.0);
+  EXPECT_EQ(p.runs(), (std::vector<PageRun<Tier>>{{0, 10, tier_index(0)},
+                                                  {10, 30, tier_index(1)},
+                                                  {40, 60, tier_index(0)}}));
+  EXPECT_EQ(p.pages_per_rank(2), (std::vector<u64>{70, 30}));
+  EXPECT_EQ(p.rank_of(9), 0u);
+  EXPECT_EQ(p.rank_of(10), 1u);
+  EXPECT_EQ(p.rank_of(39), 1u);
+  EXPECT_EQ(p.rank_of(40), 0u);
   EXPECT_DOUBLE_EQ(p.slow_fraction(), 0.3);
 }
 
-TEST(Placement, SetAllAndEquality) {
+TEST(Placement, WholeRangeAndEquality) {
   PagePlacement a(16), b(16);
-  a.set_all(tier_index(1));
+  a.set_range(0, 16, tier_index(1));
   EXPECT_NE(a, b);
-  b.set_all(tier_index(1));
+  b.set_range(0, 16, tier_index(1));
   EXPECT_EQ(a, b);
+  EXPECT_EQ(a, PagePlacement(16, tier_index(1)));
   EXPECT_DOUBLE_EQ(a.slow_fraction(), 1.0);
 }
 

@@ -119,7 +119,7 @@ class QosAnalysisTest : public ::testing::Test {
   }
 
   static u64 fast_bytes_of(const TieringDecision& d) {
-    return bytes_for_pages(d.placement.pages_in(tier_index(0)));
+    return bytes_for_pages(d.placement.pages_per_rank(kMaxTiers)[0]);
   }
 };
 

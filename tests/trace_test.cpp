@@ -153,9 +153,9 @@ TEST(WorkingSet, MincoreInflatedByReadahead) {
 
 TEST(WorkingSet, TouchedRanges) {
   WorkingSet ws(16);
-  ws.insert(1);
-  ws.insert(2);
-  ws.insert(7);
+  ws.insert(1, 1);
+  ws.insert(2, 1);  // joins the range before it
+  ws.insert(7, 1);
   const auto ranges = ws.touched_ranges();
   ASSERT_EQ(ranges.size(), 2u);
   EXPECT_EQ(ranges[0], (std::pair<u64, u64>{1, 2}));
@@ -164,10 +164,9 @@ TEST(WorkingSet, TouchedRanges) {
 
 TEST(WorkingSet, MissingFrom) {
   WorkingSet a(8), b(8);
-  a.insert(0);
-  b.insert(0);
-  b.insert(1);
-  b.insert(2);
+  a.insert(0, 1);
+  b.insert(0, 1);
+  b.insert(1, 2);
   EXPECT_EQ(a.missing_from(b), 2u);
   EXPECT_EQ(b.missing_from(a), 0u);
 }

@@ -35,6 +35,14 @@ GuestMemory from_dense(const std::vector<u32>& dense) {
   return GuestMemory(std::move(contents));
 }
 
+/// The artifact's layout entries as (guest page, page count, tier) runs.
+std::vector<PageRun<Tier>> layout_runs(const TieredSnapshot& tiered) {
+  std::vector<PageRun<Tier>> runs;
+  for (const LayoutEntry& e : tiered.layout().entries())
+    runs.push_back(PageRun<Tier>{e.guest_page, e.page_count, e.tier});
+  return runs;
+}
+
 /// Every page at its own version: runs one page long.
 GuestMemory patterned_memory(u64 pages) {
   std::vector<u32> dense(pages);
@@ -150,18 +158,13 @@ TEST_F(TieredSnapshotTest, AdjacentSameTierPagesCoalesce) {
   EXPECT_EQ(tiered.layout().entry_count(), 2u);
 }
 
-TEST_F(TieredSnapshotTest, LocateAgreesWithPlacement) {
+TEST_F(TieredSnapshotTest, LayoutEntriesAreThePlacementRuns) {
   PagePlacement placement(kPages, tier_index(0));
   placement.set_range(40, 20, tier_index(1));
   const TieredSnapshot tiered =
       TieredSnapshot::build(snap, placement, {2, 3});
-  for (u64 p = 0; p < kPages; ++p) {
-    const auto loc = tiered.locate(p);
-    EXPECT_EQ(loc.tier, placement.tier_of(p)) << p;
-    const u32 version =
-        tiered.tier_page_version(tier_rank(loc.tier), loc.file_page);
-    EXPECT_EQ(version, mem.version(p)) << p;
-  }
+  EXPECT_EQ(layout_runs(tiered), placement.runs());
+  EXPECT_EQ(tiered.materialize(), mem);
 }
 
 TEST_F(TieredSnapshotTest, ThreeRungBuildMaterializesAndVerifies) {
@@ -178,7 +181,7 @@ TEST_F(TieredSnapshotTest, ThreeRungBuildMaterializesAndVerifies) {
   EXPECT_EQ(tiered.tier_pages(1), 32u);
   EXPECT_EQ(tiered.tier_pages(2), 64u);
   EXPECT_EQ(tiered.slow_pages(), 96u);
-  EXPECT_EQ(tier_rank(tiered.locate(70).tier), 2u);
+  EXPECT_EQ(layout_runs(tiered), placement.runs());
   EXPECT_EQ(tiered.materialize(), mem);
   EXPECT_EQ(tiered.verify(), std::nullopt);
 }
@@ -437,7 +440,7 @@ TEST_F(MicroVmTest, RestoreMaterializesTieredContent) {
 
 // ---------------------------------------------------------------------------
 // The range walk against a per-page reference: one backing entry and one
-// placement entry per guest page, a page cache of per-file page flags,
+// rank per guest page, a page cache of per-file page flags,
 // each burst's materialised expansion walked page by page, and a second
 // pass over each burst for its memory time, as MicroVm worked before it
 // kept the plan's mappings and summed accesses over page ranges.
@@ -457,6 +460,7 @@ class PerPageVm {
   SetupResult restore(const RestorePlan& plan) {
     const u64 n = plan.guest_pages;
     memory_.assign(n, 0);
+    rank_.assign(n, 0);
     placement_ = PagePlacement(n, tier_index(0));
     backing_.assign(n, Backing{});
     resident_.assign(n, false);
@@ -466,8 +470,9 @@ class PerPageVm {
     for (const auto& m : plan.mappings) {
       r.mmap_ns += cfg_.vmm.mmap_region_ns;
       ++r.mappings;
+      placement_.set_range(m.guest_page, m.page_count, m.tier);
       for (u64 i = 0; i < m.page_count; ++i) {
-        placement_.set(m.guest_page + i, m.tier);
+        rank_[m.guest_page + i] = tier_rank(m.tier);
         backing_[m.guest_page + i] =
             Backing{m.file_id, m.file_page + i, m.dax, true};
       }
@@ -522,14 +527,14 @@ class PerPageVm {
           ++r.touched_pages;
         }
         if (b.write_fraction > 0.0 && !written_[g]) {
-          const TierSpec& spec = cfg_.tier(placement_.tier_of(g));
+          const TierSpec& spec = cfg_.tier(tier_index(rank_[g]));
           r.fault_ns += cfg_.vmm.minor_fault_ns +
                         static_cast<double>(kPageSize) /
                             spec.write_bw_bytes_per_ns;
           written_[g] = true;
           ++r.cow_faults;
         }
-        if (placement_.rank_of(g) != 0) r.slow_accesses += counts[i];
+        if (rank_[g] != 0) r.slow_accesses += counts[i];
         r.total_accesses += counts[i];
       }
       const BurstCost bc = model_.burst_cost(b, counts, placement_);
@@ -586,6 +591,8 @@ class PerPageVm {
   const SnapshotStore& store_;
   AccessCostModel model_;
   std::vector<u32> memory_;  ///< one version per guest page
+  std::vector<size_t> rank_;  ///< one tier rank per guest page
+  /// The plan's tiers, for AccessCostModel::burst_cost.
   PagePlacement placement_;
   std::vector<Backing> backing_;
   std::vector<bool> resident_;
@@ -785,13 +792,12 @@ class IntervalRestoreTest : public ::testing::Test {
                                random_ranges(vanilla, rng, 8));
       expect_matches_reference(
           cfg, store,
-          ReapPolicy(store, snap_id,
-                     ReapPolicy::record_working_set(invs[0].trace, pages))
+          ReapPolicy(store, snap_id, uffd_working_set(invs[0].trace, pages))
               .plan_restore(),
           runs);
       const RestorePlan faasnap =
           FaasnapPolicy(store, snap_id,
-                        FaasnapPolicy::record_working_set(
+                        mincore_working_set(
                             invs[0].trace, pages,
                             store.page_cache().readahead_pages()))
               .plan_restore();
