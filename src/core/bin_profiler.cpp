@@ -9,15 +9,6 @@ namespace toss {
 
 namespace {
 
-/// One bin region or zero-access region as a half-open page span.
-struct Span {
-  u64 begin = 0;
-  u64 end = 0;
-  size_t bin = 0;  ///< owning bin index; kZeroSpan for a zero region
-};
-
-constexpr size_t kZeroSpan = static_cast<size_t>(-1);
-
 /// A bin's accesses in one burst of the representative trace.
 struct BurstShare {
   size_t burst = 0;
@@ -46,20 +37,19 @@ BinProfile BinProfiler::profile(const std::vector<Bin>& bins,
   // Every bin and zero-region span, sorted by start page. A descent moves
   // its bin wholly from rank p-1 to rank p only if no page belongs to two
   // spans, so sorted spans must not overlap.
-  std::vector<Span> spans;
+  std::vector<BinSpan>& spans = out.spans;
   for (const Region& r : zero_regions)
     if (r.page_count > 0)
-      spans.push_back(Span{r.page_begin, r.page_end(), kZeroSpan});
+      spans.push_back(BinSpan{r.page_begin, r.page_end(), kZeroSpan});
   std::vector<u64> bin_pages(bins.size(), 0);
   for (size_t b = 0; b < bins.size(); ++b) {
     for (const Region& r : bins[b].regions) {
       bin_pages[b] += r.page_count;
       if (r.page_count > 0)
-        spans.push_back(Span{r.page_begin, r.page_end(), b});
+        spans.push_back(BinSpan{r.page_begin, r.page_end(), b});
     }
   }
-  std::sort(spans.begin(), spans.end(),
-            [](const Span& a, const Span& b) { return a.begin < b.begin; });
+  std::ranges::sort(spans, {}, &BinSpan::begin);
   for (size_t k = 1; k < spans.size(); ++k)
     TOSS_REQUIRE(spans[k - 1].end <= spans[k].begin,
                  "bins and zero regions must be pairwise disjoint");
@@ -83,7 +73,7 @@ BinProfile BinProfiler::profile(const std::vector<Bin>& bins,
     // First span ending past the burst's start, then every span it meets.
     auto it = std::upper_bound(
         spans.begin(), spans.end(), b.page_begin,
-        [](u64 page, const Span& s) { return page < s.end; });
+        [](u64 page, const BinSpan& s) { return page < s.end; });
     for (; it != spans.end() && it->begin < end; ++it) {
       const u64 lo = std::max(it->begin, b.page_begin);
       const u64 hi = std::min(it->end, end);

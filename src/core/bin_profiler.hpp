@@ -39,6 +39,16 @@ struct BinStep {
   double bin_cost = 0;           ///< per-bin offload test (V-C rule)
 };
 
+/// BinSpan::bin of a zero-access region.
+inline constexpr size_t kZeroSpan = static_cast<size_t>(-1);
+
+/// One bin region or zero-access region as a half-open page span.
+struct BinSpan {
+  u64 begin = 0;
+  u64 end = 0;
+  size_t bin = kZeroSpan;  ///< owning bin index, or kZeroSpan
+};
+
 struct BinProfile {
   Nanos base_exec_ns = 0;  ///< representative warm time, all bins in DRAM
   Nanos full_slow_exec_ns = 0;  ///< everything (incl. bins) at the deepest rung
@@ -47,6 +57,10 @@ struct BinProfile {
   std::vector<BinStep> steps;
   /// Zero-access regions at the deepest rung, all bins in the fastest tier.
   PagePlacement base_placement;
+  /// Every nonempty bin region and zero-access region, sorted by page and
+  /// pairwise disjoint: select_placement lays a placement out from them
+  /// in one pass.
+  std::vector<BinSpan> spans;
 
   double full_slow_slowdown() const {
     return base_exec_ns > 0 ? full_slow_exec_ns / base_exec_ns : 1.0;

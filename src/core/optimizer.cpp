@@ -120,30 +120,21 @@ TieringDecision select_placement(const SystemConfig& cfg, BinProfile profile,
   }
 
   // Apply: zero regions at the deepest rung, each bin on the rung its last
-  // applied descent reached, the rest at rank 0. The zero regions are the
-  // base placement's runs below rank 0; bins are disjoint from them and
-  // from each other, so these runs and the descended bins' regions,
-  // sorted by page, build the placement in one pass.
+  // applied descent reached, the rest at rank 0, in one pass over the
+  // profile's page-ordered spans.
   for (size_t k = 0; k < best_prefix; ++k)
     d.bin_rank[d.profile.steps[k].bin_index] = d.profile.steps[k].to_rank;
-  size_t region_count = d.profile.base_placement.runs().size();
-  for (const Bin& bin : bins) region_count += bin.regions.size();
-  std::vector<PageRun<Tier>> deep_runs;
-  deep_runs.reserve(region_count);
-  for (const PageRun<Tier>& r : d.profile.base_placement.runs())
-    if (tier_rank(r.value) != 0) deep_runs.push_back(r);
-  for (size_t b = 0; b < bins.size(); ++b)
-    if (d.bin_rank[b] != 0)
-      for (const Region& r : bins[b].regions)
-        deep_runs.push_back(PageRun<Tier>{r.page_begin, r.page_count,
-                                          tier_index(d.bin_rank[b])});
-  std::ranges::sort(deep_runs, {}, &PageRun<Tier>::page_begin);
   PageRuns<Tier> tiers;
-  for (const PageRun<Tier>& r : deep_runs) {
-    TOSS_REQUIRE(r.page_begin >= tiers.num_pages(),
-                 "bins and zero regions must be pairwise disjoint");
-    tiers.append(r.page_begin - tiers.num_pages(), tier_index(0));
-    tiers.append(r.page_count, r.value);
+  for (const BinSpan& s : d.profile.spans) {
+    TOSS_REQUIRE(s.bin == kZeroSpan || s.bin < bins.size(),
+                 "profile spans must be of these bins");
+    const size_t rank = s.bin == kZeroSpan ? tier_rank(cfg.deepest_tier())
+                                           : d.bin_rank[s.bin];
+    if (rank == 0) continue;  // covered by the next gap
+    TOSS_REQUIRE(s.begin >= tiers.num_pages(),
+                 "profile spans must be sorted and disjoint");
+    tiers.append(s.begin - tiers.num_pages(), tier_index(0));
+    tiers.append(s.end - s.begin, tier_index(rank));
   }
   tiers.append(guest_pages - tiers.num_pages(), tier_index(0));
   d.placement = PagePlacement(std::move(tiers));

@@ -50,27 +50,39 @@ DamonOutput DamonMonitor::monitor(const PageAccessCounts& true_counts,
       std::max(1.0, exec_ns / std::max<Nanos>(cfg_.sampling_interval_ns, 1)));
 
   // Passes 1 and 2, fused: quantize to the minimum region size, and
-  // aggregate each region as it is made. A quantum's frequency is the mean
-  // of its pages' true counts, perturbed with sampling noise: one draw per
-  // nonzero quantum, in address order. A quantum inside a zero run
-  // estimates 0 and draws nothing, and consecutive zero regions aggregate
-  // into one, so each zero stretch is emitted as one region.
-  const double rel = std::min(noise_scale(samples) * 4.0, 0.5);
+  // aggregate the quanta. A quantum's estimate is the exact mean of its
+  // pages' true counts in DAMON's units, rounded. Neighbours of equal
+  // estimate coalesce first, so the quanta wholly inside one run of
+  // `true_counts` are one region and only the quanta that straddle a run
+  // boundary are summed one by one; each coalesced region then goes
+  // through the aggregation rule. O(runs).
   const RegionList& runs = true_counts.runs();
+  const auto estimate = [&](u64 mass, u64 count) {
+    return static_cast<u64>(std::llround(static_cast<double>(mass) /
+                                         static_cast<double>(count) *
+                                         cfg_.count_scale));
+  };
   RegionList merged;
+  Region pending{0, 0, 0};
+  const auto emit = [&](u64 begin, u64 count, u64 est) {
+    if (pending.page_count > 0 && pending.accesses == est) {
+      pending.page_count += count;
+      return;
+    }
+    if (pending.page_count > 0)
+      aggregate(merged, pending, cfg_.merge_similarity);
+    pending = Region{begin, count, est};
+  };
   size_t run = 0;  // the run holding page `begin`
   for (u64 begin = 0; begin < num_pages;) {
     while (runs[run].page_end() <= begin) ++run;
-    if (runs[run].accesses == 0) {
-      const u64 run_end = runs[run].page_end();
-      const u64 end =
-          run_end == num_pages ? num_pages : run_end / quantum * quantum;
-      if (end > begin) {
-        aggregate(merged, Region{begin, end - begin, 0},
-                  cfg_.merge_similarity);
-        begin = end;
-        continue;
-      }
+    const u64 run_end = runs[run].page_end();
+    const u64 whole_end =
+        run_end == num_pages ? num_pages : run_end / quantum * quantum;
+    if (whole_end > begin) {
+      emit(begin, whole_end - begin, estimate(runs[run].accesses, 1));
+      begin = whole_end;
+      continue;
     }
     const u64 count = std::min(quantum, num_pages - begin);
     const u64 end = begin + count;
@@ -78,14 +90,10 @@ DamonOutput DamonMonitor::monitor(const PageAccessCounts& true_counts,
     for (size_t k = run; k < runs.size() && runs[k].page_begin < end; ++k)
       mass += runs[k].accesses * (std::min(runs[k].page_end(), end) -
                                   std::max(runs[k].page_begin, begin));
-    double est = static_cast<double>(mass) / static_cast<double>(count) *
-                 cfg_.count_scale;
-    if (est > 0.0) est *= rng.jitter(rel);
-    aggregate(merged,
-              Region{begin, count, static_cast<u64>(std::llround(est))},
-              cfg_.merge_similarity);
+    emit(begin, count, estimate(mass, count));
     begin = end;
   }
+  if (pending.page_count > 0) aggregate(merged, pending, cfg_.merge_similarity);
 
   // Pass 3: if still above max_regions, force-merge the most similar
   // neighbors until under the cap (DAMON's region budget).
@@ -107,6 +115,17 @@ DamonOutput DamonMonitor::monitor(const PageAccessCounts& true_counts,
     a.page_count = pages;
     merged.erase(merged.begin() + static_cast<std::ptrdiff_t>(best) + 1);
   }
+
+  // Pass 4: sampling noise. DAMON samples one page per region per
+  // sampling interval, so it errs per region: one draw per nonzero
+  // region, in address order, at most max_regions draws. Noise never
+  // turns a touched region untouched.
+  const double rel = std::min(noise_scale(samples) * 4.0, 0.5);
+  for (Region& r : merged)
+    if (r.accesses > 0)
+      r.accesses = std::max<u64>(
+          1, static_cast<u64>(std::llround(static_cast<double>(r.accesses) *
+                                           rng.jitter(rel))));
 
   DamonOutput out;
   out.record = DamonRecord(num_pages, std::move(merged));

@@ -4,9 +4,11 @@
 // periodically splits/merges regions so that similar-frequency neighbors
 // share a region. We reproduce that behaviour analytically: the true
 // per-page counts of the invocation are quantized to the minimum region
-// size, perturbed with sampling noise whose magnitude shrinks with the
-// number of samples the invocation affords, then adjacent regions with
-// similar estimated frequency are merged (bounded by max_regions).
+// size, adjacent regions with similar frequency are merged (bounded by
+// max_regions), and then each region's estimate is perturbed with
+// sampling noise whose magnitude shrinks with the number of samples the
+// invocation affords. DAMON errs per region, not per page, so the noise
+// is one draw per nonzero region.
 //
 // The paper's configuration: 10 us sampling interval, 16 KiB minimum region
 // size, ~3% monitoring overhead.
@@ -50,9 +52,11 @@ class DamonMonitor {
 
   /// Monitor one invocation. `true_counts` is the invocation's exact
   /// per-page access pattern, `exec_ns` its execution time (which bounds
-  /// how many samples DAMON can take), `rng` drives sampling noise: one
-  /// draw per nonzero quantum, in address order. The cost is O(runs of
-  /// `true_counts` + nonzero quanta), not O(guest pages).
+  /// how many samples DAMON can take). Regions are built from the exact
+  /// scaled per-quantum means (equal neighbours coalesce, similar ones
+  /// aggregate, then the max_regions cap); only then does `rng` draw the
+  /// sampling noise: one jitter per nonzero region, in address order. The
+  /// cost is O(runs of `true_counts` + regions), not O(guest pages).
   DamonOutput monitor(const PageAccessCounts& true_counts, Nanos exec_ns,
                       Rng& rng) const;
 

@@ -67,6 +67,46 @@ void HostPageCache::fill_range(u64 file_id, u64 page_begin, u64 page_count) {
   set_pages(file_id, page_begin, page_begin + page_count);
 }
 
+u64 HostPageCache::window(u64 file_id, u64 file_page) const {
+  if (file_id >= files_.size()) return 0;
+  const Bitmap& bits = files_[file_id];
+  const auto word = [&](u64 w) { return w < bits.size() ? bits[w] : 0; };
+  const u64 w = file_page / kWordPages;
+  const u64 shift = file_page % kWordPages;
+  u64 v = word(w) >> shift;
+  if (shift != 0) v |= word(w + 1) << (kWordPages - shift);
+  return v;
+}
+
+u64 HostPageCache::fault_word(u64 file_id, u64 file_page, u64 pages,
+                              bool readahead) {
+  u64 misses = pages & ~window(file_id, file_page);
+  if (misses == 0) return 0;
+  if (!readahead) {
+    // fill_one per miss: only the misses themselves become cached.
+    const u64 end = file_page + static_cast<u64>(std::bit_width(misses));
+    Bitmap& bits = bitmap_for(file_id, end);
+    const u64 w = file_page / kWordPages;
+    const u64 shift = file_page % kWordPages;
+    bits[w] |= misses << shift;
+    if (shift != 0 && (misses >> (kWordPages - shift)) != 0)
+      bits[w + 1] |= misses >> (kWordPages - shift);
+    cached_ += static_cast<u64>(std::popcount(misses));
+    return misses;
+  }
+  // In page order, each miss reads its readahead window, which turns the
+  // later pages it covers into hits.
+  u64 majors = 0;
+  while (misses != 0) {
+    const u64 i = static_cast<u64>(std::countr_zero(misses));
+    majors |= u64{1} << i;
+    fill(file_id, file_page + i);
+    const u64 end = i + readahead_;
+    misses &= end >= kWordPages ? 0 : ~((u64{1} << end) - 1);
+  }
+  return majors;
+}
+
 void HostPageCache::drop() {
   for (u64 id : filled_) files_[id].clear();
   filled_.clear();

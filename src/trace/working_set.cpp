@@ -50,24 +50,19 @@ WorkingSet mincore_working_set(const BurstTrace& trace, u64 num_pages,
                                u64 readahead_pages) {
   HostPageCache cache(readahead_pages);
   constexpr u64 kMemFileId = 1;
-  for (const auto& b : trace.bursts()) {
-    for (u64 p = b.page_begin; p < b.page_end(); ++p) {
-      if (!cache.contains(kMemFileId, p)) cache.fill(kMemFileId, p);
-    }
-  }
+  // Each burst's pages fault in order, a bitmap word at a time; every miss
+  // reads its readahead window.
+  for (const auto& b : trace.bursts())
+    for_each_word(b.page_begin, b.page_end(), [&](u64 word, u64 mask) {
+      cache.fault_word(kMemFileId, word * kWordPages, mask,
+                       /*readahead=*/true);
+    });
   // mincore() reports every file page the cache now holds, clipped to the
   // guest memory size.
   WorkingSet ws(num_pages);
-  for (u64 p = 0; p < num_pages;) {
-    if (!cache.contains(kMemFileId, p)) {
-      ++p;
-      continue;
-    }
-    u64 end = p + 1;
-    while (end < num_pages && cache.contains(kMemFileId, end)) ++end;
-    ws.insert(p, end - p);
-    p = end;
-  }
+  cache.for_each_cached_run(
+      kMemFileId, num_pages,
+      [&](u64 begin, u64 count) { ws.insert(begin, count); });
   return ws;
 }
 

@@ -51,7 +51,9 @@ WorkingSet uffd_working_set(const BurstTrace& trace, u64 num_pages);
 
 /// mincore() model: pages resident in the host page cache after the
 /// invocation — i.e. the true working set inflated by readahead. The cache
-/// starts empty (freshly dropped), and the trace's pages fault in order.
+/// starts empty (freshly dropped), and the trace's pages fault in order
+/// through HostPageCache::fault_word. O(bursts + bitmap words), not
+/// O(guest pages).
 WorkingSet mincore_working_set(const BurstTrace& trace, u64 num_pages,
                                u64 readahead_pages = 32);
 

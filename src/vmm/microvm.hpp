@@ -150,14 +150,13 @@ class MicroVm {
 
   /// Charges the pages of [lo, hi) (within one mapping piece of burst
   /// `b`; `mapping` is nullptr for a hole) that are not yet resident, or
-  /// not yet written by a writing burst, in address order; leaves them
-  /// all resident (and written).
+  /// not yet written by a writing burst; leaves them all resident (and
+  /// written). A file-backed, non-DAX piece's first touches are split
+  /// into minor and major faults a bitmap word at a time by
+  /// HostPageCache::fault_word; the counters are popcounts, and fault_ns
+  /// adds each page's charges in address order.
   void fault_range(u64 lo, u64 hi, const RestoreMapping* mapping,
                    const AccessBurst& b);
-
-  /// First-touch fault on guest page `page`, backed by `mapping` (nullptr
-  /// for anonymous memory).
-  Nanos fault_cost(u64 page, const RestoreMapping* mapping, Pattern pattern);
 
   /// Fault counters for the execute() call in progress.
   ExecutionResult pending_;

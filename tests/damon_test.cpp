@@ -1,6 +1,10 @@
 // Tests for the DAMON simulator: records and the adaptive monitor.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <string>
+
 #include "damon/monitor.hpp"
 #include "damon/record.hpp"
 
@@ -123,6 +127,57 @@ TEST_F(DamonMonitorTest, SimilarNeighborsMerged) {
   const PageAccessCounts counts(4096, {{0, 4096, 100}});
   const auto out = monitor.monitor(counts, sec(1), rng);
   EXPECT_LT(out.record.region_count(), 200u);  // far fewer than 1024 chunks
+}
+
+TEST_F(DamonMonitorTest, NoiseIsOneDrawPerNonzeroRegion) {
+  // The regions are built from the exact means first; then the stream
+  // advances by exactly one jitter per nonzero output region, in address
+  // order. Checked against a copy of the generator advanced that many
+  // times, on plateaus, the hot-region pattern, a fragmented pattern
+  // under the region cap, and small estimates that noise must not zero.
+  DamonConfig capped = cfg;
+  capped.max_regions = 8;
+  DamonConfig small_scale = cfg;
+  small_scale.count_scale = 0.5;
+  RegionList fragmented, small;
+  Rng local(3);
+  for (u64 p = 0; p < 1024; ++p) {
+    fragmented.push_back(Region{p, 1, 1 + local.next_below(1000)});
+    small.push_back(Region{p, 1, p % 97 == 0 ? 0 : 1 + local.next_below(6)});
+  }
+  struct Case {
+    DamonConfig cfg;
+    PageAccessCounts counts;
+  };
+  const Case cases[] = {
+      {cfg, PageAccessCounts(4096, {{0, 4096, 100}})},
+      {cfg, PageAccessCounts(4096, {{0, 4096, 0}})},
+      {cfg, pattern_with_hot_region(4096)},
+      {cfg, PageAccessCounts(1024, fragmented)},
+      {capped, PageAccessCounts(1024, fragmented)},
+      {small_scale, PageAccessCounts(1024, small)},
+  };
+  for (size_t c = 0; c < std::size(cases); ++c) {
+    for (const Nanos exec : {us(50), ms(10), sec(1)}) {
+      SCOPED_TRACE("case " + std::to_string(c) + " exec " +
+                   std::to_string(exec));
+      Rng drawn(11 + c), advanced(11 + c);
+      const DamonOutput out =
+          DamonMonitor(cases[c].cfg).monitor(cases[c].counts, exec, drawn);
+      u64 nonzero = 0;
+      for (const Region& r : out.record.regions()) nonzero += r.accesses > 0;
+      const double rel = std::min(
+          4.0 / std::sqrt(static_cast<double>(out.samples)), 0.5);
+      for (u64 i = 0; i < nonzero; ++i) advanced.jitter(rel);
+      EXPECT_EQ(drawn.next(), advanced.next());
+      EXPECT_LE(out.record.region_count(), cases[c].cfg.max_regions);
+    }
+  }
+  // A plateau is one region whatever the noise: its quanta's exact means
+  // are equal, so they coalesce before any draw.
+  const DamonOutput flat = DamonMonitor(cfg).monitor(
+      PageAccessCounts(4096, {{0, 4096, 100}}), sec(1), rng);
+  EXPECT_EQ(flat.record.region_count(), 1u);
 }
 
 }  // namespace

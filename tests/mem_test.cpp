@@ -638,6 +638,80 @@ TEST(PageCache, BitmapAgreesWithASetReference) {
       ASSERT_EQ(cache.contains(file, p), ref.count({file, p}) > 0);
 }
 
+TEST(PageCache, FaultWordMatchesPerPageProbesAndFills) {
+  // fault_word against the per-page loop it replaces: probe each page of
+  // the mask in order with contains() and fill each miss (fill() with
+  // readahead, fill_one() without) on a second cache. Offsets are mostly
+  // not a multiple of 64, windows cross words, pages land past the
+  // bitmaps' ends (growth), several files share each cache, and drops
+  // fall between rounds.
+  for (const u64 readahead : {1u, 7u, 32u, 64u, 100u}) {
+    SCOPED_TRACE("readahead " + std::to_string(readahead));
+    HostPageCache cache(readahead), ref(readahead);
+    Rng rng(readahead);
+    u64 max_page = 0;
+    for (int round = 0; round < 40; ++round) {
+      for (int op = 0; op < 60; ++op) {
+        const u64 file = 1 + rng.next_below(4);
+        // Near earlier pages (hits, crossing windows) or far past them.
+        const u64 file_page = rng.next_below(4) == 0
+                                  ? rng.next_below(20000)
+                                  : rng.next_below(600);
+        u64 pages = rng.next();
+        switch (rng.next_below(4)) {
+          case 0: pages &= rng.next() & rng.next(); break;  // sparse
+          case 1: pages = ~u64{0} << rng.next_below(64); break;  // suffix
+          case 2: pages = ~u64{0} >> rng.next_below(64); break;  // prefix
+          default: break;
+        }
+        const bool readahead_on = rng.next_below(2) == 0;
+        u64 want = 0;
+        for (u64 i = 0; i < kWordPages; ++i) {
+          if (((pages >> i) & 1) == 0 || ref.contains(file, file_page + i))
+            continue;
+          want |= u64{1} << i;
+          if (readahead_on) {
+            ref.fill(file, file_page + i);
+          } else {
+            ref.fill_one(file, file_page + i);
+          }
+        }
+        ASSERT_EQ(cache.fault_word(file, file_page, pages, readahead_on),
+                  want)
+            << "round " << round << " op " << op;
+        ASSERT_EQ(cache.cached_pages(), ref.cached_pages());
+        max_page = std::max(max_page, file_page + kWordPages + readahead);
+      }
+      for (u64 file = 0; file < 6; ++file) {
+        for (u64 p = 0; p <= max_page; ++p)
+          ASSERT_EQ(cache.contains(file, p), ref.contains(file, p))
+              << "file " << file << " page " << p;
+        // The cached runs, clipped at an arbitrary end, are the maximal
+        // runs of contains().
+        const u64 end = rng.next_below(max_page + 1);
+        std::vector<std::pair<u64, u64>> runs, want_runs;
+        cache.for_each_cached_run(
+            file, end, [&](u64 b, u64 n) { runs.emplace_back(b, n); });
+        for (u64 p = 0; p < end;) {
+          if (!ref.contains(file, p)) {
+            ++p;
+            continue;
+          }
+          u64 q = p + 1;
+          while (q < end && ref.contains(file, q)) ++q;
+          want_runs.emplace_back(p, q - p);
+          p = q;
+        }
+        ASSERT_EQ(runs, want_runs) << "file " << file << " end " << end;
+      }
+      if (rng.next_below(3) == 0) {
+        cache.drop();
+        ref.drop();
+      }
+    }
+  }
+}
+
 TEST(PageCache, DropClearsEverything) {
   HostPageCache cache(4);
   cache.fill_range(1, 0, 100);

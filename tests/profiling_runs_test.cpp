@@ -2,9 +2,10 @@
 // maximal runs of equal count, and DAMON and the unified pattern read and
 // merge those runs. Here every stage is checked for equality with a dense
 // u64-per-page implementation of the same rules: the exact counts of a
-// trace, DAMON's three passes (including the random stream they consume),
-// and the unified pattern's max-merge and convergence streak. The inputs
-// are every Table-I function's invocations and a set of edge cases.
+// trace, DAMON's passes over materialised per-quantum means (including
+// the random stream its per-region noise consumes), and the unified
+// pattern's max-merge and convergence streak. The inputs are every
+// Table-I function's invocations and a set of edge cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,9 +50,10 @@ RegionList dense_runs(const Dense& counts) {
   return regions;
 }
 
-/// DAMON's monitor over a dense array: pass 1 quantizes every 4-page
-/// quantum (one noise draw per nonzero quantum), pass 2 merges similar
-/// neighbours, pass 3 force-merges down to max_regions.
+/// DAMON's monitor over a dense array: pass 1 materialises every 4-page
+/// quantum's exact mean in DAMON's units (rounded) and coalesces equal
+/// neighbours, pass 2 merges similar neighbours, pass 3 force-merges down
+/// to max_regions, and pass 4 draws one noise factor per nonzero region.
 DamonOutput dense_monitor(const DamonConfig& cfg, const Dense& true_counts,
                           Nanos exec_ns, Rng& rng) {
   const u64 num_pages = true_counts.size();
@@ -59,20 +61,24 @@ DamonOutput dense_monitor(const DamonConfig& cfg, const Dense& true_counts,
   const u64 samples = static_cast<u64>(
       std::max(1.0, exec_ns / std::max<Nanos>(cfg.sampling_interval_ns, 1)));
 
-  RegionList regions;
+  std::vector<u64> means;
   for (u64 begin = 0; begin < num_pages; begin += quantum) {
     const u64 count = std::min(quantum, num_pages - begin);
     u64 mass = 0;
     for (u64 p = begin; p < begin + count; ++p) mass += true_counts[p];
-    double est = static_cast<double>(mass) / static_cast<double>(count) *
-                 cfg.count_scale;
-    if (est > 0.0) {
-      const double noise =
-          samples == 0 ? 1.0 : 1.0 / std::sqrt(static_cast<double>(samples));
-      est *= rng.jitter(std::min(noise * 4.0, 0.5));
+    means.push_back(static_cast<u64>(
+        std::llround(static_cast<double>(mass) / static_cast<double>(count) *
+                     cfg.count_scale)));
+  }
+  RegionList regions;
+  for (size_t q = 0; q < means.size(); ++q) {
+    const u64 begin = q * quantum;
+    const u64 count = std::min(quantum, num_pages - begin);
+    if (!regions.empty() && regions.back().accesses == means[q]) {
+      regions.back().page_count += count;
+    } else {
+      regions.push_back(Region{begin, count, means[q]});
     }
-    regions.push_back(
-        Region{begin, count, static_cast<u64>(std::llround(est))});
   }
 
   RegionList merged;
@@ -113,6 +119,15 @@ DamonOutput dense_monitor(const DamonConfig& cfg, const Dense& true_counts,
     a.accesses = (a.total_accesses() + b.total_accesses()) / pages;
     a.page_count = pages;
     merged.erase(merged.begin() + static_cast<std::ptrdiff_t>(best) + 1);
+  }
+
+  const double noise =
+      samples == 0 ? 1.0 : 1.0 / std::sqrt(static_cast<double>(samples));
+  for (Region& r : merged) {
+    if (r.accesses == 0) continue;
+    const double est = static_cast<double>(r.accesses) *
+                       rng.jitter(std::min(noise * 4.0, 0.5));
+    r.accesses = std::max<u64>(1, static_cast<u64>(std::llround(est)));
   }
 
   DamonOutput out;
@@ -235,8 +250,8 @@ TEST(ProfilingRuns, EdgeCasesMatchThePerPageReference) {
        64,
        {{6, 9, 900, Pattern::kSequential, 0.0, 0.0},
         {33, 2, 7, Pattern::kRandom, 0.0, 0.0}}},
-      // A one-access page: under a small count_scale its quantum's
-      // estimate rounds to 0 after its draw, then a zero stretch follows.
+      // A one-access page: under a small count_scale its quantum's mean
+      // rounds to 0, so it joins the zero stretch that follows.
       {"estimate rounds to zero",
        100,
        {{0, 8, 8000, Pattern::kSequential, 0.0, 0.0},
@@ -275,7 +290,7 @@ TEST(ProfilingRuns, EdgeCasesMatchThePerPageReference) {
     }
   }
   // The rounding case really rounds: quantum [8, 12) holds one access,
-  // and its estimate of 0.025 stays below 0.5 under any jitter.
+  // and its mean of 0.025 rounds to 0 before any noise is drawn.
   Rng rng(1);
   const DamonOutput out = DamonMonitor(small_scale).monitor(
       PageAccessCounts::from_trace(BurstTrace(cases[2].bursts), 100), us(100),

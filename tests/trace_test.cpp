@@ -2,10 +2,14 @@
 // working-set trackers.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "trace/burst.hpp"
 #include "trace/pattern.hpp"
 #include "trace/region.hpp"
 #include "trace/working_set.hpp"
+#include "util/rng.hpp"
 
 namespace toss {
 namespace {
@@ -149,6 +153,50 @@ TEST(WorkingSet, MincoreInflatedByReadahead) {
   EXPECT_EQ(mincore.missing_from(uffd), 0u);
   // Readahead pulled in pages beyond the true working set.
   EXPECT_GT(uffd.missing_from(mincore), 0u);
+}
+
+TEST(WorkingSet, MincoreMatchesAPerPageCacheSimulation) {
+  // The mincore set against a per-page simulation of the page cache: each
+  // burst page in order, a miss caching its readahead window, then every
+  // cached page below the guest size. Random traces over guests that are
+  // not a multiple of 64 pages, with bursts that cross words, overlap,
+  // and end on the last guest page so readahead runs past it.
+  Rng rng(5);
+  for (const u64 readahead : {1u, 7u, 32u, 100u}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      const u64 n = 1 + rng.next_below(700);
+      std::vector<AccessBurst> bursts;
+      for (u64 k = rng.next_below(6); k > 0; --k) {
+        const u64 begin = rng.next_below(n);
+        const u64 count = 1 + rng.next_below(n - begin);
+        bursts.push_back({begin, count, 10, Pattern::kSequential, 0.0, 0.0});
+      }
+      if (trial % 2 == 0) {
+        const u64 count = 1 + rng.next_below(n);
+        bursts.push_back(
+            {n - count, count, 10, Pattern::kRandom, 0.0, 0.0});
+      }
+      std::vector<bool> cached(n + readahead + 64, false);
+      for (const AccessBurst& b : bursts)
+        for (u64 p = b.page_begin; p < b.page_end(); ++p)
+          if (!cached[p])
+            for (u64 q = p; q < p + readahead; ++q) cached[q] = true;
+      std::vector<std::pair<u64, u64>> want;
+      for (u64 p = 0; p < n; ++p) {
+        if (!cached[p]) continue;
+        if (!want.empty() && want.back().first + want.back().second == p) {
+          ++want.back().second;
+        } else {
+          want.emplace_back(p, 1);
+        }
+      }
+      const WorkingSet ws =
+          mincore_working_set(BurstTrace(bursts), n, readahead);
+      ASSERT_EQ(ws.touched_ranges(), want)
+          << "readahead " << readahead << " trial " << trial;
+      ASSERT_EQ(ws.num_pages(), n);
+    }
+  }
 }
 
 TEST(WorkingSet, TouchedRanges) {
